@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import applications, harness
 from .apportionment import make_blocks, make_pair, make_parsimonious_pair
 from .dominance import dual_sd_check, primal_sd_check
-from .errors import DomainError, DualRiskError, InputValidationError
+from .errors import DomainError, DualRiskError, FormatError, InputValidationError
 from .lottery import (
     EqualProbLottery,
     canonical_distribution,
@@ -107,6 +107,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text (byte {exc.start}: {exc.reason})", source=path) from None
 
 
 def _load_lottery(path: str):

@@ -12,9 +12,11 @@ Direct runs fuzz random bases, block amplitudes, gap specs, and
 positions, then sweep a battery of right-sign, flipped-sign, and
 zero-derivative weighting functions. Converse runs generate piecewise
 linear weighting functions with certified mixed differences and walk
-the witness map (candidate state counts, then window starts) until a
-violating pair is exhibited; the pair's value gap is checked against
-the closed-form difference identity, exactly.
+the witness map (divisors n of the grid count in ascending order, then
+window starts j/n) until a violating pair is exhibited, so the pair has
+the fewest states any aligned window allows; the pair's value gap is
+checked against the closed-form difference identity, exactly, and its
+sign is the reported direction.
 """
 
 from __future__ import annotations
@@ -204,38 +206,24 @@ def random_mixed_tabulated(rng: random.Random, m: int, tries: int = 500) -> Tabu
     raise DualRiskError(f"no mixed-difference tabulated weighting found in {tries} draws")
 
 
-def _candidate_counts(witness, m: int, grid_count: int) -> list[int]:
-    # Witness-derived state count first, then grid divisors ascending. A
+def _candidate_counts(m: int, grid_count: int) -> list[int]:
+    # Grid divisors ascending, so the first hit is the smallest witness. A
     # wrong-sign window of any step b/G refines into unit-step windows on
-    # the 1/G grid, so n = G always terminates the search.
-    lo = max(m, 2)
-    seen: set[int] = set()
-    out: list[int] = []
-
-    def add(n: int) -> None:
-        if lo <= n <= grid_count and n not in seen:
-            seen.add(n)
-            out.append(n)
-
-    if witness is not None:
-        step = Fraction(witness.step)
-        if step.numerator == 1:
-            add(step.denominator)
-    for n in range(lo, grid_count + 1):
-        if grid_count % n == 0:
-            add(n)
-    return out
+    # the 1/G grid, so n = G, the last candidate, always terminates the
+    # search.
+    return [n for n in range(max(m, 2), grid_count + 1) if grid_count % n == 0]
 
 
 def converse_witness_search(
-    w: WeightingSpec, m: int, witness=None, grid_count: int = 256
+    w: WeightingSpec, m: int, grid_count: int = 256
 ) -> tuple[int, int, Fraction] | None:
-    """Find (n, j) with a wrong-sign aligned window Delta^m_{1/n} h(j/n).
+    """Find (n, j) with a wrong-sign aligned window Delta^m_{1/n} h(j/n),
+    smallest n first.
 
     The pair value gap equals (-1)^(m+1)/M times this window, so "wrong
     sign" means a negative window at odd m and a positive one at even m.
     """
-    for n in _candidate_counts(witness, m, grid_count):
+    for n in _candidate_counts(m, grid_count):
         step = Fraction(1, n)
         for j in range(0, n - m + 1):
             d = finite_difference(w, m, Fraction(j, n), step)
@@ -256,8 +244,7 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
     if cert.kind is not SignClass.MIXED:
         record["status"] = "vacuous"
         return record
-    witness = cert.negative if m % 2 == 1 else cert.positive
-    found = converse_witness_search(w, m, witness, grid_count)
+    found = converse_witness_search(w, m, grid_count)
     if found is None:
         record["status"] = "no-window"
         return record
@@ -272,7 +259,7 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
             "n": n,
             "j": j,
             "gap": format_exact(gap),
-            "direction": preference_direction(pair, w),
+            "direction": (gap > 0) - (gap < 0),
             "pair": json.loads(pair.provenance.to_json()),
         }
     )

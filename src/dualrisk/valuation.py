@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, NonMonotoneUtility
 from .lottery import Lottery, as_distribution, canonical_distribution, mean
 from .rationals import rat
@@ -198,26 +196,3 @@ def dual_moment_weights(n: int, m: int) -> list[Fraction]:
     if n < 1 or m < 1:
         raise DomainError("need n >= 1 and m >= 1")
     return [Fraction((n - i + 1) ** m - (n - i) ** m, n**m) for i in range(1, n + 1)]
-
-
-def dual_moment_mc_oracle(
-    lot: Lottery, m: int, draws: int = 200_000, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the m-draw expected minimum.
-
-    Returns (estimate, standard_error). Sampling is inverse-CDF on exact
-    cumulative probabilities converted to float once.
-    """
-    if m < 1 or draws < 2:
-        raise DomainError("need m >= 1 and draws >= 2")
-    can = canonical_distribution(lot)
-    outcomes = np.array([float(x) for x in can.outcomes])
-    cum = np.cumsum([float(p) for p in can.probabilities])
-    cum[-1] = 1.0
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random((draws, m))
-    idx = np.searchsorted(cum, u, side="left")
-    mins = outcomes[idx].min(axis=1)
-    est = float(mins.mean())
-    se = float(mins.std(ddof=1) / np.sqrt(draws))
-    return est, se

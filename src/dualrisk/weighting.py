@@ -15,9 +15,11 @@ about h translate mechanically to hbar.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 
 from . import polyops
 from .errors import DomainError, FormatError, NonMonotoneUtility, UnsupportedFamily
@@ -193,12 +195,11 @@ def eval_hbar(w: WeightingSpec, p):
 
 
 def _interp(knots, p):
-    for (p0, v0), (p1, v1) in zip(knots, knots[1:]):
-        if p <= p1:
-            if p1 == p0:  # unreachable given validation, kept for safety
-                return v0
-            return v0 + (v1 - v0) * (p - p0) / (p1 - p0)
-    return knots[-1][1]
+    # First knot at or right of p closes the segment; abscissae strictly
+    # increase (Tabulated validates this), so the segment has width > 0.
+    i = bisect_left(knots, p, 1, len(knots) - 1, key=itemgetter(0))
+    (p0, v0), (p1, v1) = knots[i - 1], knots[i]
+    return v0 + (v1 - v0) * (p - p0) / (p1 - p0)
 
 
 def eval_h_prime(w: WeightingSpec, p):

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,6 +95,12 @@ class TestEval:
     def test_bad_weighting_spec(self, lottery_files, capsys):
         a, _ = lottery_files
         assert main(["eval", a, "--weighting", "sigmoid:m=3"]) == 2
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("1 1/2\n2 1/2 # caf\u00e9\n".encode("latin-1"))
+        assert main(["eval", str(path)]) == 2
+        assert f"error: {path}: not UTF-8" in capsys.readouterr().err
 
 
 class TestDominance:
@@ -276,6 +285,12 @@ class TestSelfProtect:
         assert main(["selfprotect", str(cfg)]) == 2
         assert f"{cfg}:2" in capsys.readouterr().err
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(SP_CONFIG.encode("utf-16"))
+        assert main(["selfprotect", str(cfg)]) == 2
+        assert f"error: {cfg}: not UTF-8" in capsys.readouterr().err
+
 
 class TestParsing:
     def test_unknown_flag(self, capsys):
@@ -286,3 +301,17 @@ class TestParsing:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, dualrisk.cli; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"

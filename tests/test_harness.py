@@ -1,6 +1,7 @@
 """Randomized statement checking: battery composition, determinism, replay records."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from dualrisk import (
     dt_value,
     finite_difference,
     finite_difference_sign,
+    preference_direction,
     random_base,
     random_mixed_tabulated,
     random_pair,
@@ -28,7 +30,16 @@ from dualrisk import (
     PairProvenance,
 )
 
+from oracles import interp_linear_scan
+
 F = Fraction
+
+
+def _reference_window(knots, m: int, j: int, n: int) -> Fraction:
+    """Delta^m_{1/n} h(j/n) for the piecewise-linear h through knots."""
+    return sum(
+        (-1) ** (m - k) * math.comb(m, k) * interp_linear_scan(knots, F(j + k, n)) for k in range(m + 1)
+    )
 
 
 class TestBattery:
@@ -113,6 +124,24 @@ class TestConverse:
         n, j, window = found
         assert window > 0
         assert finite_difference(w, 4, F(j, n), F(1, n)) == window
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_witness_has_the_fewest_states(self, m):
+        rng = random.Random(70 + m)
+        for _ in range(6):
+            w = random_mixed_tabulated(rng, m)
+            record = converse_check(w, m)
+            assert record["status"] == "violation", record
+            n = record["n"]
+            assert n <= len(w.knots) - 1
+            for d in range(max(m, 2), n):
+                if 256 % d:
+                    continue
+                for j in range(d - m + 1):
+                    window = _reference_window(w.knots, m, j, d)
+                    assert not ((window < 0) if m % 2 == 1 else (window > 0)), (d, j, window)
+            pair = rebuild_pair(PairProvenance.from_json(json.dumps(record["pair"])))
+            assert record["direction"] == preference_direction(pair, w) == -1
 
     def test_witness_search_none_for_clean_weighting(self):
         assert converse_witness_search(DualPower(4), 4) is None

@@ -25,7 +25,6 @@ from dualrisk import (
     canonical_distribution,
     dt_value,
     dual_moment,
-    dual_moment_mc_oracle,
     dual_moment_weights,
     eu_value,
     eval_h,
@@ -36,6 +35,7 @@ from dualrisk import (
 )
 
 from conftest import lotteries
+from oracles import dual_moment_mc_oracle
 
 F = Fraction
 

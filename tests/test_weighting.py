@@ -31,6 +31,8 @@ from dualrisk import (
     parse_weighting,
 )
 
+from oracles import interp_linear_scan
+
 F = Fraction
 
 EXACT_SPECS = [
@@ -250,3 +252,25 @@ def test_quadratic_closed_form(i):
     p = F(i, 64)
     beta = F(1, 3)
     assert eval_h(Quadratic(beta), p) == (1 + beta) * p - beta * p * p
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
+@st.composite
+def tabulated_knots(draw):
+    inner = draw(st.lists(unit_fractions.filter(lambda p: 0 < p < 1), max_size=8, unique=True))
+    heights = draw(st.lists(unit_fractions, min_size=len(inner), max_size=len(inner)))
+    return ((F(0), F(0)), *zip(sorted(inner), sorted(heights)), (F(1), F(1)))
+
+
+@given(tabulated_knots(), st.data())
+@settings(max_examples=200)
+def test_tabulated_matches_linear_scan(knots, data):
+    w = Tabulated(knots)
+    between = [p0 + t * (p1 - p0) for (p0, _), (p1, _) in zip(knots, knots[1:]) for t in (F(1, 3), F(1, 2))]
+    points = [p for p, _ in knots] + between + [data.draw(unit_fractions)]  # knots include 0 and 1
+    for p in points:
+        got = eval_h(w, p)
+        assert isinstance(got, Fraction)
+        assert got == interp_linear_scan(knots, p)
