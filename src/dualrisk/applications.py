@@ -34,7 +34,7 @@ from .errors import (
 from .lottery import EqualProbLottery, Lottery, make_lottery, mean
 from .rationals import parse_rational, rat
 from .valuation import dt_value
-from .weighting import Tabulated, WeightingSpec, eval_h, eval_h_prime, parse_weighting
+from .weighting import WeightingSpec, eval_h, eval_h_prime, parse_weighting
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +430,11 @@ def sp_value(sp: SelfProtectionProblem, e, w: WeightingSpec):
     raise DomainError("unreachable regime")
 
 
-def _h_slope(w: WeightingSpec, p):
-    if isinstance(w, Tabulated):
-        s = 1e-6
-        return (eval_h(w, float(p) + s) - eval_h(w, float(p) - s)) / (2 * s)
-    return eval_h_prime(w, p)
-
-
 def background_shift_expression(w: WeightingSpec, p):
     """-h'(p/2) + 2 h'(p) - h'((1+p)/2): the marginal-benefit shift the
     background risk adds to the first-order condition; negative exactly
     when the slope of h is convex across the three evaluation points."""
-    return -_h_slope(w, p / 2) + 2 * _h_slope(w, p) - _h_slope(w, (1 + p) / 2)
+    return -eval_h_prime(w, p / 2) + 2 * eval_h_prime(w, p) - eval_h_prime(w, (1 + p) / 2)
 
 
 def sp_foc_lhs(sp: SelfProtectionProblem, e, w: WeightingSpec):
@@ -452,15 +445,16 @@ def sp_foc_lhs(sp: SelfProtectionProblem, e, w: WeightingSpec):
     dp = loss_probability_slope(sp.effort_model, e)
     match _regime(sp):
         case "bare":
-            return -dp * _h_slope(w, p) * sp.loss - 1
+            return -dp * eval_h_prime(w, p) * sp.loss - 1
         case "small":
             return (
                 dp * sp.epsilon * background_shift_expression(w, p)
-                - dp * _h_slope(w, p) * sp.loss
+                - dp * eval_h_prime(w, p) * sp.loss
                 - 1
             )
         case "large":
-            return -Fraction(1, 2) * dp * sp.loss * (_h_slope(w, p / 2) + _h_slope(w, (1 + p) / 2)) - 1
+            slopes = eval_h_prime(w, p / 2) + eval_h_prime(w, (1 + p) / 2)
+            return -Fraction(1, 2) * dp * sp.loss * slopes - 1
     raise DomainError("unreachable regime")
 
 
@@ -478,9 +472,6 @@ class SPSolution:
     e_star: float
     value: float
     diagnostics: SPDiagnostics
-
-    def __iter__(self):
-        return iter((self.e_star, self.value, self.diagnostics))
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2

@@ -29,6 +29,7 @@ from .errors import (
     BadGapSpec,
     ConstructionInvariantError,
     DomainError,
+    FormatError,
     PrecedenceViolation,
 )
 from .lottery import EqualProbLottery
@@ -205,19 +206,24 @@ class PairProvenance:
 
     @staticmethod
     def from_json(text: str) -> "PairProvenance":
-        raw = json.loads(text)
-        return PairProvenance(
-            kind=raw["kind"],
-            order=raw["order"],
-            n=raw["n"],
-            base_outcomes=tuple(rat(x) for x in raw["base_outcomes"]),
-            pos_first=raw["pos_first"],
-            pos_second=raw["pos_second"],
-            good_entries=tuple((int(o), rat(v)) for o, v in raw["good_entries"]),
-            bad_entries=tuple((int(o), rat(v)) for o, v in raw["bad_entries"]),
-            big_m=None if raw.get("big_m") is None else rat(raw["big_m"]),
-            seed=raw.get("seed"),
-        )
+        try:
+            raw = json.loads(text)
+            return PairProvenance(
+                kind=raw["kind"],
+                order=raw["order"],
+                n=raw["n"],
+                base_outcomes=tuple(rat(x) for x in raw["base_outcomes"]),
+                pos_first=raw["pos_first"],
+                pos_second=raw["pos_second"],
+                good_entries=tuple((int(o), rat(v)) for o, v in raw["good_entries"]),
+                bad_entries=tuple((int(o), rat(v)) for o, v in raw["bad_entries"]),
+                big_m=None if raw.get("big_m") is None else rat(raw["big_m"]),
+                seed=raw.get("seed"),
+            )
+        except KeyError as exc:
+            raise FormatError(f"pair provenance is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise FormatError(f"malformed pair provenance: {exc}") from None
 
 
 @dataclass(frozen=True)

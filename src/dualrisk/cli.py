@@ -20,8 +20,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +42,7 @@ from .lottery import (
 )
 from .rationals import format_exact, parse_rational
 from .valuation import QuadraticUtility, dt_value, dual_moment, eu_value, primal_moment
-from .weighting import DualPower, Quadratic, eval_h_prime, parse_weighting
+from .weighting import DualPower, Identity, Polynomial, Quadratic, eval_h_prime, parse_weighting
 
 
 @dataclass(frozen=True)
@@ -332,8 +334,6 @@ def _sec4_rows() -> list[tuple]:
 
 
 def _sec5_rows() -> list[tuple]:
-    import warnings
-
     rows: list[tuple] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -358,8 +358,6 @@ def _sec5_rows() -> list[tuple]:
         put("calibrated_powerlaw", "shift_at_half", rep.shift_at_half)
         put("calibrated_powerlaw", "shift_at_opt", rep.shift_at_opt)
 
-        from .weighting import Polynomial
-
         wrev = Polynomial((Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1, 2)))
         exp_model = applications.calibrate_exponential(Fraction(3, 5), wrev, Fraction(1))
         sprev = applications.SelfProtectionProblem(
@@ -371,10 +369,6 @@ def _sec5_rows() -> list[tuple]:
         put("reverse_cubic", "e_without_background", reprev.e_without)
         put("reverse_cubic", "direction", reprev.direction)
         put("reverse_cubic", "shift_at_half", reprev.shift_at_half)
-
-        import math
-
-        from .weighting import Identity
 
         exp2 = applications.ExponentialEffort(Fraction(3, 5), Fraction(2))
         spi = applications.SelfProtectionProblem(

@@ -9,7 +9,7 @@ replaces those with exact equality of the first m-1 raw moments.
 
 All comparisons are exact: piecewise-polynomial differences are certified
 non-negative by root isolation, and failures come with a rational witness
-point. A float grid scan runs first only to short-circuit clear failures.
+point.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .lottery import Lottery, canonical_distribution, cdf, mean, support_points
+from .lottery import Lottery, canonical_distribution, mean
 from .piecewise import PiecewisePoly, step_function
 from .polyops import nonneg_on_interval
 from .valuation import dual_moment, raw_moment
@@ -62,9 +62,17 @@ def iterated_cdf(lot: Lottery, m: int, hi: Fraction) -> PiecewisePoly:
     can = canonical_distribution(lot)
     if hi < max(can.outcomes) or hi <= 0:
         raise DomainError("iterated CDF domain must cover the support and have positive length")
-    pts = sorted({Fraction(0), hi} | {x for x in can.outcomes if 0 < x < hi})
-    values = [cdf(can, a) for a in pts[:-1]]
-    f = step_function(tuple(pts), values)
+    pts, values = [Fraction(0)], []
+    cum = Fraction(0)
+    for x, p in can.states:
+        if x > 0:  # F(pts[-1]) holds on (pts[-1], x]
+            pts.append(x)
+            values.append(cum)
+        cum += p
+    if pts[-1] < hi:
+        pts.append(hi)
+        values.append(cum)
+    f = step_function(pts, values)
     for _ in range(m - 1):
         f = f.antiderivative()
     return f
@@ -73,16 +81,14 @@ def iterated_cdf(lot: Lottery, m: int, hi: Fraction) -> PiecewisePoly:
 def _pointwise_leq(f: PiecewisePoly, g: PiecewisePoly):
     """Exact check f <= g on their common domain; (ok, witness)."""
     diff = g - f
-    # cheap float scan to fail fast with an exact witness
-    lo, hi = diff.lo, diff.hi
-    for i in range(257):
-        q = lo + (hi - lo) * Fraction(i, 256)
-        if float(diff(q)) < -1e-9 and diff(q) < 0:
-            return False, q
-    for (a, b), coeffs in zip(zip(diff.breakpoints, diff.breakpoints[1:]), diff.pieces):
+    pieces = zip(diff.breakpoints, diff.breakpoints[1:], diff.pieces)
+    for i, (a, b, coeffs) in enumerate(pieces):
         ok, witness = nonneg_on_interval(list(coeffs), a, b)
         if not ok:
-            return False, witness
+            # diff takes its left piece's (certified) value at an interior
+            # breakpoint; only a step piece can be negative there, and then
+            # it is negative on all of (a, b]
+            return False, b if (i and witness == a) else witness
     return True, None
 
 
@@ -125,39 +131,12 @@ def primal_sd_check(a: Lottery, b: Lottery, m: int, ekern: bool = False) -> Domi
     hi = max(max(a.outcomes), max(b.outcomes))
     if hi == 0:
         return DominanceReport(kind, m, True)
-    fa = iterated_cdf(a, m, hi)
-    fb = iterated_cdf(b, m, hi)
-    if not ekern:
-        for k in range(2, m):
-            if iterated_cdf(b, k, hi)(hi) > iterated_cdf(a, k, hi)(hi):
-                return DominanceReport(kind, m, False, f"endpoint_{k}")
+    fa, fb = iterated_cdf(a, 1, hi), iterated_cdf(b, 1, hi)
+    for k in range(2, m + 1):
+        fa, fb = fa.antiderivative(), fb.antiderivative()
+        if not ekern and k < m and fb(hi) > fa(hi):
+            return DominanceReport(kind, m, False, f"endpoint_{k}")
     ok, witness = _pointwise_leq(fb, fa)
     if not ok:
         return DominanceReport(kind, m, False, "iterated_cdf", witness)
     return DominanceReport(kind, m, True)
-
-
-def crossing_pattern(a: Lottery, b: Lottery) -> tuple[int, list[Fraction]]:
-    """Sign changes of F_a - F_b across the merged support.
-
-    Returns (initial_sign, points): the sign of the first non-zero
-    difference interval and the left endpoints of the intervals where the
-    sign flips. Zero-difference intervals between opposite signs count as
-    a single change located where the new sign begins.
-    """
-    ca, cb = canonical_distribution(a), canonical_distribution(b)
-    pts = support_points(ca, cb)
-    initial = 0
-    last = 0
-    changes: list[Fraction] = []
-    for x in pts[:-1]:
-        d = cdf(ca, x) - cdf(cb, x)
-        s = (d > 0) - (d < 0)
-        if s == 0:
-            continue
-        if initial == 0:
-            initial = s
-        elif s != last:
-            changes.append(x)
-        last = s
-    return initial, changes

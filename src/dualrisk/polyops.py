@@ -211,22 +211,6 @@ def _shrink_from(s, chain, interval, a, b):
     return (lo, hi)
 
 
-def refine_interval(c: Poly, interval: tuple[Fraction, Fraction], width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of c below the given width."""
-    s = psquarefree(c)
-    if peval(s, interval[0]) == 0 or peval(s, interval[1]) == 0:
-        raise ValueError("interval endpoints must not be roots")
-    chain = sturm_chain(s)
-    lo, hi = interval
-    while hi - lo > width:
-        mid = _nonroot_between(s, lo, hi)
-        if count_roots(chain, lo, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
-
-
 def sign_profile(c: Poly, a: Fraction, b: Fraction):
     """Exact sign behaviour of c on [a, b].
 

@@ -7,8 +7,7 @@ x_1 < ... < x_n and CDF F is
       = sum_i hbar(S(x_{i-1})) (x_i - x_{i-1})         (survival form)
 
 with x_0 = 0, F(x_0) = 0, S = 1 - F, hbar(p) = 1 - h(1 - p). The survival
-form is the one computed; in debug runs the CDF form is recomputed and
-compared exactly for exact families (stripped under python -O).
+form is the one computed; the tests check it against the CDF form.
 
 The m-th dual moment is the expected minimum of m independent draws,
 integral of S(x)^m, and coincides with the dual-theory value under the
@@ -23,7 +22,7 @@ from fractions import Fraction
 from .errors import DomainError, NonMonotoneUtility
 from .lottery import Lottery, as_distribution, canonical_distribution, mean
 from .rationals import rat
-from .weighting import WeightingSpec, eval_h, eval_hbar, is_exact
+from .weighting import WeightingSpec, eval_hbar, is_exact
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +128,6 @@ def dt_value(lot: Lottery, w: WeightingSpec):
             acc += eval_hbar(w, surv) * (x - prev_x)
         surv -= p
         prev_x = x
-    if __debug__ and is_exact(w):
-        assert acc == _dt_value_cdf_form(can, w), "survival and CDF forms disagree"
-    return acc
-
-
-def _dt_value_cdf_form(can: Lottery, w: WeightingSpec):
-    # independent route kept for debug cross-checks and tests
-    acc = Fraction(0) if is_exact(w) else 0.0
-    cum = Fraction(0)
-    prev_h = eval_h(w, Fraction(0))
-    for x, p in can.states:
-        cum += p
-        cur_h = eval_h(w, cum)
-        acc += x * (cur_h - prev_h)
-        prev_h = cur_h
     return acc
 
 

@@ -56,3 +56,16 @@ def equal_prob_lotteries(draw, min_states=2, max_states=8, max_outcome=24):
     n = draw(st.integers(min_value=min_states, max_value=max_states))
     outcomes = sorted(draw(st.lists(rational(0, max_outcome), min_size=n, max_size=n)))
     return EqualProbLottery(n, tuple(outcomes))
+
+
+@st.composite
+def tied_lotteries(draw, max_states=7, max_outcome=16):
+    """Random lotteries whose states share a few outcomes, often including 0."""
+    pool = draw(st.lists(rational(0, max_outcome), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pool.append(F(0))
+    n = draw(st.integers(min_value=1, max_value=max_states))
+    outcomes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=8), min_size=n, max_size=n))
+    total = sum(weights)
+    return make_lottery([(x, F(w, total)) for x, w in zip(outcomes, weights)])

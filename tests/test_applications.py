@@ -31,6 +31,7 @@ from dualrisk import (
     ShortCall,
     ShortStraddle,
     Straddle,
+    Tabulated,
     TabulatedUtility,
     background_shift_expression,
     build_menu,
@@ -40,6 +41,7 @@ from dualrisk import (
     dual_power_mixture,
     dual_sd_check,
     eu_value,
+    eval_h,
     eval_h_prime,
     loss_probability,
     loss_probability_slope,
@@ -311,6 +313,23 @@ class TestSpFoc:
         sp = sp_instance(F(1, 8))
         with pytest.raises(CaseBoundary):
             sp_foc_lhs(replace(sp, epsilon=F(1, 2)), F(1, 5), DualPower(3))
+
+
+TABULATED = Tabulated(((F(0), F(0)), (F(1, 4), F(2, 5)), (F(3, 5), F(3, 4)), (F(1), F(1))))
+
+
+class TestTabulatedSlope:
+    @pytest.mark.parametrize("p", [1e-7, 1 - 1e-7])
+    def test_shift_expression_near_the_edges(self, p):
+        assert math.isfinite(background_shift_expression(TABULATED, p))
+
+    def test_interior_slope_is_the_symmetric_difference(self):
+        s = 1e-6
+        rng = random.Random(5)
+        points = [rng.uniform(0.001, 0.999) for _ in range(200)] + [0.25, 0.6, 0.25 + s / 2]
+        for p in points:
+            symmetric = (eval_h(TABULATED, p + s) - eval_h(TABULATED, p - s)) / (2 * s)
+            assert eval_h_prime(TABULATED, p) == pytest.approx(symmetric, rel=1e-9)
 
 
 class TestSpSolve:

@@ -1,5 +1,6 @@
 """Block construction algebra against exhaustively expanded examples."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from dualrisk import (
     DomainError,
     DualPower,
     EqualProbLottery,
+    FormatError,
     Identity,
     NegativeOutcome,
     PairProvenance,
@@ -286,6 +288,18 @@ class TestProvenance:
         rebuilt = rebuild_pair(pair.provenance)
         assert rebuilt.c == pair.c
         assert rebuilt.d == pair.d
+
+    @pytest.mark.parametrize("text", ["{}", "not json", "[1]"])
+    def test_malformed_json_is_a_format_error(self, text):
+        with pytest.raises(FormatError):
+            PairProvenance.from_json(text)
+
+    def test_missing_key_is_a_format_error(self, base3):
+        good, bad = make_blocks(3, 3, F(1, 6))
+        payload = json.loads(make_pair(base3, good, bad, 1, 2).provenance.to_json())
+        del payload["good_entries"]
+        with pytest.raises(FormatError, match="good_entries"):
+            PairProvenance.from_json(json.dumps(payload))
 
     def test_rebuild_parsimonious(self):
         pair = make_parsimonious_pair(tuple(range(1, 9)), 3, 4, 64, seed=5)

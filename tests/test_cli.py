@@ -252,6 +252,19 @@ class TestPaperRepro:
         for name in names:
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
+    def test_goldens_do_not_depend_on_asserts(self, tmp_path):
+        # python -O strips every assert; the CSVs must come out the same
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        subprocess.run(
+            [sys.executable, "-O", "-m", "dualrisk.cli", "paper-repro", "--outdir", str(tmp_path)],
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        for name in ("sec22.csv", "sec3.csv", "sec4.csv", "sec5.csv"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
     def test_outdir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DUALRISK_OUTDIR", str(tmp_path))
         assert main(["paper-repro"]) == 0

@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrisk import (
     DualPower,
     EqualProbLottery,
     anti_squeeze,
-    crossing_pattern,
     dt_value,
     dual_moment,
     dual_sd_check,
+    iterated_cdf,
     iterated_quantile,
     make_blocks,
     make_lottery,
@@ -21,7 +23,19 @@ from dualrisk import (
     squeeze,
 )
 
+from conftest import lotteries, tied_lotteries
+from oracles import iterated_cdf_per_point, primal_sd_rebuild
+
 F = Fraction
+
+any_lottery = st.one_of(tied_lotteries(), lotteries())
+
+
+@st.composite
+def mean_ordered_pairs(draw):
+    """(a, b) with mean(a) <= mean(b), so the first gates rarely decide."""
+    a, b = draw(any_lottery), draw(any_lottery)
+    return (a, b) if mean(a) <= mean(b) else (b, a)
 
 
 def sec3_pair(order, outcomes, big_m):
@@ -116,25 +130,6 @@ class TestPrimalCheck:
         assert report.failed_condition == "raw_moment_1"
 
 
-class TestCrossingPattern:
-    def test_third_order_pair_crosses_twice(self):
-        pair = sec3_pair(3, (1, 2, 4), 6)
-        initial, changes = crossing_pattern(pair.c.to_lottery(), pair.d.to_lottery())
-        assert initial == 1
-        assert len(changes) == 2
-
-    def test_identical_lotteries_empty(self, lottery_b):
-        initial, changes = crossing_pattern(lottery_b, lottery_b)
-        assert initial == 0
-        assert changes == []
-
-    def test_second_order_pair_single_crossing(self):
-        pair = sec3_pair(2, (1, 2), 4)
-        initial, changes = crossing_pattern(pair.c.to_lottery(), pair.d.to_lottery())
-        assert initial == 1
-        assert len(changes) == 1
-
-
 class TestProperties:
     def test_degree_two_dual_equals_primal_on_mean_equal_pairs(self):
         rng = random.Random(20)
@@ -212,3 +207,36 @@ class TestProperties:
                 assert scan_ok
             elif exact.failed_condition == "iterated_quantile":
                 assert not scan_ok
+
+
+class TestIteratedCdfOracle:
+    @given(any_lottery, st.sampled_from([F(0), F(1, 3), F(2)]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_point_construction(self, lot, extra):
+        hi = max(lot.outcomes) + extra
+        if hi == 0:
+            return
+        for k in range(1, 5):
+            assert iterated_cdf(lot, k, hi) == iterated_cdf_per_point(lot, k, hi)
+
+    @given(mean_ordered_pairs(), st.integers(min_value=1, max_value=4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_primal_check_matches_per_order_rebuild(self, pair, m, ekern):
+        a, b = pair
+        report = primal_sd_check(a, b, m, ekern=ekern)
+        assert (report.holds, report.failed_condition) == primal_sd_rebuild(a, b, m, ekern)
+
+    @given(mean_ordered_pairs(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_pointwise_witness_has_negative_difference(self, pair, m):
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            dual = dual_sd_check(x, y, m)
+            if dual.failed_condition == "iterated_quantile":
+                diff = iterated_quantile(y, m) - iterated_quantile(x, m)
+                assert diff(dual.witness) < 0
+            primal = primal_sd_check(x, y, m)
+            if primal.failed_condition == "iterated_cdf":
+                hi = max(max(x.outcomes), max(y.outcomes))
+                diff = iterated_cdf_per_point(x, m, hi) - iterated_cdf_per_point(y, m, hi)
+                assert diff(primal.witness) < 0

@@ -24,7 +24,6 @@ from dualrisk.polyops import (
     pgcd,
     pmul,
     psub,
-    refine_interval,
     sign_profile,
     sturm_chain,
 )
@@ -101,13 +100,6 @@ class TestRootIsolation:
             }
             assert count_roots(sturm_chain(c), F(0), F(1)) == len(distinct)
             checked += 1
-
-    def test_refine_narrows(self):
-        c = [F(-2), F(0), F(1)]  # x^2 - 2
-        (iv,) = isolate_roots(c, F(1), F(2))
-        narrow = refine_interval(c, iv, F(1, 1024))
-        assert narrow[1] - narrow[0] <= F(1, 1024)
-        assert float(narrow[0]) <= 2**0.5 <= float(narrow[1])
 
 
 class TestSignAnalysis:

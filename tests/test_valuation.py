@@ -13,14 +13,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrisk import (
     DualPower,
     Identity,
     LinearUtility,
     NonMonotoneUtility,
+    Polynomial,
+    Power,
     Quadratic,
     QuadraticUtility,
+    Tabulated,
     TabulatedUtility,
     canonical_distribution,
     dt_value,
@@ -34,8 +38,8 @@ from dualrisk import (
     raw_moment,
 )
 
-from conftest import lotteries
-from oracles import dual_moment_mc_oracle
+from conftest import lotteries, tied_lotteries
+from oracles import dt_value_cdf_form, dual_moment_mc_oracle
 
 F = Fraction
 
@@ -117,6 +121,48 @@ class TestDtValue:
             prev = x
             surv -= p
         assert dt_value(lottery_b, w) == acc
+
+
+unit = st.fractions(min_value=0, max_value=1, max_denominator=16)
+
+
+@st.composite
+def polynomial_weightings(draw):
+    """lam p^k + (1 - lam)(1 - (1 - p)^m): increasing, from 0 to 1."""
+    lam = draw(unit)
+    k = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=5))
+    coeffs = [F(0)] * (max(k, m) + 1)
+    coeffs[k] += lam
+    for j in range(1, m + 1):
+        coeffs[j] -= (1 - lam) * math.comb(m, j) * (-1) ** j
+    return Polynomial(tuple(coeffs))
+
+
+@st.composite
+def tabulated_weightings(draw):
+    ps = sorted(set(draw(st.lists(unit.filter(lambda p: 0 < p < 1), max_size=4))))
+    vs = sorted(draw(st.lists(unit, min_size=len(ps), max_size=len(ps))))
+    return Tabulated(((F(0), F(0)), *zip(ps, vs), (F(1), F(1))))
+
+
+exact_weightings = st.one_of(
+    st.just(Identity()),
+    st.builds(Quadratic, unit),
+    st.builds(DualPower, st.integers(min_value=1, max_value=6)),
+    st.builds(Power, st.integers(min_value=1, max_value=5)),
+    polynomial_weightings(),
+    tabulated_weightings(),
+)
+
+
+class TestSurvivalFormIsCdfForm:
+    @given(st.one_of(tied_lotteries(), lotteries()), exact_weightings)
+    @settings(max_examples=300, deadline=None)
+    def test_exact_families(self, lot, w):
+        value = dt_value(lot, w)
+        assert isinstance(value, Fraction)
+        assert value == dt_value_cdf_form(lot, w)
 
 
 class TestEuValue:
