@@ -209,21 +209,36 @@ class PairProvenance:
         try:
             raw = json.loads(text)
             return PairProvenance(
-                kind=raw["kind"],
-                order=raw["order"],
-                n=raw["n"],
-                base_outcomes=tuple(rat(x) for x in raw["base_outcomes"]),
-                pos_first=raw["pos_first"],
-                pos_second=raw["pos_second"],
-                good_entries=tuple((int(o), rat(v)) for o, v in raw["good_entries"]),
-                bad_entries=tuple((int(o), rat(v)) for o, v in raw["bad_entries"]),
+                kind=_field(raw, "kind", str),
+                order=_field(raw, "order", int),
+                n=_field(raw, "n", int),
+                base_outcomes=tuple(rat(x) for x in _field(raw, "base_outcomes", list)),
+                pos_first=_field(raw, "pos_first", int),
+                pos_second=_field(raw, "pos_second", int),
+                good_entries=_entries(raw, "good_entries"),
+                bad_entries=_entries(raw, "bad_entries"),
                 big_m=None if raw.get("big_m") is None else rat(raw["big_m"]),
-                seed=raw.get("seed"),
+                seed=None if raw.get("seed") is None else _field(raw, "seed", int),
             )
         except KeyError as exc:
             raise FormatError(f"pair provenance is missing key {exc}") from None
         except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise FormatError(f"malformed pair provenance: {exc}") from None
+
+
+def _field(raw: dict, key: str, kind: type):
+    """raw[key] when it has JSON type kind; a JSON true or false is no int."""
+    value = raw[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise FormatError(f"pair provenance field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _entries(raw: dict, key: str) -> tuple[tuple[int, Fraction], ...]:
+    entries = _field(raw, key, list)
+    if not all(isinstance(e, list) and len(e) == 2 and type(e[0]) is int for e in entries):
+        raise FormatError(f"pair provenance field {key!r} must hold [offset, increment] pairs")
+    return tuple((o, rat(v)) for o, v in entries)
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,25 @@ form is the one computed; the tests check it against the CDF form.
 The m-th dual moment is the expected minimum of m independent draws,
 integral of S(x)^m, and coincides with the dual-theory value under the
 DualPower(m) weighting.
+
+For the polynomial weighting families (Identity, Quadratic, DualPower,
+integer Power, Polynomial) and for dual moments the survival sum runs in
+Python ints: probabilities and outcomes are scaled to common
+denominators, hbar to integer coefficients, and one Fraction is built at
+the end. Tabulated, fractional Power, TverskyKahneman and Prelec take the
+survival loop over eval_hbar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from .errors import DomainError, NonMonotoneUtility
 from .lottery import Lottery, as_distribution, canonical_distribution, mean
 from .rationals import rat
-from .weighting import WeightingSpec, eval_hbar, is_exact
+from .weighting import WeightingSpec, _h_coeffs, eval_hbar, is_exact
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +127,9 @@ def dt_value(lot: Lottery, w: WeightingSpec):
 
     Exact families yield an exact Fraction; transcendental families a float.
     """
+    h = _h_coeffs(w)
+    if h is not None:
+        return _survival_sweep(lot, *_hbar_ints(h))
     can = canonical_distribution(lot)
     acc = Fraction(0) if is_exact(w) else 0.0
     prev_x = Fraction(0)
@@ -129,6 +140,48 @@ def dt_value(lot: Lottery, w: WeightingSpec):
         surv -= p
         prev_x = x
     return acc
+
+
+def _hbar_ints(h: list[Fraction]) -> tuple[list[int], int]:
+    """(b, scale) with scale * hbar(s) = sum_j b_j s^j, for h = sum_i c_i p^i.
+
+    hbar(s) = 1 - sum_i c_i (1 - s)^i, expanded binomially in ints.
+    """
+    scale = lcm(*(c.denominator for c in h))
+    b = [0] * len(h)
+    b[0] = scale
+    for i, c in enumerate(h):
+        c = c.numerator * (scale // c.denominator)
+        for j in range(i + 1):
+            b[j] += (-1) ** (j + 1) * comb(i, j) * c
+    return b, scale
+
+
+def _survival_sweep(lot: Lottery, hbar: list[int], scale: int) -> Fraction:
+    """sum_i hbar(S(x_{i-1})) (x_i - x_{i-1}) over distinct outcomes, in ints.
+
+    hbar holds the integer coefficients of scale * hbar(s), lowest degree
+    first. With probabilities over their lcm d and outcomes over their
+    lcm xd, the survival level is an integer count s out of d, and
+    scale * d^deg * hbar(s / d) = sum_j hbar_j d^(deg - j) s^j.
+    """
+    states = as_distribution(lot).states
+    d = lcm(*(p.denominator for _, p in states))
+    xd = lcm(*(x.denominator for x, _ in states))
+    deg = len(hbar) - 1
+    coeffs = [c * d ** (deg - j) for j, c in enumerate(hbar)][::-1]
+    acc = prev = 0
+    surv = d
+    for x, p in states:
+        a = x.numerator * (xd // x.denominator)
+        if a != prev:
+            v = 0
+            for c in coeffs:
+                v = v * surv + c
+            acc += v * (a - prev)
+            prev = a
+        surv -= p.numerator * (d // p.denominator)
+    return Fraction(acc, scale * d**deg * xd)
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +210,13 @@ def raw_moment(lot: Lottery, k: int) -> Fraction:
 def dual_moment(lot: Lottery, m: int) -> Fraction:
     """Expected minimum of m independent draws: integral of S(x)^m.
 
-    Computed directly from the survival function, independently of the
-    weighting machinery (dt_value with DualPower(m) must agree).
+    The integer survival sweep with hbar(s) = s^m, so it equals dt_value
+    under DualPower(m); the independent check is the Fraction survival
+    loop in tests/oracles.py.
     """
     if m < 1:
         raise DomainError(f"dual moment order must be >= 1, got {m}")
-    can = canonical_distribution(lot)
-    acc = Fraction(0)
-    prev_x = Fraction(0)
-    surv = Fraction(1)
-    for x, p in can.states:
-        acc += surv**m * (x - prev_x)
-        surv -= p
-        prev_x = x
-    return acc
+    return _survival_sweep(lot, [0] * m + [1], 1)
 
 
 def dual_moment_weights(n: int, m: int) -> list[Fraction]:

@@ -344,30 +344,35 @@ def analytic_derivative_sign(w: WeightingSpec, m: int) -> SignCertificate:
     """
     if m < 1:
         raise DomainError(f"derivative order must be >= 1, got {m}")
-    match w:
-        case Identity():
-            coeffs = [Fraction(0), Fraction(1)]
-        case Quadratic(beta=b):
-            coeffs = [Fraction(0), 1 + b, -b]
-        case DualPower():
-            coeffs = _poly_coeffs(w)
-        case Power(k=k):
-            if k.denominator != 1:
-                raise UnsupportedFamily("analytic sign needs an integer power exponent")
-            coeffs = [Fraction(0)] * k.numerator + [Fraction(1)]
-        case Polynomial(coeffs=c):
-            coeffs = list(c)
-        case _:
-            raise UnsupportedFamily(
-                f"no analytic derivative sign for {type(w).__name__}; use finite_difference_sign"
-            )
-    d = list(coeffs)
+    d = _h_coeffs(w)
+    if d is None:
+        raise UnsupportedFamily(
+            f"no analytic derivative sign for {type(w).__name__}; use finite_difference_sign"
+        )
     for _ in range(m):
         d = polyops.pderiv(d)
     has_pos, has_neg, pw, nw = polyops.sign_profile(d, Fraction(0), Fraction(1))
     pos = SignWitness(pw, None, polyops.peval(d, pw)) if has_pos else None
     neg = SignWitness(nw, None, polyops.peval(d, nw)) if has_neg else None
     return _classify(m, pos, neg)
+
+
+def _h_coeffs(w: WeightingSpec) -> list[Fraction] | None:
+    """Coefficients of h, lowest degree first, for the polynomial families
+    (Identity, Quadratic, DualPower, integer Power, Polynomial); None for
+    the others."""
+    match w:
+        case Identity():
+            return [Fraction(0), Fraction(1)]
+        case Quadratic(beta=b):
+            return [Fraction(0), 1 + b, -b]
+        case DualPower():
+            return _poly_coeffs(w)
+        case Power(k=k) if k.denominator == 1:
+            return [Fraction(0)] * k.numerator + [Fraction(1)]
+        case Polynomial(coeffs=c):
+            return list(c)
+    return None
 
 
 def _poly_coeffs(w: DualPower) -> list[Fraction]:

@@ -2,8 +2,9 @@
 
 They share no code path with the functions under test: the Monte Carlo
 oracle samples draws with numpy, the knot interpolation walks the
-segments one by one, the dual-theory value is summed in CDF form, and
-the iterated CDF is built from one cdf() call per breakpoint and rebuilt
+segments one by one, the dual-theory value is summed in CDF form, the
+dual moment is a Fraction loop over the survival function, and the
+iterated CDF is built from one cdf() call per breakpoint and rebuilt
 from scratch for every order.
 """
 
@@ -65,6 +66,18 @@ def dt_value_cdf_form(lot: Lottery, w):
         cur_h = eval_h(w, cum)
         acc += x * (cur_h - prev_h)
         prev_h = cur_h
+    return acc
+
+
+def dual_moment_survival(lot: Lottery, m: int) -> Fraction:
+    """Integral of S(x)^m summed in Fractions over the merged distribution."""
+    acc = Fraction(0)
+    prev_x = Fraction(0)
+    surv = Fraction(1)
+    for x, p in canonical_distribution(lot).states:
+        acc += surv**m * (x - prev_x)
+        surv -= p
+        prev_x = x
     return acc
 
 

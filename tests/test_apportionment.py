@@ -301,6 +301,26 @@ class TestProvenance:
         with pytest.raises(FormatError, match="good_entries"):
             PairProvenance.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("order", "3"),
+            ("n", "6"),
+            ("pos_first", None),
+            ("base_outcomes", "123456"),
+            ("order", True),
+            ("good_entries", [[True, "1/6"]]),
+            ("bad_entries", [["0", "-1/6"]]),
+            ("seed", "77"),
+        ],
+    )
+    def test_wrong_field_type_is_a_format_error(self, base3, key, value):
+        good, bad = make_blocks(3, 3, F(1, 6))
+        payload = json.loads(make_pair(base3, good, bad, 1, 2, seed=77).provenance.to_json())
+        payload[key] = value
+        with pytest.raises(FormatError, match=key):
+            PairProvenance.from_json(json.dumps(payload))
+
     def test_rebuild_parsimonious(self):
         pair = make_parsimonious_pair(tuple(range(1, 9)), 3, 4, 64, seed=5)
         rebuilt = rebuild_pair(PairProvenance.from_json(pair.provenance.to_json()))

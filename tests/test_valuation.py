@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from dualrisk import (
     DualPower,
+    EqualProbLottery,
     Identity,
     LinearUtility,
     NonMonotoneUtility,
@@ -38,8 +39,8 @@ from dualrisk import (
     raw_moment,
 )
 
-from conftest import lotteries, tied_lotteries
-from oracles import dt_value_cdf_form, dual_moment_mc_oracle
+from conftest import equal_prob_lotteries, lotteries, rational, tied_lotteries
+from oracles import dt_value_cdf_form, dual_moment_mc_oracle, dual_moment_survival
 
 F = Fraction
 
@@ -148,6 +149,7 @@ def tabulated_weightings(draw):
 
 exact_weightings = st.one_of(
     st.just(Identity()),
+    st.sampled_from([Power(1), DualPower(1), Quadratic(F(0)), Quadratic(F(1))]),
     st.builds(Quadratic, unit),
     st.builds(DualPower, st.integers(min_value=1, max_value=6)),
     st.builds(Power, st.integers(min_value=1, max_value=5)),
@@ -163,6 +165,62 @@ class TestSurvivalFormIsCdfForm:
         value = dt_value(lot, w)
         assert isinstance(value, Fraction)
         assert value == dt_value_cdf_form(lot, w)
+
+
+@st.composite
+def coprime_lotteries(draw):
+    """Probabilities 1/q for distinct odd primes q plus the remainder, so the
+    lcm of the probability denominators is the product of the primes."""
+    odd_primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    primes = draw(st.lists(st.sampled_from(odd_primes), max_size=6, unique=True))
+    probs = [F(1, q) for q in primes]
+    probs.append(1 - sum(probs))
+    pool = draw(st.lists(rational(0, 16), min_size=1, max_size=4))
+    n = len(probs)
+    outcomes = draw(st.lists(st.sampled_from(pool + [F(0)]), min_size=n, max_size=n))
+    return make_lottery(list(zip(outcomes, probs)))
+
+
+any_lottery = st.one_of(
+    tied_lotteries(), lotteries(), equal_prob_lotteries(min_states=1), coprime_lotteries()
+)
+zero_point_masses = (
+    make_lottery([(0, 1)]),
+    EqualProbLottery(1, (F(0),)),
+    EqualProbLottery(3, (F(0),) * 3),
+)
+
+
+class TestIntegerSweep:
+    """dt_value on polynomial families and dual_moment share the integer
+    survival sweep; these check it against the Fraction oracles."""
+
+    @given(st.one_of(tied_lotteries(), lotteries(), equal_prob_lotteries(min_states=1)))
+    @settings(max_examples=200, deadline=None)
+    def test_dual_moment_matches_survival_oracle(self, lot):
+        for m in range(1, 9):
+            assert dual_moment(lot, m) == dual_moment_survival(lot, m)
+
+    @given(coprime_lotteries())
+    @settings(max_examples=100, deadline=None)
+    def test_coprime_denominators(self, lot):
+        for m in range(1, 9):
+            assert dual_moment(lot, m) == dual_moment_survival(lot, m)
+
+    @given(st.one_of(any_lottery, st.sampled_from(zero_point_masses)), exact_weightings)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_results_are_fractions(self, lot, w):
+        assert type(dt_value(lot, w)) is Fraction
+        assert type(dual_moment(lot, 3)) is Fraction
+
+    def test_zero_point_mass(self):
+        for lot in zero_point_masses:
+            for w in (Identity(), Power(1), Power(3), DualPower(2), Quadratic(F(1, 2))):
+                value = dt_value(lot, w)
+                assert type(value) is Fraction and value == 0
+            for m in range(1, 9):
+                value = dual_moment(lot, m)
+                assert type(value) is Fraction and value == 0
 
 
 class TestEuValue:
@@ -218,10 +276,10 @@ class TestDualMoments:
                 total += prob * min(x for x, _ in combo)
             assert dual_moment(lottery_b, m) == total
 
-    @given(lotteries(max_states=4))
-    @settings(max_examples=30)
+    @given(any_lottery)
+    @settings(max_examples=100, deadline=None)
     def test_equals_dual_power_value(self, lot):
-        for m in range(1, 7):
+        for m in range(1, 9):
             assert dual_moment(lot, m) == dt_value(lot, DualPower(m))
 
     @given(lotteries())
