@@ -617,6 +617,14 @@ def calibrate_exponential(p0, w: WeightingSpec, loss) -> ExponentialEffort:
 _EFFORT_FAMILIES = {"linear", "exponential", "powerlaw"}
 
 
+def _check_float_range(value: Fraction, what: str, line_no: int, source: str) -> None:
+    # the solver and the transcendental effort models run in floats
+    try:
+        float(value)
+    except OverflowError:
+        raise FormatError(f"{what} is too large for a float", line=line_no, source=source) from None
+
+
 def _parse_effort(text: str, line_no: int, source: str) -> EffortModel:
     name, _, argtext = text.partition(":")
     name = name.strip().lower()
@@ -628,9 +636,11 @@ def _parse_effort(text: str, line_no: int, source: str) -> EffortModel:
         if not eq:
             raise FormatError(f"expected key=value, got {chunk!r}", line=line_no, source=source)
         try:
-            args[key.strip()] = parse_rational(value.strip())
+            x = parse_rational(value.strip())
         except FormatError as exc:
             raise FormatError(str(exc), line=line_no, source=source) from None
+        _check_float_range(x, chunk.strip(), line_no, source)
+        args[key.strip()] = x
     try:
         if name == "linear":
             extras = {k: args[k] for k in ("p_min", "p_max") if k in args}
@@ -676,9 +686,11 @@ def parse_problem_config(text: str, source: str = "<config>"):
     def rational(key):
         value, line_no = fields[key]
         try:
-            return parse_rational(value)
+            x = parse_rational(value)
         except (DomainError, FormatError, ValueError):
             raise FormatError(f"bad rational {value!r} for {key}", line=line_no, source=source) from None
+        _check_float_range(x, f"{key} = {value}", line_no, source)
+        return x
 
     bounds_text, bounds_line = fields["bounds"]
     lo_text, sep, hi_text = bounds_text.partition(":")
@@ -688,6 +700,8 @@ def parse_problem_config(text: str, source: str = "<config>"):
         bounds = (parse_rational(lo_text.strip()), parse_rational(hi_text.strip()))
     except FormatError as exc:
         raise FormatError(str(exc), line=bounds_line, source=source) from None
+    for bound in bounds:
+        _check_float_range(bound, f"bounds = {bounds_text}", bounds_line, source)
     effort = _parse_effort(*fields["effort"], source=source)
     weighting_text, weighting_line = fields["weighting"]
     try:

@@ -26,6 +26,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import applications, harness
 from .apportionment import make_blocks, make_pair, make_parsimonious_pair
@@ -444,7 +445,10 @@ def cmd_selfprotect(args) -> int:
 # parser plumbing
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args reads the parser and returns a
+    # fresh namespace, so in-process calls share no state through it.
     parser = argparse.ArgumentParser(
         prog="dualrisk",
         description="Dual-theory lottery evaluation, dominance, and pair construction.",

@@ -25,6 +25,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .apportionment import (
     ApportionmentPair,
@@ -92,29 +93,37 @@ def direct_battery(m: int, rng: random.Random | None = None):
     """Weighting functions paired with the relation the order-m statement predicts.
 
     Relations: "ge" (pair direction >= 0), "le" (<= 0), "eq" (exactly 0).
+    With an rng, a seeded DualPower mixture follows the DualPower entries.
     """
     if m < 2:
         raise DomainError(f"statements start at order 2, got {m}")
-    battery: list[tuple[WeightingSpec, str]] = []
-    for j in range(m, 7):
-        battery.append((DualPower(j), "ge"))
-    if rng is not None:
-        ks = rng.sample(range(m, 9), 2)
-        raw = {k: Fraction(rng.randint(1, 4)) for k in ks}
-        total = sum(raw.values())
-        battery.append((dual_power_mixture({k: v / total for k, v in raw.items()}), "ge"))
+    head, tail = _fixed_battery(m)
+    if rng is None:
+        return [*head, *tail]
+    ks = rng.sample(range(m, 9), 2)
+    raw = {k: Fraction(rng.randint(1, 4)) for k in ks}
+    total = sum(raw.values())
+    return [*head, (dual_power_mixture({k: v / total for k, v in raw.items()}), "ge"), *tail]
+
+
+@lru_cache(maxsize=None)
+def _fixed_battery(m: int):
+    # The unseeded entries, certified once per order; they are frozen
+    # dataclasses, so every battery may share them.
+    head = tuple((DualPower(j), "ge") for j in range(m, 7))
+    tail: list[tuple[WeightingSpec, str]] = []
     if m % 2 == 0:
-        battery.append((_monomial(m), "le"))
-        battery.append((_monomial(m + 2), "le"))
+        tail.append((_monomial(m), "le"))
+        tail.append((_monomial(m + 2), "le"))
     else:
-        battery.append((_odd_flip(m, Fraction(1, m - 1)), "le"))
-        battery.append((_odd_flip(m, Fraction(1, 2 * (m - 1))), "le"))
-    battery.append((Identity(), "eq"))
+        tail.append((_odd_flip(m, Fraction(1, m - 1)), "le"))
+        tail.append((_odd_flip(m, Fraction(1, 2 * (m - 1))), "le"))
+    tail.append((Identity(), "eq"))
     for j in range(1, m):
-        battery.append((DualPower(j), "eq"))
+        tail.append((DualPower(j), "eq"))
     for k in range(2, m):
-        battery.append((_monomial(k), "eq"))
-    return battery
+        tail.append((_monomial(k), "eq"))
+    return head, tuple(tail)
 
 
 def random_base(rng: random.Random, m: int, n: int | None = None) -> EqualProbLottery:

@@ -5,6 +5,13 @@ root isolation is Sturm-chain bisection and the non-negativity decision
 samples every root-free segment, so callers get either a proof or a
 rational witness point, never a tolerance.
 
+The certification (isolate_roots, sign_profile, nonneg_on_interval)
+runs on the primitive integer polynomial that is a positive multiple of
+its input: squarefree part, Sturm chain and signs at rational points are
+all computed in Python ints. Its bisection points are the same Fractions
+a Sturm chain over the rationals would visit, so it returns the same
+intervals and the same rational witnesses.
+
 Degrees in this package stay small (at most the dominance order plus a
 couple), which keeps coefficient growth harmless.
 """
@@ -12,6 +19,8 @@ couple), which keeps coefficient growth harmless.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
 
 Poly = list[Fraction]
 
@@ -23,15 +32,6 @@ def ptrim(c: Poly) -> Poly:
     while len(c) > 1 and c[-1] == 0:
         c.pop()
     return c if c else [_ZERO]
-
-
-def pzero(c: Poly) -> bool:
-    return all(a == 0 for a in c)
-
-
-def pdegree(c: Poly) -> int:
-    c = ptrim(c)
-    return len(c) - 1 if not pzero(c) else -1
 
 
 def peval(c: Poly, x):
@@ -50,10 +50,6 @@ def padd(a: Poly, b: Poly) -> Poly:
 def psub(a: Poly, b: Poly) -> Poly:
     n = max(len(a), len(b))
     return ptrim([(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)])
-
-
-def pneg(a: Poly) -> Poly:
-    return [-x for x in a]
 
 
 def pscale(a: Poly, k: Fraction) -> Poly:
@@ -81,84 +77,120 @@ def pantideriv(c: Poly, constant: Fraction = _ZERO) -> Poly:
     return ptrim([constant] + [c[i] / (i + 1) for i in range(len(c))])
 
 
-def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    a, b = ptrim(a), ptrim(b)
-    if pzero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(1, len(a) - len(b) + 1)
+# ---------------------------------------------------------------------------
+# Sturm certification on primitive integer polynomials
+#
+# An IPoly is a list of Python ints, lowest degree first, that stands for
+# a positive multiple of a rational polynomial: same roots, same sign at
+# every point. Every step below keeps that invariant (content is divided
+# out by a positive gcd, pseudo-remainders are scaled by |lc|^k), so each
+# Sturm sign-variation count, and with it every bisection step, equals
+# the one over the rational polynomials. Points stay Fractions.
+
+IPoly = list[int]
+
+
+def _content_free(c: IPoly) -> IPoly:
+    """Trailing zeros dropped ([0] for none left) and the content divided out."""
+    while c and c[-1] == 0:
+        c.pop()
+    g = gcd(*c)
+    return [x // g for x in c] if g > 1 else c or [0]
+
+
+def _primitive(c: Poly) -> IPoly:
+    """The primitive integer polynomial that is a positive multiple of c."""
+    d = lcm(*(x.denominator for x in c))
+    return _content_free([x.numerator * (d // x.denominator) for x in c])
+
+
+def _sign_at(c: IPoly, x: Fraction) -> int:
+    """Sign of c at x = u/v, v > 0, by homogeneous Horner: v^deg * c(u/v)."""
+    u, v = x.numerator, x.denominator
+    acc, vp = c[-1], 1
+    for i in range(len(c) - 2, -1, -1):
+        vp *= v
+        acc = acc * u + c[i] * vp
+    return (acc > 0) - (acc < 0)
+
+
+def _ideriv(c: IPoly) -> IPoly:
+    return _content_free([i * c[i] for i in range(1, len(c))])
+
+
+def _prem(a: IPoly, b: IPoly) -> IPoly:
+    """A positive multiple of the remainder of a by b, primitive."""
     r = list(a)
-    while len(r) >= len(b) and not pzero(r):
-        if r[-1] == 0:
-            r.pop()
+    db, lb = len(b) - 1, b[-1]
+    scale, sgn = abs(lb), 1 if lb > 0 else -1
+    while len(r) - 1 >= db and any(r):
+        top = r.pop()
+        if top == 0:
             continue
-        k = len(r) - len(b)
-        coef = r[-1] / b[-1]
+        k = len(r) - db  # r now excludes its top term
+        t = sgn * top
+        r = [x * scale for x in r]
+        for i in range(db):
+            r[k + i] -= t * b[i]
+    return _content_free(r)
+
+
+def _exact_quotient(a: IPoly, b: IPoly) -> IPoly:
+    """a / b for a primitive b dividing a over Q; the quotient is integral by Gauss's lemma."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        coef = r[k + db] // lb
         q[k] = coef
-        for i, bc in enumerate(b):
-            r[i + k] -= coef * bc
-        r.pop()
-    return ptrim(q), ptrim(r if r else [_ZERO])
-
-
-def pgcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by Euclid's algorithm."""
-    a, b = ptrim(a), ptrim(b)
-    while not pzero(b):
-        _, r = pdivmod(a, b)
-        a, b = b, r
-    if pzero(a):
-        return [_ZERO]
-    return pscale(a, 1 / a[-1])
-
-
-def psquarefree(c: Poly) -> Poly:
-    """Squarefree part c / gcd(c, c'); same distinct roots, all simple."""
-    c = ptrim(c)
-    if pdegree(c) <= 1:
-        return c
-    g = pgcd(c, pderiv(c))
-    if pdegree(g) <= 0:
-        return c
-    q, _ = pdivmod(c, g)
+        if coef:
+            for i in range(db + 1):
+                r[k + i] -= coef * b[i]
     return q
 
 
-def pdeflate(c: Poly, r: Fraction) -> Poly:
-    """Divide by (x - r); r must be a root."""
-    q, rem = pdivmod(c, [-r, Fraction(1)])
-    assert pzero(rem), "deflation point is not a root"
-    return q
+def _squarefree(c: IPoly) -> IPoly:
+    """A positive multiple of c / gcd(c, c'): the same distinct roots, all simple."""
+    if len(c) <= 2:
+        return c
+    g, h = c, _ideriv(c)
+    while any(h):
+        g, h = h, _prem(g, h)
+    if len(g) == 1:
+        return c
+    return _exact_quotient(c, g if g[-1] > 0 else [-x for x in g])
 
 
-def sturm_chain(c: Poly) -> list[Poly]:
-    chain = [ptrim(c), pderiv(c)]
-    while not pzero(chain[-1]):
-        _, r = pdivmod(chain[-2], chain[-1])
-        chain.append(pneg(r))
-    chain.pop()
-    return chain
+def _deflate(s: IPoly, root: Fraction) -> IPoly:
+    """Divide by (v x - u) for a root u/v of s."""
+    return _exact_quotient(s, [-root.numerator, root.denominator])
 
 
-def _variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = peval(p, x)
-        if v != 0:
-            signs.append(v > 0)
+def _sturm_chain(s: IPoly) -> list[IPoly]:
+    chain = [s, _ideriv(s)]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not any(r):
+            return chain
+        chain.append([-x for x in r])
+
+
+def _variations(chain: list[IPoly], x: Fraction) -> int:
+    signs = [sgn for sgn in map(_sign_at, chain, repeat(x)) if sgn]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
+def _count_roots(chain: list[IPoly], a: Fraction, b: Fraction) -> int:
     """Distinct real roots in (a, b]; endpoints must not be roots of chain[0]."""
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _nonroot_between(s: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+def _nonroot_between(s: IPoly, lo: Fraction, hi: Fraction) -> Fraction:
     """A point strictly inside (lo, hi) that is not a root of s."""
     num, den = 1, 2
     while True:
         x = lo + (hi - lo) * Fraction(num, den)
-        if peval(s, x) != 0:
+        if _sign_at(s, x) != 0:
             return x
         num = num * 2 + 1  # walk dyadic points 1/2, 3/4, 7/8, ...
         den *= 2
@@ -170,22 +202,26 @@ def isolate_roots(c: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fra
     Interval endpoints are rational non-roots with a < lo < root < hi < b;
     consecutive intervals do not overlap but may share an endpoint.
     """
-    s = psquarefree(c)
-    if pdegree(s) <= 0:
+    return _isolate(_primitive(c), a, b)
+
+
+def _isolate(c: IPoly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
+    s = _squarefree(c)
+    if len(s) <= 1:
         return []
     # roots exactly at the ends are excluded from the open interval
-    if peval(s, a) == 0:
-        s = pdeflate(s, a)
-    if peval(s, b) == 0:
-        s = pdeflate(s, b)
-    if pdegree(s) <= 0:
+    if _sign_at(s, a) == 0:
+        s = _deflate(s, a)
+    if _sign_at(s, b) == 0:
+        s = _deflate(s, b)
+    if len(s) <= 1:
         return []
-    chain = sturm_chain(s)
+    chain = _sturm_chain(s)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(a, b)]
     while stack:
         lo, hi = stack.pop()
-        n = count_roots(chain, lo, hi)
+        n = _count_roots(chain, lo, hi)
         if n == 0:
             continue
         if n == 1:
@@ -204,7 +240,7 @@ def _shrink_from(s, chain, interval, a, b):
     lo, hi = interval
     while lo <= a or hi >= b:
         mid = _nonroot_between(s, lo, hi)
-        if count_roots(chain, lo, mid) == 1:
+        if _count_roots(chain, lo, mid) == 1:
             hi = mid
         else:
             lo = mid
@@ -219,11 +255,11 @@ def sign_profile(c: Poly, a: Fraction, b: Fraction):
     The root-free segments between consecutive distinct roots each get a
     sample point, so a sign is reported iff the polynomial attains it.
     """
-    c = ptrim(c)
-    if pzero(c):
+    ic = _primitive(c)
+    if ic == [0]:
         return (False, False, None, None)
     points = [a, b]
-    intervals = isolate_roots(c, a, b)
+    intervals = _isolate(ic, a, b)
     prev_hi = a
     for lo, hi in intervals:
         points.append(prev_hi + (lo - prev_hi) / 2 if prev_hi < lo else prev_hi)
@@ -232,7 +268,7 @@ def sign_profile(c: Poly, a: Fraction, b: Fraction):
     has_pos = has_neg = False
     pos_w = neg_w = None
     for x in points:
-        v = peval(c, x)
+        v = _sign_at(ic, x)
         if v > 0 and not has_pos:
             has_pos, pos_w = True, x
         elif v < 0 and not has_neg:

@@ -455,7 +455,7 @@ def parse_weighting(text: str) -> WeightingSpec:
             case "poly":
                 _expect_keys(args, {"coeffs"})
                 return Polynomial(tuple(parse_rational(c) for c in args["coeffs"].split(",")))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         raise FormatError(f"bad weighting spec {text!r}: {exc}") from None
     raise FormatError(f"unknown weighting family {family!r} in {text!r}")
 

@@ -3,9 +3,13 @@
 They share no code path with the functions under test: the Monte Carlo
 oracle samples draws with numpy, the knot interpolation walks the
 segments one by one, the dual-theory value is summed in CDF form, the
-dual moment is a Fraction loop over the survival function, and the
-iterated CDF is built from one cdf() call per breakpoint and rebuilt
-from scratch for every order.
+dual moment is a Fraction loop over the survival function, the iterated
+CDF is built from one cdf() call per breakpoint and rebuilt from scratch
+for every order, root isolation and sign profiles run a Sturm chain of
+Fraction polynomials (monic gcd, true remainders, deflation by x - r)
+where the library works on primitive integer polynomials, and the direct
+battery constructs every member afresh where the library memoizes the
+unseeded ones.
 """
 
 from fractions import Fraction
@@ -14,15 +18,19 @@ import numpy as np
 
 from dualrisk import (
     DomainError,
+    DualPower,
+    Identity,
     Lottery,
+    Polynomial,
     canonical_distribution,
     cdf,
+    dual_power_mixture,
     eval_h,
     is_exact,
     raw_moment,
 )
 from dualrisk.piecewise import step_function
-from dualrisk.polyops import nonneg_on_interval
+from dualrisk.polyops import Poly, nonneg_on_interval, pderiv, peval, pscale, ptrim
 
 
 def dual_moment_mc_oracle(
@@ -46,6 +54,34 @@ def dual_moment_mc_oracle(
     est = float(mins.mean())
     se = float(mins.std(ddof=1) / np.sqrt(draws))
     return est, se
+
+
+def direct_battery_rebuild(m: int, rng):
+    """The order-m direct battery with every member constructed afresh, in the
+    order DualPower(m..6), seeded mixture, flipped-sign pair, Identity,
+    lower DualPowers, lower monomials."""
+    battery = [(DualPower(j), "ge") for j in range(m, 7)]
+    ks = rng.sample(range(m, 9), 2)
+    raw = {k: Fraction(rng.randint(1, 4)) for k in ks}
+    total = sum(raw.values())
+    battery.append((dual_power_mixture({k: v / total for k, v in raw.items()}), "ge"))
+
+    def monomial(k):
+        return Polynomial((Fraction(0),) * k + (Fraction(1),))
+
+    def odd_flip(c):
+        coeffs = [Fraction(0)] * (m + 1)
+        coeffs[1], coeffs[m] = 1 + c, -c
+        return Polynomial(tuple(coeffs))
+
+    if m % 2 == 0:
+        battery += [(monomial(m), "le"), (monomial(m + 2), "le")]
+    else:
+        battery += [(odd_flip(Fraction(1, m - 1)), "le"), (odd_flip(Fraction(1, 2 * (m - 1))), "le")]
+    battery.append((Identity(), "eq"))
+    battery += [(DualPower(j), "eq") for j in range(1, m)]
+    battery += [(monomial(k), "eq") for k in range(2, m)]
+    return battery
 
 
 def interp_linear_scan(knots, p: Fraction) -> Fraction:
@@ -110,3 +146,161 @@ def primal_sd_rebuild(a: Lottery, b: Lottery, m: int, ekern: bool = False):
         if not nonneg_on_interval(list(piece), lo, up)[0]:
             return False, "iterated_cdf"
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Sturm chain over Fractions: the reference for polyops.isolate_roots and
+# polyops.sign_profile, which must return the same intervals and witnesses
+
+
+def pzero(c: Poly) -> bool:
+    return all(a == 0 for a in c)
+
+
+def pdegree(c: Poly) -> int:
+    c = ptrim(c)
+    return len(c) - 1 if not pzero(c) else -1
+
+
+def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    a, b = ptrim(a), ptrim(b)
+    if pzero(b):
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b) and not pzero(r):
+        if r[-1] == 0:
+            r.pop()
+            continue
+        k = len(r) - len(b)
+        coef = r[-1] / b[-1]
+        q[k] = coef
+        for i, bc in enumerate(b):
+            r[i + k] -= coef * bc
+        r.pop()
+    return ptrim(q), ptrim(r if r else [Fraction(0)])
+
+
+def pgcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm."""
+    a, b = ptrim(a), ptrim(b)
+    while not pzero(b):
+        _, r = pdivmod(a, b)
+        a, b = b, r
+    if pzero(a):
+        return [Fraction(0)]
+    return pscale(a, 1 / a[-1])
+
+
+def psquarefree(c: Poly) -> Poly:
+    """Squarefree part c / gcd(c, c'); same distinct roots, all simple."""
+    c = ptrim(c)
+    if pdegree(c) <= 1:
+        return c
+    g = pgcd(c, pderiv(c))
+    if pdegree(g) <= 0:
+        return c
+    q, _ = pdivmod(c, g)
+    return q
+
+
+def pdeflate(c: Poly, r: Fraction) -> Poly:
+    """Divide by (x - r); r must be a root."""
+    q, rem = pdivmod(c, [-r, Fraction(1)])
+    assert pzero(rem), "deflation point is not a root"
+    return q
+
+
+def sturm_chain(c: Poly) -> list[Poly]:
+    chain = [ptrim(c), pderiv(c)]
+    while not pzero(chain[-1]):
+        _, r = pdivmod(chain[-2], chain[-1])
+        chain.append([-x for x in r])
+    chain.pop()
+    return chain
+
+
+def _variations(chain: list[Poly], x: Fraction) -> int:
+    signs = []
+    for p in chain:
+        v = peval(p, x)
+        if v != 0:
+            signs.append(v > 0)
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in (a, b]; endpoints must not be roots of chain[0]."""
+    return _variations(chain, a) - _variations(chain, b)
+
+
+def _nonroot_between(s: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    num, den = 1, 2
+    while True:
+        x = lo + (hi - lo) * Fraction(num, den)
+        if peval(s, x) != 0:
+            return x
+        num = num * 2 + 1
+        den *= 2
+
+
+def isolate_roots_fraction(c: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """One open interval per distinct root of c in (a, b), by the Fraction chain."""
+    s = psquarefree(c)
+    if pdegree(s) <= 0:
+        return []
+    if peval(s, a) == 0:
+        s = pdeflate(s, a)
+    if peval(s, b) == 0:
+        s = pdeflate(s, b)
+    if pdegree(s) <= 0:
+        return []
+    chain = sturm_chain(s)
+    out = []
+    stack = [(a, b)]
+    while stack:
+        lo, hi = stack.pop()
+        n = count_roots(chain, lo, hi)
+        if n == 0:
+            continue
+        if n == 1:
+            out.append((lo, hi))
+            continue
+        mid = _nonroot_between(s, lo, hi)
+        stack.append((mid, hi))
+        stack.append((lo, mid))
+    out.sort()
+    shrunk = []
+    for lo, hi in out:
+        while lo <= a or hi >= b:
+            mid = _nonroot_between(s, lo, hi)
+            if count_roots(chain, lo, mid) == 1:
+                hi = mid
+            else:
+                lo = mid
+        shrunk.append((lo, hi))
+    return shrunk
+
+
+def sign_profile_fraction(c: Poly, a: Fraction, b: Fraction):
+    """(has_pos, has_neg, pos_witness, neg_witness) of c on [a, b], by the Fraction chain."""
+    c = ptrim(c)
+    if pzero(c):
+        return (False, False, None, None)
+    points = [a, b]
+    prev_hi = a
+    for lo, hi in isolate_roots_fraction(c, a, b):
+        points.append(prev_hi + (lo - prev_hi) / 2 if prev_hi < lo else prev_hi)
+        prev_hi = hi
+    points.append(prev_hi + (b - prev_hi) / 2 if prev_hi < b else prev_hi)
+    has_pos = has_neg = False
+    pos_w = neg_w = None
+    for x in points:
+        v = peval(c, x)
+        if v > 0 and not has_pos:
+            has_pos, pos_w = True, x
+        elif v < 0 and not has_neg:
+            has_neg, neg_w = True, x
+        if has_pos and has_neg:
+            break
+    return (has_pos, has_neg, pos_w, neg_w)

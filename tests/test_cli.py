@@ -96,6 +96,12 @@ class TestEval:
         a, _ = lottery_files
         assert main(["eval", a, "--weighting", "sigmoid:m=3"]) == 2
 
+    @pytest.mark.parametrize("spec", ["prelec:a=1e400", "tk:gamma=1e400"])
+    def test_weighting_parameter_too_large_for_a_float(self, lottery_files, capsys, spec):
+        a, _ = lottery_files
+        assert main(["eval", a, "--weighting", spec]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad weighting spec {spec!r}")
+
     def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.txt"
         path.write_bytes("1 1/2\n2 1/2 # caf\u00e9\n".encode("latin-1"))
@@ -298,6 +304,21 @@ class TestSelfProtect:
         assert main(["selfprotect", str(cfg)]) == 2
         assert f"{cfg}:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("wealth = 4", "wealth = 1e400", 1),
+            ("effort = linear: p0=1/2, k=1/2", "effort = exponential: p0=1/2, k=1e400", 4),
+        ],
+    )
+    def test_value_too_large_for_a_float(self, tmp_path, capsys, old, new, line):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(SP_CONFIG.replace(old, new))
+        assert main(["selfprotect", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:{line}:")
+        assert "too large for a float" in err
+
     def test_non_utf8_config(self, tmp_path, capsys):
         cfg = tmp_path / "utf16.cfg"
         cfg.write_bytes(SP_CONFIG.encode("utf-16"))
@@ -314,6 +335,27 @@ class TestParsing:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+
+class TestRepeatedInProcessCalls:
+    def test_csv_then_plain_eval_prints_a_table(self, lottery_files, capsys):
+        a, _ = lottery_files
+        assert main(["eval", a, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("quantity,exact,decimal\n")
+        assert main(["eval", a]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("quantity ")
+        assert table_dict(out)["value"] == ("5/2", "2.5")
+
+    def test_usage_error_then_a_valid_call(self, lottery_files, capsys):
+        a, b = lottery_files
+        assert main(["dominance", a, b, "--degree", "3"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["dominance", a, b, "--degree", "three", "--kind", "primal"]) == 2
+        assert main(["eval", a, "--format", "xml"]) == 2
+        capsys.readouterr()
+        assert main(["dominance", a, b, "--degree", "3"]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_cli_import_leaves_numpy_out():

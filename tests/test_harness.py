@@ -28,9 +28,10 @@ from dualrisk import (
     rebuild_pair,
     run_theorem,
     PairProvenance,
+    Polynomial,
 )
 
-from oracles import interp_linear_scan
+from oracles import direct_battery_rebuild, interp_linear_scan
 
 F = Fraction
 
@@ -62,6 +63,32 @@ class TestBattery:
     def test_order_one_rejected(self):
         with pytest.raises(DomainError):
             direct_battery(1)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_mutating_a_battery_leaves_the_next_unchanged(self, m):
+        first = direct_battery(m, random.Random(1))
+        expected = list(first)
+        first.clear()
+        again = direct_battery(m, random.Random(1))
+        assert again == expected
+        again.append((Identity(), "le"))
+        again[0] = (Identity(), "le")
+        assert direct_battery(m, random.Random(1)) == expected
+        assert direct_battery(m) == [entry for i, entry in enumerate(expected) if i != 7 - m]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_seeded_batteries_differ_only_in_the_mixture(self, m):
+        rng = random.Random(40 + m)
+        a, b = direct_battery(m, rng), direct_battery(m, rng)
+        assert len(a) == len(b)
+        differing = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        assert differing == [7 - m]  # the mixture follows DualPower(m..6)
+        assert a[7 - m][1] == b[7 - m][1] == "ge"
+        assert isinstance(a[7 - m][0], Polynomial)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_order_matches_a_fresh_build(self, m):
+        assert direct_battery(m, random.Random(m)) == direct_battery_rebuild(m, random.Random(m))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_battery_is_honest_on_a_known_pair(self, m):

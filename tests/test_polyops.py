@@ -1,8 +1,10 @@
-"""Polynomial kernel checked against sympy and dense grids.
+"""Polynomial kernel checked against sympy, dense grids and the Fraction
+Sturm chain of tests/oracles.py.
 
 Coefficient lists are ascending-power rationals. Root isolation and the
 sign machinery carry the exact dominance checks, so they get the
-independent-oracle treatment.
+independent-oracle treatment; the integer kernel must return exactly the
+intervals and witnesses of the Fraction chain.
 """
 
 from fractions import Fraction
@@ -13,18 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrisk.polyops import (
-    count_roots,
     isolate_roots,
     nonneg_on_interval,
     padd,
     pantideriv,
     pderiv,
-    pdivmod,
     peval,
-    pgcd,
     pmul,
     psub,
     sign_profile,
+)
+
+from oracles import (
+    count_roots,
+    isolate_roots_fraction,
+    pdivmod,
+    pgcd,
+    sign_profile_fraction,
     sturm_chain,
 )
 
@@ -140,3 +147,54 @@ class TestSignAnalysis:
 def test_sturm_chain_endpoints_nonzero():
     chain = sturm_chain([F(0), F(-1), F(1)])  # x(x-1), roots at both endpoints
     assert count_roots(chain, F(0), F(1)) >= 1
+
+
+# Large pairwise coprime denominators (distinct primes), so the lcm the
+# integer kernel scales by is their full product.
+big_denominator = st.sampled_from((10007, 10009, 10037, 10039, 10061, 65521, 2**31 - 1))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(c, a, b): a product of repeated rational roots, some exactly at a or
+    b, times a cofactor whose coefficients have coprime denominators."""
+    a = draw(st.fractions(min_value=-3, max_value=2, max_denominator=7))
+    b = a + draw(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8))
+    inner = st.fractions(min_value=0, max_value=1, max_denominator=9).map(lambda t: a + (b - a) * t)
+    roots = draw(
+        st.lists(
+            st.tuples(st.one_of(st.just(a), st.just(b), inner, coeff), st.integers(1, 3)),
+            max_size=3,
+        )
+    )
+    dens = draw(st.lists(big_denominator, min_size=1, max_size=3, unique=True))
+    c = [F(draw(st.integers(-10**6, 10**6).filter(bool)), d) for d in dens]
+    for r, k in roots:
+        for _ in range(k):
+            c = pmul(c, [-r, F(1)])
+    return c, a, b
+
+
+class TestIntegerKernel:
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_same_intervals_and_witnesses_as_the_fraction_chain(self, case):
+        c, a, b = case
+        assert isolate_roots(c, a, b) == isolate_roots_fraction(c, a, b)
+        assert sign_profile(c, a, b) == sign_profile_fraction(c, a, b)
+
+    @given(polys)
+    @settings(max_examples=60)
+    def test_same_as_the_fraction_chain_on_unit_interval(self, c):
+        assert isolate_roots(c, F(0), F(1)) == isolate_roots_fraction(c, F(0), F(1))
+        assert sign_profile(c, F(0), F(1)) == sign_profile_fraction(c, F(0), F(1))
+
+    def test_roots_at_both_ends_and_inside(self):
+        # x^2 (x - 1/3)^3 (x - 1): roots at a, inside, and at b
+        c = [F(1)]
+        for r, k in ((F(0), 2), (F(1, 3), 3), (F(1), 1)):
+            for _ in range(k):
+                c = pmul(c, [-r, F(1)])
+        (lo, hi), = isolate_roots(c, F(0), F(1))
+        assert 0 < lo < F(1, 3) < hi < 1
+        assert isolate_roots(c, F(0), F(1)) == isolate_roots_fraction(c, F(0), F(1))
