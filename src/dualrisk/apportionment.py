@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -388,10 +389,14 @@ def rebuild_pair(prov: PairProvenance) -> ApportionmentPair:
 def preference_direction(pair: ApportionmentPair, w: WeightingSpec) -> int:
     """Sign of value(D) - value(C) under weighting w: +1, 0, or -1.
 
-    Exact for exact weighting families; float families use the float
-    difference directly.
+    Exact for exact weighting families. For float families 0 is the
+    answer whenever the float gap cannot be resolved: each float value
+    sums n rounded terms bounded by the largest outcome, so a gap within
+    4 n eps times that outcome may carry either sign.
     """
     diff = dt_value(pair.d, w) - dt_value(pair.c, w)
     if not is_exact(w):
-        return (diff > 1e-15) - (diff < -1e-15)
+        top = max(pair.c.outcomes[-1], pair.d.outcomes[-1])
+        bound = 4 * pair.c.n * sys.float_info.epsilon * float(top)
+        return (diff > bound) - (diff < -bound)
     return (diff > 0) - (diff < 0)

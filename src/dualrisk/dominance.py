@@ -7,9 +7,15 @@ comparison of the (m-1)-fold integrals of the quantile functions on
 CDFs plus the endpoint conditions of orders 2..m-1; the Ekern variant
 replaces those with exact equality of the first m-1 raw moments.
 
-All comparisons are exact: piecewise-polynomial differences are certified
-non-negative by root isolation, and failures come with a rational witness
-point.
+Each of these integrals is a truncated-power spline: the quantile
+function jumps by x_i - x_(i-1) at the cumulative probability below
+state i, the CDF by p_i at outcome x_i, and each jump J at knot c adds
+J (t - c)_+^(m-1) / (m-1)! to the (m-1)-fold integral. So the pointwise
+difference of two of them is built directly from the merged jump lists,
+one integer polynomial per piece of the union of both breakpoint grids,
+and each piece is certified non-negative by root isolation; failures come
+with a rational witness point. The endpoint conditions are the same sums
+taken at the right end. All comparisons are exact.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .lottery import Lottery, canonical_distribution, mean
-from .piecewise import PiecewisePoly, step_function
+from .piecewise import PiecewisePoly, spline, spline_at, spline_pieces
 from .polyops import nonneg_on_interval
 from .valuation import dual_moment, raw_moment
 
@@ -36,58 +42,63 @@ class DominanceReport:
         return self.holds
 
 
+def _quantile_jumps(lot: Lottery):
+    """Breakpoints and (knot, jump) pairs of the left-continuous quantile
+    step function on [0, 1]; its first jump, at 0, is the lowest outcome."""
+    can = canonical_distribution(lot)
+    cum, jumps, prev = [Fraction(0)], [], Fraction(0)
+    for x, p in can.states:
+        jumps.append((cum[-1], x - prev))
+        cum.append(cum[-1] + p)
+        prev = x
+    cum[-1] = Fraction(1)
+    return cum, jumps
+
+
+def _cdf_jumps(lot: Lottery, hi: Fraction):
+    """Breakpoints and (knot, jump) pairs of the left-continuous CDF step
+    function on [0, hi]: the mass at each outcome, a mass at 0 from the start."""
+    if hi < max(lot.outcomes) or hi <= 0:
+        raise DomainError("iterated CDF domain must cover the support and have positive length")
+    can = canonical_distribution(lot)
+    pts = [Fraction(0)] + [x for x in can.outcomes if x > 0]
+    if pts[-1] < hi:
+        pts.append(hi)
+    return pts, list(can.states)
+
+
 def iterated_quantile(lot: Lottery, m: int) -> PiecewisePoly:
-    """(m-1)-fold antiderivative of the quantile function on [0, 1].
+    """(m-1)-fold integral from 0 of the quantile function on [0, 1].
 
     m = 1 is the left-continuous quantile step function itself, with
     breakpoints at the cumulative probabilities.
     """
     if m < 1:
         raise DomainError(f"iteration order must be >= 1, got {m}")
-    can = canonical_distribution(lot)
-    cum = [Fraction(0)]
-    for p in can.probabilities:
-        cum.append(cum[-1] + p)
-    cum[-1] = Fraction(1)
-    f = step_function(tuple(cum), can.outcomes)
-    for _ in range(m - 1):
-        f = f.antiderivative()
-    return f
+    return spline(*_quantile_jumps(lot), m)
 
 
 def iterated_cdf(lot: Lottery, m: int, hi: Fraction) -> PiecewisePoly:
-    """(m-1)-fold antiderivative of the CDF on [0, hi]."""
+    """(m-1)-fold integral from 0 of the CDF on [0, hi]."""
     if m < 1:
         raise DomainError(f"iteration order must be >= 1, got {m}")
-    can = canonical_distribution(lot)
-    if hi < max(can.outcomes) or hi <= 0:
-        raise DomainError("iterated CDF domain must cover the support and have positive length")
-    pts, values = [Fraction(0)], []
-    cum = Fraction(0)
-    for x, p in can.states:
-        if x > 0:  # F(pts[-1]) holds on (pts[-1], x]
-            pts.append(x)
-            values.append(cum)
-        cum += p
-    if pts[-1] < hi:
-        pts.append(hi)
-        values.append(cum)
-    f = step_function(pts, values)
-    for _ in range(m - 1):
-        f = f.antiderivative()
-    return f
+    return spline(*_cdf_jumps(lot, hi), m)
 
 
-def _pointwise_leq(f: PiecewisePoly, g: PiecewisePoly):
-    """Exact check f <= g on their common domain; (ok, witness)."""
-    diff = g - f
-    pieces = zip(diff.breakpoints, diff.breakpoints[1:], diff.pieces)
-    for i, (a, b, coeffs) in enumerate(pieces):
-        ok, witness = nonneg_on_interval(list(coeffs), a, b)
+def _minus(jumps):
+    return [(c, -j) for c, j in jumps]
+
+
+def _pointwise_leq(f, g, m: int):
+    """Exact check that the order-m spline of step function f (breakpoints,
+    jumps) stays <= that of g on their common domain; (ok, witness)."""
+    grid, pieces, _ = spline_pieces(f[0] + g[0], g[1] + _minus(f[1]), m)
+    for i, (a, b, coeffs) in enumerate(zip(grid, grid[1:], pieces)):
+        ok, witness = nonneg_on_interval(coeffs, a, b)
         if not ok:
-            # diff takes its left piece's (certified) value at an interior
-            # breakpoint; only a step piece can be negative there, and then
-            # it is negative on all of (a, b]
+            # the difference takes its left piece's (certified) value at an
+            # interior breakpoint; only a step piece can be negative there,
+            # and then it is negative on all of (a, b]
             return False, b if (i and witness == a) else witness
     return True, None
 
@@ -107,7 +118,7 @@ def dual_sd_check(a: Lottery, b: Lottery, m: int) -> DominanceReport:
     for k in range(2, m):
         if dual_moment(a, k) > dual_moment(b, k):
             return DominanceReport("dual", m, False, f"dual_moment_{k}")
-    ok, witness = _pointwise_leq(iterated_quantile(a, m), iterated_quantile(b, m))
+    ok, witness = _pointwise_leq(_quantile_jumps(a), _quantile_jumps(b), m)
     if not ok:
         return DominanceReport("dual", m, False, "iterated_quantile", witness)
     return DominanceReport("dual", m, True)
@@ -131,12 +142,13 @@ def primal_sd_check(a: Lottery, b: Lottery, m: int, ekern: bool = False) -> Domi
     hi = max(max(a.outcomes), max(b.outcomes))
     if hi == 0:
         return DominanceReport(kind, m, True)
-    fa, fb = iterated_cdf(a, 1, hi), iterated_cdf(b, 1, hi)
-    for k in range(2, m + 1):
-        fa, fb = fa.antiderivative(), fb.antiderivative()
-        if not ekern and k < m and fb(hi) > fa(hi):
-            return DominanceReport(kind, m, False, f"endpoint_{k}")
-    ok, witness = _pointwise_leq(fb, fa)
+    fa, fb = _cdf_jumps(a, hi), _cdf_jumps(b, hi)
+    if not ekern:
+        gap = fa[1] + _minus(fb[1])
+        for k in range(2, m):
+            if spline_at(gap, hi, k) < 0:
+                return DominanceReport(kind, m, False, f"endpoint_{k}")
+    ok, witness = _pointwise_leq(fb, fa, m)
     if not ok:
         return DominanceReport(kind, m, False, "iterated_cdf", witness)
     return DominanceReport(kind, m, True)

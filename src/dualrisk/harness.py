@@ -93,14 +93,15 @@ def direct_battery(m: int, rng: random.Random | None = None):
     """Weighting functions paired with the relation the order-m statement predicts.
 
     Relations: "ge" (pair direction >= 0), "le" (<= 0), "eq" (exactly 0).
-    With an rng, a seeded DualPower mixture follows the DualPower entries.
+    With an rng, a seeded mixture of two DualPowers of orders m..8 (m and
+    m + 1 from order 8 on) follows the DualPower entries.
     """
     if m < 2:
         raise DomainError(f"statements start at order 2, got {m}")
     head, tail = _fixed_battery(m)
     if rng is None:
         return [*head, *tail]
-    ks = rng.sample(range(m, 9), 2)
+    ks = rng.sample(range(m, max(9, m + 2)), 2)
     raw = {k: Fraction(rng.randint(1, 4)) for k in ks}
     total = sum(raw.values())
     return [*head, (dual_power_mixture({k: v / total for k, v in raw.items()}), "ge"), *tail]

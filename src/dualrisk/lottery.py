@@ -115,38 +115,8 @@ def canonical_distribution(lot: Lottery) -> Lottery:
     return Lottery(tuple(merged))
 
 
-def cdf(lot: Lottery, x) -> Fraction:
-    """P(X <= x)."""
-    x = rat(x)
-    return sum((p for o, p in as_distribution(lot).states if o <= x), Fraction(0))
-
-
-def survival(lot: Lottery, x) -> Fraction:
-    """P(X > x)."""
-    return 1 - cdf(lot, x)
-
-
-def quantile(lot: Lottery, q) -> Fraction:
-    """Left-continuous generalized inverse: min{x : F(x) >= q}, 0 < q <= 1."""
-    q = rat(q)
-    if q <= 0 or q > 1:
-        raise DomainError(f"quantile level must satisfy 0 < q <= 1, got {q}")
-    acc = Fraction(0)
-    for x, p in as_distribution(lot).states:
-        acc += p
-        if acc >= q:
-            return x
-    raise AssertionError("unreachable: probabilities sum to one")  # pragma: no cover
-
-
 def mean(lot: Lottery) -> Fraction:
     return sum((x * p for x, p in as_distribution(lot).states), Fraction(0))
-
-
-def support_points(*lots: Lottery) -> list[Fraction]:
-    """Sorted union of outcome points of the given lotteries."""
-    pts = sorted({x for lot in lots for x in as_distribution(lot).outcomes})
-    return pts
 
 
 def parse_lottery_text(text: str, source: str | None = None) -> Lottery:

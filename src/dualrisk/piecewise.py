@@ -1,20 +1,29 @@
-"""Piecewise polynomials with exact rational breakpoints.
+"""Piecewise polynomials with exact rational breakpoints, and the
+truncated-power splines that the dominance checks compare.
 
-Pieces store coefficients in the global variable (not shifted per piece),
-so restricting a piece to a subinterval is a no-op and subtraction only
-has to merge breakpoints. Step functions are the degree-0 case; repeated
-antiderivatives produce the iterated quantile and CDF functions used by
-the dominance checks.
+A PiecewisePoly stores each piece's coefficients in the global variable
+(not shifted per piece) and evaluates left-continuously.
+
+The (m-1)-fold integral, from the left end, of a left-continuous step
+function has a closed form: each jump J at knot c adds
+J (t - c)_+^(m-1) / (m-1)!, the truncated-power basis of spline theory.
+With the breakpoints over one denominator L (c = u/L) and the jumps over
+one denominator D (J = v/D), D L^(m-1) (m-1)! times the spline on a piece
+(a, b] is the integer polynomial sum_{c <= a} v (L t - u)^(m-1).
+spline_pieces walks the breakpoints once and adds each jump's binomial
+expansion to a running list of Python ints.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, lcm
 
 from .errors import DomainError
-from .polyops import Poly, padd, pantideriv, peval, psub, ptrim
+from .polyops import peval, ptrim
 
 
 @dataclass(frozen=True)
@@ -47,45 +56,58 @@ class PiecewisePoly:
         """Evaluate; at interior breakpoints takes the left piece's value."""
         return peval(list(self.pieces[self.piece_index(x)]), x)
 
-    def antiderivative(self) -> "PiecewisePoly":
-        """Continuous antiderivative vanishing at the left endpoint."""
-        acc = Fraction(0)
-        out = []
-        for (a, b), coeffs in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            raw = pantideriv(list(coeffs))
-            shift = acc - peval(raw, a)
-            out.append(tuple(padd(raw, [shift])))
-            acc = peval(raw, b) + shift
-        return PiecewisePoly(self.breakpoints, tuple(out))
 
-    def merged_with(self, other: "PiecewisePoly") -> tuple[Fraction, ...]:
-        if self.lo != other.lo or self.hi != other.hi:
-            raise DomainError("piecewise functions defined on different intervals")
-        return tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-
-    def refined(self, breakpoints: tuple[Fraction, ...]) -> "PiecewisePoly":
-        """Re-express on a finer breakpoint grid (must contain the current one)."""
-        pieces = []
-        for a in breakpoints[:-1]:
-            pieces.append(self.pieces[self.piece_index_right(a)])
-        return PiecewisePoly(breakpoints, tuple(pieces))
-
-    def piece_index_right(self, x) -> int:
-        """Piece governing the interval immediately to the right of x."""
-        i = bisect.bisect_right(self.breakpoints, x) - 1
-        return min(i, len(self.pieces) - 1)
-
-    def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        grid = self.merged_with(other)
-        a = self.refined(grid)
-        b = other.refined(grid)
-        pieces = tuple(tuple(psub(list(p), list(q))) for p, q in zip(a.pieces, b.pieces))
-        return PiecewisePoly(grid, pieces)
-
-    def degree(self) -> int:
-        return max(len(ptrim(list(p))) - 1 for p in self.pieces)
+def _common_denominator(xs) -> tuple[list[int], int]:
+    """Numerators of the Fractions xs over their lcm denominator, and that denominator."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def step_function(breakpoints, values) -> PiecewisePoly:
-    """Left-continuous step function: value[i] on (b[i], b[i+1]]."""
-    return PiecewisePoly(tuple(breakpoints), tuple((Fraction(v),) for v in values))
+def spline_pieces(breakpoints, jumps, m: int) -> tuple[list[Fraction], list[list[int]], int]:
+    """The spline sum_j J_j (t - c_j)_+^(m-1) / (m-1)! piece by piece, in ints.
+
+    breakpoints (a list of Fractions) bound the pieces; they may come in
+    any order and repeat, and every knot c_j must be among them. jumps
+    are (c, J) Fractions; jumps at one knot add up, and a knot whose jumps
+    cancel still bounds its pieces. Returns (grid, pieces, scale): grid is
+    the sorted distinct breakpoints, and pieces[i] lists the int
+    coefficients, lowest power first, of scale times the spline on
+    (grid[i], grid[i+1]], scale > 0.
+    """
+    us, big_l = _common_denominator(breakpoints)
+    point = dict(zip(us, breakpoints))
+    grid_u = sorted(point)
+    vs, big_d = _common_denominator([j for _, j in jumps])
+    net: defaultdict[int, int] = defaultdict(int)
+    for (c, _), v in zip(jumps, vs):
+        net[c.numerator * (big_l // c.denominator)] += v
+    n = m - 1
+    weights = [comb(n, k) * big_l**k for k in range(n + 1)]
+    acc = [0] * (n + 1)
+    pieces = []
+    for u in grid_u[:-1]:
+        v = net.get(u)
+        if v:  # add v (L t - u)^n, binomially
+            for k in range(n, -1, -1):
+                acc[k] += weights[k] * v
+                v *= -u
+        pieces.append(list(acc))
+    return [point[u] for u in grid_u], pieces, big_d * big_l**n * factorial(n)
+
+
+def spline(breakpoints, jumps, m: int) -> PiecewisePoly:
+    """The spline of spline_pieces as a PiecewisePoly over Fractions."""
+    grid, pieces, scale = spline_pieces(breakpoints, jumps, m)
+    return PiecewisePoly(
+        tuple(grid), tuple(tuple(Fraction(c, scale) for c in ptrim(p)) for p in pieces)
+    )
+
+
+def spline_at(jumps, x: Fraction, m: int) -> Fraction:
+    """sum_j J_j (x - c_j)_+^(m-1) / (m-1)!, the left-continuous value at x."""
+    live = [(c, j) for c, j in jumps if c < x]
+    vs, big_d = _common_denominator([j for _, j in live])
+    us, big_l = _common_denominator([x] + [c for c, _ in live])
+    top, n = us[0], m - 1
+    total = sum(v * (top - u) ** n for v, u in zip(vs, us[1:]))
+    return Fraction(total, big_d * big_l**n * factorial(n))

@@ -1,9 +1,10 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficient lists are ascending in power. Everything here is exact: the
-root isolation is Sturm-chain bisection and the non-negativity decision
-samples every root-free segment, so callers get either a proof or a
-rational witness point, never a tolerance.
+Coefficient lists are ascending in power, of Fractions or ints.
+Everything here is exact: the root isolation is Sturm-chain bisection
+and the non-negativity decision samples every root-free segment, so
+callers get either a proof or a rational witness point, never a
+tolerance.
 
 The certification (isolate_roots, sign_profile, nonneg_on_interval)
 runs on the primitive integer polynomial that is a positive multiple of
@@ -47,34 +48,14 @@ def padd(a: Poly, b: Poly) -> Poly:
     return ptrim([(a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO) for i in range(n)])
 
 
-def psub(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return ptrim([(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)])
-
-
 def pscale(a: Poly, k: Fraction) -> Poly:
     return ptrim([x * k for x in a])
-
-
-def pmul(a: Poly, b: Poly) -> Poly:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return ptrim(out)
 
 
 def pderiv(c: Poly) -> Poly:
     if len(c) <= 1:
         return [_ZERO]
     return ptrim([c[i] * i for i in range(1, len(c))])
-
-
-def pantideriv(c: Poly, constant: Fraction = _ZERO) -> Poly:
-    """Antiderivative with value `constant` at 0."""
-    return ptrim([constant] + [c[i] / (i + 1) for i in range(len(c))])
 
 
 # ---------------------------------------------------------------------------

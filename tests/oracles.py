@@ -1,19 +1,25 @@
 """Reference implementations that the tests compare the library against.
 
 They share no code path with the functions under test: the Monte Carlo
-oracle samples draws with numpy, the knot interpolation walks the
-segments one by one, the dual-theory value is summed in CDF form, the
-dual moment is a Fraction loop over the survival function, the iterated
-CDF is built from one cdf() call per breakpoint and rebuilt from scratch
-for every order, root isolation and sign profiles run a Sturm chain of
+oracle samples draws with numpy, the float dual-theory value is summed
+in mpmath at 60 digits, the knot interpolation walks the segments one by
+one, the exact dual-theory value is summed in CDF form, the dual moment
+is a Fraction loop over the survival function, the CDF and quantile walk
+the states one by one, the iterated quantile and CDF are chains of
+Fraction antiderivatives of step functions built from one quantile() or
+cdf() call per piece (where the library sums truncated powers in ints),
+the dominance checks certify differences of those chains taken on merged
+breakpoint grids, root isolation and sign profiles run a Sturm chain of
 Fraction polynomials (monic gcd, true remainders, deflation by x - r)
 where the library works on primitive integer polynomials, and the direct
 battery constructs every member afresh where the library memoizes the
 unseeded ones.
 """
 
+import bisect
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from dualrisk import (
@@ -22,15 +28,119 @@ from dualrisk import (
     Identity,
     Lottery,
     Polynomial,
+    Prelec,
+    TverskyKahneman,
+    as_distribution,
     canonical_distribution,
-    cdf,
     dual_power_mixture,
     eval_h,
     is_exact,
+    mean,
+    rat,
     raw_moment,
 )
-from dualrisk.piecewise import step_function
-from dualrisk.polyops import Poly, nonneg_on_interval, pderiv, peval, pscale, ptrim
+from dualrisk.piecewise import PiecewisePoly
+from dualrisk.polyops import Poly, nonneg_on_interval, padd, pderiv, peval, pscale, ptrim
+
+
+# ---------------------------------------------------------------------------
+# Distribution functions of a lottery, state by state
+
+
+def cdf(lot: Lottery, x) -> Fraction:
+    """P(X <= x)."""
+    x = rat(x)
+    return sum((p for o, p in as_distribution(lot).states if o <= x), Fraction(0))
+
+
+def survival(lot: Lottery, x) -> Fraction:
+    """P(X > x)."""
+    return 1 - cdf(lot, x)
+
+
+def quantile(lot: Lottery, q) -> Fraction:
+    """Left-continuous generalized inverse: min{x : F(x) >= q}, 0 < q <= 1."""
+    q = rat(q)
+    if q <= 0 or q > 1:
+        raise DomainError(f"quantile level must satisfy 0 < q <= 1, got {q}")
+    acc = Fraction(0)
+    for x, p in as_distribution(lot).states:
+        acc += p
+        if acc >= q:
+            return x
+    raise AssertionError("unreachable: probabilities sum to one")
+
+
+# ---------------------------------------------------------------------------
+# Polynomial and piecewise-polynomial arithmetic over Fractions: the
+# antiderivative chain that dominance.iterated_quantile, iterated_cdf and
+# the dominance checks must reproduce from their closed-form splines
+
+
+def psub(a: Poly, b: Poly) -> Poly:
+    n = max(len(a), len(b))
+    zero = Fraction(0)
+    return ptrim([(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero) for i in range(n)])
+
+
+def pmul(a: Poly, b: Poly) -> Poly:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return ptrim(out)
+
+
+def pantideriv(c: Poly, constant: Fraction = Fraction(0)) -> Poly:
+    """Antiderivative with value `constant` at 0."""
+    return ptrim([constant] + [c[i] / (i + 1) for i in range(len(c))])
+
+
+def step_function(breakpoints, values) -> PiecewisePoly:
+    """Left-continuous step function: value[i] on (b[i], b[i+1]]."""
+    return PiecewisePoly(tuple(breakpoints), tuple((Fraction(v),) for v in values))
+
+
+def antiderivative(f: PiecewisePoly) -> PiecewisePoly:
+    """Continuous antiderivative of f vanishing at its left endpoint."""
+    acc = Fraction(0)
+    out = []
+    for (a, b), coeffs in zip(zip(f.breakpoints, f.breakpoints[1:]), f.pieces):
+        raw = pantideriv(list(coeffs))
+        shift = acc - peval(raw, a)
+        out.append(tuple(padd(raw, [shift])))
+        acc = peval(raw, b) + shift
+    return PiecewisePoly(f.breakpoints, tuple(out))
+
+
+def merged_with(f: PiecewisePoly, g: PiecewisePoly) -> tuple[Fraction, ...]:
+    if f.lo != g.lo or f.hi != g.hi:
+        raise DomainError("piecewise functions defined on different intervals")
+    return tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
+
+
+def piece_index_right(f: PiecewisePoly, x) -> int:
+    """Piece of f governing the interval immediately to the right of x."""
+    i = bisect.bisect_right(f.breakpoints, x) - 1
+    return min(i, len(f.pieces) - 1)
+
+
+def refined(f: PiecewisePoly, breakpoints: tuple[Fraction, ...]) -> PiecewisePoly:
+    """f re-expressed on a finer breakpoint grid (must contain the current one)."""
+    return PiecewisePoly(breakpoints, tuple(f.pieces[piece_index_right(f, a)] for a in breakpoints[:-1]))
+
+
+def difference(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
+    """f - g on the merged breakpoint grid."""
+    grid = merged_with(f, g)
+    pieces = zip(refined(f, grid).pieces, refined(g, grid).pieces)
+    return PiecewisePoly(grid, tuple(tuple(psub(list(p), list(q))) for p, q in pieces))
+
+
+def degree(f: PiecewisePoly) -> int:
+    return max(len(ptrim(list(p))) - 1 for p in f.pieces)
 
 
 def dual_moment_mc_oracle(
@@ -61,7 +171,7 @@ def direct_battery_rebuild(m: int, rng):
     order DualPower(m..6), seeded mixture, flipped-sign pair, Identity,
     lower DualPowers, lower monomials."""
     battery = [(DualPower(j), "ge") for j in range(m, 7)]
-    ks = rng.sample(range(m, 9), 2)
+    ks = rng.sample(range(m, max(9, m + 2)), 2)
     raw = {k: Fraction(rng.randint(1, 4)) for k in ks}
     total = sum(raw.values())
     battery.append((dual_power_mixture({k: v / total for k, v in raw.items()}), "ge"))
@@ -105,6 +215,31 @@ def dt_value_cdf_form(lot: Lottery, w):
     return acc
 
 
+def dt_value_mpmath(lot: Lottery, w, dps: int = 60):
+    """Dual-theory value under a TverskyKahneman or Prelec weighting, in
+    mpmath at dps digits from the exact states (survival form)."""
+    with mpmath.workdps(dps):
+
+        def h(p):
+            if p in (0, 1):
+                return mpmath.mpf(p)
+            if isinstance(w, TverskyKahneman):
+                g = mpmath.mpf(w.gamma)
+                return p**g / (p**g + (1 - p) ** g) ** (1 / g)
+            assert isinstance(w, Prelec)
+            return mpmath.exp(-mpmath.mpf(w.b) * (-mpmath.log(p)) ** mpmath.mpf(w.a))
+
+        def mpq(x: Fraction):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        acc, prev_x, surv = mpmath.mpf(0), Fraction(0), Fraction(1)
+        for x, p in canonical_distribution(lot).states:
+            acc += (1 - h(1 - mpq(surv))) * mpq(x - prev_x)
+            surv -= p
+            prev_x = x
+        return +acc
+
+
 def dual_moment_survival(lot: Lottery, m: int) -> Fraction:
     """Integral of S(x)^m summed in Fractions over the merged distribution."""
     acc = Fraction(0)
@@ -117,35 +252,68 @@ def dual_moment_survival(lot: Lottery, m: int) -> Fraction:
     return acc
 
 
+def iterated_quantile_per_piece(lot: Lottery, m: int) -> PiecewisePoly:
+    """(m-1)-fold antiderivative chain of the quantile function on [0, 1],
+    its steps from one quantile() call per piece."""
+    cum = [Fraction(0)]
+    for p in canonical_distribution(lot).probabilities:
+        cum.append(cum[-1] + p)
+    f = step_function(tuple(cum), [quantile(lot, b) for b in cum[1:]])
+    for _ in range(m - 1):
+        f = antiderivative(f)
+    return f
+
+
 def iterated_cdf_per_point(lot: Lottery, m: int, hi: Fraction):
-    """(m-1)-fold antiderivative of the CDF on [0, hi], one cdf() call per breakpoint."""
+    """(m-1)-fold antiderivative chain of the CDF on [0, hi], one cdf() call per breakpoint."""
     can = canonical_distribution(lot)
     pts = sorted({Fraction(0), hi} | {x for x in can.outcomes if 0 < x < hi})
     f = step_function(tuple(pts), [cdf(can, a) for a in pts[:-1]])
     for _ in range(m - 1):
-        f = f.antiderivative()
+        f = antiderivative(f)
     return f
 
 
+def pointwise_leq_chain(f: PiecewisePoly, g: PiecewisePoly):
+    """(ok, witness) of f <= g, certified piece by piece on g - f; a step
+    piece failing at its left end is reported at its right end, where the
+    left-continuous difference takes that piece's value."""
+    diff = difference(g, f)
+    for i, (lo, up, piece) in enumerate(zip(diff.breakpoints, diff.breakpoints[1:], diff.pieces)):
+        ok, witness = nonneg_on_interval(list(piece), lo, up)
+        if not ok:
+            return False, up if (i and witness == lo) else witness
+    return True, None
+
+
+def dual_sd_rebuild(a: Lottery, b: Lottery, m: int):
+    """(holds, failed_condition, witness) of m-th degree dual dominance of b
+    over a, with the iterated quantiles from the antiderivative chain."""
+    if m >= 2 and mean(a) > mean(b):
+        return False, "mean", None
+    for k in range(2, m):
+        if dual_moment_survival(a, k) > dual_moment_survival(b, k):
+            return False, f"dual_moment_{k}", None
+    ok, witness = pointwise_leq_chain(iterated_quantile_per_piece(a, m), iterated_quantile_per_piece(b, m))
+    return (True, None, None) if ok else (False, "iterated_quantile", witness)
+
+
 def primal_sd_rebuild(a: Lottery, b: Lottery, m: int, ekern: bool = False):
-    """(holds, failed_condition) of m-th degree primal dominance of b over a,
-    with every iterated CDF rebuilt from its step CDF."""
+    """(holds, failed_condition, witness) of m-th degree primal dominance of
+    b over a, with every iterated CDF rebuilt from its step CDF."""
     if ekern:
         for k in range(1, m):
             if raw_moment(a, k) != raw_moment(b, k):
-                return False, f"raw_moment_{k}"
+                return False, f"raw_moment_{k}", None
     hi = max(max(a.outcomes), max(b.outcomes))
     if hi == 0:
-        return True, None
+        return True, None, None
     if not ekern:
         for k in range(2, m):
             if iterated_cdf_per_point(b, k, hi)(hi) > iterated_cdf_per_point(a, k, hi)(hi):
-                return False, f"endpoint_{k}"
-    diff = iterated_cdf_per_point(a, m, hi) - iterated_cdf_per_point(b, m, hi)
-    for lo, up, piece in zip(diff.breakpoints, diff.breakpoints[1:], diff.pieces):
-        if not nonneg_on_interval(list(piece), lo, up)[0]:
-            return False, "iterated_cdf"
-    return True, None
+                return False, f"endpoint_{k}", None
+    ok, witness = pointwise_leq_chain(iterated_cdf_per_point(b, m, hi), iterated_cdf_per_point(a, m, hi))
+    return (True, None, None) if ok else (False, "iterated_cdf", witness)
 
 
 # ---------------------------------------------------------------------------

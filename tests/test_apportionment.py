@@ -20,6 +20,7 @@ from dualrisk import (
     PairProvenance,
     Polarity,
     PrecedenceViolation,
+    Prelec,
     Quadratic,
     RankViolation,
     anti_squeeze,
@@ -36,7 +37,10 @@ from dualrisk import (
     primal_moment,
     rebuild_pair,
     squeeze,
+    TverskyKahneman,
 )
+
+from oracles import dt_value_mpmath
 
 F = Fraction
 
@@ -273,6 +277,33 @@ class TestPreferenceDirection:
             v_base = dt_value(base3.to_lottery(), w)
             assert dt_value(pair.d.to_lottery(), w) >= v_base
             assert v_base >= dt_value(pair.c.to_lottery(), w)
+
+
+    def test_float_families_sign_only_what_the_float_gap_resolves(self):
+        # Outcomes near 1e12 with block amplitudes 1/(128 k): the true gap
+        # (about 1e-5) is far below the rounding error of either float value,
+        # so the only supportable answer is 0; a definite sign must be the
+        # true one (mpmath at 60 digits).
+        rng = random.Random(0)
+        families = (TverskyKahneman(0.61), TverskyKahneman(0.8), Prelec(0.65))
+        for _ in range(40):
+            m = rng.randint(2, 5)
+            n = rng.randint(m + 1, m + 6)
+            base = ep(*(10**12 + 3 * i + rng.randint(0, 2) for i in range(n)))
+            good, bad = make_blocks(m, n, F(1, 128 * rng.randint(1, 64)))
+            first = rng.randint(1, n - good.span - 1)
+            pair = make_pair(base, good, bad, first, rng.randint(first + 1, n - good.span))
+            for w in families:
+                gap = dt_value_mpmath(pair.d.to_lottery(), w) - dt_value_mpmath(pair.c.to_lottery(), w)
+                assert preference_direction(pair, w) in (0, (gap > 0) - (gap < 0))
+
+    def test_float_families_resolve_ordinary_gaps(self, base3):
+        good, bad = make_blocks(3, 3, F(1, 6))
+        pair = make_pair(base3, good, bad, 1, 2)
+        for w in (TverskyKahneman(0.8), Prelec(0.65)):
+            gap = dt_value_mpmath(pair.d.to_lottery(), w) - dt_value_mpmath(pair.c.to_lottery(), w)
+            assert abs(gap) > 1e-6
+            assert preference_direction(pair, w) == (gap > 0) - (gap < 0)
 
 
 class TestProvenance:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualrisk import (
@@ -19,12 +19,19 @@ from dualrisk import (
     make_pair,
     mean,
     primal_sd_check,
-    quantile,
     squeeze,
 )
 
 from conftest import lotteries, tied_lotteries
-from oracles import iterated_cdf_per_point, primal_sd_rebuild
+from oracles import (
+    degree,
+    difference,
+    dual_sd_rebuild,
+    iterated_cdf_per_point,
+    iterated_quantile_per_piece,
+    primal_sd_rebuild,
+    quantile,
+)
 
 F = Fraction
 
@@ -67,7 +74,7 @@ class TestIteratedQuantile:
 
     def test_degree_rises_with_m(self, lottery_b):
         for m in (1, 2, 3):
-            assert iterated_quantile(lottery_b, m).degree() == m - 1
+            assert degree(iterated_quantile(lottery_b, m)) == m - 1
 
 
 class TestDualCheck:
@@ -224,7 +231,7 @@ class TestIteratedCdfOracle:
     def test_primal_check_matches_per_order_rebuild(self, pair, m, ekern):
         a, b = pair
         report = primal_sd_check(a, b, m, ekern=ekern)
-        assert (report.holds, report.failed_condition) == primal_sd_rebuild(a, b, m, ekern)
+        assert (report.holds, report.failed_condition, report.witness) == primal_sd_rebuild(a, b, m, ekern)
 
     @given(mean_ordered_pairs(), st.integers(min_value=1, max_value=4))
     @settings(max_examples=200, deadline=None)
@@ -233,10 +240,70 @@ class TestIteratedCdfOracle:
         for x, y in ((a, b), (b, a)):
             dual = dual_sd_check(x, y, m)
             if dual.failed_condition == "iterated_quantile":
-                diff = iterated_quantile(y, m) - iterated_quantile(x, m)
+                diff = difference(iterated_quantile_per_piece(y, m), iterated_quantile_per_piece(x, m))
                 assert diff(dual.witness) < 0
             primal = primal_sd_check(x, y, m)
             if primal.failed_condition == "iterated_cdf":
                 hi = max(max(x.outcomes), max(y.outcomes))
-                diff = iterated_cdf_per_point(x, m, hi) - iterated_cdf_per_point(y, m, hi)
+                diff = difference(iterated_cdf_per_point(x, m, hi), iterated_cdf_per_point(y, m, hi))
                 assert diff(primal.witness) < 0
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(a, b) where b moves some states of a and keeps the rest, so many
+    knots carry the same jump in both lotteries and cancel in a - b."""
+    a = draw(any_lottery)
+    moves = draw(
+        st.lists(
+            st.sampled_from([F(0), F(0), F(0), F(1, 2), F(-1, 3), F(2)]),
+            min_size=len(a),
+            max_size=len(a),
+        )
+    )
+    b = make_lottery([(max(F(0), x + d), p) for (x, p), d in zip(a.states, moves)])
+    return a, b
+
+
+POINT_MASS = make_lottery([(3, 1)])
+AT_ZERO = make_lottery([(0, F(1, 2)), (5, F(1, 2))])
+TIED_AT_ZERO = make_lottery([(0, F(1, 3)), (0, F(1, 6)), (2, F(1, 6)), (2, F(1, 3))])
+# the quantile jump 1/4 at knot 2/3 and the CDF jump 1/3 at outcome 1/4
+# appear in both and cancel in the difference; the checks fail on the
+# pieces next to those knots, so their witnesses depend on the knots
+SHARED_A = make_lottery([(0, F(1, 3)), (0, F(1, 3)), (F(1, 4), F(1, 3))])
+SHARED_B = make_lottery([(0, F(1, 3)), (F(1, 4), F(1, 3)), (F(1, 2), F(1, 3))])
+
+
+class TestClosedFormSplines:
+    """The truncated-power splines against the Fraction antiderivative chain."""
+
+    @given(any_lottery, st.sampled_from([F(0), F(1, 3), F(2)]))
+    @example(POINT_MASS, F(0))
+    @example(make_lottery([(0, 1)]), F(1, 3))
+    @example(AT_ZERO, F(0))
+    @example(TIED_AT_ZERO, F(2))
+    @settings(max_examples=150, deadline=None)
+    def test_iterated_functions_match_the_chain(self, lot, extra):
+        hi = max(lot.outcomes) + extra
+        for m in range(1, 7):
+            assert iterated_quantile(lot, m) == iterated_quantile_per_piece(lot, m)
+            if hi > 0:
+                assert iterated_cdf(lot, m, hi) == iterated_cdf_per_point(lot, m, hi)
+
+    @given(st.one_of(cancelling_pairs(), st.tuples(any_lottery, any_lottery)), st.integers(1, 6))
+    @example((SHARED_A, SHARED_B), 1)
+    @example((SHARED_A, SHARED_B), 2)
+    @example((POINT_MASS, AT_ZERO), 2)
+    @example((TIED_AT_ZERO, AT_ZERO), 3)
+    @example((POINT_MASS, make_lottery([(0, 1)])), 1)
+    @settings(max_examples=300, deadline=None)
+    def test_checks_match_the_chain(self, pair, m):
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            dual = dual_sd_check(x, y, m)
+            assert (dual.holds, dual.failed_condition, dual.witness) == dual_sd_rebuild(x, y, m)
+            for ekern in (False, True):
+                primal = primal_sd_check(x, y, m, ekern=ekern)
+                expected = primal_sd_rebuild(x, y, m, ekern)
+                assert (primal.holds, primal.failed_condition, primal.witness) == expected

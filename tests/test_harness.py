@@ -86,11 +86,11 @@ class TestBattery:
         assert a[7 - m][1] == b[7 - m][1] == "ge"
         assert isinstance(a[7 - m][0], Polynomial)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
     def test_order_matches_a_fresh_build(self, m):
         assert direct_battery(m, random.Random(m)) == direct_battery_rebuild(m, random.Random(m))
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
     def test_battery_is_honest_on_a_known_pair(self, m):
         # the battery's stated relations must themselves hold on a clean
         # minimal-gap pair, otherwise direct runs would flag good pairs

@@ -11,17 +11,15 @@ from dualrisk import (
     NonPositiveProbability,
     NonUnitMass,
     canonical_distribution,
-    cdf,
     equal_prob_from_lottery,
     format_lottery_text,
     make_lottery,
     mean,
     parse_lottery_text,
-    quantile,
-    survival,
 )
 
 from conftest import lotteries
+from oracles import cdf, quantile, survival
 
 F = Fraction
 

@@ -18,19 +18,19 @@ from dualrisk.polyops import (
     isolate_roots,
     nonneg_on_interval,
     padd,
-    pantideriv,
     pderiv,
     peval,
-    pmul,
-    psub,
     sign_profile,
 )
 
 from oracles import (
     count_roots,
     isolate_roots_fraction,
+    pantideriv,
     pdivmod,
     pgcd,
+    pmul,
+    psub,
     sign_profile_fraction,
     sturm_chain,
 )
