@@ -41,7 +41,7 @@ from .lottery import (
     mean,
     parse_lottery_text,
 )
-from .rationals import format_exact, parse_rational
+from .rationals import _decimal, format_exact, parse_rational
 from .valuation import QuadraticUtility, dt_value, dual_moment, eu_value, primal_moment
 from .weighting import DualPower, Identity, Polynomial, Quadratic, eval_h_prime, parse_weighting
 
@@ -86,10 +86,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _decimal(value) -> str:
-    return f"{float(value):.12g}"
-
-
 def _emit_rows(header: tuple[str, ...], rows: list[tuple], fmt: str, out=None) -> str:
     out = out if out is not None else sys.stdout
     if fmt == "csv":
@@ -114,6 +110,16 @@ def _read_text(path: str) -> str:
         raise FormatError(f"not UTF-8 text (byte {exc.start}: {exc.reason})", source=path) from None
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file, creating its directory; OSError is an input error."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _load_lottery(path: str):
     return parse_lottery_text(_read_text(path), source=path)
 
@@ -127,8 +133,8 @@ def cmd_eval(args) -> int:
     lot = _load_lottery(args.lottery)
     w = parse_weighting(args.weighting)
     value = dt_value(lot, w)
-    rows: list[tuple] = [("value", _cell(value), _decimal(value))]
-    rows.append(("mean", _cell(mean(lot)), _decimal(mean(lot))))
+    mu = mean(lot)
+    rows: list[tuple] = [("value", _cell(value), _decimal(value)), ("mean", _cell(mu), _decimal(mu))]
     for m in range(1, 5):
         dm = dual_moment(lot, m)
         rows.append((f"dual_moment_{m}", _cell(dm), _decimal(dm)))
@@ -200,17 +206,14 @@ def cmd_pairgen(args) -> int:
         delta = Fraction(1, big_m)
         good, bad = make_blocks(m, base.n, delta)
         pair = make_pair(base, good, bad, 1, 2, seed=args.seed if args.random else None)
-    os.makedirs(cfg.output, exist_ok=True)
     prefix = args.prefix or f"order{m}"
     written = []
     for tag, member in (("c", pair.c), ("d", pair.d)):
         path = os.path.join(cfg.output, f"{prefix}_{tag}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_lottery_text(member.to_lottery()))
+        _write_text(path, format_lottery_text(member.to_lottery()))
         written.append(path)
     prov_path = os.path.join(cfg.output, f"{prefix}_provenance.json")
-    with open(prov_path, "w", encoding="utf-8") as fh:
-        fh.write(pair.provenance.to_json() + "\n")
+    _write_text(prov_path, pair.provenance.to_json() + "\n")
     written.append(prov_path)
     for path in written:
         print(path)
@@ -238,11 +241,9 @@ def cmd_verify(args) -> int:
                 {"order": rep.order, "kind": rep.kind, "failures": list(rep.failures)}
             )
     if failed:
-        os.makedirs(cfg.output, exist_ok=True)
         replay = os.path.join(cfg.output, f"theorem{args.theorem}_failures.json")
-        with open(replay, "w", encoding="utf-8") as fh:
-            json.dump({"theorem": args.theorem, "seed": cfg.seed, "reports": all_failures}, fh, indent=2)
-            fh.write("\n")
+        record = {"theorem": args.theorem, "seed": cfg.seed, "reports": all_failures}
+        _write_text(replay, json.dumps(record, indent=2) + "\n")
         print(f"replay records: {replay}", file=sys.stderr)
         return 1
     return 0
@@ -395,7 +396,6 @@ def _sec5_rows() -> list[tuple]:
 
 def cmd_paper_repro(args) -> int:
     cfg = _config_from(args)
-    os.makedirs(cfg.output, exist_ok=True)
     sections = (
         ("sec22.csv", ("quantity", "lottery_a", "lottery_b", "gap"), _sec22_rows()),
         ("sec3.csv", ("order", "quantity", "c", "d"), _sec3_rows()),
@@ -406,8 +406,7 @@ def cmd_paper_repro(args) -> int:
         path = os.path.join(cfg.output, name)
         buffer = io.StringIO()
         _emit_rows(header, rows, "csv", out=buffer)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buffer.getvalue())
+        _write_text(path, buffer.getvalue())
         print(path)
     return 0
 

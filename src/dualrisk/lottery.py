@@ -5,12 +5,22 @@ outcome, with non-negative outcomes and strictly positive probabilities
 summing to one. States with equal outcomes are kept distinct: the ranked
 state list is what squeeze and block operations act on, and questions
 about the distribution itself go through canonical_distribution.
+
+Lottery and EqualProbLottery also carry one integer form of their
+states, built at most once per object: the outcome numerators over
+their lcm denominator and the probability numerators over theirs.
+make_lottery and parse_lottery_text build it while they check the
+states, so the sign checks, the unit-mass check and the stable sort by
+outcome run in ints; mean, raw_moment, primal_moment and the survival
+sweep of the valuation module read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .errors import (
     DomainError,
@@ -20,7 +30,7 @@ from .errors import (
     NonUnitMass,
     RankViolation,
 )
-from .rationals import format_exact, rat
+from .rationals import _common_denominator, format_exact, rat
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,19 @@ class Lottery:
     def __len__(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def _ints(self) -> tuple[list[int], int, list[int], int]:
+        """(xs, xd, ps, pd): state i has outcome xs[i]/xd and probability ps[i]/pd."""
+        xs, xd = _common_denominator([x for x, _ in self.states])
+        ps, pd = _common_denominator([p for _, p in self.states])
+        return xs, xd, ps, pd
+
+
+def _with_ints(states, ints) -> Lottery:
+    lot = Lottery(states)
+    lot.__dict__["_ints"] = ints
+    return lot
+
 
 @dataclass(frozen=True)
 class EqualProbLottery:
@@ -51,18 +74,37 @@ class EqualProbLottery:
     def __post_init__(self):
         if self.n < 1 or len(self.outcomes) != self.n:
             raise DomainError(f"need n >= 1 outcomes, got n={self.n}, {len(self.outcomes)} outcomes")
-        object.__setattr__(self, "outcomes", tuple(rat(x) for x in self.outcomes))
-        for i, x in enumerate(self.outcomes):
-            if x < 0:
-                raise NegativeOutcome(f"outcome {x} at state {i} is negative")
-            if i and x < self.outcomes[i - 1]:
+        outcomes = tuple(rat(x) for x in self.outcomes)
+        object.__setattr__(self, "outcomes", outcomes)
+        xs, xd = _common_denominator(outcomes)
+        for i, a in enumerate(xs):
+            if a < 0:
+                raise NegativeOutcome(f"outcome {outcomes[i]} at state {i} is negative")
+            if i and a < xs[i - 1]:
                 raise RankViolation(
-                    f"outcomes must be non-decreasing; state {i} has {x} after {self.outcomes[i-1]}"
+                    f"outcomes must be non-decreasing; state {i} has {outcomes[i]} after {outcomes[i-1]}"
                 )
+        object.__setattr__(self, "_ints", (xs, xd, [1] * self.n, self.n))
 
     def to_lottery(self) -> Lottery:
         p = Fraction(1, self.n)
-        return Lottery(tuple((x, p) for x in self.outcomes))
+        return _with_ints(tuple((x, p) for x in self.outcomes), self._ints)
+
+
+def _ranked(states: list[tuple[Fraction, Fraction]]) -> Lottery:
+    """The Lottery of sign-checked (outcome, probability) states, with its
+    integer form: the unit-mass check and the stable sort by outcome in ints."""
+    if not states:
+        raise NonUnitMass("a lottery needs at least one state")
+    xs, xd = _common_denominator([x for x, _ in states])
+    ps, pd = _common_denominator([p for _, p in states])
+    total = sum(ps)
+    if total != pd:
+        raise NonUnitMass(f"probabilities sum to {Fraction(total, pd)}, not 1")
+    order = sorted(range(len(states)), key=xs.__getitem__)
+    return _with_ints(
+        tuple(states[i] for i in order), ([xs[i] for i in order], xd, [ps[i] for i in order], pd)
+    )
 
 
 def make_lottery(pairs) -> Lottery:
@@ -75,18 +117,12 @@ def make_lottery(pairs) -> Lottery:
     states = []
     for outcome, prob in pairs:
         x, p = rat(outcome), rat(prob)
-        if x < 0:
+        if x.numerator < 0:
             raise NegativeOutcome(f"outcome {x} is negative")
-        if p <= 0:
+        if p.numerator <= 0:
             raise NonPositiveProbability(f"probability {p} for outcome {x} is not positive")
         states.append((x, p))
-    if not states:
-        raise NonUnitMass("a lottery needs at least one state")
-    total = sum(p for _, p in states)
-    if total != 1:
-        raise NonUnitMass(f"probabilities sum to {total}, not 1")
-    states.sort(key=lambda s: s[0])
-    return Lottery(tuple(states))
+    return _ranked(states)
 
 
 def equal_prob_from_lottery(lot: Lottery) -> EqualProbLottery:
@@ -116,7 +152,22 @@ def canonical_distribution(lot: Lottery) -> Lottery:
 
 
 def mean(lot: Lottery) -> Fraction:
-    return sum((x * p for x, p in as_distribution(lot).states), Fraction(0))
+    xs, xd, ps, pd = lot._ints
+    return Fraction(sum(map(mul, xs, ps)), pd * xd)
+
+
+def _literal(token: str) -> Fraction:
+    """rat(token); plain ASCII digit literals p and p/q (q != 0) go straight to ints."""
+    num, slash, den = token.partition("/")
+    try:
+        if num.isascii() and num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit() and (q := int(den)):
+                return Fraction(int(num), q)
+    except ValueError:  # past the int string-conversion limit: rat decides
+        pass
+    return rat(token)
 
 
 def parse_lottery_text(text: str, source: str | None = None) -> Lottery:
@@ -126,7 +177,7 @@ def parse_lottery_text(text: str, source: str | None = None) -> Lottery:
     rational literals ("5/12", "0.25", "3"). Anything after '#' is a
     comment. Errors carry the 1-based line number.
     """
-    pairs = []
+    states = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,17 +190,17 @@ def parse_lottery_text(text: str, source: str | None = None) -> Lottery:
                 source=source,
             )
         try:
-            x, p = rat(fields[0]), rat(fields[1])
+            x, p = _literal(fields[0]), _literal(fields[1])
         except FormatError as exc:
             raise FormatError(str(exc), line=lineno, source=source) from None
-        if x < 0:
+        if x.numerator < 0:
             raise FormatError(f"outcome {x} is negative", line=lineno, source=source)
-        if p <= 0:
+        if p.numerator <= 0:
             raise FormatError(f"probability {p} is not positive", line=lineno, source=source)
-        pairs.append((x, p))
-    if not pairs:
+        states.append((x, p))
+    if not states:
         raise FormatError("no states found", source=source)
-    return make_lottery(pairs)
+    return _ranked(states)
 
 
 def format_lottery_text(lot: Lottery) -> str:

@@ -20,10 +20,11 @@ import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .errors import DomainError
 from .polyops import peval, ptrim
+from .rationals import _common_denominator
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,6 @@ class PiecewisePoly:
     def __call__(self, x):
         """Evaluate; at interior breakpoints takes the left piece's value."""
         return peval(list(self.pieces[self.piece_index(x)]), x)
-
-
-def _common_denominator(xs) -> tuple[list[int], int]:
-    """Numerators of the Fractions xs over their lcm denominator, and that denominator."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def spline_pieces(breakpoints, jumps, m: int) -> tuple[list[Fraction], list[list[int]], int]:

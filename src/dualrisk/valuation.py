@@ -15,10 +15,13 @@ DualPower(m) weighting.
 
 For the polynomial weighting families (Identity, Quadratic, DualPower,
 integer Power, Polynomial) and for dual moments the survival sum runs in
-Python ints: probabilities and outcomes are scaled to common
-denominators, hbar to integer coefficients, and one Fraction is built at
-the end. Tabulated, fractional Power, TverskyKahneman and Prelec take the
-survival loop over eval_hbar.
+Python ints over the lottery's integer form (outcome and probability
+numerators over their common denominators, built once per lottery), with
+hbar scaled to integer coefficients, and one Fraction is built at the
+end. The raw and central moments are single integer sums over the same
+form. Tabulated, fractional Power, TverskyKahneman and Prelec take the
+survival loop over eval_hbar; for the float families among them an
+outcome beyond the float range is a DomainError.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from .errors import DomainError, NonMonotoneUtility
 from .lottery import Lottery, as_distribution, canonical_distribution, mean
@@ -125,7 +129,8 @@ def eu_value(lot: Lottery, u: UtilityFunction) -> Fraction:
 def dt_value(lot: Lottery, w: WeightingSpec):
     """Dual-theory value of a lottery under weighting w (survival form).
 
-    Exact families yield an exact Fraction; transcendental families a float.
+    Exact families yield an exact Fraction; transcendental families a
+    float, and DomainError for an outcome beyond the float range.
     """
     h = _h_coeffs(w)
     if h is not None:
@@ -136,7 +141,11 @@ def dt_value(lot: Lottery, w: WeightingSpec):
     surv = Fraction(1)
     for x, p in can.states:
         if x != prev_x:
-            acc += eval_hbar(w, surv) * (x - prev_x)
+            try:
+                acc += eval_hbar(w, surv) * (x - prev_x)
+            except OverflowError:  # a float family meeting an outcome beyond float range
+                name = type(w).__name__
+                raise DomainError(f"{name} values need outcomes within the float range") from None
         surv -= p
         prev_x = x
     return acc
@@ -161,26 +170,23 @@ def _survival_sweep(lot: Lottery, hbar: list[int], scale: int) -> Fraction:
     """sum_i hbar(S(x_{i-1})) (x_i - x_{i-1}) over distinct outcomes, in ints.
 
     hbar holds the integer coefficients of scale * hbar(s), lowest degree
-    first. With probabilities over their lcm d and outcomes over their
-    lcm xd, the survival level is an integer count s out of d, and
-    scale * d^deg * hbar(s / d) = sum_j hbar_j d^(deg - j) s^j.
+    first. In the lottery's integer form, with probabilities over d and
+    outcomes over xd, the survival level is an integer count s out of d,
+    and scale * d^deg * hbar(s / d) = sum_j hbar_j d^(deg - j) s^j.
     """
-    states = as_distribution(lot).states
-    d = lcm(*(p.denominator for _, p in states))
-    xd = lcm(*(x.denominator for x, _ in states))
+    xs, xd, ps, d = lot._ints
     deg = len(hbar) - 1
     coeffs = [c * d ** (deg - j) for j, c in enumerate(hbar)][::-1]
     acc = prev = 0
     surv = d
-    for x, p in states:
-        a = x.numerator * (xd // x.denominator)
+    for a, p in zip(xs, ps):
         if a != prev:
             v = 0
             for c in coeffs:
                 v = v * surv + c
             acc += v * (a - prev)
             prev = a
-        surv -= p.numerator * (d // p.denominator)
+        surv -= p
     return Fraction(acc, scale * d**deg * xd)
 
 
@@ -189,22 +195,27 @@ def _survival_sweep(lot: Lottery, hbar: list[int], scale: int) -> Fraction:
 
 
 def primal_moment(lot: Lottery, k: int) -> Fraction:
-    """Mean for k = 1, central moment E[(X - mu)^k] for k >= 2."""
+    """Mean for k = 1, central moment E[(X - mu)^k] for k >= 2.
+
+    With outcomes x_i / xd, probabilities p_i / pd and S1 = sum_i p_i x_i
+    (so mu = S1 / (pd xd)), one integer sum:
+    sum_i p_i (pd x_i - S1)^k / (pd (pd xd)^k).
+    """
     if k < 1:
         raise DomainError(f"moment order must be >= 1, got {k}")
-    lot = as_distribution(lot)
     if k == 1:
         return mean(lot)
-    mu = mean(lot)
-    return sum((p * (x - mu) ** k for x, p in lot.states), Fraction(0))
+    xs, xd, ps, pd = lot._ints
+    s1 = sum(map(mul, xs, ps))
+    return Fraction(sum(p * (pd * x - s1) ** k for x, p in zip(xs, ps)), pd * (pd * xd) ** k)
 
 
 def raw_moment(lot: Lottery, k: int) -> Fraction:
-    """E[X^k]."""
+    """E[X^k], as sum_i p_i x_i^k / (pd xd^k) over the integer form."""
     if k < 1:
         raise DomainError(f"moment order must be >= 1, got {k}")
-    lot = as_distribution(lot)
-    return sum((p * x**k for x, p in lot.states), Fraction(0))
+    xs, xd, ps, pd = lot._ints
+    return Fraction(sum(p * x**k for x, p in zip(xs, ps)), pd * xd**k)
 
 
 def dual_moment(lot: Lottery, m: int) -> Fraction:

@@ -5,7 +5,10 @@ oracle samples draws with numpy, the float dual-theory value is summed
 in mpmath at 60 digits, the knot interpolation walks the segments one by
 one, the exact dual-theory value is summed in CDF form, the dual moment
 is a Fraction loop over the survival function, the CDF and quantile walk
-the states one by one, the iterated quantile and CDF are chains of
+the states one by one, the mean, raw and central moments are Fraction
+sums over the states (where the library sums the lottery's integer form),
+the lottery parser reads every literal with rat and checks mass, signs
+and order in Fractions, the iterated quantile and CDF are chains of
 Fraction antiderivatives of step functions built from one quantile() or
 cdf() call per piece (where the library sums truncated powers in ints),
 the dominance checks certify differences of those chains taken on merged
@@ -17,6 +20,7 @@ unseeded ones.
 """
 
 import bisect
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -25,8 +29,10 @@ import numpy as np
 from dualrisk import (
     DomainError,
     DualPower,
+    FormatError,
     Identity,
     Lottery,
+    NonUnitMass,
     Polynomial,
     Prelec,
     TverskyKahneman,
@@ -35,9 +41,7 @@ from dualrisk import (
     dual_power_mixture,
     eval_h,
     is_exact,
-    mean,
     rat,
-    raw_moment,
 )
 from dualrisk.piecewise import PiecewisePoly
 from dualrisk.polyops import Poly, nonneg_on_interval, padd, pderiv, peval, pscale, ptrim
@@ -69,6 +73,72 @@ def quantile(lot: Lottery, q) -> Fraction:
         if acc >= q:
             return x
     raise AssertionError("unreachable: probabilities sum to one")
+
+
+# ---------------------------------------------------------------------------
+# Moments and parsing in Fractions, state by state
+
+
+def mean(lot: Lottery) -> Fraction:
+    return sum((x * p for x, p in as_distribution(lot).states), Fraction(0))
+
+
+def raw_moment(lot: Lottery, k: int) -> Fraction:
+    """E[X^k]."""
+    return sum((p * x**k for x, p in as_distribution(lot).states), Fraction(0))
+
+
+def primal_moment(lot: Lottery, k: int) -> Fraction:
+    """Mean for k = 1, central moment E[(X - mu)^k] for k >= 2."""
+    lot = as_distribution(lot)
+    if k == 1:
+        return mean(lot)
+    mu = mean(lot)
+    return sum((p * (x - mu) ** k for x, p in lot.states), Fraction(0))
+
+
+def parse_lottery_fraction(text: str, source: str | None = None) -> Lottery:
+    """parse_lottery_text with every literal read by rat and the mass, sign
+    and order checks done in Fractions; the same exceptions and messages."""
+    states = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise FormatError(
+                f"expected '<outcome> <probability>', got {raw.strip()!r}", line=lineno, source=source
+            )
+        try:
+            x, p = rat(fields[0]), rat(fields[1])
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno, source=source) from None
+        if x < 0:
+            raise FormatError(f"outcome {x} is negative", line=lineno, source=source)
+        if p <= 0:
+            raise FormatError(f"probability {p} is not positive", line=lineno, source=source)
+        states.append((x, p))
+    if not states:
+        raise FormatError("no states found", source=source)
+    total = sum(p for _, p in states)
+    if total != 1:
+        raise NonUnitMass(f"probabilities sum to {total}, not 1")
+    states.sort(key=lambda s: s[0])
+    return Lottery(tuple(states))
+
+
+def decimal_sig(value: Fraction, sig: int) -> str:
+    """A nonzero rational in "%.{sig-1}e" style with trailing zeros stripped,
+    the sig digits from a correctly rounded decimal division."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = sig, ROUND_HALF_EVEN
+        ctx.Emax, ctx.Emin = 10**8, -(10**8)
+        d = Decimal(value.numerator) / Decimal(value.denominator)
+    sign, digits, exp = d.as_tuple()
+    text = "".join(map(str, digits))
+    mantissa = f"{text[0]}.{text[1:]}".rstrip("0").rstrip(".")
+    return f"{'-' if sign else ''}{mantissa}e{exp + len(digits) - 1:+03d}"
 
 
 # ---------------------------------------------------------------------------

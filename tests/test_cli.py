@@ -108,6 +108,41 @@ class TestEval:
         assert main(["eval", str(path)]) == 2
         assert f"error: {path}: not UTF-8" in capsys.readouterr().err
 
+    def test_outcome_beyond_float_range_stays_exact(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("1e400 1\n")
+        assert main(["eval", str(path), "--format", "csv"]) == 0
+        rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(capsys.readouterr().out))}
+        assert rows["value"] == [str(10**400), "1e+400"]
+        assert rows["mean"] == rows["dual_moment_4"] == [str(10**400), "1e+400"]
+        assert rows["central_moment_2"] == ["0", "0"]
+
+    def test_spread_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("0 1/3\n5e300 2/3\n")
+        assert main(["eval", str(path), "--format", "csv"]) == 0
+        rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(capsys.readouterr().out))}
+        assert rows["mean"][1] == "3.33333333333e+300"
+        assert rows["central_moment_2"][1] == "5.55555555556e+600"
+        assert rows["central_moment_3"][1] == "-9.25925925926e+900"
+
+    def test_outcome_below_the_normal_float_range(self, tmp_path, capsys):
+        path = tmp_path / "tiny.txt"
+        path.write_text("1e-400 1/2\n2e-400 1/2\n")
+        assert main(["eval", str(path), "--format", "csv"]) == 0
+        rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(capsys.readouterr().out))}
+        assert rows["mean"][1] == "1.5e-400"
+        assert rows["central_moment_2"][1] == "2.5e-801"
+
+    @pytest.mark.parametrize("spec", ["tk:gamma=0.6", "prelec:a=1/2,b=1", "power:k=1/2"])
+    def test_float_family_beyond_float_range_is_a_domain_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "big.txt"
+        path.write_text("1e400 1\n")
+        assert main(["eval", str(path), "--weighting", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "within the float range" in captured.err
+
 
 class TestDominance:
     def test_dual_check_reports_the_moment_gap(self, lottery_files, capsys):
@@ -211,6 +246,20 @@ class TestPairgen:
     def test_base_required(self, capsys):
         assert main(["pairgen", "--order", "3"]) == 2
 
+    def test_outdir_under_a_file_is_a_typed_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        outdir = blocker / "x"
+        code = main(["pairgen", "--order", "3", "--base", "1,2,4", "--outdir", str(outdir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {outdir}")
+
+    def test_unwritable_member_file_is_a_typed_error(self, tmp_path, capsys):
+        (tmp_path / "order3_c.txt").mkdir()
+        code = main(["pairgen", "--order", "3", "--base", "1,2,4", "--outdir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'order3_c.txt'}")
+
 
 class TestVerify:
     def test_passing_run(self, capsys):
@@ -245,6 +294,20 @@ class TestVerify:
         assert payload["theorem"] == 1
         assert payload["reports"][0]["failures"][0]["direction"] == -1
 
+    def test_unwritable_replay_records_are_a_typed_error(self, tmp_path, capsys, monkeypatch):
+        import dualrisk.harness as harness_module
+
+        def fake_run(theorem, trials, seed, grid_count=256):
+            failure = {"weighting": "identity", "relation": "ge", "direction": -1, "trial": 0}
+            return [HarnessReport(theorem, "direct", 3, trials, (failure,))]
+
+        monkeypatch.setattr(harness_module, "run_theorem", fake_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["verify", "--theorem", "1", "--trials", "1", "--outdir", str(blocker)])
+        assert code == 2
+        assert f"error: cannot write {blocker}" in capsys.readouterr().err
+
     def test_theorem_number_validated(self, capsys):
         assert main(["verify", "--theorem", "9"]) == 2
 
@@ -270,6 +333,21 @@ class TestPaperRepro:
         )
         for name in ("sec22.csv", "sec3.csv", "sec4.csv", "sec5.csv"):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_outdir_that_is_a_file_is_a_typed_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["paper-repro", "--outdir", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {blocker}")
+
+    def test_unwritable_csv_is_a_typed_error(self, tmp_path, capsys):
+        (tmp_path / "sec3.csv").mkdir()
+        assert main(["paper-repro", "--outdir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"{tmp_path / 'sec22.csv'}\n"
+        assert captured.err.startswith(f"error: cannot write {tmp_path / 'sec3.csv'}")
 
     def test_outdir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DUALRISK_OUTDIR", str(tmp_path))

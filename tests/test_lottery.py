@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
 from dualrisk import (
     DomainError,
+    DualPower,
     EqualProbLottery,
     FormatError,
+    Identity,
     NegativeOutcome,
     NonPositiveProbability,
     NonUnitMass,
@@ -15,7 +19,15 @@ from dualrisk import (
     format_lottery_text,
     make_lottery,
     mean,
+    Polynomial,
+    Power,
+    Quadratic,
+    dt_value,
+    dual_moment,
+    dual_power_mixture,
     parse_lottery_text,
+    primal_moment,
+    raw_moment,
 )
 
 from conftest import lotteries
@@ -160,3 +172,154 @@ class TestTextFormat:
 def test_mean(lottery_a, lottery_b):
     assert mean(lottery_a) == F(5, 2)
     assert mean(lottery_b) == F(5, 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer lottery core against the Fraction references
+
+COPRIME = (1, 2, 3, 5, 7, 11, 13, 17)
+
+
+@st.composite
+def core_lotteries(draw):
+    """Lotteries from make_lottery, parse_lottery_text or EqualProbLottery,
+    with tied outcomes, states at 0 and pairwise coprime denominators."""
+    n = draw(st.integers(1, 7))
+    pool = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(0, 40), st.sampled_from(COPRIME)), min_size=1, max_size=4
+        )
+    )
+    if draw(st.booleans()):
+        pool.append(Fraction(0))
+    outcomes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    route = draw(st.sampled_from(("make", "parse", "equal")))
+    if route == "equal":
+        return EqualProbLottery(n, tuple(sorted(outcomes)))
+    raw = [
+        Fraction(w, d)
+        for w, d in zip(
+            draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)),
+            draw(st.lists(st.sampled_from(COPRIME), min_size=n, max_size=n)),
+        )
+    ]
+    probs = [r / sum(raw) for r in raw]
+    if route == "make":
+        return make_lottery(zip(outcomes, probs))
+    return parse_lottery_text("".join(f"{x} {p}\n" for x, p in zip(outcomes, probs)))
+
+
+def _poly_families():
+    return (
+        Identity(),
+        Quadratic(Fraction(1, 3)),
+        Power(3),
+        DualPower(4),
+        dual_power_mixture({2: Fraction(1, 3), 5: Fraction(2, 3)}),
+        Polynomial((Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1, 2))),
+    )
+
+
+class TestIntegerCore:
+    @given(core_lotteries())
+    @example(make_lottery([(0, 1)]))
+    @example(EqualProbLottery(3, (Fraction(0), Fraction(0), Fraction(5, 7))))
+    def test_moments_equal_the_fraction_sums(self, lot):
+        got = mean(lot)
+        assert type(got) is Fraction and got == oracles.mean(lot)
+        for k in range(1, 7):
+            raw, central = raw_moment(lot, k), primal_moment(lot, k)
+            assert type(raw) is Fraction and raw == oracles.raw_moment(lot, k)
+            assert type(central) is Fraction and central == oracles.primal_moment(lot, k)
+
+    @given(core_lotteries())
+    @example(make_lottery([(0, Fraction(1, 3)), (0, Fraction(2, 3))]))
+    def test_survival_sweep_equals_the_fraction_loops(self, lot):
+        for m in range(1, 5):
+            got = dual_moment(lot, m)
+            assert type(got) is Fraction and got == oracles.dual_moment_survival(lot, m)
+        for w in _poly_families():
+            got = dt_value(lot, w)
+            assert type(got) is Fraction and got == oracles.dt_value_cdf_form(lot, w)
+
+    @given(core_lotteries())
+    def test_equal_prob_and_its_lottery_agree(self, lot):
+        if isinstance(lot, EqualProbLottery):
+            as_lot = lot.to_lottery()
+            assert mean(as_lot) == mean(lot)
+            assert [primal_moment(as_lot, k) for k in (2, 3)] == [primal_moment(lot, k) for k in (2, 3)]
+            assert dual_moment(as_lot, 3) == dual_moment(lot, 3)
+
+
+# ---------------------------------------------------------------------------
+# parse_lottery_text against a parser that reads every literal with rat
+
+_DIGITS = st.integers(0, 10**6).map(str)
+_TOKENS = st.one_of(
+    _DIGITS,
+    st.tuples(_DIGITS, _DIGITS).map("/".join),
+    st.tuples(st.sampled_from(("0", "00", "007")), _DIGITS).map("".join),
+    st.builds(lambda a, b: f"{a}/0{b}", _DIGITS, _DIGITS),
+    st.builds(lambda a, b: f"{a}.{b}", _DIGITS, _DIGITS),
+    st.builds(lambda a, e: f"{a}e{e}", _DIGITS, st.integers(-5, 5)),
+    st.builds(lambda s, t: s + t, st.sampled_from(("+", "-")), _DIGITS),
+    st.builds(lambda s, a, b: f"{s}{a}/{b}", st.sampled_from(("+", "-")), _DIGITS, _DIGITS),
+    st.sampled_from(
+        (
+            "-0", "+0", "-0/3", "1/0", "0/0", "00/5", "0.5", ".5", "5.", "1e0", "2.5E-2", "1_000",
+            "1__0", "1_000/3", "\u0661\u0662", "1/\u0663", "\uff11", "\u00b2", "1/2/3", "/5", "5/",
+            "abc", "1/-2", "0x10", "inf", "nan", "\u0661.5",
+        )
+    ),
+)
+_UNIT_SPLITS = (
+    ("1",),
+    ("1/2", "0.5"),
+    ("2/4", "02/4"),
+    ("1/3", "1/3", "1/3"),
+    ("0.25", "1/4", "+1/4", "25e-2"),
+    ("1/2", "1/3", "1/6"),
+    ("1/2", "1/3"),  # mass 5/6
+    ("1/2", "0", "1/2"),  # a zero probability
+)
+
+
+@st.composite
+def lottery_texts(draw):
+    probs = list(draw(st.sampled_from(_UNIT_SPLITS)))
+    if draw(st.booleans()):
+        probs[draw(st.integers(0, len(probs) - 1))] = draw(_TOKENS)
+    outcomes = draw(st.lists(_TOKENS, min_size=len(probs), max_size=len(probs)))
+    return "".join(f"{x} {p}\n" for x, p in zip(outcomes, probs))
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text, source="in.txt").states
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestParseEquivalence:
+    @given(lottery_texts())
+    @example("3 1/2\n-1 1/2\n")
+    @example("3 1/2\n1 0\n")
+    @example("1 1/2\n2 1/3\n")
+    @example("1/0 1\n")
+    @example("1_000 1\n")
+    @example("\u0661 1\n")
+    @example("-0 1\n")
+    @example("4 1/2\n2 1/2\n2 0/1\n")
+    @example("1" * 4301 + " 1\n")
+    def test_same_states_or_the_same_error(self, text):
+        assert _outcome(parse_lottery_text, text) == _outcome(oracles.parse_lottery_fraction, text)
+
+    @given(lottery_texts())
+    def test_integer_form_matches_the_states(self, text):
+        try:
+            lot = parse_lottery_text(text)
+        except Exception:
+            return
+        xs, xd, ps, pd = lot._ints
+        assert [Fraction(a, xd) for a in xs] == list(lot.outcomes)
+        assert [Fraction(p, pd) for p in ps] == list(lot.probabilities)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dualrisk import FormatError, format_exact, format_rational, parse_rational, rat
+from dualrisk.rationals import _decimal
+from oracles import decimal_sig
 
 F = Fraction
 
@@ -36,6 +39,28 @@ def test_format_rational_adds_decimal():
     assert format_rational(F(25, 12)) == "25/12 (= 2.08333333333)"
     assert format_rational(5) == "5"
     assert format_rational(0.125) == "0.125"
+
+
+def test_format_rational_beyond_float_range():
+    assert format_rational(F(10**400 + 1, 3)) == f"{10**400 + 1}/3 (= 3.33333333333e+399)"
+    assert format_rational(F(-1, 3 * 10**400)) == f"-1/{3 * 10**400} (= -3.33333333333e-401)"
+    assert format_rational(F(2, 3 * 10**400), sig=3) == f"1/{15 * 10**399} (= 6.67e-401)"
+
+
+@given(
+    st.integers(1, 10**40),
+    st.integers(1, 10**40),
+    st.integers(300, 3000),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 20),
+)
+def test_decimal_rounds_the_exact_value_outside_float_range(num, den, shift, up, negative, sig):
+    value = F(num, den) * F(10) ** (shift if up else -shift)
+    value = -value if negative else value
+    if F(sys.float_info.min) <= abs(value) <= F(sys.float_info.max):
+        return
+    assert _decimal(value, sig) == decimal_sig(value, sig)
 
 
 @given(st.fractions(max_denominator=10**6))
