@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 
 Num = Fraction | float  # exact where possible, float for transcendental families
 
@@ -94,6 +94,18 @@ def _decimal(value: Num, sig: int = 12) -> str:
     return f"{'-' if value < 0 else ''}{mantissa}e{e:+03d}"
 
 
+def _exact_text(value: Fraction) -> str:
+    """str(value); an integer part past the interpreter's int-to-text digit
+    limit is a DomainError instead of a ValueError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise DomainError(
+            "exact value too long to print: a numerator or denominator has more digits "
+            "than the interpreter converts to text"
+        ) from None
+
+
 def format_rational(value: Num, sig: int = 12) -> str:
     """Render a number as "p/q (= decimal)" with sig significant digits.
 
@@ -103,12 +115,12 @@ def format_rational(value: Num, sig: int = 12) -> str:
         return f"{value:.{sig}g}"
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value} (= {_decimal(value, sig)})"
+        return _exact_text(value)
+    return f"{_exact_text(value)} (= {_decimal(value, sig)})"
 
 
 def format_exact(value: Num, sig: int = 12) -> str:
     """Render "p/q" for rationals and a sig-digit decimal for floats."""
     if isinstance(value, float):
         return f"{value:.{sig}g}"
-    return str(Fraction(value))
+    return _exact_text(Fraction(value))

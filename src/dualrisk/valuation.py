@@ -13,28 +13,48 @@ The m-th dual moment is the expected minimum of m independent draws,
 integral of S(x)^m, and coincides with the dual-theory value under the
 DualPower(m) weighting.
 
-For the polynomial weighting families (Identity, Quadratic, DualPower,
-integer Power, Polynomial) and for dual moments the survival sum runs in
-Python ints over the lottery's integer form (outcome and probability
-numerators over their common denominators, built once per lottery), with
-hbar scaled to integer coefficients, and one Fraction is built at the
-end. The raw and central moments are single integer sums over the same
-form. Tabulated, fractional Power, TverskyKahneman and Prelec take the
-survival loop over eval_hbar; for the float families among them an
-outcome beyond the float range is a DomainError.
+dt_value and dual_moment are one sweep over the lottery's integer form
+(outcome numerators over xd, probability numerators over d, built once
+per lottery): at each distinct outcome it takes the integer CDF count c
+below it (so F = c/d and S = (d - c)/d) and the integer step to it, and
+every family reads those counts. DualPower(m) and the dual moments sum
+(d - c)^m per step; the other exact families use V = x_max -
+sum_i h(F_i) (x_i - x_{i-1}): integer Power sums c^k, Identity, Quadratic
+and Polynomial run Horner on integer coefficients of h taken straight
+from their parameters, and Tabulated walks a segment pointer forward as
+c rises, over its knots scaled to integers by the lcm of the segment
+widths. Each builds one Fraction at the end. An exact order m with
+m * bitlength(d) above 2^20, about the size of its powers, is a
+DomainError. The float families (TverskyKahneman, Prelec, fractional
+Power) read the same counts, with the level c/d and the step as int
+true divisions, which are the correctly rounded floats of the rationals;
+an outcome beyond the float range is a DomainError. The raw and central
+moments are single integer sums over the same form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from operator import mul
+from itertools import accumulate, chain, compress
+from math import lcm
+from operator import mul, sub
 
-from .errors import DomainError, NonMonotoneUtility
-from .lottery import Lottery, as_distribution, canonical_distribution, mean
-from .rationals import rat
-from .weighting import WeightingSpec, _h_coeffs, eval_hbar, is_exact
+from .errors import DomainError, NonMonotoneUtility, UnsupportedFamily
+from .lottery import Lottery, as_distribution, mean
+from .rationals import _common_denominator, rat
+from .weighting import (
+    DualPower,
+    Identity,
+    Polynomial,
+    Power,
+    Prelec,
+    Quadratic,
+    Tabulated,
+    TverskyKahneman,
+    WeightingSpec,
+    eval_h,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -125,69 +145,128 @@ def eu_value(lot: Lottery, u: UtilityFunction) -> Fraction:
 # ---------------------------------------------------------------------------
 # dual-theory value
 
+# Bound on m * bitlength(d) for an exact order m: the m-th powers of the
+# levels have about that many bits, and the gcd that reduces the result
+# takes time quadratic in it (about 2 s at this bound).
+_MAX_POWER_BITS = 1 << 20
+
 
 def dt_value(lot: Lottery, w: WeightingSpec):
     """Dual-theory value of a lottery under weighting w (survival form).
 
-    Exact families yield an exact Fraction; transcendental families a
-    float, and DomainError for an outcome beyond the float range.
+    Exact families yield an exact Fraction, and DomainError for an order
+    past the size bound; transcendental families a float, and DomainError
+    for an outcome beyond the float range.
     """
-    h = _h_coeffs(w)
-    if h is not None:
-        return _survival_sweep(lot, *_hbar_ints(h))
-    can = canonical_distribution(lot)
-    acc = Fraction(0) if is_exact(w) else 0.0
-    prev_x = Fraction(0)
-    surv = Fraction(1)
-    for x, p in can.states:
-        if x != prev_x:
-            try:
-                acc += eval_hbar(w, surv) * (x - prev_x)
-            except OverflowError:  # a float family meeting an outcome beyond float range
-                name = type(w).__name__
-                raise DomainError(f"{name} values need outcomes within the float range") from None
-        surv -= p
-        prev_x = x
-    return acc
+    jumps, d, xd, top = _jumps(lot)
+    match w:
+        case DualPower(m=m):
+            return _survival_power(jumps, m, d, xd)
+        case Power(k=k) if k.denominator == 1:
+            return _cdf_power(jumps, k.numerator, d, xd, top)
+        case Identity():
+            return _cdf_poly(jumps, [0, 1], 1, d, xd, top)
+        case Quadratic(beta=b):
+            q, n = b.denominator, b.numerator
+            return _cdf_poly(jumps, [0, q + n, -n], q, d, xd, top)
+        case Polynomial(coeffs=c):
+            return _cdf_poly(jumps, *_common_denominator(c), d, xd, top)
+        case Tabulated(knots=knots):
+            return _cdf_tabulated(jumps, knots, d, xd, top)
+        case TverskyKahneman() | Prelec() | Power():
+            return _float_sweep(jumps, w, d, xd)
+    raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
 
 
-def _hbar_ints(h: list[Fraction]) -> tuple[list[int], int]:
-    """(b, scale) with scale * hbar(s) = sum_j b_j s^j, for h = sum_i c_i p^i.
+def _jumps(lot: Lottery) -> tuple[list[tuple[int, int]], int, int, int]:
+    """The terms of the survival sum in the lottery's integer form.
 
-    hbar(s) = 1 - sum_i c_i (1 - s)^i, expanded binomially in ints.
-    """
-    scale = lcm(*(c.denominator for c in h))
-    b = [0] * len(h)
-    b[0] = scale
-    for i, c in enumerate(h):
-        c = c.numerator * (scale // c.denominator)
-        for j in range(i + 1):
-            b[j] += (-1) ** (j + 1) * comb(i, j) * c
-    return b, scale
-
-
-def _survival_sweep(lot: Lottery, hbar: list[int], scale: int) -> Fraction:
-    """sum_i hbar(S(x_{i-1})) (x_i - x_{i-1}) over distinct outcomes, in ints.
-
-    hbar holds the integer coefficients of scale * hbar(s), lowest degree
-    first. In the lottery's integer form, with probabilities over d and
-    outcomes over xd, the survival level is an integer count s out of d,
-    and scale * d^deg * hbar(s / d) = sum_j hbar_j d^(deg - j) s^j.
+    Returns (jumps, d, xd, top). jumps holds (c, step) for each distinct
+    outcome x_i above x_{i-1} (x_0 = 0): c/d = F(x_{i-1}) is the CDF below
+    it, so d - c counts the survival level, and step/xd = x_i - x_{i-1}.
+    The steps add up to top/xd, the largest outcome.
     """
     xs, xd, ps, d = lot._ints
-    deg = len(hbar) - 1
-    coeffs = [c * d ** (deg - j) for j, c in enumerate(hbar)][::-1]
-    acc = prev = 0
-    surv = d
-    for a, p in zip(xs, ps):
-        if a != prev:
-            v = 0
-            for c in coeffs:
-                v = v * surv + c
-            acc += v * (a - prev)
-            prev = a
-        surv -= p
-    return Fraction(acc, scale * d**deg * xd)
+    steps = list(map(sub, xs, chain((0,), xs)))
+    return list(compress(zip(accumulate(ps, initial=0), steps), steps)), d, xd, xs[-1]
+
+
+def _check_order(m: int, d: int) -> None:
+    if m * d.bit_length() > _MAX_POWER_BITS:
+        raise DomainError(
+            f"order too large for an exact value: the powers of this lottery's levels "
+            f"would need more than {_MAX_POWER_BITS} bits"
+        )
+
+
+def _survival_power(jumps, m: int, d: int, xd: int) -> Fraction:
+    """sum_i S_i^m step_i for hbar(s) = s^m (DualPower(m), the m-th dual moment)."""
+    _check_order(m, d)
+    return Fraction(sum((d - c) ** m * step for c, step in jumps), d**m * xd)
+
+
+def _cdf_power(jumps, k: int, d: int, xd: int, top: int) -> Fraction:
+    """top - sum_i F_i^k step_i for h(p) = p^k: V = x_max - sum_i h(F_i) step_i."""
+    _check_order(k, d)
+    dk = d**k
+    return Fraction(dk * top - sum(c**k * step for c, step in jumps), dk * xd)
+
+
+def _cdf_poly(jumps, hs: list[int], scale: int, d: int, xd: int, top: int) -> Fraction:
+    """x_max - sum_i h(F_i) step_i for h = sum_i hs_i p^i / scale.
+
+    scale d^deg h(c/d) = sum_i hs_i d^(deg-i) c^i, by Horner at each CDF count c.
+    """
+    deg = len(hs) - 1
+    coeffs = [h * d ** (deg - i) for i, h in enumerate(hs)][::-1]
+    acc = 0
+    for c, step in jumps:
+        v = 0
+        for k in coeffs:
+            v = v * c + k
+        acc += v * step
+    den = scale * d**deg
+    return Fraction(den * top - acc, den * xd)
+
+
+def _cdf_tabulated(jumps, knots, d: int, xd: int, top: int) -> Fraction:
+    """x_max - sum_i h(F_i) step_i for piecewise-linear h, in ints.
+
+    With knot abscissae P_j/pd, values V_j/vd and L the lcm of the segment
+    widths, on segment j (width g = P_j - P_{j-1}, rise r = V_j - V_{j-1})
+    vd L d h(c/d) = (L/g) (d (V_{j-1} g - r P_{j-1}) + r pd c).
+    The CDF counts rise, so the segment pointer only moves forward.
+    """
+    ps, pd = _common_denominator([p for p, _ in knots])
+    vs, vd = _common_denominator([v for _, v in knots])
+    width = lcm(*map(sub, ps[1:], ps))
+    acc, j, right = 0, 1, -1
+    for c, step in jumps:
+        cp = c * pd
+        if cp > right:  # past segment j: the first knot at or right of c/d closes it
+            while ps[j] * d < cp:
+                j += 1
+            right = ps[j] * d
+            g, r = ps[j] - ps[j - 1], vs[j] - vs[j - 1]
+            base = width // g * d * (vs[j - 1] * g - r * ps[j - 1])
+            slope = width // g * r * pd
+        acc += (base + slope * c) * step
+    den = vd * width * d
+    return Fraction(den * top - acc, den * xd)
+
+
+def _float_sweep(jumps, w: WeightingSpec, d: int, xd: int) -> float:
+    """sum_i hbar(S_i) step_i in floats; the level c/d and the step step/xd
+    are int true divisions, so each is the correctly rounded float of its
+    rational."""
+    acc = 0.0
+    try:
+        for c, step in jumps:
+            acc += (1 - eval_h(w, c / d)) * (step / xd)
+    except OverflowError:  # an outcome beyond float range
+        name = type(w).__name__
+        raise DomainError(f"{name} values need outcomes within the float range") from None
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +306,8 @@ def dual_moment(lot: Lottery, m: int) -> Fraction:
     """
     if m < 1:
         raise DomainError(f"dual moment order must be >= 1, got {m}")
-    return _survival_sweep(lot, [0] * m + [1], 1)
+    jumps, d, xd, _ = _jumps(lot)
+    return _survival_power(jumps, m, d, xd)
 
 
 def dual_moment_weights(n: int, m: int) -> list[Fraction]:

@@ -3,8 +3,10 @@
 They share no code path with the functions under test: the Monte Carlo
 oracle samples draws with numpy, the float dual-theory value is summed
 in mpmath at 60 digits, the knot interpolation walks the segments one by
-one, the exact dual-theory value is summed in CDF form, the dual moment
-is a Fraction loop over the survival function, the CDF and quantile walk
+one, the exact dual-theory value is summed in CDF form, the survival
+loop sums eval_hbar at Fraction survival levels (where the library
+sweeps integer CDF counts), the dual moment is a Fraction loop over the
+survival function, the CDF and quantile walk
 the states one by one, the mean, raw and central moments are Fraction
 sums over the states (where the library sums the lottery's integer form),
 the lottery parser reads every literal with rat and checks mass, signs
@@ -40,6 +42,7 @@ from dualrisk import (
     canonical_distribution,
     dual_power_mixture,
     eval_h,
+    eval_hbar,
     is_exact,
     rat,
 )
@@ -282,6 +285,26 @@ def dt_value_cdf_form(lot: Lottery, w):
         cur_h = eval_h(w, cum)
         acc += x * (cur_h - prev_h)
         prev_h = cur_h
+    return acc
+
+
+def dt_value_survival_loop(lot: Lottery, w):
+    """Dual-theory value as sum_i hbar(S(x_{i-1})) (x_i - x_{i-1}), with
+    eval_hbar at each Fraction survival level of the merged distribution:
+    Fractions for the exact families, floats for the others, and
+    DomainError for a float family meeting an outcome beyond float range."""
+    acc = Fraction(0) if is_exact(w) else 0.0
+    prev_x = Fraction(0)
+    surv = Fraction(1)
+    for x, p in canonical_distribution(lot).states:
+        if x != prev_x:
+            try:
+                acc += eval_hbar(w, surv) * (x - prev_x)
+            except OverflowError:
+                name = type(w).__name__
+                raise DomainError(f"{name} values need outcomes within the float range") from None
+        surv -= p
+        prev_x = x
     return acc
 
 

@@ -144,6 +144,34 @@ class TestEval:
         assert captured.err.startswith("error: ") and "within the float range" in captured.err
 
 
+    @pytest.mark.parametrize("spec", ["power:k=1e400", "dualpower:m=" + "1" + "0" * 400])
+    def test_order_past_the_exact_size_bound(self, lottery_files, capsys, spec):
+        a, _ = lottery_files
+        assert main(["eval", a, "--weighting", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: order too large for an exact value")
+
+    @pytest.mark.parametrize("spec", ["power:k=2000", "dualpower:m=2000"])
+    def test_large_order_on_two_states(self, lottery_files, capsys, spec):
+        a, _ = lottery_files
+        assert main(["eval", a, "--weighting", spec, "--format", "csv"]) == 0
+        rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(capsys.readouterr().out))}
+        assert set(rows["value"][0]) <= set("0123456789/")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int-to-text digit limit in this interpreter",
+    )
+    def test_exact_cell_past_the_int_text_limit(self, tmp_path, capsys):
+        path = tmp_path / "many.txt"
+        path.write_text("".join(f"{i}/{i % 7 + 2} {i + 1}/2080\n" for i in range(64)))
+        assert main(["eval", str(path), "--weighting", "power:k=2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: exact value too long to print")
+
+
 class TestDominance:
     def test_dual_check_reports_the_moment_gap(self, lottery_files, capsys):
         a, b = lottery_files

@@ -12,10 +12,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualrisk import (
+    DomainError,
     DualPower,
     EqualProbLottery,
     Identity,
@@ -23,10 +24,12 @@ from dualrisk import (
     NonMonotoneUtility,
     Polynomial,
     Power,
+    Prelec,
     Quadratic,
     QuadraticUtility,
     Tabulated,
     TabulatedUtility,
+    TverskyKahneman,
     canonical_distribution,
     dt_value,
     dual_moment,
@@ -40,7 +43,12 @@ from dualrisk import (
 )
 
 from conftest import equal_prob_lotteries, lotteries, rational, tied_lotteries
-from oracles import dt_value_cdf_form, dual_moment_mc_oracle, dual_moment_survival
+from oracles import (
+    dt_value_cdf_form,
+    dt_value_survival_loop,
+    dual_moment_mc_oracle,
+    dual_moment_survival,
+)
 
 F = Fraction
 
@@ -221,6 +229,118 @@ class TestIntegerSweep:
             for m in range(1, 9):
                 value = dual_moment(lot, m)
                 assert type(value) is Fraction and value == 0
+
+
+@st.composite
+def knot_grid_cases(draw):
+    """A Tabulated weighting and a lottery on one grid of step 1/q, so CDF
+    levels often land on knots; segment widths differ (their lcm is > 1),
+    knot values tie (flat segments), and outcomes tie and sit at 0."""
+    q = draw(st.sampled_from([2, 3, 4, 6, 12, 30]))
+    ps = [F(i, q) for i in sorted(set(draw(st.lists(st.integers(1, q - 1), max_size=5))))]
+    if draw(st.booleans()):  # one knot off the grid
+        off = F(draw(st.integers(1, 6)), 7 * q)
+        ps = sorted(set(ps) | {off})
+    levels = st.sampled_from([F(0), F(1, 5), F(1, 3), F(1, 2), F(1)])
+    vs = sorted(draw(st.lists(levels, min_size=len(ps), max_size=len(ps))))
+    w = Tabulated(((F(0), F(0)), *zip(ps, vs), (F(1), F(1))))
+    cuts = sorted(set(draw(st.lists(st.integers(1, q - 1), max_size=6))))
+    probs = [F(b - a, q) for a, b in zip([0, *cuts], [*cuts, q])]
+    pool = draw(st.lists(rational(0, 16), min_size=1, max_size=3)) + [F(0)]
+    outcomes = draw(st.lists(st.sampled_from(pool), min_size=len(probs), max_size=len(probs)))
+    return make_lottery(list(zip(outcomes, probs))), w
+
+
+@st.composite
+def wide_lotteries(draw):
+    """Outcomes and probabilities with numerators and denominators past
+    2^53, so the float levels and steps round."""
+    n = draw(st.integers(1, 6))
+    outcomes = [F(draw(st.integers(0, 10**30)), draw(st.integers(1, 10**12))) for _ in range(n)]
+    weights = draw(st.lists(st.integers(1, 10**20), min_size=n, max_size=n))
+    return make_lottery([(x, F(w, sum(weights))) for x, w in zip(outcomes, weights)])
+
+
+FLOAT_FAMILIES = (
+    TverskyKahneman(0.61),
+    TverskyKahneman(0.9),
+    Prelec(0.65, 1.0),
+    Prelec(0.5, 0.8),
+    Power(F(3, 2)),
+    Power(F(1, 3)),
+)
+
+
+class TestOneSweep:
+    """Every family goes through the one integer sweep over the lottery's
+    integer form; the references are the Fraction CDF form and the
+    eval_hbar survival loop."""
+
+    @given(knot_grid_cases())
+    @example((make_lottery([(0, 1)]), Tabulated(((0, 0), (F(1, 3), F(1, 2)), (1, 1)))))
+    @example(
+        (
+            make_lottery([(F(5, 2), 1)]),
+            Tabulated(((0, 0), (F(1, 4), F(1, 2)), (F(1, 3), F(1, 2)), (1, 1))),
+        )
+    )
+    @example(
+        (
+            make_lottery([(0, F(1, 4)), (2, F(1, 12)), (2, F(1, 6)), (7, F(1, 2))]),
+            Tabulated(((0, 0), (F(1, 4), F(1, 5)), (F(1, 2), F(1, 3)), (1, 1))),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tabulated_equals_the_cdf_form(self, case):
+        lot, w = case
+        value = dt_value(lot, w)
+        assert type(value) is Fraction
+        assert value == dt_value_cdf_form(lot, w) == dt_value_survival_loop(lot, w)
+
+    @given(st.one_of(any_lottery, wide_lotteries(), st.sampled_from(zero_point_masses)))
+    @settings(max_examples=200, deadline=None)
+    def test_float_families_equal_the_survival_loop(self, lot):
+        for w in FLOAT_FAMILIES:
+            value = dt_value(lot, w)
+            assert type(value) is float
+            assert value == dt_value_survival_loop(lot, w)
+
+    def test_zero_point_mass_types(self):
+        knots = Tabulated(((0, 0), (F(1, 2), F(1, 4)), (1, 1)))
+        for lot in zero_point_masses:
+            value = dt_value(lot, knots)
+            assert type(value) is Fraction and value == 0
+            for w in FLOAT_FAMILIES:
+                value = dt_value(lot, w)
+                assert type(value) is float and value == 0.0
+
+    @pytest.mark.parametrize("w", FLOAT_FAMILIES)
+    def test_float_family_beyond_float_range(self, w):
+        for lot in (make_lottery([(10**400, 1)]), make_lottery([(1, F(1, 2)), (10**309, F(1, 2))])):
+            with pytest.raises(DomainError, match="within the float range"):
+                dt_value(lot, w)
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_large_integer_orders(self, n):
+        rng = random.Random(n)
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        lot = make_lottery(
+            [(F(rng.randint(0, 50), rng.randint(1, 9)), F(w, sum(weights))) for w in weights]
+        )
+        for w in (Power(2000), DualPower(2000)):
+            value = dt_value(lot, w)
+            assert type(value) is Fraction and value == dt_value_cdf_form(lot, w)
+        assert dual_moment(lot, 2000) == dual_moment_survival(lot, 2000)
+
+    def test_orders_past_the_exact_size_bound(self):
+        lot = make_lottery([(1, F(1, 2)), (3, F(1, 2))])
+        for call in (
+            lambda: dt_value(lot, Power(10**400)),
+            lambda: dt_value(lot, DualPower(10**400)),
+            lambda: dual_moment(lot, 10**400),
+        ):
+            with pytest.raises(DomainError, match="order too large"):
+                call()
 
 
 class TestEuValue:
