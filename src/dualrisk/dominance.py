@@ -10,24 +10,42 @@ replaces those with exact equality of the first m-1 raw moments.
 Each of these integrals is a truncated-power spline: the quantile
 function jumps by x_i - x_(i-1) at the cumulative probability below
 state i, the CDF by p_i at outcome x_i, and each jump J at knot c adds
-J (t - c)_+^(m-1) / (m-1)! to the (m-1)-fold integral. So the pointwise
-difference of two of them is built directly from the merged jump lists,
-one integer polynomial per piece of the union of both breakpoint grids,
-and each piece is certified non-negative by root isolation; failures come
-with a rational witness point. The endpoint conditions are the same sums
-taken at the right end. All comparisons are exact.
+J (t - c)_+^(m-1) / (m-1)! to the (m-1)-fold integral. The jump lists
+come straight from the lotteries' integer form with ties merged
+(lottery._merged): quantile knots are running probability counts and
+jumps outcome steps, CDF knots are outcomes and jumps probability
+counts. Two lotteries meet over one knot denominator L and one jump
+denominator D by integer multiplication, and the difference spline is
+built from the merged list, one integer polynomial per piece of the
+union of both grids (piecewise.spline_pieces). A piece is accepted when
+its Taylor or Bernstein coefficients are all >= 0
+(polyops.bernstein_nonneg); every other piece is certified by Sturm root
+isolation, and failures come with a rational witness point. The
+pre-check only accepts pieces that are non-negative, so results and
+witnesses are the ones Sturm alone gives. The endpoint conditions are
+one integer sum each at the top outcome. All comparisons are exact, and
+degrees past MAX_DEGREE are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from math import lcm
+from operator import sub
 
 from .errors import DomainError
-from .lottery import Lottery, canonical_distribution, mean
-from .piecewise import PiecewisePoly, spline, spline_at, spline_pieces
-from .polyops import nonneg_on_interval
+from .lottery import Lottery, _merged, mean
+from .piecewise import PiecewisePoly, global_coeffs, spline, spline_pieces
+from .polyops import bernstein_nonneg, nonneg_on_interval
 from .valuation import dual_moment, raw_moment
+
+# Past this degree a check is refused. A piece's coefficients grow with
+# the degree's power of the knot numerators: on two 128-state lotteries
+# one Sturm certificate takes about 4 ms at degree 16 and 130 ms at 32,
+# and a check may need one per piece.
+MAX_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -42,29 +60,42 @@ class DominanceReport:
         return self.holds
 
 
-def _quantile_jumps(lot: Lottery):
-    """Breakpoints and (knot, jump) pairs of the left-continuous quantile
-    step function on [0, 1]; its first jump, at 0, is the lowest outcome."""
-    can = canonical_distribution(lot)
-    cum, jumps, prev = [Fraction(0)], [], Fraction(0)
-    for x, p in can.states:
-        jumps.append((cum[-1], x - prev))
-        cum.append(cum[-1] + p)
-        prev = x
-    cum[-1] = Fraction(1)
-    return cum, jumps
+def _quantile_steps(lot):
+    """(knots, jumps, L, D) of the left-continuous quantile function on
+    [0, 1]: at the probability knots[i]/L below each distinct outcome it
+    jumps by jumps[i]/D, the step up to that outcome from the one below
+    (from 0 for the lowest)."""
+    xs, xd, ps, pd = _merged(lot)
+    return list(accumulate(ps[:-1], initial=0)), list(map(sub, xs, chain((0,), xs))), pd, xd
 
 
-def _cdf_jumps(lot: Lottery, hi: Fraction):
-    """Breakpoints and (knot, jump) pairs of the left-continuous CDF step
-    function on [0, hi]: the mass at each outcome, a mass at 0 from the start."""
-    if hi < max(lot.outcomes) or hi <= 0:
-        raise DomainError("iterated CDF domain must cover the support and have positive length")
-    can = canonical_distribution(lot)
-    pts = [Fraction(0)] + [x for x in can.outcomes if x > 0]
-    if pts[-1] < hi:
-        pts.append(hi)
-    return pts, list(can.states)
+def _cdf_steps(lot):
+    """(knots, jumps, L, D) of the left-continuous CDF: at each distinct
+    outcome knots[i]/L it jumps by that outcome's mass jumps[i]/D."""
+    xs, xd, ps, pd = _merged(lot)
+    return xs, ps, xd, pd
+
+
+def _gap(f, g):
+    """g - f as one (knots, jumps, L, D) list over common denominators."""
+    fk, fj, fl, fd = f
+    gk, gj, gl, gd = g
+    big_l, big_d = lcm(fl, gl), lcm(fd, gd)
+    rf, rg, sf, sg = big_l // fl, big_l // gl, big_d // fd, big_d // gd
+    knots = [u * rf for u in fk] + [u * rg for u in gk]
+    jumps = [-v * sf for v in fj] + [v * sg for v in gj]
+    return knots, jumps, big_l, big_d
+
+
+def _check_positive(m: int, what: str) -> None:
+    if m < 1:
+        raise DomainError(f"{what} must be >= 1, got {m}")
+
+
+def _check_degree(m: int) -> None:
+    _check_positive(m, "dominance degree")
+    if m > MAX_DEGREE:
+        raise DomainError(f"dominance degree must be <= {MAX_DEGREE}, got {m}")
 
 
 def iterated_quantile(lot: Lottery, m: int) -> PiecewisePoly:
@@ -73,33 +104,41 @@ def iterated_quantile(lot: Lottery, m: int) -> PiecewisePoly:
     m = 1 is the left-continuous quantile step function itself, with
     breakpoints at the cumulative probabilities.
     """
-    if m < 1:
-        raise DomainError(f"iteration order must be >= 1, got {m}")
-    return spline(*_quantile_jumps(lot), m)
+    _check_positive(m, "iteration order")
+    knots, jumps, big_l, big_d = _quantile_steps(lot)
+    return spline(knots, jumps, big_l, big_l, big_d, m)
 
 
 def iterated_cdf(lot: Lottery, m: int, hi: Fraction) -> PiecewisePoly:
     """(m-1)-fold integral from 0 of the CDF on [0, hi]."""
-    if m < 1:
-        raise DomainError(f"iteration order must be >= 1, got {m}")
-    return spline(*_cdf_jumps(lot, hi), m)
+    _check_positive(m, "iteration order")
+    if hi < max(lot.outcomes) or hi <= 0:
+        raise DomainError("iterated CDF domain must cover the support and have positive length")
+    knots, jumps, xd, big_d = _cdf_steps(lot)
+    big_l = lcm(xd, hi.denominator)
+    r = big_l // xd
+    end = hi.numerator * (big_l // hi.denominator)
+    return spline([u * r for u in knots], jumps, end, big_l, big_d, m)
 
 
-def _minus(jumps):
-    return [(c, -j) for c, j in jumps]
+def _pointwise_leq(knots, jumps, end: int, big_l: int, m: int):
+    """Exact check that the order-m spline of the jump list (knots, jumps)
+    over L, a difference g - f, stays >= 0 on [0, end / L]; (ok, witness).
 
-
-def _pointwise_leq(f, g, m: int):
-    """Exact check that the order-m spline of step function f (breakpoints,
-    jumps) stays <= that of g on their common domain; (ok, witness)."""
-    grid, pieces, _ = spline_pieces(f[0] + g[0], g[1] + _minus(f[1]), m)
-    for i, (a, b, coeffs) in enumerate(zip(grid, grid[1:], pieces)):
-        ok, witness = nonneg_on_interval(coeffs, a, b)
+    A piece that bernstein_nonneg accepts is non-negative; every other one
+    goes to the Sturm certificate in the global variable.
+    """
+    grid, pieces = spline_pieces(knots, jumps, end, m)
+    for i, (a, b, piece) in enumerate(zip(grid, grid[1:], pieces)):
+        if bernstein_nonneg(piece, b - a):
+            continue
+        lo = Fraction(a, big_l)
+        ok, witness = nonneg_on_interval(global_coeffs(piece, a, big_l), lo, Fraction(b, big_l))
         if not ok:
             # the difference takes its left piece's (certified) value at an
             # interior breakpoint; only a step piece can be negative there,
             # and then it is negative on all of (a, b]
-            return False, b if (i and witness == a) else witness
+            return False, Fraction(b, big_l) if (i and witness == lo) else witness
     return True, None
 
 
@@ -109,16 +148,17 @@ def dual_sd_check(a: Lottery, b: Lottery, m: int) -> DominanceReport:
     Checks, in order and without assuming any redundancy: mean(a) <=
     mean(b); dual moments 2..m-1 of a below b's; and the pointwise
     comparison of m-fold iterated quantiles. The first failed condition is
-    reported, with a rational witness for pointwise failures.
+    reported, with a rational witness for pointwise failures. Degrees
+    past MAX_DEGREE are a DomainError.
     """
-    if m < 1:
-        raise DomainError(f"dominance degree must be >= 1, got {m}")
+    _check_degree(m)
     if m >= 2 and mean(a) > mean(b):
         return DominanceReport("dual", m, False, "mean")
     for k in range(2, m):
         if dual_moment(a, k) > dual_moment(b, k):
             return DominanceReport("dual", m, False, f"dual_moment_{k}")
-    ok, witness = _pointwise_leq(_quantile_jumps(a), _quantile_jumps(b), m)
+    knots, jumps, big_l, _ = _gap(_quantile_steps(a), _quantile_steps(b))
+    ok, witness = _pointwise_leq(knots, jumps, big_l, big_l, m)
     if not ok:
         return DominanceReport("dual", m, False, "iterated_quantile", witness)
     return DominanceReport("dual", m, True)
@@ -130,25 +170,26 @@ def primal_sd_check(a: Lottery, b: Lottery, m: int, ekern: bool = False) -> Domi
     Pointwise, the m-fold iterated CDF of b must sit below a's. The plain
     variant adds the endpoint conditions of orders 2..m-1 (equivalent to
     the partial moment conditions); the Ekern variant instead requires the
-    first m-1 raw moments to agree exactly.
+    first m-1 raw moments to agree exactly. Degrees past MAX_DEGREE are a
+    DomainError.
     """
-    if m < 1:
-        raise DomainError(f"dominance degree must be >= 1, got {m}")
+    _check_degree(m)
     kind = "primal-ekern" if ekern else "primal"
     if ekern:
         for k in range(1, m):
             if raw_moment(a, k) != raw_moment(b, k):
                 return DominanceReport(kind, m, False, f"raw_moment_{k}")
-    hi = max(max(a.outcomes), max(b.outcomes))
-    if hi == 0:
+    knots, jumps, big_l, _ = _gap(_cdf_steps(b), _cdf_steps(a))
+    top = max(knots)
+    if top == 0:
         return DominanceReport(kind, m, True)
-    fa, fb = _cdf_jumps(a, hi), _cdf_jumps(b, hi)
     if not ekern:
-        gap = fa[1] + _minus(fb[1])
+        # the order-k integral of F_a - F_b at the top outcome, times
+        # D L^(k-1) (k-1)!; a jump at the top adds nothing for k >= 2
         for k in range(2, m):
-            if spline_at(gap, hi, k) < 0:
+            if sum(v * (top - u) ** (k - 1) for u, v in zip(knots, jumps)) < 0:
                 return DominanceReport(kind, m, False, f"endpoint_{k}")
-    ok, witness = _pointwise_leq(fb, fa, m)
+    ok, witness = _pointwise_leq(knots, jumps, top, big_l, m)
     if not ok:
         return DominanceReport(kind, m, False, "iterated_cdf", witness)
     return DominanceReport(kind, m, True)

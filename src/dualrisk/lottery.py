@@ -12,7 +12,9 @@ their lcm denominator and the probability numerators over theirs.
 make_lottery and parse_lottery_text build it while they check the
 states, so the sign checks, the unit-mass check and the stable sort by
 outcome run in ints; mean, raw_moment, primal_moment and the survival
-sweep of the valuation module read it.
+sweep of the valuation module read it. canonical_distribution merges
+ties on that form and hands the merged form on with its result, and the
+dominance checks build their jump lists from the same merge.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from math import gcd
+from operator import lt, mul
 
 from .errors import (
     DomainError,
@@ -139,16 +142,38 @@ def as_distribution(obj) -> Lottery:
     return obj.to_lottery() if isinstance(obj, EqualProbLottery) else obj
 
 
-def canonical_distribution(lot: Lottery) -> Lottery:
-    """Merge states with equal outcomes; the distribution itself."""
-    lot = as_distribution(lot)
-    merged: list[tuple[Fraction, Fraction]] = []
-    for x, p in lot.states:
-        if merged and merged[-1][0] == x:
-            merged[-1] = (x, merged[-1][1] + p)
+def _merged(lot) -> tuple[list[int], int, list[int], int]:
+    """The integer form with ties merged: (xs, xd, ps, pd) with xs strictly
+    increasing and ps[i]/pd the total probability of outcome xs[i]/xd.
+
+    Without ties these are the lottery's own lists; callers do not mutate them.
+    """
+    xs, xd, ps, pd = lot._ints
+    if all(map(lt, xs, xs[1:])):
+        return xs, xd, ps, pd
+    ux, up = [xs[0]], [ps[0]]
+    for x, p in zip(xs[1:], ps[1:]):
+        if x == ux[-1]:
+            up[-1] += p
         else:
-            merged.append((x, p))
-    return Lottery(tuple(merged))
+            ux.append(x)
+            up.append(p)
+    return ux, xd, up, pd
+
+
+def canonical_distribution(lot: Lottery) -> Lottery:
+    """Merge states with equal outcomes; the distribution itself.
+
+    The ties merge on the integer form, which the result carries (its
+    probability numerators over their lcm denominator)."""
+    lot = as_distribution(lot)
+    xs, xd, ps, pd = _merged(lot)
+    if len(xs) == len(lot.states):
+        return lot
+    g = gcd(pd, *ps)
+    ps, pd = [p // g for p in ps], pd // g
+    states = tuple((Fraction(x, xd), Fraction(p, pd)) for x, p in zip(xs, ps))
+    return _with_ints(states, (xs, xd, ps, pd))
 
 
 def mean(lot: Lottery) -> Fraction:

@@ -4,14 +4,16 @@ truncated-power splines that the dominance checks compare.
 A PiecewisePoly stores each piece's coefficients in the global variable
 (not shifted per piece) and evaluates left-continuously.
 
-The (m-1)-fold integral, from the left end, of a left-continuous step
-function has a closed form: each jump J at knot c adds
-J (t - c)_+^(m-1) / (m-1)!, the truncated-power basis of spline theory.
-With the breakpoints over one denominator L (c = u/L) and the jumps over
-one denominator D (J = v/D), D L^(m-1) (m-1)! times the spline on a piece
-(a, b] is the integer polynomial sum_{c <= a} v (L t - u)^(m-1).
-spline_pieces walks the breakpoints once and adds each jump's binomial
-expansion to a running list of Python ints.
+The (m-1)-fold integral, from 0, of a left-continuous step function has
+a closed form: each jump J at knot c adds J (t - c)_+^(m-1) / (m-1)!,
+the truncated-power basis of spline theory. The builder reads the knots
+and jumps as integers over one denominator each: knot u stands for
+c = u/L and jump v for J = v/D, so with w = L t the spline on a piece
+(a, b] is sum_{u <= a} v (w - u)^(m-1) over D L^(m-1) (m-1)!, an integer
+polynomial in w. spline_pieces walks the sorted knots once and keeps that
+polynomial in the local variable w - a (its Taylor coefficients at the
+piece's left end): moving to the next knot is a Taylor shift by the
+integer gap, and a jump there adds to the top coefficient only.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import DomainError
-from .polyops import peval, ptrim
-from .rationals import _common_denominator
+from .polyops import peval, pshift, ptrim
 
 
 @dataclass(frozen=True)
@@ -58,51 +59,44 @@ class PiecewisePoly:
         return peval(list(self.pieces[self.piece_index(x)]), x)
 
 
-def spline_pieces(breakpoints, jumps, m: int) -> tuple[list[Fraction], list[list[int]], int]:
-    """The spline sum_j J_j (t - c_j)_+^(m-1) / (m-1)! piece by piece, in ints.
+def spline_pieces(knots, jumps, end: int, m: int) -> tuple[list[int], list[list[int]]]:
+    """The spline sum_j v_j (w - u_j)_+^(m-1) on [0, end], piece by piece, in ints.
 
-    breakpoints (a list of Fractions) bound the pieces; they may come in
-    any order and repeat, and every knot c_j must be among them. jumps
-    are (c, J) Fractions; jumps at one knot add up, and a knot whose jumps
-    cancel still bounds its pieces. Returns (grid, pieces, scale): grid is
-    the sorted distinct breakpoints, and pieces[i] lists the int
-    coefficients, lowest power first, of scale times the spline on
-    (grid[i], grid[i+1]], scale > 0.
+    knots (ints u_j in [0, end]) and jumps (ints v_j) are parallel lists in
+    any order; jumps at one knot add up, and a knot whose jumps cancel
+    still bounds its pieces. Returns (grid, pieces): grid is 0, the
+    distinct knots and end, sorted, and pieces[i] lists the coefficients
+    of the spline on (grid[i], grid[i+1]] in w - grid[i], lowest power
+    first.
     """
-    us, big_l = _common_denominator(breakpoints)
-    point = dict(zip(us, breakpoints))
-    grid_u = sorted(point)
-    vs, big_d = _common_denominator([j for _, j in jumps])
     net: defaultdict[int, int] = defaultdict(int)
-    for (c, _), v in zip(jumps, vs):
-        net[c.numerator * (big_l // c.denominator)] += v
+    for u, v in zip(knots, jumps):
+        net[u] += v
+    grid = sorted(net.keys() | {0, end})
     n = m - 1
-    weights = [comb(n, k) * big_l**k for k in range(n + 1)]
-    acc = [0] * (n + 1)
-    pieces = []
-    for u in grid_u[:-1]:
-        v = net.get(u)
-        if v:  # add v (L t - u)^n, binomially
-            for k in range(n, -1, -1):
-                acc[k] += weights[k] * v
-                v *= -u
-        pieces.append(list(acc))
-    return [point[u] for u in grid_u], pieces, big_d * big_l**n * factorial(n)
+    acc, prev, pieces = [0] * (n + 1), 0, []
+    for u in grid[:-1]:
+        acc = pshift(acc, u - prev)
+        acc[n] += net.get(u, 0)  # v (w - u)^n is v y^n in y = w - u
+        pieces.append(acc)
+        prev = u
+    return grid, pieces
 
 
-def spline(breakpoints, jumps, m: int) -> PiecewisePoly:
-    """The spline of spline_pieces as a PiecewisePoly over Fractions."""
-    grid, pieces, scale = spline_pieces(breakpoints, jumps, m)
+def global_coeffs(piece: list[int], a: int, big_l: int) -> list[int]:
+    """The coefficients in t = w / L of a piece given in w - a."""
+    return [c * big_l**k for k, c in enumerate(pshift(piece, -a))]
+
+
+def spline(knots, jumps, end: int, big_l: int, big_d: int, m: int) -> PiecewisePoly:
+    """The spline sum_j (v_j / D) (t - u_j / L)_+^(m-1) / (m-1)! on [0, end / L],
+    from the ints of spline_pieces, as a PiecewisePoly over Fractions."""
+    grid, pieces = spline_pieces(knots, jumps, end, m)
+    scale = big_d * big_l ** (m - 1) * factorial(m - 1)
     return PiecewisePoly(
-        tuple(grid), tuple(tuple(Fraction(c, scale) for c in ptrim(p)) for p in pieces)
+        tuple(Fraction(u, big_l) for u in grid),
+        tuple(
+            tuple(Fraction(c, scale) for c in ptrim(global_coeffs(p, a, big_l)))
+            for a, p in zip(grid, pieces)
+        ),
     )
-
-
-def spline_at(jumps, x: Fraction, m: int) -> Fraction:
-    """sum_j J_j (x - c_j)_+^(m-1) / (m-1)!, the left-continuous value at x."""
-    live = [(c, j) for c, j in jumps if c < x]
-    vs, big_d = _common_denominator([j for _, j in live])
-    us, big_l = _common_denominator([x] + [c for c, _ in live])
-    top, n = us[0], m - 1
-    total = sum(v * (top - u) ** n for v, u in zip(vs, us[1:]))
-    return Fraction(total, big_d * big_l**n * factorial(n))

@@ -13,6 +13,12 @@ all computed in Python ints. Its bisection points are the same Fractions
 a Sturm chain over the rationals would visit, so it returns the same
 intervals and the same rational witnesses.
 
+bernstein_nonneg is an accept-only pre-check in ints: an integer
+polynomial whose coefficients, or whose Bernstein coefficients on the
+interval, are all >= 0 is non-negative there, and a False from it
+decides nothing, so callers hand every other polynomial to
+nonneg_on_interval.
+
 Degrees in this package stay small (at most the dominance order plus a
 couple), which keeps coefficient growth harmless.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 Poly = list[Fraction]
 
@@ -56,6 +62,39 @@ def pderiv(c: Poly) -> Poly:
     if len(c) <= 1:
         return [_ZERO]
     return ptrim([c[i] * i for i in range(1, len(c))])
+
+
+def pshift(c: Poly, h) -> Poly:
+    """The coefficients of c(x + h), a new list: Horner's rule repeated
+    (the Taylor shift); ints stay ints."""
+    c = list(c)
+    if h:
+        n = len(c) - 1
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                c[k] += h * c[k + 1]
+    return c
+
+
+def bernstein_nonneg(c: list[int], h: int) -> bool:
+    """An accept-only certificate that the integer polynomial c is >= 0 on [0, h], h > 0.
+
+    True when every coefficient of c is >= 0, or every Bernstein
+    coefficient of c on [0, h] is (Farouki & Rajan 1988): c(h s) =
+    sum_i b_i C(n, i) s^i (1 - s)^(n-i) on s in [0, 1], so b_i >= 0 for
+    all i bounds c below by 0 there. In ints, n! b_i = sum_{k <= i}
+    C(i, k) c_k h^k k! (n-k)!. False decides nothing.
+    """
+    if min(c) >= 0:
+        return True
+    if c[0] < 0:  # b_0 = c(0)
+        return False
+    n = len(c) - 1
+    d = [x * h**k * factorial(k) * factorial(n - k) for k, x in enumerate(c)]
+    for j in range(1, n + 1):  # Pascal passes: d_i becomes sum_k C(i, k) d_k
+        for i in range(n, j - 1, -1):
+            d[i] += d[i - 1]
+    return min(d) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .weighting import (
     Tabulated,
     TverskyKahneman,
     WeightingSpec,
+    _check_power,
     eval_h,
 )
 
@@ -145,12 +146,6 @@ def eu_value(lot: Lottery, u: UtilityFunction) -> Fraction:
 # ---------------------------------------------------------------------------
 # dual-theory value
 
-# Bound on m * bitlength(d) for an exact order m: the m-th powers of the
-# levels have about that many bits, and the gcd that reduces the result
-# takes time quadratic in it (about 2 s at this bound).
-_MAX_POWER_BITS = 1 << 20
-
-
 def dt_value(lot: Lottery, w: WeightingSpec):
     """Dual-theory value of a lottery under weighting w (survival form).
 
@@ -191,23 +186,15 @@ def _jumps(lot: Lottery) -> tuple[list[tuple[int, int]], int, int, int]:
     return list(compress(zip(accumulate(ps, initial=0), steps), steps)), d, xd, xs[-1]
 
 
-def _check_order(m: int, d: int) -> None:
-    if m * d.bit_length() > _MAX_POWER_BITS:
-        raise DomainError(
-            f"order too large for an exact value: the powers of this lottery's levels "
-            f"would need more than {_MAX_POWER_BITS} bits"
-        )
-
-
 def _survival_power(jumps, m: int, d: int, xd: int) -> Fraction:
     """sum_i S_i^m step_i for hbar(s) = s^m (DualPower(m), the m-th dual moment)."""
-    _check_order(m, d)
+    _check_power(m, d.bit_length())
     return Fraction(sum((d - c) ** m * step for c, step in jumps), d**m * xd)
 
 
 def _cdf_power(jumps, k: int, d: int, xd: int, top: int) -> Fraction:
     """top - sum_i F_i^k step_i for h(p) = p^k: V = x_max - sum_i h(F_i) step_i."""
-    _check_order(k, d)
+    _check_power(k, d.bit_length())
     dk = d**k
     return Fraction(dk * top - sum(c**k * step for c, step in jumps), dk * xd)
 

@@ -6,6 +6,12 @@ exponent, DualPower, Tabulated, and Polynomial evaluate exactly over
 rationals; TverskyKahneman and Prelec are transcendental and evaluate in
 floats.
 
+A Power or DualPower order n is evaluated only while n times the bit
+size of the point (its denominator's bits, 1 for a float) stays within
+2^20, the bound dt_value applies to the lottery's probability
+denominator; past it every evaluation, finite difference and analytic
+sign is a DomainError, never an OverflowError or an unbounded power.
+
 The dual weighting function hbar(p) = 1 - h(1 - p) is the survival-side
 twin: its m-th forward difference equals (-1)^(m+1) times the m-th
 forward difference of h at the reflected start point, so sign statements
@@ -156,6 +162,26 @@ def _check_unit(p) -> None:
         raise DomainError(f"weighting argument must lie in [0, 1], got {p}")
 
 
+# Bound on order * bits for an exact power: the order-th power of a
+# bits-bit number has about that many bits, and the gcd that reduces an
+# exact result takes time quadratic in it (about 2 s at this bound).
+_MAX_POWER_BITS = 1 << 20
+
+
+def _check_power(order, bits: int) -> None:
+    """DomainError when order * bits passes _MAX_POWER_BITS."""
+    if order * bits > _MAX_POWER_BITS:
+        raise DomainError(
+            f"order too large for an exact value: its powers would need more than "
+            f"{_MAX_POWER_BITS} bits"
+        )
+
+
+def _bits(p) -> int:
+    """The size of p in [0, 1] for the bound: its denominator's bits, 1 for a float."""
+    return 1 if isinstance(p, float) else p.denominator.bit_length()
+
+
 def eval_h(w: WeightingSpec, p):
     """Evaluate h at p in [0, 1]. Exact families preserve Fraction inputs."""
     _check_unit(p)
@@ -166,9 +192,12 @@ def eval_h(w: WeightingSpec, p):
             return (1 + b) * p - b * p * p
         case Power(k=k):
             if k.denominator == 1:
+                _check_power(k.numerator, _bits(p))
                 return p ** k.numerator
+            _check_power(k, 1)
             return float(p) ** float(k)
         case DualPower(m=m):
+            _check_power(m, _bits(p))
             return 1 - (1 - p) ** m
         case TverskyKahneman(gamma=g):
             x = float(p)
@@ -213,9 +242,12 @@ def eval_h_prime(w: WeightingSpec, p):
         case Power(k=k):
             if k.denominator == 1:
                 n = k.numerator
+                _check_power(n, _bits(p))
                 return n * p ** (n - 1) if n > 1 else (p**0) * n
+            _check_power(k, 1)
             return float(k) * float(p) ** (float(k) - 1.0)
         case DualPower(m=m):
+            _check_power(m, _bits(p))
             return m * (1 - p) ** (m - 1)
         case Polynomial(coeffs=coeffs):
             return polyops.peval(polyops.pderiv(list(coeffs)), p)
@@ -360,15 +392,19 @@ def analytic_derivative_sign(w: WeightingSpec, m: int) -> SignCertificate:
 def _h_coeffs(w: WeightingSpec) -> list[Fraction] | None:
     """Coefficients of h, lowest degree first, for the polynomial families
     (Identity, Quadratic, DualPower, integer Power, Polynomial); None for
-    the others."""
+    the others. A DualPower or Power order n gives n + 1 coefficients of up
+    to about n bits (the binomials, or the falling factorials that
+    differentiation brings), so the bound counts n bits each."""
     match w:
         case Identity():
             return [Fraction(0), Fraction(1)]
         case Quadratic(beta=b):
             return [Fraction(0), 1 + b, -b]
-        case DualPower():
+        case DualPower(m=m):
+            _check_power(m, m)
             return _poly_coeffs(w)
         case Power(k=k) if k.denominator == 1:
+            _check_power(k.numerator, k.numerator)
             return [Fraction(0)] * k.numerator + [Fraction(1)]
         case Polynomial(coeffs=c):
             return list(c)

@@ -6,19 +6,22 @@ in mpmath at 60 digits, the knot interpolation walks the segments one by
 one, the exact dual-theory value is summed in CDF form, the survival
 loop sums eval_hbar at Fraction survival levels (where the library
 sweeps integer CDF counts), the dual moment is a Fraction loop over the
-survival function, the CDF and quantile walk
-the states one by one, the mean, raw and central moments are Fraction
-sums over the states (where the library sums the lottery's integer form),
-the lottery parser reads every literal with rat and checks mass, signs
-and order in Fractions, the iterated quantile and CDF are chains of
-Fraction antiderivatives of step functions built from one quantile() or
-cdf() call per piece (where the library sums truncated powers in ints),
-the dominance checks certify differences of those chains taken on merged
-breakpoint grids, root isolation and sign profiles run a Sturm chain of
-Fraction polynomials (monic gcd, true remainders, deflation by x - r)
-where the library works on primitive integer polynomials, and the direct
-battery constructs every member afresh where the library memoizes the
-unseeded ones.
+survival function, the CDF and quantile walk the states one by one, ties
+merge by comparing and adding Fraction states (where the library merges
+the integer form), the mean, raw and central moments are Fraction sums
+over the states (where the library sums the lottery's integer form), the
+lottery parser reads every literal with rat and checks mass, signs and
+order in Fractions, the iterated quantile and CDF are chains of Fraction
+antiderivatives of step functions built from one quantile() or cdf()
+call per piece (where the library sums truncated powers in ints), the
+dominance checks certify every piece of the differences of those chains,
+taken on merged breakpoint grids, by Sturm (where the library accepts
+pieces with non-negative Taylor or Bernstein coefficients without it),
+root isolation and sign profiles run a Sturm chain of Fraction
+polynomials (monic gcd, true remainders, deflation by x - r) where the
+library works on primitive integer polynomials, and the direct battery
+constructs every member afresh where the library memoizes the unseeded
+ones.
 """
 
 import bisect
@@ -39,7 +42,6 @@ from dualrisk import (
     Prelec,
     TverskyKahneman,
     as_distribution,
-    canonical_distribution,
     dual_power_mixture,
     eval_h,
     eval_hbar,
@@ -76,6 +78,17 @@ def quantile(lot: Lottery, q) -> Fraction:
         if acc >= q:
             return x
     raise AssertionError("unreachable: probabilities sum to one")
+
+
+def canonical_distribution_fraction(lot: Lottery) -> Lottery:
+    """Equal outcomes merged by comparing and adding the Fraction states."""
+    merged: list[tuple[Fraction, Fraction]] = []
+    for x, p in as_distribution(lot).states:
+        if merged and merged[-1][0] == x:
+            merged[-1] = (x, merged[-1][1] + p)
+        else:
+            merged.append((x, p))
+    return Lottery(tuple(merged))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +239,7 @@ def dual_moment_mc_oracle(
     """
     if m < 1 or draws < 2:
         raise DomainError("need m >= 1 and draws >= 2")
-    can = canonical_distribution(lot)
+    can = canonical_distribution_fraction(lot)
     outcomes = np.array([float(x) for x in can.outcomes])
     cum = np.cumsum([float(p) for p in can.probabilities])
     cum[-1] = 1.0
@@ -280,7 +293,7 @@ def dt_value_cdf_form(lot: Lottery, w):
     acc = Fraction(0) if is_exact(w) else 0.0
     cum = Fraction(0)
     prev_h = eval_h(w, Fraction(0))
-    for x, p in canonical_distribution(lot).states:
+    for x, p in canonical_distribution_fraction(lot).states:
         cum += p
         cur_h = eval_h(w, cum)
         acc += x * (cur_h - prev_h)
@@ -296,7 +309,7 @@ def dt_value_survival_loop(lot: Lottery, w):
     acc = Fraction(0) if is_exact(w) else 0.0
     prev_x = Fraction(0)
     surv = Fraction(1)
-    for x, p in canonical_distribution(lot).states:
+    for x, p in canonical_distribution_fraction(lot).states:
         if x != prev_x:
             try:
                 acc += eval_hbar(w, surv) * (x - prev_x)
@@ -326,7 +339,7 @@ def dt_value_mpmath(lot: Lottery, w, dps: int = 60):
             return mpmath.mpf(x.numerator) / x.denominator
 
         acc, prev_x, surv = mpmath.mpf(0), Fraction(0), Fraction(1)
-        for x, p in canonical_distribution(lot).states:
+        for x, p in canonical_distribution_fraction(lot).states:
             acc += (1 - h(1 - mpq(surv))) * mpq(x - prev_x)
             surv -= p
             prev_x = x
@@ -338,7 +351,7 @@ def dual_moment_survival(lot: Lottery, m: int) -> Fraction:
     acc = Fraction(0)
     prev_x = Fraction(0)
     surv = Fraction(1)
-    for x, p in canonical_distribution(lot).states:
+    for x, p in canonical_distribution_fraction(lot).states:
         acc += surv**m * (x - prev_x)
         surv -= p
         prev_x = x
@@ -349,7 +362,7 @@ def iterated_quantile_per_piece(lot: Lottery, m: int) -> PiecewisePoly:
     """(m-1)-fold antiderivative chain of the quantile function on [0, 1],
     its steps from one quantile() call per piece."""
     cum = [Fraction(0)]
-    for p in canonical_distribution(lot).probabilities:
+    for p in canonical_distribution_fraction(lot).probabilities:
         cum.append(cum[-1] + p)
     f = step_function(tuple(cum), [quantile(lot, b) for b in cum[1:]])
     for _ in range(m - 1):
@@ -359,7 +372,7 @@ def iterated_quantile_per_piece(lot: Lottery, m: int) -> PiecewisePoly:
 
 def iterated_cdf_per_point(lot: Lottery, m: int, hi: Fraction):
     """(m-1)-fold antiderivative chain of the CDF on [0, hi], one cdf() call per breakpoint."""
-    can = canonical_distribution(lot)
+    can = canonical_distribution_fraction(lot)
     pts = sorted({Fraction(0), hi} | {x for x in can.outcomes if 0 < x < hi})
     f = step_function(tuple(pts), [cdf(can, a) for a in pts[:-1]])
     for _ in range(m - 1):

@@ -20,6 +20,7 @@ from dualrisk import (
     rebuild_pair,
 )
 from dualrisk.cli import main
+from dualrisk.dominance import MAX_DEGREE
 
 F = Fraction
 
@@ -195,6 +196,20 @@ class TestDominance:
     def test_ekern_rejected_for_dual(self, lottery_files, capsys):
         a, b = lottery_files
         assert main(["dominance", a, b, "--degree", "3", "--kind", "dual", "--ekern"]) == 2
+
+    @pytest.mark.parametrize("kind", ["dual", "primal"])
+    def test_degree_past_the_bound_exits_two(self, lottery_files, capsys, kind):
+        a, b = lottery_files
+        assert main(["dominance", a, b, "--degree", "100000", "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: dominance degree must be <= {MAX_DEGREE}, got 100000\n"
+
+    @pytest.mark.parametrize("kind", ["dual", "primal"])
+    def test_degree_at_the_bound_runs(self, lottery_files, capsys, kind):
+        a, b = lottery_files
+        assert main(["dominance", a, b, "--degree", str(MAX_DEGREE), "--kind", kind]) == 0
+        assert table_dict(capsys.readouterr().out)["degree"] == (str(MAX_DEGREE),)
 
 
 EXPECTED_PAIRS = {
@@ -395,6 +410,17 @@ class TestSelfProtect:
         assert rows["interior"][0] in ("true", "false")
         assert rows["shift_at_half"] == ("-3/8",)
         assert rows["background_direction"][0] in ("more", "less", "none")
+
+    @pytest.mark.parametrize("spec", ["power:k=1e400", "dualpower:m=10000000", "power:k=10000000"])
+    @pytest.mark.parametrize("epsilon", ["1/8", "0"])
+    def test_order_past_the_size_bound_exits_two(self, tmp_path, capsys, spec, epsilon):
+        cfg = tmp_path / "huge.cfg"
+        text = SP_CONFIG.replace("dualpower:m=3", spec).replace("epsilon = 1/8", f"epsilon = {epsilon}")
+        cfg.write_text(text)
+        assert main(["selfprotect", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: order too large for an exact value")
 
     def test_no_background_rows_when_epsilon_zero(self, tmp_path, capsys):
         cfg = tmp_path / "bare.cfg"

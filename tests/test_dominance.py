@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dualrisk.dominance as dominance
 from dualrisk import (
+    DomainError,
     DualPower,
     EqualProbLottery,
     anti_squeeze,
@@ -18,9 +20,13 @@ from dualrisk import (
     make_lottery,
     make_pair,
     mean,
+    parse_lottery_text,
     primal_sd_check,
     squeeze,
 )
+from dualrisk.dominance import MAX_DEGREE
+from dualrisk.piecewise import global_coeffs, spline_pieces
+from dualrisk.polyops import bernstein_nonneg, nonneg_on_interval
 
 from conftest import lotteries, tied_lotteries
 from oracles import (
@@ -265,6 +271,45 @@ def cancelling_pairs(draw):
     return a, b
 
 
+COPRIME = (1, 2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def _from_pool(draw, pool):
+    """A lottery over outcomes drawn from pool, by make_lottery,
+    parse_lottery_text or EqualProbLottery, its probabilities over
+    pairwise coprime denominators."""
+    n = draw(st.integers(1, 6))
+    outcomes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    route = draw(st.sampled_from(("make", "parse", "equal")))
+    if route == "equal":
+        return EqualProbLottery(n, tuple(sorted(outcomes)))
+    raw = [
+        F(w, d)
+        for w, d in zip(
+            draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)),
+            draw(st.lists(st.sampled_from(COPRIME), min_size=n, max_size=n)),
+        )
+    ]
+    probs = [r / sum(raw) for r in raw]
+    if route == "make":
+        return make_lottery(zip(outcomes, probs))
+    return parse_lottery_text("".join(f"{x} {p}\n" for x, p in zip(outcomes, probs)))
+
+
+@st.composite
+def integer_form_pairs(draw):
+    """(a, b) over one outcome pool with coprime denominators, often with 0,
+    so outcomes tie within and across the two; sometimes b is a."""
+    pool = draw(
+        st.lists(st.builds(F, st.integers(0, 30), st.sampled_from(COPRIME)), min_size=1, max_size=4)
+    )
+    if draw(st.booleans()):
+        pool.append(F(0))
+    a = draw(_from_pool(pool))
+    return a, a if draw(st.integers(0, 5)) == 0 else draw(_from_pool(pool))
+
+
 POINT_MASS = make_lottery([(3, 1)])
 AT_ZERO = make_lottery([(0, F(1, 2)), (5, F(1, 2))])
 TIED_AT_ZERO = make_lottery([(0, F(1, 3)), (0, F(1, 6)), (2, F(1, 6)), (2, F(1, 3))])
@@ -273,17 +318,25 @@ TIED_AT_ZERO = make_lottery([(0, F(1, 3)), (0, F(1, 6)), (2, F(1, 6)), (2, F(1, 
 # pieces next to those knots, so their witnesses depend on the knots
 SHARED_A = make_lottery([(0, F(1, 3)), (0, F(1, 3)), (F(1, 4), F(1, 3))])
 SHARED_B = make_lottery([(0, F(1, 3)), (F(1, 4), F(1, 3)), (F(1, 2), F(1, 3))])
+# the dual check of B over A at m = 3 certifies one non-negative piece
+# whose Taylor and Bernstein coefficients are not all >= 0
+DECLINED_A = make_lottery([(0, F(1, 6)), (2, F(1, 3)), (5, F(1, 2))])
+DECLINED_B = make_lottery([(1, F(1, 2)), (6, F(1, 2))])
 
 
 class TestClosedFormSplines:
     """The truncated-power splines against the Fraction antiderivative chain."""
 
-    @given(any_lottery, st.sampled_from([F(0), F(1, 3), F(2)]))
+    @given(
+        st.one_of(any_lottery, integer_form_pairs().map(lambda pair: pair[0])),
+        st.sampled_from([F(0), F(1, 3), F(2)]),
+    )
     @example(POINT_MASS, F(0))
     @example(make_lottery([(0, 1)]), F(1, 3))
     @example(AT_ZERO, F(0))
     @example(TIED_AT_ZERO, F(2))
-    @settings(max_examples=150, deadline=None)
+    @example(EqualProbLottery(3, (F(0), F(0), F(5, 7))), F(1, 3))
+    @settings(max_examples=250, deadline=None)
     def test_iterated_functions_match_the_chain(self, lot, extra):
         hi = max(lot.outcomes) + extra
         for m in range(1, 7):
@@ -291,13 +344,19 @@ class TestClosedFormSplines:
             if hi > 0:
                 assert iterated_cdf(lot, m, hi) == iterated_cdf_per_point(lot, m, hi)
 
-    @given(st.one_of(cancelling_pairs(), st.tuples(any_lottery, any_lottery)), st.integers(1, 6))
+    @given(
+        st.one_of(cancelling_pairs(), st.tuples(any_lottery, any_lottery), integer_form_pairs()),
+        st.integers(1, 6),
+    )
     @example((SHARED_A, SHARED_B), 1)
     @example((SHARED_A, SHARED_B), 2)
     @example((POINT_MASS, AT_ZERO), 2)
     @example((TIED_AT_ZERO, AT_ZERO), 3)
     @example((POINT_MASS, make_lottery([(0, 1)])), 1)
-    @settings(max_examples=300, deadline=None)
+    @example((TIED_AT_ZERO, TIED_AT_ZERO), 4)
+    @example((EqualProbLottery(3, (F(0), F(0), F(5, 7))), make_lottery([(0, 1)])), 2)
+    @example((DECLINED_A, DECLINED_B), 3)
+    @settings(max_examples=450, deadline=None)
     def test_checks_match_the_chain(self, pair, m):
         a, b = pair
         for x, y in ((a, b), (b, a)):
@@ -307,3 +366,78 @@ class TestClosedFormSplines:
                 primal = primal_sd_check(x, y, m, ekern=ekern)
                 expected = primal_sd_rebuild(x, y, m, ekern)
                 assert (primal.holds, primal.failed_condition, primal.witness) == expected
+
+
+def _gap_pieces(a, b, m, kind):
+    """(grid, pieces, L) of the difference spline a check certifies."""
+    if kind == "dual":
+        knots, jumps, big_l, _ = dominance._gap(dominance._quantile_steps(a), dominance._quantile_steps(b))
+        end = big_l
+    else:
+        knots, jumps, big_l, _ = dominance._gap(dominance._cdf_steps(b), dominance._cdf_steps(a))
+        end = max(knots)
+    return (*spline_pieces(knots, jumps, end, m), big_l) if end else ([], [], big_l)
+
+
+class TestPreAccept:
+    @given(integer_form_pairs(), st.integers(1, 6), st.sampled_from(["dual", "primal"]))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_pieces_are_nonnegative(self, pair, m, kind):
+        grid, pieces, big_l = _gap_pieces(*pair, m, kind)
+        for a, b, piece in zip(grid, grid[1:], pieces):
+            if bernstein_nonneg(piece, b - a):
+                ok, _ = nonneg_on_interval(global_coeffs(piece, a, big_l), F(a, big_l), F(b, big_l))
+                assert ok
+
+    @given(integer_form_pairs(), st.integers(1, 6), st.sampled_from(["dual", "primal"]))
+    @example((DECLINED_A, DECLINED_B), 3, "dual")
+    @settings(max_examples=200, deadline=None)
+    def test_every_declined_piece_reaches_sturm(self, pair, m, kind):
+        a, b = pair
+        grid, pieces, big_l = _gap_pieces(a, b, m, kind)
+        declined = [
+            (F(lo, big_l), F(hi, big_l))
+            for lo, hi, piece in zip(grid, grid[1:], pieces)
+            if not bernstein_nonneg(piece, hi - lo)
+        ]
+        seen = []
+
+        def sturm(c, lo, hi):
+            seen.append((lo, hi))
+            return nonneg_on_interval(c, lo, hi)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dominance, "nonneg_on_interval", sturm)
+            report = dual_sd_check(a, b, m) if kind == "dual" else primal_sd_check(a, b, m)
+        if report.failed_condition in ("iterated_quantile", "iterated_cdf"):
+            assert seen and seen == declined[: len(seen)]
+        elif report.holds:
+            assert seen == declined
+
+    def test_a_declined_nonnegative_piece_is_certified_by_sturm(self, monkeypatch):
+        seen = []
+
+        def sturm(c, lo, hi):
+            seen.append(nonneg_on_interval(c, lo, hi))
+            return seen[-1]
+
+        monkeypatch.setattr(dominance, "nonneg_on_interval", sturm)
+        assert dual_sd_check(DECLINED_A, DECLINED_B, 3).holds
+        assert seen == [(True, None)]
+
+
+class TestDegreeBound:
+    def test_every_degree_up_to_the_bound_is_accepted(self, lottery_a, lottery_b):
+        assert MAX_DEGREE >= 16
+        for m in (16, MAX_DEGREE):
+            assert dual_sd_check(lottery_b, lottery_b, m).holds
+            assert primal_sd_check(lottery_b, lottery_b, m).holds
+            assert primal_sd_check(lottery_a, lottery_b, m, ekern=True).degree == m
+
+    @pytest.mark.parametrize("m", [MAX_DEGREE + 1, 10_000, 10**400], ids=["next", "10^4", "10^400"])
+    def test_past_the_bound_is_refused(self, lottery_a, lottery_b, m):
+        with pytest.raises(DomainError, match=f"must be <= {MAX_DEGREE}"):
+            dual_sd_check(lottery_a, lottery_b, m)
+        for ekern in (False, True):
+            with pytest.raises(DomainError, match=f"must be <= {MAX_DEGREE}"):
+                primal_sd_check(lottery_a, lottery_b, m, ekern=ekern)

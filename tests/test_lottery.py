@@ -29,6 +29,7 @@ from dualrisk import (
     primal_moment,
     raw_moment,
 )
+from dualrisk.rationals import _common_denominator
 
 from conftest import lotteries
 from oracles import cdf, quantile, survival
@@ -241,6 +242,16 @@ class TestIntegerCore:
         for w in _poly_families():
             got = dt_value(lot, w)
             assert type(got) is Fraction and got == oracles.dt_value_cdf_form(lot, w)
+
+    @given(core_lotteries())
+    @example(make_lottery([(1, Fraction(1, 6)), (1, Fraction(1, 6)), (2, Fraction(2, 3))]))
+    def test_canonical_distribution_merges_on_the_integer_form(self, lot):
+        can = canonical_distribution(lot)
+        assert can.states == oracles.canonical_distribution_fraction(lot).states
+        # the carried form is the one the states give: numerators over lcm denominators
+        xs, xd, ps, pd = can._ints
+        assert (xs, xd) == _common_denominator(can.outcomes)
+        assert (ps, pd) == _common_denominator(can.probabilities)
 
     @given(core_lotteries())
     def test_equal_prob_and_its_lottery_agree(self, lot):

@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrisk.polyops import (
+    bernstein_nonneg,
     isolate_roots,
     nonneg_on_interval,
     padd,
     pderiv,
     peval,
+    pshift,
     sign_profile,
 )
 
@@ -198,3 +200,45 @@ class TestIntegerKernel:
         (lo, hi), = isolate_roots(c, F(0), F(1))
         assert 0 < lo < F(1, 3) < hi < 1
         assert isolate_roots(c, F(0), F(1)) == isolate_roots_fraction(c, F(0), F(1))
+
+
+int_polys = st.lists(st.integers(-30, 30), min_size=1, max_size=7)
+
+
+class TestPreAccept:
+    """bernstein_nonneg accepts only polynomials that are >= 0 on [0, h]."""
+
+    @given(int_polys, st.integers(1, 12))
+    @settings(max_examples=400)
+    def test_accepts_only_nonnegative(self, c, h):
+        if bernstein_nonneg(c, h):
+            assert nonneg_on_interval(c, F(0), F(h)) == (True, None)
+
+    @given(st.lists(st.integers(0, 30), min_size=1, max_size=7), st.integers(1, 12))
+    def test_nonnegative_coefficients_accepted(self, c, h):
+        assert bernstein_nonneg(c, h)
+
+    def test_declines_a_nonnegative_square(self):
+        # (x - 1)^2 on [0, 2]: Bernstein coefficients 1, -1, 1
+        assert not bernstein_nonneg([1, -2, 1], 2)
+        assert nonneg_on_interval([1, -2, 1], F(0), F(2)) == (True, None)
+
+    def test_accepts_on_bernstein_coefficients_alone(self):
+        # 1 - x + x^2 on [0, 1]: a negative coefficient, Bernstein 1, 1/2, 1
+        assert bernstein_nonneg([1, -1, 1], 1)
+
+    def test_negative_at_the_left_end_is_declined(self):
+        assert not bernstein_nonneg([-1, 5], 3)
+        assert not bernstein_nonneg([0, -1], 1)
+
+
+class TestShift:
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.integers(-20, 20), st.integers(-9, 9))
+    def test_shift_evaluates_at_the_moved_point(self, c, h, x):
+        shifted = pshift(c, h)
+        assert len(shifted) == len(c) and all(type(v) is int for v in shifted)
+        assert peval(shifted, x) == peval(c, x + h)
+
+    def test_shift_copies(self):
+        c = [1, 2, 3]
+        assert pshift(c, 0) == c and pshift(c, 0) is not c

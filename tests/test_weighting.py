@@ -194,6 +194,45 @@ class TestAnalyticSign:
                 analytic_derivative_sign(w, 2)
 
 
+class TestOrderBound:
+    """Power and DualPower orders past the exact size bound are a DomainError
+    wherever they are evaluated, never an OverflowError or a hang."""
+
+    HUGE = (Power(10**400), DualPower(10**400), Power(10**7), DualPower(10**7))
+
+    @pytest.mark.parametrize("w", HUGE, ids=["power-1e400", "dualpower-1e400", "power-1e7", "dualpower-1e7"])
+    @pytest.mark.parametrize("p", [0.5, F(1, 2), F(1, 3), 0.0, F(1)])
+    def test_evaluation_is_refused(self, w, p):
+        for call in (eval_h, eval_h_prime, eval_hbar):
+            with pytest.raises(DomainError, match="order too large"):
+                call(w, p)
+        with pytest.raises(DomainError, match="order too large"):
+            finite_difference(w, 1, F(0), F(1, 2))
+        with pytest.raises(DomainError, match="order too large"):
+            hbar_finite_difference(w, 2, F(0), F(1, 4))
+
+    @pytest.mark.parametrize("w", HUGE, ids=["power-1e400", "dualpower-1e400", "power-1e7", "dualpower-1e7"])
+    def test_certificates_are_refused(self, w):
+        with pytest.raises(DomainError, match="order too large"):
+            analytic_derivative_sign(w, 1)
+        with pytest.raises(DomainError, match="order too large"):
+            finite_difference_sign(w, 2, 16)
+
+    def test_fractional_power_past_float_range(self):
+        w = Power(F(2 * 10**400 + 1, 2))
+        for call in (eval_h, eval_h_prime):
+            with pytest.raises(DomainError, match="order too large"):
+                call(w, 0.5)
+
+    def test_orders_inside_the_bound_still_evaluate(self):
+        assert eval_h(Power(2**20), 0.5) == 0.0
+        assert eval_h(Power(1000), F(1, 3)) == F(1, 3**1000)
+        assert eval_h_prime(DualPower(1000), F(1, 2)) == F(1000, 2**999)
+        assert eval_h(Power(F(2**20 - 1, 2)), 0.25) == 0.0
+        assert analytic_derivative_sign(DualPower(1000), 2).kind is SignClass.NON_POSITIVE
+        assert analytic_derivative_sign(Power(1000), 3).kind is SignClass.NON_NEGATIVE
+
+
 class TestConstruction:
     def test_tabulated_needs_unit_endpoints(self):
         with pytest.raises(DomainError):
