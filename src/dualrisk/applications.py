@@ -32,7 +32,7 @@ from .errors import (
     NegativeOutcome,
 )
 from .lottery import EqualProbLottery, Lottery, make_lottery, mean
-from .rationals import parse_rational, rat
+from .rationals import format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
 from .valuation import dt_value
 from .weighting import WeightingSpec, eval_h, eval_h_prime, parse_weighting
 
@@ -614,46 +614,35 @@ def calibrate_exponential(p0, w: WeightingSpec, loss) -> ExponentialEffort:
 # ---------------------------------------------------------------------------
 # problem files
 
-_EFFORT_FAMILIES = {"linear", "exponential", "powerlaw"}
+_FRACTION = (parse_float_range, format_exact)  # the solver works in floats
+
+_EFFORT_TABLE = {
+    "linear": (LinearEffort, {"p0": _FRACTION, "k": _FRACTION, "p_min": _FRACTION, "p_max": _FRACTION}),
+    "exponential": (ExponentialEffort, {"p0": _FRACTION, "k": _FRACTION}),
+    "powerlaw": (PowerLawEffort, {"p0": _FRACTION, "c": _FRACTION, "gamma": _FRACTION}),
+}
 
 
-def _check_float_range(value: Fraction, what: str, line_no: int, source: str) -> None:
-    # the solver and the transcendental effort models run in floats
-    try:
-        float(value)
-    except OverflowError:
-        raise FormatError(f"{what} is too large for a float", line=line_no, source=source) from None
+def format_effort(model: EffortModel) -> str:
+    """The effort spec text that a problem file's effort key reads back to model."""
+    return format_spec(model, _EFFORT_TABLE)
 
 
-def _parse_effort(text: str, line_no: int, source: str) -> EffortModel:
-    name, _, argtext = text.partition(":")
-    name = name.strip().lower()
-    if name not in _EFFORT_FAMILIES:
-        raise FormatError(f"unknown effort model {name!r}", line=line_no, source=source)
-    args = {}
-    for chunk in argtext.split(","):
-        key, eq, value = chunk.partition("=")
-        if not eq:
-            raise FormatError(f"expected key=value, got {chunk!r}", line=line_no, source=source)
-        try:
-            x = parse_rational(value.strip())
-        except FormatError as exc:
-            raise FormatError(str(exc), line=line_no, source=source) from None
-        _check_float_range(x, chunk.strip(), line_no, source)
-        args[key.strip()] = x
-    try:
-        if name == "linear":
-            extras = {k: args[k] for k in ("p_min", "p_max") if k in args}
-            return LinearEffort(args.pop("p0"), args.pop("k"), **extras)
-        if name == "exponential":
-            return ExponentialEffort(args["p0"], args["k"])
-        return PowerLawEffort(args["p0"], args["c"], args["gamma"])
-    except KeyError as missing:
-        raise FormatError(
-            f"effort model {name!r} missing parameter {missing.args[0]!r}",
-            line=line_no,
-            source=source,
-        ) from None
+def _parse_bounds(text: str) -> tuple[Fraction, Fraction]:
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise FormatError(f"bounds must be lo:hi, got {text!r}")
+    return parse_float_range(lo), parse_float_range(hi)
+
+
+_PROBLEM_KEYS = {
+    "wealth": parse_float_range,
+    "loss": parse_float_range,
+    "epsilon": parse_float_range,
+    "effort": lambda text: parse_spec(text, _EFFORT_TABLE, "effort model"),
+    "bounds": _parse_bounds,
+    "weighting": parse_weighting,
+}
 
 
 def parse_problem_config(text: str, source: str = "<config>"):
@@ -662,7 +651,7 @@ def parse_problem_config(text: str, source: str = "<config>"):
     Required keys: wealth, loss, epsilon, effort, bounds, weighting.
     Returns (SelfProtectionProblem, WeightingSpec).
     """
-    fields: dict[str, tuple[str, int]] = {}
+    pairs = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -670,49 +659,13 @@ def parse_problem_config(text: str, source: str = "<config>"):
         key, eq, value = line.partition("=")
         if not eq:
             raise FormatError(f"expected key = value, got {raw.strip()!r}", line=line_no, source=source)
-        key = key.strip().lower()
-        if key in fields:
-            raise FormatError(f"duplicate key {key!r}", line=line_no, source=source)
-        fields[key] = (value.strip(), line_no)
-    required = {"wealth", "loss", "epsilon", "effort", "bounds", "weighting"}
-    missing = required - fields.keys()
-    if missing:
-        raise FormatError(f"missing keys: {', '.join(sorted(missing))}", source=source)
-    unknown = fields.keys() - required
-    if unknown:
-        key = sorted(unknown)[0]
-        raise FormatError(f"unknown key {key!r}", line=fields[key][1], source=source)
-
-    def rational(key):
-        value, line_no = fields[key]
-        try:
-            x = parse_rational(value)
-        except (DomainError, FormatError, ValueError):
-            raise FormatError(f"bad rational {value!r} for {key}", line=line_no, source=source) from None
-        _check_float_range(x, f"{key} = {value}", line_no, source)
-        return x
-
-    bounds_text, bounds_line = fields["bounds"]
-    lo_text, sep, hi_text = bounds_text.partition(":")
-    if not sep:
-        raise FormatError(f"bounds must be lo:hi, got {bounds_text!r}", line=bounds_line, source=source)
-    try:
-        bounds = (parse_rational(lo_text.strip()), parse_rational(hi_text.strip()))
-    except FormatError as exc:
-        raise FormatError(str(exc), line=bounds_line, source=source) from None
-    for bound in bounds:
-        _check_float_range(bound, f"bounds = {bounds_text}", bounds_line, source)
-    effort = _parse_effort(*fields["effort"], source=source)
-    weighting_text, weighting_line = fields["weighting"]
-    try:
-        weighting = parse_weighting(weighting_text)
-    except (DomainError, FormatError) as exc:
-        raise FormatError(str(exc), line=weighting_line, source=source) from None
+        pairs.append((key.strip().lower(), value.strip(), line_no))
+    fields = read_fields(pairs, _PROBLEM_KEYS, _PROBLEM_KEYS, source=source)
     sp = SelfProtectionProblem(
-        w0=rational("wealth"),
-        loss=rational("loss"),
-        epsilon=rational("epsilon"),
-        effort_model=effort,
-        effort_bounds=bounds,
+        w0=fields["wealth"],
+        loss=fields["loss"],
+        epsilon=fields["epsilon"],
+        effort_model=fields["effort"],
+        effort_bounds=fields["bounds"],
     )
-    return sp, weighting
+    return sp, fields["weighting"]

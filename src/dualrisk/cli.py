@@ -349,7 +349,7 @@ def _sec5_rows() -> list[tuple]:
         def put(instance, name, value):
             rows.append((instance, name, _cell(value)))
 
-        put("calibrated_powerlaw", "effort_model", f"powerlaw:p0=4/5,c={model.c},gamma=1/2")
+        put("calibrated_powerlaw", "effort_model", applications.format_effort(model))
         put("calibrated_powerlaw", "e_with_background", rep.e_with)
         put("calibrated_powerlaw", "e_without_background", rep.e_without)
         put("calibrated_powerlaw", "direction", rep.direction)
@@ -366,7 +366,7 @@ def _sec5_rows() -> list[tuple]:
             Fraction(4), Fraction(1), Fraction(1, 8), exp_model, (Fraction(0), Fraction(1))
         )
         reprev = applications.sp_background_effect(sprev, wrev)
-        put("reverse_cubic", "effort_model", f"exponential:p0=3/5,k={exp_model.k}")
+        put("reverse_cubic", "effort_model", applications.format_effort(exp_model))
         put("reverse_cubic", "e_with_background", reprev.e_with)
         put("reverse_cubic", "e_without_background", reprev.e_without)
         put("reverse_cubic", "direction", reprev.direction)
@@ -418,7 +418,7 @@ def cmd_paper_repro(args) -> int:
 def cmd_selfprotect(args) -> int:
     cfg = _config_from(args)
     sp, w = applications.parse_problem_config(_read_text(args.config), source=args.config)
-    sol = applications.sp_solve(sp, w, cfg.grid_count)
+    sol = applications.sp_solve(sp, w)
     rows: list[tuple] = [
         ("e_star", _cell(sol.e_star)),
         ("value", _cell(sol.value)),
@@ -496,7 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfprotect", help="solve a self-protection problem from a config file")
     p.add_argument("config", help="key = value problem file")
-    p.add_argument("--grid-count", dest="grid_count", type=int, default=256)
     p.add_argument("--format", choices=("csv", "table"), default="table")
     p.set_defaults(func=cmd_selfprotect)
 

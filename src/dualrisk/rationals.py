@@ -6,15 +6,19 @@ the exact rational they denote, while non-integral binary floats are
 rejected rather than silently converted to surprising fractions. Decimal
 renderings of exact values outside the normal float range are rounded
 from the rational itself, so they never overflow or underflow.
+
+Weighting specs, effort specs and problem files share one key=value
+grammar, read and written here from per-kind field tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, UnsupportedFamily
 
 Num = Fraction | float  # exact where possible, float for transcendental families
 
@@ -124,3 +128,89 @@ def format_exact(value: Num, sig: int = 12) -> str:
     if isinstance(value, float):
         return f"{value:.{sig}g}"
     return _exact_text(Fraction(value))
+
+
+def format_float(value: float) -> str:
+    """value as :g text when that reads back to value, else its repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
+def parse_float_range(text: str) -> Fraction:
+    """parse_rational for a value that float code takes: a FormatError when
+    it is too large for a float."""
+    value = parse_rational(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise FormatError(f"{text.strip()} is too large for a float") from None
+    return value
+
+
+# ---------------------------------------------------------------------------
+# field tables: the key=value grammar of specs and problem files
+#
+# A spec kind maps each family name to (class, {key: (parse, format)}); the
+# keys are the class's dataclass fields, and those with a default may be
+# left out. A problem file maps each key to its parse function.
+
+
+def read_fields(pairs, parsers: dict, required, noun: str = "key", source: str | None = None) -> dict:
+    """Parse (key, text, line) triples with the parser of each key.
+
+    An unknown, repeated or missing key is a FormatError, and so is a
+    value its parser rejects; each carries the line of its key (None in a
+    one-line spec).
+    """
+    values = {}
+    for key, text, line in pairs:
+        if key not in parsers:
+            raise FormatError(f"unknown {noun} {key!r}", line=line, source=source)
+        if key in values:
+            raise FormatError(f"duplicate {noun} {key!r}", line=line, source=source)
+        try:
+            values[key] = parsers[key](text)
+        except ValueError as exc:  # every InputValidationError is one
+            raise FormatError(str(exc), line=line, source=source) from None
+    missing = sorted(set(required) - values.keys())
+    if missing:
+        raise FormatError(f"missing {noun}s: {', '.join(missing)}", source=source)
+    return values
+
+
+def parse_spec(text: str, table: dict, kind: str):
+    """Read "family:key=value,key=value" into an instance of the family's class.
+
+    A chunk without "=" continues the previous value, so list values
+    (knots, coefficients) keep their commas. Any error, the class's own
+    validation included, is a FormatError naming the spec.
+    """
+    name, _, argtext = text.strip().partition(":")
+    name = name.strip().lower()
+    try:
+        if name not in table:
+            raise FormatError(f"unknown {kind} {name!r}")
+        cls, fields = table[name]
+        pairs = []
+        for chunk in argtext.split(",") if argtext else ():
+            key, eq, value = chunk.partition("=")
+            if eq:
+                pairs.append([key.strip(), value.strip(), None])
+            elif pairs:
+                pairs[-1][1] += "," + chunk.strip()
+            else:
+                raise FormatError(f"expected key=value, got {chunk!r}")
+        parsers = {key: parse for key, (parse, _) in fields.items()}
+        required = (f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING)
+        return cls(**read_fields(pairs, parsers, required, "parameter"))
+    except ValueError as exc:
+        raise FormatError(f"bad {kind} spec {text!r}: {exc}") from None
+
+
+def format_spec(obj, table: dict) -> str:
+    """The spec text of obj that parse_spec reads back to an equal object."""
+    for name, (cls, fields) in table.items():
+        if isinstance(obj, cls):
+            args = ",".join(f"{key}={fmt(getattr(obj, key))}" for key, (_, fmt) in fields.items())
+            return f"{name}:{args}" if args else name
+    raise UnsupportedFamily(f"no spec family for {type(obj).__name__}")

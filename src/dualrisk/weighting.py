@@ -28,8 +28,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import polyops
-from .errors import DomainError, FormatError, NonMonotoneUtility, UnsupportedFamily
-from .rationals import format_exact, parse_rational, rat
+from .errors import DomainError, NonMonotoneUtility, UnsupportedFamily
+from .rationals import format_exact, format_float, format_spec, parse_float_range, parse_rational, parse_spec, rat
 
 
 @dataclass(frozen=True)
@@ -185,35 +185,38 @@ def _bits(p) -> int:
 def eval_h(w: WeightingSpec, p):
     """Evaluate h at p in [0, 1]. Exact families preserve Fraction inputs."""
     _check_unit(p)
-    match w:
-        case Identity():
-            return p
-        case Quadratic(beta=b):
-            return (1 + b) * p - b * p * p
-        case Power(k=k):
-            if k.denominator == 1:
-                _check_power(k.numerator, _bits(p))
-                return p ** k.numerator
-            _check_power(k, 1)
-            return float(p) ** float(k)
-        case DualPower(m=m):
-            _check_power(m, _bits(p))
-            return 1 - (1 - p) ** m
-        case TverskyKahneman(gamma=g):
-            x = float(p)
-            if x == 0.0 or x == 1.0:
-                return x
-            num = x**g
-            return num / (num + (1 - x) ** g) ** (1 / g)
-        case Prelec(a=a, b=b):
-            x = float(p)
-            if x == 0.0 or x == 1.0:
-                return x
-            return math.exp(-b * (-math.log(x)) ** a)
-        case Tabulated(knots=knots):
-            return _interp(knots, p)
-        case Polynomial(coeffs=coeffs):
-            return polyops.peval(list(coeffs), p)
+    try:
+        match w:
+            case Identity():
+                return p
+            case Quadratic(beta=b):
+                return (1 + b) * p - b * p * p
+            case Power(k=k):
+                if k.denominator == 1:
+                    _check_power(k.numerator, _bits(p))
+                    return p ** k.numerator
+                _check_power(k, 1)
+                return float(p) ** float(k)
+            case DualPower(m=m):
+                _check_power(m, _bits(p))
+                return 1 - (1 - p) ** m
+            case TverskyKahneman(gamma=g):
+                x = float(p)
+                if x == 0.0 or x == 1.0:
+                    return x
+                num = x**g
+                return num / (num + (1 - x) ** g) ** (1 / g)
+            case Prelec(a=a, b=b):
+                x = float(p)
+                if x == 0.0 or x == 1.0:
+                    return x
+                return math.exp(-b * (-math.log(x)) ** a)
+            case Tabulated(knots=knots):
+                return _interp(knots, p)
+            case Polynomial(coeffs=coeffs):
+                return polyops.peval(list(coeffs), p)
+    except OverflowError:
+        raise DomainError(f"weighting {format_weighting(w)} overflows a float at p = {p}") from None
     raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
 
 
@@ -234,39 +237,44 @@ def _interp(knots, p):
 def eval_h_prime(w: WeightingSpec, p):
     """First derivative of h; analytic except Tabulated (central difference)."""
     _check_unit(p)
-    match w:
-        case Identity():
-            return Fraction(1) if isinstance(p, Fraction) else 1.0
-        case Quadratic(beta=b):
-            return 1 + b - 2 * b * p
-        case Power(k=k):
-            if k.denominator == 1:
-                n = k.numerator
-                _check_power(n, _bits(p))
-                return n * p ** (n - 1) if n > 1 else (p**0) * n
-            _check_power(k, 1)
-            return float(k) * float(p) ** (float(k) - 1.0)
-        case DualPower(m=m):
-            _check_power(m, _bits(p))
-            return m * (1 - p) ** (m - 1)
-        case Polynomial(coeffs=coeffs):
-            return polyops.peval(polyops.pderiv(list(coeffs)), p)
-        case TverskyKahneman(gamma=g):
-            x = float(p)
-            if x <= 0.0 or x >= 1.0:
-                return _central_difference(w, x)
-            num = x**g
-            d = num + (1 - x) ** g
-            h = num / d ** (1 / g)
-            return h * (g / x - (x ** (g - 1) - (1 - x) ** (g - 1)) / d)
-        case Prelec(a=a, b=b):
-            x = float(p)
-            if x <= 0.0 or x >= 1.0:
-                return _central_difference(w, x)
-            t = -math.log(x)
-            return math.exp(-b * t**a) * a * b * t ** (a - 1) / x
-        case Tabulated():
-            return _central_difference(w, float(p))
+    try:
+        match w:
+            case Identity():
+                return Fraction(1) if isinstance(p, Fraction) else 1.0
+            case Quadratic(beta=b):
+                return 1 + b - 2 * b * p
+            case Power(k=k):
+                if k.denominator == 1:
+                    n = k.numerator
+                    _check_power(n, _bits(p))
+                    return n * p ** (n - 1) if n > 1 else (p**0) * n
+                _check_power(k, 1)
+                if p == 0 and k < 1:
+                    raise DomainError(f"power k={k} has an unbounded derivative at p = 0")
+                return float(k) * float(p) ** (float(k) - 1.0)
+            case DualPower(m=m):
+                _check_power(m, _bits(p))
+                return m * (1 - p) ** (m - 1)
+            case Polynomial(coeffs=coeffs):
+                return polyops.peval(polyops.pderiv(list(coeffs)), p)
+            case TverskyKahneman(gamma=g):
+                x = float(p)
+                if x <= 0.0 or x >= 1.0:
+                    return _central_difference(w, x)
+                num = x**g
+                d = num + (1 - x) ** g
+                h = num / d ** (1 / g)
+                return h * (g / x - (x ** (g - 1) - (1 - x) ** (g - 1)) / d)
+            case Prelec(a=a, b=b):
+                x = float(p)
+                if x <= 0.0 or x >= 1.0:
+                    return _central_difference(w, x)
+                t = -math.log(x)
+                return math.exp(-b * t**a) * a * b * t ** (a - 1) / x
+            case Tabulated():
+                return _central_difference(w, float(p))
+    except OverflowError:
+        raise DomainError(f"weighting {format_weighting(w)} overflows a float at p = {p}") from None
     raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
 
 
@@ -452,92 +460,41 @@ def _grid_monotone_check(w, label: str, grid_count: int = 512) -> None:
 # textual form used by the CLI: family:key=value,key=value
 
 
+def _parse_knots(text: str) -> tuple:
+    knots = []
+    for part in text.split(";"):
+        p, _, v = part.partition(",")
+        knots.append((parse_rational(p), parse_rational(v)))
+    return tuple(knots)
+
+
+def _format_knots(knots) -> str:
+    return ";".join(f"{format_exact(p)},{format_exact(v)}" for p, v in knots)
+
+
+_EXACT = (parse_rational, format_exact)
+_FLOAT = (lambda t: float(parse_float_range(t)), format_float)
+_COEFFS = (lambda t: tuple(map(parse_rational, t.split(","))), lambda c: ",".join(map(format_exact, c)))
+
+_WEIGHTING_TABLE = {
+    "identity": (Identity, {}),
+    "quadratic": (Quadratic, {"beta": _EXACT}),
+    "power": (Power, {"k": _EXACT}),
+    "dualpower": (DualPower, {"m": (int, str)}),
+    "tk": (TverskyKahneman, {"gamma": _FLOAT}),
+    "prelec": (Prelec, {"a": _FLOAT, "b": _FLOAT}),
+    "tabulated": (Tabulated, {"knots": (_parse_knots, _format_knots)}),
+    "poly": (Polynomial, {"coeffs": _COEFFS}),
+}
+
+
 def parse_weighting(text: str) -> WeightingSpec:
     """Parse forms like identity, quadratic:beta=1/2, dualpower:m=3,
     tk:gamma=0.61, prelec:a=0.65,b=1, tabulated:knots=0,0;1/2,2/3;1,1,
     poly:coeffs=0,3/2,0,-1/2."""
-    s = text.strip()
-    family, _, argtext = s.partition(":")
-    family = family.lower()
-    try:
-        args = _parse_kv(argtext) if argtext else {}
-        match family:
-            case "identity":
-                _expect_keys(args, set())
-                return Identity()
-            case "quadratic":
-                _expect_keys(args, {"beta"})
-                return Quadratic(beta=parse_rational(args["beta"]))
-            case "power":
-                _expect_keys(args, {"k"})
-                return Power(k=parse_rational(args["k"]))
-            case "dualpower":
-                _expect_keys(args, {"m"})
-                return DualPower(m=int(args["m"]))
-            case "tk":
-                _expect_keys(args, {"gamma"})
-                return TverskyKahneman(gamma=float(Fraction(args["gamma"])))
-            case "prelec":
-                _expect_keys(args, {"a", "b"}, optional={"b"})
-                b = float(Fraction(args["b"])) if "b" in args else 1.0
-                return Prelec(a=float(Fraction(args["a"])), b=b)
-            case "tabulated":
-                _expect_keys(args, {"knots"})
-                knots = []
-                for part in args["knots"].split(";"):
-                    p, _, v = part.partition(",")
-                    knots.append((parse_rational(p), parse_rational(v)))
-                return Tabulated(knots=tuple(knots))
-            case "poly":
-                _expect_keys(args, {"coeffs"})
-                return Polynomial(tuple(parse_rational(c) for c in args["coeffs"].split(",")))
-    except (ValueError, KeyError, OverflowError) as exc:
-        raise FormatError(f"bad weighting spec {text!r}: {exc}") from None
-    raise FormatError(f"unknown weighting family {family!r} in {text!r}")
-
-
-def _parse_kv(argtext: str) -> dict[str, str]:
-    # knots/coeffs values contain commas, so split only on commas that
-    # precede a key= pattern
-    args: dict[str, str] = {}
-    key = None
-    for chunk in argtext.split(","):
-        if "=" in chunk:
-            key, _, val = chunk.partition("=")
-            args[key.strip()] = val.strip()
-        elif key is not None:
-            args[key] += "," + chunk.strip()
-        else:
-            raise ValueError(f"expected key=value, got {chunk!r}")
-    return args
-
-
-def _expect_keys(args: dict, keys: set, optional: set = frozenset()) -> None:
-    missing = keys - set(args) - optional
-    extra = set(args) - keys
-    if missing:
-        raise ValueError(f"missing parameter(s) {sorted(missing)}")
-    if extra:
-        raise ValueError(f"unknown parameter(s) {sorted(extra)}")
+    return parse_spec(text, _WEIGHTING_TABLE, "weighting")
 
 
 def format_weighting(w: WeightingSpec) -> str:
-    match w:
-        case Identity():
-            return "identity"
-        case Quadratic(beta=b):
-            return f"quadratic:beta={format_exact(b)}"
-        case Power(k=k):
-            return f"power:k={format_exact(k)}"
-        case DualPower(m=m):
-            return f"dualpower:m={m}"
-        case TverskyKahneman(gamma=g):
-            return f"tk:gamma={g:g}"
-        case Prelec(a=a, b=b):
-            return f"prelec:a={a:g},b={b:g}"
-        case Tabulated(knots=knots):
-            body = ";".join(f"{format_exact(p)},{format_exact(v)}" for p, v in knots)
-            return f"tabulated:knots={body}"
-        case Polynomial(coeffs=coeffs):
-            return "poly:coeffs=" + ",".join(format_exact(c) for c in coeffs)
-    raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
+    """The spec text that parse_weighting reads back to w."""
+    return format_spec(w, _WEIGHTING_TABLE)

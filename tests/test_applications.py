@@ -56,6 +56,7 @@ from dualrisk import (
     sp_value,
     supplemented_prices,
 )
+from dualrisk.applications import format_effort
 
 F = Fraction
 
@@ -460,6 +461,10 @@ class TestProblemConfig:
             (lambda t: t.replace("effort = linear: p0=1/2, k=1/2", "effort = linear: p0=1/2"), 5, "missing parameter"),
             (lambda t: t.replace("effort = linear", "effort = cubic"), 5, "unknown effort model"),
             (lambda t: t.replace("epsilon = 1/8\n", "epsilon 1/8\n"), 4, "key = value"),
+            (lambda t: t.replace("k=1/2", "k=1/2, pmin=1/10"), 5, "unknown parameter 'pmin'"),
+            (lambda t: t.replace("linear", "exponential").replace("k=1/2", "k=1/2, c=2"), 5, "unknown parameter 'c'"),
+            (lambda t: t.replace("k=1/2", "k=1/2, k=1"), 5, "duplicate parameter 'k'"),
+            (lambda t: t.replace("dualpower:m=3", "dualpower:m=3,m=4"), 7, "duplicate parameter 'm'"),
         ],
     )
     def test_errors_carry_line_numbers(self, mangle, line, fragment):
@@ -468,6 +473,31 @@ class TestProblemConfig:
         assert exc.value.line == line
         assert fragment in str(exc.value)
         assert "bad.cfg" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            LinearEffort(F(1, 2), F(1, 2)),
+            LinearEffort(F(4, 5), F(2), p_min=F(1, 10), p_max=F(99, 100)),
+            ExponentialEffort(F(3, 5), F(2)),
+            PowerLawEffort(F(4, 5), F(1024, 75), F(1, 2)),
+            calibrate_power_law(F(4, 5), F(1, 2), DualPower(3), 1),
+        ],
+    )
+    def test_effort_spec_round_trip(self, model):
+        text = GOOD_CONFIG.replace("linear: p0=1/2, k=1/2", format_effort(model))
+        sp, _ = parse_problem_config(text)
+        assert sp.effort_model == model
+
+    def test_effort_specs_the_grammar_accepted_before(self):
+        for spec, model in [
+            ("linear: p0=1/2, k=1/2", LinearEffort(F(1, 2), F(1, 2))),
+            ("LINEAR:p0 = 0.5,k=1/2,p_max=9/10", LinearEffort(F(1, 2), F(1, 2), p_max=F(9, 10))),
+            ("exponential: p0=3/5, k=2", ExponentialEffort(F(3, 5), F(2))),
+            ("powerlaw: p0=4/5, c=1024/75, gamma=1/2", PowerLawEffort(F(4, 5), F(1024, 75), F(1, 2))),
+        ]:
+            sp, _ = parse_problem_config(GOOD_CONFIG.replace("linear: p0=1/2, k=1/2", spec))
+            assert sp.effort_model == model
 
     def test_missing_keys_reported_without_line(self):
         with pytest.raises(FormatError) as exc:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrisk import (
     BadGapSpec,
@@ -115,6 +117,23 @@ class TestMakeBlocks:
         good, _ = make_blocks(4, 10, 1, gaps=(2, 3))
         assert good.span == 5
         assert sum(v for _, v in good.entries) == 0
+
+    @given(
+        st.integers(min_value=3, max_value=8).flatmap(
+            lambda m: st.lists(st.integers(min_value=1, max_value=6), min_size=m - 2, max_size=m - 2)
+        ),
+        st.fractions(min_value=F(1, 64), max_value=4, max_denominator=64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_gaps_annihilate_low_powers(self, gaps, delta):
+        # each gap g multiplies the entries' generating polynomial by
+        # (1 - z^g), so it has the root 1 with multiplicity m - 2
+        m = len(gaps) + 2
+        good, bad = make_blocks(m, sum(gaps) + 1, delta, gaps=gaps)
+        assert good.span == sum(gaps)
+        for j in range(m - 2):
+            assert sum(v * o**j for o, v in good.entries) == 0
+        assert bad.entries == tuple((o, -v) for o, v in good.entries)
 
     def test_gap_spec_errors(self):
         with pytest.raises(BadGapSpec):
@@ -231,6 +250,12 @@ class TestParsimonious:
     )
     def test_increment_vectors(self, m, expected):
         assert pair_increments(m, 8) == expected
+
+    @given(st.integers(min_value=2, max_value=8), st.fractions(min_value=F(1, 50), max_value=50))
+    @settings(max_examples=40, deadline=None)
+    def test_increments_for_any_amplitude(self, m, big_m):
+        incs = pair_increments(m, big_m)
+        assert incs == [(-1) ** k * math.comb(m - 1, k) / big_m for k in range(m)]
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_increments_are_alternating_binomials(self, m):

@@ -97,6 +97,11 @@ class TestEval:
         a, _ = lottery_files
         assert main(["eval", a, "--weighting", "sigmoid:m=3"]) == 2
 
+    def test_repeated_weighting_key_exits_two(self, lottery_files, capsys):
+        a, _ = lottery_files
+        assert main(["eval", a, "--weighting", "quadratic:beta=1/2,beta=1"]) == 2
+        assert "duplicate parameter 'beta'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["prelec:a=1e400", "tk:gamma=1e400"])
     def test_weighting_parameter_too_large_for_a_float(self, lottery_files, capsys, spec):
         a, _ = lottery_files
@@ -450,6 +455,19 @@ class TestSelfProtect:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}:{line}:")
         assert "too large for a float" in err
+
+    def test_misspelled_effort_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "kink.cfg"
+        cfg.write_text(SP_CONFIG.replace("k=1/2", "k=1/2, pmin=1/10"))
+        assert main(["selfprotect", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}:4:") and "'pmin'" in captured.err
+
+    def test_grid_count_is_not_an_option(self, tmp_path, capsys):
+        cfg = tmp_path / "prob.cfg"
+        cfg.write_text(SP_CONFIG)
+        assert main(["selfprotect", str(cfg), "--grid-count", "8"]) == 2
 
     def test_non_utf8_config(self, tmp_path, capsys):
         cfg = tmp_path / "utf16.cfg"

@@ -320,6 +320,13 @@ class TestOneSweep:
             with pytest.raises(DomainError, match="within the float range"):
                 dt_value(lot, w)
 
+    def test_weighting_overflow_is_not_an_outcome_error(self):
+        tiny = F(1, 10**300)
+        lot = make_lottery([(1, tiny), (2, 1 - tiny)])
+        with pytest.raises(DomainError, match="prelec:a=200") as exc:
+            dt_value(lot, Prelec(200.0))
+        assert "outcomes" not in str(exc.value)
+
     @pytest.mark.parametrize("n", [2, 64])
     def test_large_integer_orders(self, n):
         rng = random.Random(n)

@@ -233,6 +233,29 @@ class TestOrderBound:
         assert analytic_derivative_sign(Power(1000), 3).kind is SignClass.NON_NEGATIVE
 
 
+class TestFloatOverflow:
+    """A float family whose formula overflows is a DomainError naming the
+    weighting, never an OverflowError or a ZeroDivisionError."""
+
+    def test_prelec_value(self):
+        with pytest.raises(DomainError, match="prelec:a=200"):
+            eval_h(Prelec(200.0), 1e-300)
+
+    def test_tk_construction(self):
+        with pytest.raises(DomainError, match="tk:gamma=1e-05"):
+            TverskyKahneman(gamma=1e-5)
+
+    def test_prelec_slope(self):
+        with pytest.raises(DomainError, match="prelec:a=200"):
+            eval_h_prime(Prelec(200.0), 1e-300)
+
+    @pytest.mark.parametrize("p", [0, F(0), 0.0])
+    def test_fractional_power_slope_at_zero(self, p):
+        with pytest.raises(DomainError, match="unbounded derivative"):
+            eval_h_prime(Power(F(1, 2)), p)
+        assert eval_h_prime(Power(F(3, 2)), p) == 0.0
+
+
 class TestConstruction:
     def test_tabulated_needs_unit_endpoints(self):
         with pytest.raises(DomainError):
@@ -270,6 +293,16 @@ class TestParseFormat:
             ("power:k=2", Power(F(2))),
             ("tk:gamma=0.61", TverskyKahneman(0.61)),
             ("prelec:a=0.65,b=1", Prelec(0.65, 1.0)),
+            ("prelec:a=0.65", Prelec(0.65, 1.0)),
+            ("  Quadratic:beta = 1/2 ", Quadratic(F(1, 2))),
+            ("power:k=3/2", Power(F(3, 2))),
+            ("dualpower:m=+3", DualPower(3)),
+            ("tk:gamma=61/100", TverskyKahneman(0.61)),
+            ("identity:", Identity()),
+            ("tabulated:knots=0,0;1/2,2/3;1,1", Tabulated(((0, 0), (F(1, 2), F(2, 3)), (1, 1)))),
+            ("tabulated:knots=0, 0; 1/2,2/3 ;1,1", Tabulated(((0, 0), (F(1, 2), F(2, 3)), (1, 1)))),
+            ("poly:coeffs=0,3/2,0,-1/2", Polynomial((0, F(3, 2), 0, F(-1, 2)))),
+            ("poly:coeffs=0, 3/2, 0, -1/2", Polynomial((0, F(3, 2), 0, F(-1, 2)))),
         ],
     )
     def test_parse(self, text, expected):
@@ -283,6 +316,38 @@ class TestParseFormat:
     def test_rejects(self, bad):
         with pytest.raises((FormatError, DomainError)):
             parse_weighting(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "quadratic:beta=1/2,beta=1",
+            "prelec:a=1,b=1,a=2",
+            "tabulated:knots=0,0;1,1,knots=0,0;1,1",
+            "identity:beta=1",
+            "power:K=2",
+            "tk:gamma=1/0",
+        ],
+    )
+    def test_rejects_unknown_and_repeated_keys(self, bad):
+        with pytest.raises(FormatError, match="bad weighting spec"):
+            parse_weighting(bad)
+
+    @given(st.floats(min_value=0.3, max_value=5.0))
+    @settings(max_examples=25, deadline=None)
+    def test_tk_float_round_trip(self, gamma):
+        w = TverskyKahneman(gamma)
+        assert parse_weighting(format_weighting(w)) == w
+
+    @given(st.floats(min_value=1e-6, max_value=50.0), st.floats(min_value=1e-6, max_value=50.0))
+    @settings(max_examples=50, deadline=None)
+    def test_prelec_float_round_trip(self, a, b):
+        w = Prelec(a, b)
+        assert parse_weighting(format_weighting(w)) == w
+
+    def test_short_floats_keep_their_text(self):
+        assert format_weighting(TverskyKahneman(0.61)) == "tk:gamma=0.61"
+        assert format_weighting(TverskyKahneman(0.612345678)) == "tk:gamma=0.612345678"
+        assert format_weighting(Prelec(2.0, 1 / 3)) == "prelec:a=2,b=0.3333333333333333"
 
 
 @given(st.integers(min_value=0, max_value=64))
