@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     DominanceCheckFailed,
     FormatError,
+    InputValidationError,
     NegativeOutcome,
 )
 from .lottery import EqualProbLottery, Lottery, make_lottery, mean
@@ -136,9 +137,6 @@ class DerivativeMenu:
         expectation by construction.
         """
         return sum(self.payoff(s) for s in stock_prices.outcomes) / stock_prices.n
-
-
-EMPTY_MENU = DerivativeMenu(())
 
 
 @dataclass(frozen=True)
@@ -336,25 +334,36 @@ class SelfProtectionProblem:
         object.__setattr__(self, "effort_bounds", (rat(lo), rat(hi)))
         lo, hi = self.effort_bounds
         if self.loss < 0:
-            raise DomainError(f"loss must be >= 0, got {self.loss}")
+            _reject("loss", DomainError, f"loss must be >= 0, got {self.loss}")
         if self.epsilon < 0:
-            raise DomainError(f"background amplitude must be >= 0, got {self.epsilon}")
+            _reject("epsilon", DomainError, f"background amplitude must be >= 0, got {self.epsilon}")
         if self.epsilon > 0 and 2 * self.epsilon == self.loss:
-            raise CaseBoundary(
-                "2 eps = loss ties the middle wealth states; the case split is undefined there"
+            _reject(
+                "epsilon",
+                CaseBoundary,
+                "2 eps = loss ties the middle wealth states; the case split is undefined there",
             )
         if not 0 <= lo < hi:
-            raise DomainError(f"effort bounds must satisfy 0 <= lo < hi, got {lo}, {hi}")
-        if self.w0 - self.loss - self.epsilon - hi < 0:
-            raise NegativeOutcome(
-                f"wealth can go negative at maximal effort: {self.w0 - self.loss - self.epsilon - hi}"
-            )
+            _reject("effort_bounds", DomainError, f"effort bounds must satisfy 0 <= lo < hi, got {lo}, {hi}")
+        floor = self.w0 - self.loss - self.epsilon - hi
+        if floor < 0:
+            _reject("w0", NegativeOutcome, f"wealth can go negative at maximal effort: {floor}")
         p_lo = loss_probability(self.effort_model, lo)
         p_hi = loss_probability(self.effort_model, hi)
         if not (0 < p_hi and p_lo < 1 and p_hi < p_lo):
-            raise DomainError(
-                f"loss probability must stay in (0, 1) and fall over the bounds, got {p_lo} -> {p_hi}"
+            _reject(
+                "effort_model",
+                DomainError,
+                f"loss probability must stay in (0, 1) and fall over the bounds, got {p_lo} -> {p_hi}",
             )
+
+
+def _reject(field: str, error: type, message: str):
+    """Raise error(message) marked with the SelfProtectionProblem field it
+    rejects, so a problem file can name the line of that field's key."""
+    exc = error(message)
+    exc.field = field
+    raise exc
 
 
 def _regime(sp: SelfProtectionProblem) -> str:
@@ -548,12 +557,16 @@ def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec, grid_count: int = 256)
 
 @dataclass(frozen=True)
 class BackgroundEffectReport:
-    e_with: float
+    solution: SPSolution  # the problem as given, background risk included
     e_without: float
     direction: str
     p_at_opt: float
     shift_at_half: object
     shift_at_opt: float
+
+    @property
+    def e_with(self) -> float:
+        return self.solution.e_star
 
 
 def sp_background_effect(sp: SelfProtectionProblem, w: WeightingSpec) -> BackgroundEffectReport:
@@ -570,7 +583,7 @@ def sp_background_effect(sp: SelfProtectionProblem, w: WeightingSpec) -> Backgro
     direction = "more" if gap > tol else "less" if gap < -tol else "none"
     p_opt = without.diagnostics.p_at_opt
     return BackgroundEffectReport(
-        e_with=with_bg.e_star,
+        solution=with_bg,
         e_without=without.e_star,
         direction=direction,
         p_at_opt=p_opt,
@@ -635,6 +648,15 @@ def _parse_bounds(text: str) -> tuple[Fraction, Fraction]:
     return parse_float_range(lo), parse_float_range(hi)
 
 
+# SelfProtectionProblem field -> the problem-file key that sets it
+_FIELD_KEYS = {
+    "w0": "wealth",
+    "loss": "loss",
+    "epsilon": "epsilon",
+    "effort_model": "effort",
+    "effort_bounds": "bounds",
+}
+
 _PROBLEM_KEYS = {
     "wealth": parse_float_range,
     "loss": parse_float_range,
@@ -661,11 +683,11 @@ def parse_problem_config(text: str, source: str = "<config>"):
             raise FormatError(f"expected key = value, got {raw.strip()!r}", line=line_no, source=source)
         pairs.append((key.strip().lower(), value.strip(), line_no))
     fields = read_fields(pairs, _PROBLEM_KEYS, _PROBLEM_KEYS, source=source)
-    sp = SelfProtectionProblem(
-        w0=fields["wealth"],
-        loss=fields["loss"],
-        epsilon=fields["epsilon"],
-        effort_model=fields["effort"],
-        effort_bounds=fields["bounds"],
-    )
+    try:
+        sp = SelfProtectionProblem(**{field: fields[key] for field, key in _FIELD_KEYS.items()})
+    except InputValidationError as exc:
+        # a rejected field points at the line of its key
+        lines = {key: line_no for key, _, line_no in pairs}
+        line = lines.get(_FIELD_KEYS.get(getattr(exc, "field", None)))
+        raise FormatError(str(exc), line=line, source=source) from None
     return sp, fields["weighting"]

@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,35 +45,8 @@ from .valuation import QuadraticUtility, dt_value, dual_moment, eu_value, primal
 from .weighting import DualPower, Identity, Polynomial, Quadratic, eval_h_prime, parse_weighting
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    trials: int
-    grid_count: int
-    output: str
-    format: str
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.grid_count < 8:
-            raise DomainError(f"grid_count must be >= 8, got {self.grid_count}")
-        if self.format not in ("csv", "table"):
-            raise DomainError(f"format must be csv or table, got {self.format!r}")
-
-
-def _default_outdir() -> str:
-    return os.environ.get("DUALRISK_OUTDIR", ".")
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        seed=getattr(args, "seed", 42),
-        trials=getattr(args, "trials", 1),
-        grid_count=getattr(args, "grid_count", 256),
-        output=getattr(args, "outdir", None) or _default_outdir(),
-        format=getattr(args, "format", "table"),
-    )
+def _outdir(args) -> str:
+    return args.outdir or os.environ.get("DUALRISK_OUTDIR", ".")
 
 
 def _cell(value) -> str:
@@ -129,7 +101,6 @@ def _load_lottery(path: str):
 
 
 def cmd_eval(args) -> int:
-    cfg = _config_from(args)
     lot = _load_lottery(args.lottery)
     w = parse_weighting(args.weighting)
     value = dt_value(lot, w)
@@ -141,7 +112,7 @@ def cmd_eval(args) -> int:
     for k in range(2, 5):
         cm = primal_moment(lot, k)
         rows.append((f"central_moment_{k}", _cell(cm), _decimal(cm)))
-    _emit_rows(("quantity", "exact", "decimal"), rows, cfg.format)
+    _emit_rows(("quantity", "exact", "decimal"), rows, args.format)
     return 0
 
 
@@ -150,7 +121,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dominance(args) -> int:
-    cfg = _config_from(args)
     a = _load_lottery(args.lottery_a)
     b = _load_lottery(args.lottery_b)
     if args.kind == "dual":
@@ -166,7 +136,7 @@ def cmd_dominance(args) -> int:
         ("failed_condition", report.failed_condition or "-"),
         ("witness", _cell(report.witness) if report.witness is not None else "-"),
     ]
-    _emit_rows(("field", "value"), rows, cfg.format)
+    _emit_rows(("field", "value"), rows, args.format)
     return 0
 
 
@@ -189,7 +159,6 @@ def _resolve_base(args, m: int) -> EqualProbLottery:
 
 
 def cmd_pairgen(args) -> int:
-    cfg = _config_from(args)
     m = args.order
     base = _resolve_base(args, m)
     big_m = args.M if args.M is not None else 2 ** (m + 1)
@@ -207,12 +176,13 @@ def cmd_pairgen(args) -> int:
         good, bad = make_blocks(m, base.n, delta)
         pair = make_pair(base, good, bad, 1, 2, seed=args.seed if args.random else None)
     prefix = args.prefix or f"order{m}"
+    outdir = _outdir(args)
     written = []
     for tag, member in (("c", pair.c), ("d", pair.d)):
-        path = os.path.join(cfg.output, f"{prefix}_{tag}.txt")
+        path = os.path.join(outdir, f"{prefix}_{tag}.txt")
         _write_text(path, format_lottery_text(member.to_lottery()))
         written.append(path)
-    prov_path = os.path.join(cfg.output, f"{prefix}_provenance.json")
+    prov_path = os.path.join(outdir, f"{prefix}_provenance.json")
     _write_text(prov_path, pair.provenance.to_json() + "\n")
     written.append(prov_path)
     for path in written:
@@ -225,8 +195,9 @@ def cmd_pairgen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from(args)
-    reports = harness.run_theorem(args.theorem, cfg.trials, cfg.seed, cfg.grid_count)
+    if args.trials < 1:
+        raise DomainError(f"trials must be >= 1, got {args.trials}")
+    reports = harness.run_theorem(args.theorem, args.trials, args.seed)
     failed = False
     all_failures = []
     for rep in reports:
@@ -241,8 +212,8 @@ def cmd_verify(args) -> int:
                 {"order": rep.order, "kind": rep.kind, "failures": list(rep.failures)}
             )
     if failed:
-        replay = os.path.join(cfg.output, f"theorem{args.theorem}_failures.json")
-        record = {"theorem": args.theorem, "seed": cfg.seed, "reports": all_failures}
+        replay = os.path.join(_outdir(args), f"theorem{args.theorem}_failures.json")
+        record = {"theorem": args.theorem, "seed": args.seed, "reports": all_failures}
         _write_text(replay, json.dumps(record, indent=2) + "\n")
         print(f"replay records: {replay}", file=sys.stderr)
         return 1
@@ -395,15 +366,15 @@ def _sec5_rows() -> list[tuple]:
 
 
 def cmd_paper_repro(args) -> int:
-    cfg = _config_from(args)
     sections = (
         ("sec22.csv", ("quantity", "lottery_a", "lottery_b", "gap"), _sec22_rows()),
         ("sec3.csv", ("order", "quantity", "c", "d"), _sec3_rows()),
         ("sec4.csv", ("order", "quantity", "value"), _sec4_rows()),
         ("sec5.csv", ("instance", "quantity", "value"), _sec5_rows()),
     )
+    outdir = _outdir(args)
     for name, header, rows in sections:
-        path = os.path.join(cfg.output, name)
+        path = os.path.join(outdir, name)
         buffer = io.StringIO()
         _emit_rows(header, rows, "csv", out=buffer)
         _write_text(path, buffer.getvalue())
@@ -416,9 +387,10 @@ def cmd_paper_repro(args) -> int:
 
 
 def cmd_selfprotect(args) -> int:
-    cfg = _config_from(args)
     sp, w = applications.parse_problem_config(_read_text(args.config), source=args.config)
-    sol = applications.sp_solve(sp, w)
+    # the background comparison solves the problem as given on its way
+    rep = applications.sp_background_effect(sp, w) if sp.epsilon > 0 else None
+    sol = rep.solution if rep else applications.sp_solve(sp, w)
     rows: list[tuple] = [
         ("e_star", _cell(sol.e_star)),
         ("value", _cell(sol.value)),
@@ -428,15 +400,14 @@ def cmd_selfprotect(args) -> int:
         ("concave_on_grid", "true" if sol.diagnostics.concave_on_grid else "false"),
         ("foc_sign_change", "true" if sol.diagnostics.foc_sign_change else "false"),
     ]
-    if sp.epsilon > 0:
-        rep = applications.sp_background_effect(sp, w)
+    if rep:
         rows += [
             ("e_without_background", _cell(rep.e_without)),
             ("background_direction", rep.direction),
             ("shift_at_half", _cell(rep.shift_at_half)),
             ("shift_at_opt", _cell(rep.shift_at_opt)),
         ]
-    _emit_rows(("quantity", "value"), rows, cfg.format)
+    _emit_rows(("quantity", "value"), rows, args.format)
     return 0
 
 
@@ -486,7 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", type=int, required=True, choices=range(1, 7))
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--grid-count", dest="grid_count", type=int, default=256)
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_verify)
 

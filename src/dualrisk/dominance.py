@@ -37,7 +37,7 @@ from operator import sub
 
 from .errors import DomainError
 from .lottery import Lottery, _merged, mean
-from .piecewise import PiecewisePoly, global_coeffs, spline, spline_pieces
+from .piecewise import global_coeffs, spline_pieces
 from .polyops import bernstein_nonneg, nonneg_on_interval
 from .valuation import dual_moment, raw_moment
 
@@ -87,38 +87,11 @@ def _gap(f, g):
     return knots, jumps, big_l, big_d
 
 
-def _check_positive(m: int, what: str) -> None:
-    if m < 1:
-        raise DomainError(f"{what} must be >= 1, got {m}")
-
-
 def _check_degree(m: int) -> None:
-    _check_positive(m, "dominance degree")
+    if m < 1:
+        raise DomainError(f"dominance degree must be >= 1, got {m}")
     if m > MAX_DEGREE:
         raise DomainError(f"dominance degree must be <= {MAX_DEGREE}, got {m}")
-
-
-def iterated_quantile(lot: Lottery, m: int) -> PiecewisePoly:
-    """(m-1)-fold integral from 0 of the quantile function on [0, 1].
-
-    m = 1 is the left-continuous quantile step function itself, with
-    breakpoints at the cumulative probabilities.
-    """
-    _check_positive(m, "iteration order")
-    knots, jumps, big_l, big_d = _quantile_steps(lot)
-    return spline(knots, jumps, big_l, big_l, big_d, m)
-
-
-def iterated_cdf(lot: Lottery, m: int, hi: Fraction) -> PiecewisePoly:
-    """(m-1)-fold integral from 0 of the CDF on [0, hi]."""
-    _check_positive(m, "iteration order")
-    if hi < max(lot.outcomes) or hi <= 0:
-        raise DomainError("iterated CDF domain must cover the support and have positive length")
-    knots, jumps, xd, big_d = _cdf_steps(lot)
-    big_l = lcm(xd, hi.denominator)
-    r = big_l // xd
-    end = hi.numerator * (big_l // hi.denominator)
-    return spline([u * r for u in knots], jumps, end, big_l, big_d, m)
 
 
 def _pointwise_leq(knots, jumps, end: int, big_l: int, m: int):

@@ -11,12 +11,14 @@ a parsimonious pair ranked strictly against the direct direction.
 Direct runs fuzz random bases, block amplitudes, gap specs, and
 positions, then sweep a battery of right-sign, flipped-sign, and
 zero-derivative weighting functions. Converse runs generate piecewise
-linear weighting functions with certified mixed differences and walk
-the witness map (divisors n of the grid count in ascending order, then
-window starts j/n) until a violating pair is exhibited, so the pair has
-the fewest states any aligned window allows; the pair's value gap is
-checked against the closed-form difference identity, exactly, and its
-sign is the reported direction.
+linear weighting functions with certified mixed differences, evaluate h
+once on the grid 1/G, and read both the certificate and the witness from
+that list. The witness search walks the divisors n of G in ascending
+order, then the window starts j/n, reading each 1/n window as every
+(G/n)-th grid value, until a violating pair is exhibited, so the pair
+has the fewest states any aligned window allows; the pair's value gap is
+checked exactly against the window and against the same window of hbar,
+evaluated afresh, and its sign is the reported direction.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ from .weighting import (
     SignClass,
     Tabulated,
     WeightingSpec,
+    difference_grid,
+    difference_sign,
     dual_power_mixture,
-    finite_difference,
     finite_difference_sign,
     format_weighting,
     hbar_finite_difference,
+    unit_differences,
 )
 
 # statement number -> (direction, orders exercised)
@@ -196,7 +200,8 @@ def random_mixed_tabulated(rng: random.Random, m: int, tries: int = 500) -> Tabu
 
     Knot values are jittered off the diagonal by multiples of 1/(32K)
     bounded by 1/(8K), which keeps the knots strictly increasing; draws
-    are rejected until the aligned step-1/K windows show both signs.
+    are rejected until the order-m certificate on the knot grid 1/K is
+    Mixed, that is until the aligned step-1/K windows show both signs.
     """
     for _ in range(tries):
         k = rng.choice((8, 16, 32))
@@ -206,13 +211,8 @@ def random_mixed_tabulated(rng: random.Random, m: int, tries: int = 500) -> Tabu
             knots.append((Fraction(i, k), Fraction(i, k) + eta))
         knots.append((Fraction(1), Fraction(1)))
         w = Tabulated(tuple(knots))
-        pos = neg = False
-        for j in range(0, k - m + 1):
-            d = finite_difference(w, m, Fraction(j, k), Fraction(1, k))
-            pos = pos or d > 0
-            neg = neg or d < 0
-            if pos and neg:
-                return w
+        if m <= k and finite_difference_sign(w, m, k).kind is SignClass.MIXED:
+            return w
     raise DualRiskError(f"no mixed-difference tabulated weighting found in {tries} draws")
 
 
@@ -224,19 +224,18 @@ def _candidate_counts(m: int, grid_count: int) -> list[int]:
     return [n for n in range(max(m, 2), grid_count + 1) if grid_count % n == 0]
 
 
-def converse_witness_search(
-    w: WeightingSpec, m: int, grid_count: int = 256
-) -> tuple[int, int, Fraction] | None:
-    """Find (n, j) with a wrong-sign aligned window Delta^m_{1/n} h(j/n),
-    smallest n first.
+def converse_witness_search(values: list, m: int) -> tuple[int, int, Fraction] | None:
+    """Find (n, j, window) with a wrong-sign aligned window
+    window = Delta^m_{1/n} h(j/n), smallest n first.
 
-    The pair value gap equals (-1)^(m+1)/M times this window, so "wrong
-    sign" means a negative window at odd m and a positive one at even m.
+    values holds h at i/G for i = 0..G (weighting.difference_grid); the
+    1/n windows read every (G/n)-th entry. The pair value gap equals
+    (-1)^(m+1)/M times the window, so "wrong sign" means a negative
+    window at odd m and a positive one at even m.
     """
+    grid_count = len(values) - 1
     for n in _candidate_counts(m, grid_count):
-        step = Fraction(1, n)
-        for j in range(0, n - m + 1):
-            d = finite_difference(w, m, Fraction(j, n), step)
+        for j, d in unit_differences(values[:: grid_count // n], m):
             if (d < 0) if m % 2 == 1 else (d > 0):
                 return n, j, d
     return None
@@ -245,16 +244,18 @@ def converse_witness_search(
 def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
     """One converse probe: Mixed certificate must yield a violating pair.
 
-    Returns a replay record with status "vacuous" (certificate not
-    Mixed), "violation" (pair found, gap identity verified), or a
-    failure status ("no-window" / "mismatch").
+    h is evaluated once on the grid 1/G; the certificate and the witness
+    window both come from that list. Returns a replay record with status
+    "vacuous" (certificate not Mixed), "violation" (pair found, gap
+    identity verified), or a failure status ("no-window" / "mismatch").
     """
-    cert = finite_difference_sign(w, m, grid_count)
+    values = difference_grid(w, m, grid_count)
+    cert = difference_sign(values, m)
     record: dict = {"weighting": format_weighting(w), "order": m, "certificate": cert.kind.value}
     if cert.kind is not SignClass.MIXED:
         record["status"] = "vacuous"
         return record
-    found = converse_witness_search(w, m, grid_count)
+    found = converse_witness_search(values, m)
     if found is None:
         record["status"] = "no-window"
         return record
@@ -281,25 +282,23 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
     return record
 
 
-def run_converse_trials(
-    theorem: int, m: int, trials: int, seed: int, grid_count: int = 256
-) -> HarnessReport:
+def run_converse_trials(theorem: int, m: int, trials: int, seed: int) -> HarnessReport:
     rng = random.Random(seed * 1000003 + m)
     failures: list[dict] = []
     for trial in range(trials):
         w = random_mixed_tabulated(rng, m)
-        record = converse_check(w, m, grid_count)
+        record = converse_check(w, m)
         if record["status"] != "violation":
             record["trial"] = trial
             failures.append(record)
     return HarnessReport(theorem, "converse", m, trials, tuple(failures))
 
 
-def run_theorem(theorem: int, trials: int, seed: int, grid_count: int = 256) -> list[HarnessReport]:
+def run_theorem(theorem: int, trials: int, seed: int) -> list[HarnessReport]:
     """Run one numbered statement across its orders; one report per order."""
     if theorem not in THEOREMS:
         raise DomainError(f"statements are numbered 1..6, got {theorem}")
     kind, orders = THEOREMS[theorem]
     if kind == "direct":
         return [run_direct_trials(theorem, m, trials, seed) for m in orders]
-    return [run_converse_trials(theorem, m, trials, seed, grid_count) for m in orders]
+    return [run_converse_trials(theorem, m, trials, seed) for m in orders]

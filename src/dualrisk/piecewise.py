@@ -1,8 +1,5 @@
-"""Piecewise polynomials with exact rational breakpoints, and the
-truncated-power splines that the dominance checks compare.
-
-A PiecewisePoly stores each piece's coefficients in the global variable
-(not shifted per piece) and evaluates left-continuously.
+"""The truncated-power splines that the dominance checks compare, piece
+by piece in integers.
 
 The (m-1)-fold integral, from 0, of a left-continuous step function has
 a closed form: each jump J at knot c adds J (t - c)_+^(m-1) / (m-1)!,
@@ -18,45 +15,9 @@ integer gap, and a jump there adds to the top coefficient only.
 
 from __future__ import annotations
 
-import bisect
 from collections import defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 
-from .errors import DomainError
-from .polyops import peval, pshift, ptrim
-
-
-@dataclass(frozen=True)
-class PiecewisePoly:
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if len(self.breakpoints) < 2 or len(self.pieces) != len(self.breakpoints) - 1:
-            raise DomainError("need K+1 breakpoints for K pieces, K >= 1")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if not a < b:
-                raise DomainError("breakpoints must be strictly increasing")
-
-    @property
-    def lo(self) -> Fraction:
-        return self.breakpoints[0]
-
-    @property
-    def hi(self) -> Fraction:
-        return self.breakpoints[-1]
-
-    def piece_index(self, x) -> int:
-        if x < self.lo or x > self.hi:
-            raise DomainError(f"{x} outside [{self.lo}, {self.hi}]")
-        i = bisect.bisect_left(self.breakpoints, x, lo=1) - 1
-        return min(i, len(self.pieces) - 1)
-
-    def __call__(self, x):
-        """Evaluate; at interior breakpoints takes the left piece's value."""
-        return peval(list(self.pieces[self.piece_index(x)]), x)
+from .polyops import pshift
 
 
 def spline_pieces(knots, jumps, end: int, m: int) -> tuple[list[int], list[list[int]]]:
@@ -86,17 +47,3 @@ def spline_pieces(knots, jumps, end: int, m: int) -> tuple[list[int], list[list[
 def global_coeffs(piece: list[int], a: int, big_l: int) -> list[int]:
     """The coefficients in t = w / L of a piece given in w - a."""
     return [c * big_l**k for k, c in enumerate(pshift(piece, -a))]
-
-
-def spline(knots, jumps, end: int, big_l: int, big_d: int, m: int) -> PiecewisePoly:
-    """The spline sum_j (v_j / D) (t - u_j / L)_+^(m-1) / (m-1)! on [0, end / L],
-    from the ints of spline_pieces, as a PiecewisePoly over Fractions."""
-    grid, pieces = spline_pieces(knots, jumps, end, m)
-    scale = big_d * big_l ** (m - 1) * factorial(m - 1)
-    return PiecewisePoly(
-        tuple(Fraction(u, big_l) for u in grid),
-        tuple(
-            tuple(Fraction(c, scale) for c in ptrim(global_coeffs(p, a, big_l)))
-            for a, p in zip(grid, pieces)
-        ),
-    )

@@ -16,6 +16,13 @@ The dual weighting function hbar(p) = 1 - h(1 - p) is the survival-side
 twin: its m-th forward difference equals (-1)^(m+1) times the m-th
 forward difference of h at the reflected start point, so sign statements
 about h translate mechanically to hbar.
+
+Difference certificates read h once on the grid i/G (difference_grid)
+and scan the m-th differences of consecutive grid values
+(unit_differences): every window of a longer step is a non-negative
+combination of unit-step ones, so the unit-step scan decides the sign
+class. The converse harness reads its certificate and its witness
+windows from that one list.
 """
 
 from __future__ import annotations
@@ -332,34 +339,58 @@ def _classify(order, pos, neg) -> SignCertificate:
     return SignCertificate(kind=kind, order=order, positive=pos, negative=neg)
 
 
-def finite_difference_sign(w: WeightingSpec, m: int, grid_count: int = 256) -> SignCertificate:
-    """Sign certificate for the m-th forward differences of h on a grid.
+def difference_grid(w: WeightingSpec, m: int, grid_count: int) -> list:
+    """h at i/G for i = 0..G, the values an order-m difference scan reads.
 
-    Evaluates sum_k (-1)^(m-k) C(m, k) h(p + k s) for every start p = i/G
-    and step s = j/G (j >= 1) with p + m s <= 1. Exact families are
-    classified exactly; transcendental ones in floats.
+    Exact families give Fractions, transcendental ones floats. An order
+    below 1 or above G is a DomainError, raised before h is evaluated.
     """
     if m < 1:
         raise DomainError(f"difference order must be >= 1, got {m}")
     if grid_count < m:
         raise DomainError(f"grid_count must be at least m, got {grid_count} < {m}")
     exact = is_exact(w)
-    values = []
-    for i in range(grid_count + 1):
-        q = Fraction(i, grid_count)
-        values.append(eval_h(w, q if exact else float(q)))
+    grid = (Fraction(i, grid_count) for i in range(grid_count + 1))
+    return [eval_h(w, q if exact else float(q)) for q in grid]
+
+
+def unit_differences(values: list, m: int):
+    """(i, sum_k (-1)^(m-k) C(m, k) values[i + k]) for i = 0, 1, ...: the
+    m-th differences of consecutive windows of values, in order. On h at
+    the grid i/G they are the windows of step 1/G starting at i/G."""
     coeffs = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+    for i in range(len(values) - m):
+        yield i, sum(c * values[i + k] for k, c in enumerate(coeffs))
+
+
+def difference_sign(values: list, m: int) -> SignCertificate:
+    """Sign certificate of the m-th differences of h from its values on
+    the grid i/G (G = len(values) - 1, at least m), as difference_grid
+    gives them; each witness is the first window of its sign."""
+    grid_count = len(values) - 1
     pos = neg = None
-    for j in range(1, grid_count // m + 1):
-        for i in range(0, grid_count - m * j + 1):
-            d = sum(c * values[i + k * j] for k, c in enumerate(coeffs))
-            if d > 0 and pos is None:
-                pos = SignWitness(Fraction(i, grid_count), Fraction(j, grid_count), d)
-            elif d < 0 and neg is None:
-                neg = SignWitness(Fraction(i, grid_count), Fraction(j, grid_count), d)
-            if pos and neg:
-                return _classify(m, pos, neg)
+    for i, d in unit_differences(values, m):
+        if d > 0 and pos is None:
+            pos = SignWitness(Fraction(i, grid_count), Fraction(1, grid_count), d)
+        elif d < 0 and neg is None:
+            neg = SignWitness(Fraction(i, grid_count), Fraction(1, grid_count), d)
+        if pos and neg:
+            break
     return _classify(m, pos, neg)
+
+
+def finite_difference_sign(w: WeightingSpec, m: int, grid_count: int = 256) -> SignCertificate:
+    """Sign certificate for the m-th forward differences of h on a grid.
+
+    Evaluates sum_k (-1)^(m-k) C(m, k) h(p + k s) at step s = 1/G for
+    every start p = i/G with p + m s <= 1, and stops once both signs are
+    seen. Windows of a longer step b/G add nothing: Delta_b^m equals
+    Delta_1^m (1 + E + ... + E^(b-1))^m, with E the shift by 1/G, so it
+    is a non-negative combination of unit-step windows and carries no
+    sign they lack. Exact families are classified exactly, transcendental
+    ones in floats.
+    """
+    return difference_sign(difference_grid(w, m, grid_count), m)
 
 
 def finite_difference(w: WeightingSpec, m: int, p, s):

@@ -19,12 +19,22 @@ taken on merged breakpoint grids, by Sturm (where the library accepts
 pieces with non-negative Taylor or Bernstein coefficients without it),
 root isolation and sign profiles run a Sturm chain of Fraction
 polynomials (monic gcd, true remainders, deflation by x - r) where the
-library works on primitive integer polynomials, and the direct battery
+library works on primitive integer polynomials, the direct battery
 constructs every member afresh where the library memoizes the unseeded
-ones.
+ones, and the difference certificate, the draw's window rule and the
+converse witness search evaluate h window by window through
+finite_difference, over every step for the certificate, where the
+library reads one evaluated grid at unit step.
+
+One section is not independent on purpose: spline, iterated_quantile
+and iterated_cdf wrap the library's integer splines
+(piecewise.spline_pieces) as PiecewisePoly over Fractions, so that the
+tests can hold those splines against the antiderivative chain.
 """
 
 import bisect
+import math
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -40,15 +50,20 @@ from dualrisk import (
     NonUnitMass,
     Polynomial,
     Prelec,
+    SignCertificate,
+    SignClass,
+    SignWitness,
     TverskyKahneman,
     as_distribution,
     dual_power_mixture,
     eval_h,
     eval_hbar,
+    finite_difference,
     is_exact,
     rat,
 )
-from dualrisk.piecewise import PiecewisePoly
+from dualrisk.dominance import _cdf_steps, _quantile_steps
+from dualrisk.piecewise import global_coeffs, spline_pieces
 from dualrisk.polyops import Poly, nonneg_on_interval, padd, pderiv, peval, pscale, ptrim
 
 
@@ -159,8 +174,8 @@ def decimal_sig(value: Fraction, sig: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Polynomial and piecewise-polynomial arithmetic over Fractions: the
-# antiderivative chain that dominance.iterated_quantile, iterated_cdf and
-# the dominance checks must reproduce from their closed-form splines
+# antiderivative chain that the closed-form splines below and the
+# dominance checks must reproduce
 
 
 def psub(a: Poly, b: Poly) -> Poly:
@@ -182,6 +197,41 @@ def pmul(a: Poly, b: Poly) -> Poly:
 def pantideriv(c: Poly, constant: Fraction = Fraction(0)) -> Poly:
     """Antiderivative with value `constant` at 0."""
     return ptrim([constant] + [c[i] / (i + 1) for i in range(len(c))])
+
+
+@dataclass(frozen=True)
+class PiecewisePoly:
+    """Piecewise polynomial with exact rational breakpoints; each piece's
+    coefficients are in the global variable (not shifted per piece), and
+    evaluation is left-continuous."""
+
+    breakpoints: tuple[Fraction, ...]
+    pieces: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        if len(self.breakpoints) < 2 or len(self.pieces) != len(self.breakpoints) - 1:
+            raise DomainError("need K+1 breakpoints for K pieces, K >= 1")
+        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
+            if not a < b:
+                raise DomainError("breakpoints must be strictly increasing")
+
+    @property
+    def lo(self) -> Fraction:
+        return self.breakpoints[0]
+
+    @property
+    def hi(self) -> Fraction:
+        return self.breakpoints[-1]
+
+    def piece_index(self, x) -> int:
+        if x < self.lo or x > self.hi:
+            raise DomainError(f"{x} outside [{self.lo}, {self.hi}]")
+        i = bisect.bisect_left(self.breakpoints, x, lo=1) - 1
+        return min(i, len(self.pieces) - 1)
+
+    def __call__(self, x):
+        """Evaluate; at interior breakpoints takes the left piece's value."""
+        return peval(list(self.pieces[self.piece_index(x)]), x)
 
 
 def step_function(breakpoints, values) -> PiecewisePoly:
@@ -227,6 +277,52 @@ def difference(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
 
 def degree(f: PiecewisePoly) -> int:
     return max(len(ptrim(list(p))) - 1 for p in f.pieces)
+
+
+# ---------------------------------------------------------------------------
+# The library's integer splines (piecewise.spline_pieces) as PiecewisePoly
+# over Fractions, so tests can compare them with the antiderivative chain
+
+
+def spline(knots, jumps, end: int, big_l: int, big_d: int, m: int) -> PiecewisePoly:
+    """The spline sum_j (v_j / D) (t - u_j / L)_+^(m-1) / (m-1)! on [0, end / L],
+    from the ints of spline_pieces."""
+    grid, pieces = spline_pieces(knots, jumps, end, m)
+    scale = big_d * big_l ** (m - 1) * math.factorial(m - 1)
+    return PiecewisePoly(
+        tuple(Fraction(u, big_l) for u in grid),
+        tuple(
+            tuple(Fraction(c, scale) for c in ptrim(global_coeffs(p, a, big_l)))
+            for a, p in zip(grid, pieces)
+        ),
+    )
+
+
+def iterated_quantile(lot: Lottery, m: int) -> PiecewisePoly:
+    """(m-1)-fold integral from 0 of the quantile function on [0, 1], from
+    the closed-form spline. m = 1 is the left-continuous quantile step
+    function itself, with breakpoints at the cumulative probabilities."""
+    if m < 1:
+        raise DomainError(f"iteration order must be >= 1, got {m}")
+    knots, jumps, big_l, big_d = _quantile_steps(lot)
+    return spline(knots, jumps, big_l, big_l, big_d, m)
+
+
+def iterated_cdf(lot: Lottery, m: int, hi: Fraction) -> PiecewisePoly:
+    """(m-1)-fold integral from 0 of the CDF on [0, hi], from the closed-form spline."""
+    if m < 1:
+        raise DomainError(f"iteration order must be >= 1, got {m}")
+    if hi < max(lot.outcomes) or hi <= 0:
+        raise DomainError("iterated CDF domain must cover the support and have positive length")
+    knots, jumps, xd, big_d = _cdf_steps(lot)
+    big_l = math.lcm(xd, hi.denominator)
+    r = big_l // xd
+    end = hi.numerator * (big_l // hi.denominator)
+    return spline([u * r for u in knots], jumps, end, big_l, big_d, m)
+
+
+# ---------------------------------------------------------------------------
+# Moments, batteries and valuations
 
 
 def dual_moment_mc_oracle(
@@ -578,3 +674,52 @@ def sign_profile_fraction(c: Poly, a: Fraction, b: Fraction):
         if has_pos and has_neg:
             break
     return (has_pos, has_neg, pos_w, neg_w)
+
+
+# ---------------------------------------------------------------------------
+# Difference scans window by window: the certificate over every step, the
+# draw's aligned-window rule and the witness search, each evaluating h
+# afresh per window through finite_difference, where the library reads
+# one evaluated grid at unit step
+
+
+def finite_difference_sign_all_steps(w, m: int, grid_count: int) -> SignCertificate:
+    """Sign certificate over every start i/G and step j/G (j >= 1) with
+    i/G + m j/G <= 1, steps ascending, starts ascending within a step,
+    stopping once both signs are seen."""
+    pos = neg = None
+    windows = ((i, j) for j in range(1, grid_count // m + 1) for i in range(grid_count - m * j + 1))
+    for i, j in windows:
+        d = finite_difference(w, m, Fraction(i, grid_count), Fraction(j, grid_count))
+        if d > 0 and pos is None:
+            pos = SignWitness(Fraction(i, grid_count), Fraction(j, grid_count), d)
+        elif d < 0 and neg is None:
+            neg = SignWitness(Fraction(i, grid_count), Fraction(j, grid_count), d)
+        if pos and neg:
+            break
+    kind = (
+        SignClass.MIXED if pos and neg
+        else SignClass.NON_NEGATIVE if pos
+        else SignClass.NON_POSITIVE if neg
+        else SignClass.ZERO
+    )
+    return SignCertificate(kind, m, pos, neg)
+
+
+def aligned_windows_mixed(w, m: int, k: int) -> bool:
+    """True when the step-1/K windows at starts j/K show both signs."""
+    diffs = [finite_difference(w, m, Fraction(j, k), Fraction(1, k)) for j in range(k - m + 1)]
+    return any(d > 0 for d in diffs) and any(d < 0 for d in diffs)
+
+
+def converse_witness_windows(w, m: int, grid_count: int):
+    """(n, j, window) of the first wrong-sign window Delta^m_{1/n} h(j/n),
+    n running over the divisors of G from max(m, 2) up."""
+    for n in range(max(m, 2), grid_count + 1):
+        if grid_count % n:
+            continue
+        for j in range(n - m + 1):
+            d = finite_difference(w, m, Fraction(j, n), Fraction(1, n))
+            if (d < 0) if m % 2 == 1 else (d > 0):
+                return n, j, d
+    return None

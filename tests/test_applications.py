@@ -475,6 +475,25 @@ class TestProblemConfig:
         assert "bad.cfg" in str(exc.value)
 
     @pytest.mark.parametrize(
+        "mangle,line,error",
+        [
+            (lambda t: t.replace("loss = 1", "loss = -1"), 3, "loss must be >= 0"),
+            (lambda t: t.replace("epsilon = 1/8", "epsilon = -1/8"), 4, "background amplitude must be >= 0"),
+            (lambda t: t.replace("epsilon = 1/8", "epsilon = 1/2"), 4, "2 eps = loss"),
+            (lambda t: t.replace("0:1/2", "1/2:0"), 6, "0 <= lo < hi"),
+            (lambda t: t.replace("wealth = 4", "wealth = 1"), 2, "wealth can go negative"),
+            (lambda t: t.replace("wealth = 4", "wealth = 10").replace("0:1/2", "1:2"), 5, "fall over the bounds"),
+        ],
+        ids=["negative-loss", "negative-epsilon", "case-boundary", "reversed-bounds", "negative-wealth", "flat-probability"],
+    )
+    def test_problem_errors_carry_the_line_of_their_key(self, mangle, line, error):
+        with pytest.raises(FormatError) as exc:
+            parse_problem_config(mangle(GOOD_CONFIG), source="bad.cfg")
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"bad.cfg:{line}: ")
+        assert error in str(exc.value)
+
+    @pytest.mark.parametrize(
         "model",
         [
             LinearEffort(F(1, 2), F(1, 2)),

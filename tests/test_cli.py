@@ -325,7 +325,7 @@ class TestVerify:
     def test_failure_writes_replay_records(self, tmp_path, capsys, monkeypatch):
         import dualrisk.harness as harness_module
 
-        def fake_run(theorem, trials, seed, grid_count=256):
+        def fake_run(theorem, trials, seed):
             failure = {"weighting": "identity", "relation": "ge", "direction": -1, "trial": 0}
             return [HarnessReport(theorem, "direct", 3, trials, (failure,))]
 
@@ -345,7 +345,7 @@ class TestVerify:
     def test_unwritable_replay_records_are_a_typed_error(self, tmp_path, capsys, monkeypatch):
         import dualrisk.harness as harness_module
 
-        def fake_run(theorem, trials, seed, grid_count=256):
+        def fake_run(theorem, trials, seed):
             failure = {"weighting": "identity", "relation": "ge", "direction": -1, "trial": 0}
             return [HarnessReport(theorem, "direct", 3, trials, (failure,))]
 
@@ -355,6 +355,17 @@ class TestVerify:
         code = main(["verify", "--theorem", "1", "--trials", "1", "--outdir", str(blocker)])
         assert code == 2
         assert f"error: cannot write {blocker}" in capsys.readouterr().err
+
+    def test_grid_count_is_not_an_option(self, capsys):
+        assert main(["verify", "--theorem", "2", "--trials", "1", "--grid-count", "8"]) == 2
+        assert "--grid-count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_two(self, capsys, trials):
+        assert main(["verify", "--theorem", "1", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: trials must be >= 1, got {trials}")
 
     def test_theorem_number_validated(self, capsys):
         assert main(["verify", "--theorem", "9"]) == 2
@@ -463,6 +474,49 @@ class TestSelfProtect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {cfg}:4:") and "'pmin'" in captured.err
+
+    @pytest.mark.parametrize(
+        "old, new, line, fragment",
+        [
+            ("loss = 1", "loss = -1", 2, "loss must be >= 0, got -1"),
+            ("epsilon = 1/8", "epsilon = -1/8", 3, "background amplitude must be >= 0"),
+            ("bounds = 0:1/2", "bounds = 1/2:0", 5, "effort bounds must satisfy 0 <= lo < hi"),
+            ("wealth = 4", "wealth = 1", 1, "wealth can go negative"),
+            ("bounds = 0:1/2", "bounds = 1:2", 4, "loss probability must stay in (0, 1) and fall"),
+        ],
+        ids=["negative-loss", "negative-epsilon", "reversed-bounds", "negative-wealth", "flat-probability"],
+    )
+    def test_problem_error_names_the_line_of_its_key(self, tmp_path, capsys, old, new, line, fragment):
+        cfg = tmp_path / "bad.cfg"
+        text = SP_CONFIG.replace(old, new)
+        if new == "bounds = 1:2":  # wealth to spare, so only the flat clamp is wrong
+            text = text.replace("wealth = 4", "wealth = 10")
+        cfg.write_text(text)
+        assert main(["selfprotect", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}:{line}: {fragment}")
+
+    @pytest.mark.parametrize("epsilon, solves", [("1/8", 2), ("0", 1)])
+    def test_each_problem_is_solved_once(self, tmp_path, capsys, monkeypatch, epsilon, solves):
+        import dualrisk.applications as applications
+
+        cfg = tmp_path / "prob.cfg"
+        cfg.write_text(SP_CONFIG.replace("epsilon = 1/8", f"epsilon = {epsilon}"))
+        assert main(["selfprotect", str(cfg)]) == 0
+        expected = capsys.readouterr().out
+        problems = []
+        real = applications.sp_solve
+
+        def counted(sp, w, *args):
+            problems.append(sp.epsilon)
+            return real(sp, w, *args)
+
+        monkeypatch.setattr(applications, "sp_solve", counted)
+        assert main(["selfprotect", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(problems) == solves
+        assert sorted(problems) == sorted({F(0), F(epsilon)})
 
     def test_grid_count_is_not_an_option(self, tmp_path, capsys):
         cfg = tmp_path / "prob.cfg"

@@ -14,8 +14,6 @@ from dualrisk import (
     dt_value,
     dual_moment,
     dual_sd_check,
-    iterated_cdf,
-    iterated_quantile,
     make_blocks,
     make_lottery,
     make_pair,
@@ -33,7 +31,9 @@ from oracles import (
     degree,
     difference,
     dual_sd_rebuild,
+    iterated_cdf,
     iterated_cdf_per_point,
+    iterated_quantile,
     iterated_quantile_per_piece,
     primal_sd_rebuild,
     quantile,

@@ -19,6 +19,7 @@ from dualrisk import (
     direct_battery,
     direct_check,
     dt_value,
+    eval_h,
     finite_difference,
     finite_difference_sign,
     preference_direction,
@@ -29,9 +30,11 @@ from dualrisk import (
     run_theorem,
     PairProvenance,
     Polynomial,
+    Tabulated,
 )
+from dualrisk.weighting import difference_grid
 
-from oracles import direct_battery_rebuild, interp_linear_scan
+from oracles import aligned_windows_mixed, converse_witness_windows, direct_battery_rebuild, interp_linear_scan
 
 F = Fraction
 
@@ -146,7 +149,7 @@ class TestConverse:
     def test_witness_search_finds_the_window(self):
         rng = random.Random(9)
         w = random_mixed_tabulated(rng, 4)
-        found = converse_witness_search(w, 4)
+        found = converse_witness_search(difference_grid(w, 4, 256), 4)
         assert found is not None
         n, j, window = found
         assert window > 0
@@ -171,7 +174,78 @@ class TestConverse:
             assert record["direction"] == preference_direction(pair, w) == -1
 
     def test_witness_search_none_for_clean_weighting(self):
-        assert converse_witness_search(DualPower(4), 4) is None
+        assert converse_witness_search(difference_grid(DualPower(4), 4, 256), 4) is None
+
+
+def _draw_knots(rng: random.Random):
+    """(Tabulated, K): one candidate drawn as random_mixed_tabulated draws it."""
+    k = rng.choice((8, 16, 32))
+    knots = [(F(0), F(0))]
+    knots += [(F(i, k), F(i, k) + F(rng.randint(-4, 4), 32 * k)) for i in range(1, k)]
+    return Tabulated((*knots, (F(1), F(1)))), k
+
+
+class TestOneGrid:
+    """The draw, the certificate and the witness search read one evaluated grid."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_draw_acceptance_matches_the_aligned_window_rule(self, m):
+        # seeded draws are nearly always Mixed; the knots of DualPower(5)
+        # and of the diagonal, bare or with one knot raised, are the
+        # draws the rule must turn down or may accept
+        rng = random.Random(100 + m)
+        candidates = [_draw_knots(rng) for _ in range(40)]
+        for k in (8, 16, 32):
+            diagonal = [(F(i, k), F(i, k)) for i in range(k + 1)]
+            candidates.append((Tabulated(tuple(diagonal)), k))
+            candidates.append((Tabulated(tuple((p, eval_h(DualPower(5), p)) for p, _ in diagonal)), k))
+            for i in (1, k // 2, k - 1):
+                bumped = list(diagonal)
+                bumped[i] = (F(i, k), F(i, k) + F(1, 8 * k))
+                candidates.append((Tabulated(tuple(bumped)), k))
+        seen = set()
+        for w, k in candidates:
+            mixed = finite_difference_sign(w, m, k).kind is SignClass.MIXED
+            assert mixed == aligned_windows_mixed(w, m, k)
+            seen.add(mixed)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_draws_are_the_first_candidates_the_window_rule_accepts(self, m):
+        rng, shadow = random.Random(200 + m), random.Random(200 + m)
+        for _ in range(8):
+            w = random_mixed_tabulated(rng, m)
+            candidate, k = _draw_knots(shadow)
+            while not aligned_windows_mixed(candidate, m, k):
+                candidate, k = _draw_knots(shadow)
+            assert w == candidate
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_witness_search_matches_the_window_by_window_search(self, m):
+        rng = random.Random(400 + m)
+        for w in [DualPower(m)] + [random_mixed_tabulated(rng, m) for _ in range(10)]:
+            assert converse_witness_search(difference_grid(w, m, 256), m) == converse_witness_windows(w, m, 256)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_converse_check_evaluates_h_once_per_grid_point(self, m, monkeypatch):
+        import dualrisk.valuation as valuation
+        import dualrisk.weighting as weighting
+
+        calls = []
+        real = weighting.eval_h
+
+        def counted(w, p):
+            calls.append(p)
+            return real(w, p)
+
+        w = random_mixed_tabulated(random.Random(300 + m), m)
+        monkeypatch.setattr(weighting, "eval_h", counted)
+        monkeypatch.setattr(valuation, "eval_h", counted)
+        assert converse_check(w, m)["status"] == "violation"
+        assert len(calls) == 257 + m + 1  # the grid, then the survival-form window
+        calls.clear()
+        assert converse_check(DualPower(m), m)["status"] == "vacuous"
+        assert len(calls) == 257
 
 
 class TestRunTheorem:

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from dualrisk.errors import DomainError
-from dualrisk.piecewise import PiecewisePoly
 
-from oracles import antiderivative, degree, difference, step_function
+from oracles import PiecewisePoly, antiderivative, degree, difference, step_function
 
 F = Fraction
 

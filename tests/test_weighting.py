@@ -31,7 +31,9 @@ from dualrisk import (
     parse_weighting,
 )
 
-from oracles import interp_linear_scan
+from dualrisk.polyops import padd, pscale
+
+from oracles import finite_difference_sign_all_steps, interp_linear_scan
 
 F = Fraction
 
@@ -170,6 +172,83 @@ class TestFiniteDifferenceSign:
             lhs = hbar_finite_difference(w, m, p, s)
             rhs = (-1) ** (m + 1) * finite_difference(w, m, 1 - p - m * s, s)
             assert lhs == rhs
+
+
+@st.composite
+def tabulated_weightings(draw):
+    xs = sorted(draw(st.sets(st.fractions(F(1, 64), F(63, 64), max_denominator=64), max_size=8)))
+    ys = sorted(draw(st.lists(st.fractions(0, 1, max_denominator=64), min_size=len(xs), max_size=len(xs))))
+    return Tabulated(((F(0), F(0)), *zip(xs, ys), (F(1), F(1))))
+
+
+@st.composite
+def polynomial_weightings(draw):
+    """Convex mixtures of p^k, 1 - (1 - p)^k and (1 + c) p - c p^k with
+    c = 1/(k - 1): monotone, and often of mixed difference signs."""
+    kinds = st.sampled_from(("power", "dualpower", "flip"))
+    parts = draw(st.lists(st.tuples(kinds, st.integers(2, 6), st.integers(1, 4)), min_size=1, max_size=3))
+    total = sum(weight for *_, weight in parts)
+    acc = [F(0)]
+    for kind, k, weight in parts:
+        if kind == "power":
+            coeffs = [F(0)] * k + [F(1)]
+        elif kind == "dualpower":
+            coeffs = list(dual_power_mixture({k: F(1)}).coeffs)
+        else:
+            coeffs = [F(0)] * (k + 1)
+            coeffs[1], coeffs[k] = 1 + F(1, k - 1), -F(1, k - 1)
+        acc = padd(acc, pscale(coeffs, F(weight, total)))
+    return Polynomial(tuple(acc))
+
+
+class TestUnitStepScan:
+    """The certificate scans unit steps only; the scan over every step that
+    it replaced gives the same certificate, witnesses included."""
+
+    @given(
+        st.one_of(
+            tabulated_weightings(),
+            polynomial_weightings(),
+            st.integers(1, 8).map(DualPower),
+            st.fractions(0, 1, max_denominator=16).map(Quadratic),
+        ),
+        st.integers(1, 5),
+        st.integers(8, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_all_steps_scan(self, w, m, grid_count):
+        assert finite_difference_sign(w, m, grid_count) == finite_difference_sign_all_steps(w, m, grid_count)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            TverskyKahneman(0.61),
+            TverskyKahneman(0.9),
+            Prelec(0.65, 1.0),
+            Prelec(1.3, 0.8),
+            Power(F(1, 2)),
+            Power(F(3, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_float_families_match_the_all_steps_scan(self, w, m):
+        for grid_count in (8, 16, 32, 64):
+            assert finite_difference_sign(w, m, grid_count) == finite_difference_sign_all_steps(w, m, grid_count)
+
+    def test_witnesses_sit_at_unit_step(self):
+        knots = ((F(0), F(0)), (F(1, 4), F(1, 2)), (F(3, 4), F(5, 8)), (F(1), F(1)))
+        cert = finite_difference_sign(Tabulated(knots), 3, 16)
+        assert cert.positive.step == cert.negative.step == F(1, 16)
+
+    def test_grid_is_checked_before_h_is_evaluated(self, monkeypatch):
+        import dualrisk.weighting as weighting
+
+        calls = []
+        monkeypatch.setattr(weighting, "eval_h", lambda w, p: calls.append(p))
+        for m, grid_count in ((0, 8), (9, 8), (1, 0)):
+            with pytest.raises(DomainError):
+                finite_difference_sign(Identity(), m, grid_count)
+        assert calls == []
 
 
 class TestAnalyticSign:
