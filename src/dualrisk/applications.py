@@ -19,9 +19,11 @@ direction dictated by the third derivative of the weighting function.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial, reduce
 
 from .dominance import dual_sd_check
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
 from .lottery import EqualProbLottery, Lottery, make_lottery, mean
 from .rationals import format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
 from .valuation import dt_value
-from .weighting import WeightingSpec, eval_h, eval_h_prime, parse_weighting
+from .weighting import WeightingSpec, eval_h, eval_h_prime, float_form, parse_weighting
 
 
 # ---------------------------------------------------------------------------
@@ -408,63 +410,204 @@ def sp_lottery(sp: SelfProtectionProblem, e) -> Lottery:
     )
 
 
+# The closed forms are written once, as data. Each is a signed sum, left
+# to right, of products, left to right, of factors; a factor is an exact
+# constant or the name of a quantity at the point (_POINT). sp_value and
+# sp_foc_lhs evaluate them as they stand; sp_solve folds their constants
+# once per solve and evaluates them on floats (_float_forms).
+
+
+def _value_terms(sp: SelfProtectionProblem, w: WeightingSpec) -> tuple:
+    base, eps2 = sp.w0 + sp.epsilon, 2 * sp.epsilon
+    match _regime(sp):
+        case "bare":
+            return (("+", (base,)), ("-", ("e",)), ("-", ("h(p)", sp.loss)))
+        case "small":
+            return (
+                ("+", (base,)),
+                ("-", ("e",)),
+                ("-", (eps2, "h(p/2)")),
+                ("-", (sp.loss - eps2, "h(p)")),
+                ("-", (eps2, "h((1+p)/2)")),
+            )
+        case "large":
+            return (
+                ("+", (base,)),
+                ("-", ("e",)),
+                ("-", (sp.loss, "h(p/2)")),
+                ("-", (eps2 - sp.loss, eval_h(w, Fraction(1, 2)))),
+                ("-", (sp.loss, "h((1+p)/2)")),
+            )
+    raise DomainError("unreachable regime")
+
+
+def _slope_terms(sp: SelfProtectionProblem) -> tuple:
+    if sp.epsilon > 0 and 2 * sp.epsilon == sp.loss:
+        raise CaseBoundary("2 eps = loss has no well-defined case")
+    match _regime(sp):
+        case "bare":
+            return (("+", (-1, "p'", "h'(p)", sp.loss)), ("-", (1,)))
+        case "small":
+            return (("+", ("p'", sp.epsilon, "shift")), ("-", ("p'", "h'(p)", sp.loss)), ("-", (1,)))
+        case "large":
+            return (("+", (Fraction(-1, 2), "p'", sp.loss, "slopes")), ("-", (1,)))
+    raise DomainError("unreachable regime")
+
+
+def _shift(hp, p):
+    return -hp(p / 2) + 2 * hp(p) - hp((1 + p) / 2)
+
+
+# name -> its value from (e, p(e), p'(e), h, h') at the point
+_POINT = {
+    "e": lambda e, p, dp, h, hp: e,
+    "p'": lambda e, p, dp, h, hp: dp,
+    "h(p/2)": lambda e, p, dp, h, hp: h(p / 2),
+    "h(p)": lambda e, p, dp, h, hp: h(p),
+    "h((1+p)/2)": lambda e, p, dp, h, hp: h((1 + p) / 2),
+    "h'(p)": lambda e, p, dp, h, hp: hp(p),
+    "shift": lambda e, p, dp, h, hp: _shift(hp, p),
+    "slopes": lambda e, p, dp, h, hp: hp(p / 2) + hp((1 + p) / 2),
+}
+
+
+def _evaluate(terms: tuple, e, p, dp, h, hp):
+    total = None
+    for sign, factors in terms:
+        product = None
+        for f in factors:
+            if f.__class__ is str:
+                f = _POINT[f](e, p, dp, h, hp)
+            product = f if product is None else product * f
+        if total is None:
+            total = product
+        elif sign == "+":
+            total += product
+        else:
+            total -= product
+    return total
+
+
 def sp_value(sp: SelfProtectionProblem, e, w: WeightingSpec):
     """Dual value of the wealth lottery at effort e, in closed form.
 
     Equals dt_value(sp_lottery(sp, e), w); the closed form also accepts
-    float effort, which the optimizer relies on.
+    float effort. sp_solve evaluates a float form of it built once per
+    solve, equal to float(sp_value(sp, e, w)) bit for bit.
     """
     p = loss_probability(sp.effort_model, e)
-    match _regime(sp):
-        case "bare":
-            return sp.w0 - e - eval_h(w, p) * sp.loss
-        case "small":
-            return (
-                sp.w0
-                + sp.epsilon
-                - e
-                - 2 * sp.epsilon * eval_h(w, p / 2)
-                - (sp.loss - 2 * sp.epsilon) * eval_h(w, p)
-                - 2 * sp.epsilon * eval_h(w, (1 + p) / 2)
-            )
-        case "large":
-            return (
-                sp.w0
-                + sp.epsilon
-                - e
-                - sp.loss * eval_h(w, p / 2)
-                - (2 * sp.epsilon - sp.loss) * eval_h(w, Fraction(1, 2))
-                - sp.loss * eval_h(w, (1 + p) / 2)
-            )
-    raise DomainError("unreachable regime")
+    return _evaluate(_value_terms(sp, w), e, p, None, partial(eval_h, w), None)
 
 
 def background_shift_expression(w: WeightingSpec, p):
     """-h'(p/2) + 2 h'(p) - h'((1+p)/2): the marginal-benefit shift the
     background risk adds to the first-order condition; negative exactly
     when the slope of h is convex across the three evaluation points."""
-    return -eval_h_prime(w, p / 2) + 2 * eval_h_prime(w, p) - eval_h_prime(w, (1 + p) / 2)
+    return _shift(partial(eval_h_prime, w), p)
 
 
 def sp_foc_lhs(sp: SelfProtectionProblem, e, w: WeightingSpec):
     """d/de of the closed-form value: the first-order condition's left side."""
-    if sp.epsilon > 0 and 2 * sp.epsilon == sp.loss:
-        raise CaseBoundary("2 eps = loss has no well-defined case")
+    terms = _slope_terms(sp)
     p = loss_probability(sp.effort_model, e)
     dp = loss_probability_slope(sp.effort_model, e)
-    match _regime(sp):
-        case "bare":
-            return -dp * eval_h_prime(w, p) * sp.loss - 1
-        case "small":
-            return (
-                dp * sp.epsilon * background_shift_expression(w, p)
-                - dp * eval_h_prime(w, p) * sp.loss
-                - 1
-            )
-        case "large":
-            slopes = eval_h_prime(w, p / 2) + eval_h_prime(w, (1 + p) / 2)
-            return -Fraction(1, 2) * dp * sp.loss * slopes - 1
-    raise DomainError("unreachable regime")
+    return _evaluate(terms, e, p, dp, None, partial(eval_h_prime, w))
+
+
+def _float_terms(terms: tuple, fixed: dict) -> tuple:
+    """terms for float evaluation, with the same result bit for bit.
+
+    Python evaluates sums and products left to right, and takes a
+    Fraction to float where it meets a float. So a leading run of exact
+    factors is one exact product, a leading run of exact terms one exact
+    sum, each taken to float once, and every later exact factor or term
+    is its float. fixed maps the point names that are exact constants
+    here to their values.
+    """
+
+    def exact(f):
+        return not isinstance(f, str) or f in fixed
+
+    def constant(f):
+        return fixed[f] if isinstance(f, str) else f
+
+    folded, lead = [], None
+    for sign, factors in terms:
+        run = next((i for i, f in enumerate(factors) if not exact(f)), len(factors))
+        product = reduce(operator.mul, map(constant, factors[:run])) if run else None
+        rest = tuple(float(constant(f)) if exact(f) else f for f in factors[run:])
+        if not rest and not folded:  # still in the leading run of exact terms
+            lead = product if lead is None else lead + product if sign == "+" else lead - product
+            continue
+        if lead is not None:
+            folded.append(("+", (float(lead),)))
+            lead = None
+        folded.append((sign, ((float(product),) if run else ()) + rest))
+    return tuple(folded) if lead is None else (("+", (float(lead),)),)
+
+
+def _float_effort(model: EffortModel):
+    """(point, fixed): point(e) gives (p(e), p'(e)) on float effort, bit
+    for bit loss_probability and loss_probability_slope, or None where
+    p(e) comes back exact (a clamped linear point); fixed gives p'(e)
+    where it is an exact constant instead."""
+    match model:
+        case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi):
+            start, rate, floor, cap = float(p0), float(k), float(lo), float(hi)
+
+            def linear(e):
+                # a float strictly inside (float(lo), float(hi)) is strictly
+                # inside (lo, hi): float() rounds to nearest
+                x = start - rate * e
+                return (x, None) if floor < x < cap else None
+
+            return linear, {"p'": -k}
+        case ExponentialEffort(p0=p0, k=k):
+            start, rate = float(p0), -float(k)
+
+            def exponential(e):
+                p = start * math.exp(rate * e)
+                return p, rate * p
+
+            return exponential, {}
+        case PowerLawEffort(p0=p0, c=c, gamma=g):
+            start, scale, power = float(p0), float(c), -float(g)
+            rate = power * scale
+
+            def power_law(e):
+                grown = 1 + scale * e
+                p = start * grown**power
+                return p, rate * p / grown
+
+            return power_law, {}
+    raise DomainError(f"unknown effort model {model!r}")
+
+
+def _float_forms(sp: SelfProtectionProblem, w: WeightingSpec):
+    """V(e) and V'(e) on float effort, built once: bit for bit
+    float(sp_value(sp, e, w)) and float(sp_foc_lhs(sp, e, w)).
+
+    A point where p(e) is exact, and V' of a weighting whose h' is exact
+    on floats, go through sp_value and sp_foc_lhs unchanged.
+    """
+    h, hp = float_form(w)
+    point, fixed = _float_effort(sp.effort_model)
+    value_terms = _float_terms(_value_terms(sp, w), fixed)
+    slope_terms = _float_terms(_slope_terms(sp), fixed)
+
+    def value(e: float) -> float:
+        at = point(e)
+        if at is None:
+            return float(sp_value(sp, e, w))
+        return _evaluate(value_terms, e, *at, h, hp)
+
+    def slope(e: float) -> float:
+        at = point(e)
+        if at is None or hp is None:
+            return float(sp_foc_lhs(sp, e, w))
+        return _evaluate(slope_terms, e, *at, h, hp)
+
+    return value, slope
 
 
 @dataclass(frozen=True)
@@ -484,14 +627,16 @@ class SPSolution:
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
+_GOLDEN_TOL = 1e-10  # golden-section search stops at this bracket width
+_GRID_COUNT = 256  # cells of the bracketing effort grid
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -503,31 +648,35 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return (a + b) / 2
 
 
-def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec, grid_count: int = 256) -> SPSolution:
+def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec) -> SPSolution:
     """Maximize effort value: bracketing grid scan, then golden-section.
 
     The value is assumed concave in effort; that assumption is checked
     on the scan grid and a violation triggers a warning while the
-    returned point is still the refined global grid maximum.
+    returned point is still the refined global grid maximum. A bound
+    whose value is at least the refined point's is returned as the bound
+    itself. Every evaluation reads the float form of sp_value and
+    sp_foc_lhs built once for this solve, equal to them bit for bit.
     """
+    value, slope = _float_forms(sp, w)
     lo, hi = float(sp.effort_bounds[0]), float(sp.effort_bounds[1])
-    step = (hi - lo) / grid_count
-    es = [lo + i * step for i in range(grid_count + 1)]
-    vs = [float(sp_value(sp, e, w)) for e in es]
+    step = (hi - lo) / _GRID_COUNT
+    es = [lo + i * step for i in range(_GRID_COUNT + 1)]
+    vs = [value(e) for e in es]
     scale = max(1.0, max(abs(v) for v in vs))
     concave = all(
-        vs[i + 1] - vs[i] <= vs[i] - vs[i - 1] + 1e-9 * scale for i in range(1, grid_count)
+        vs[i + 1] - vs[i] <= vs[i] - vs[i - 1] + 1e-9 * scale for i in range(1, _GRID_COUNT)
     )
     if not concave:
         warnings.warn("value not concave on the effort grid; returning the global grid maximum")
-    best = max(range(grid_count + 1), key=lambda i: vs[i])
+    best = max(range(_GRID_COUNT + 1), key=lambda i: vs[i])
     a = es[best - 1] if best > 0 else es[0]
-    b = es[best + 1] if best < grid_count else es[grid_count]
-    e_star = _golden_max(lambda e: float(sp_value(sp, e, w)), a, b)
-    foc_lo = float(sp_foc_lhs(sp, lo, w))
-    foc_hi = float(sp_foc_lhs(sp, hi, w))
+    b = es[best + 1] if best < _GRID_COUNT else es[_GRID_COUNT]
+    e_star = _golden_max(value, a, b)
+    foc_lo = slope(lo)
+    foc_hi = slope(hi)
     sign_change = foc_lo > 0 > foc_hi
-    if float(sp_foc_lhs(sp, a, w)) > 0 > float(sp_foc_lhs(sp, b, w)):
+    if slope(a) > 0 > slope(b):
         # the value's float plateau caps golden-section accuracy near a flat
         # top; the first-order condition has no such plateau, so bisecting its
         # sign across the bracketing grid cell pins the maximizer much
@@ -536,13 +685,18 @@ def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec, grid_count: int = 256)
             mid = (a + b) / 2
             if mid in (a, b):
                 break
-            if float(sp_foc_lhs(sp, mid, w)) > 0:
+            if slope(mid) > 0:
                 a = mid
             else:
                 b = mid
         polished = (a + b) / 2
-        if float(sp_value(sp, polished, w)) >= float(sp_value(sp, e_star, w)) - 1e-12 * scale:
+        if value(polished) >= value(e_star) - 1e-12 * scale:
             e_star = polished
+    # the search only approaches a bound its bracket holds; take the bound
+    # when it is at least as good
+    bound = lo if best <= 1 else hi if best >= _GRID_COUNT - 1 else None
+    if bound is not None and value(bound) >= value(e_star):
+        e_star = bound
     bound_tol = (hi - lo) * 1e-9
     at_bound = "lower" if e_star - lo <= bound_tol else "upper" if hi - e_star <= bound_tol else None
     diag = SPDiagnostics(
@@ -552,7 +706,7 @@ def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec, grid_count: int = 256)
         foc_sign_change=sign_change,
         p_at_opt=float(loss_probability(sp.effort_model, e_star)),
     )
-    return SPSolution(e_star, float(sp_value(sp, e_star, w)), diag)
+    return SPSolution(e_star, value(e_star), diag)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ size of the point (its denominator's bits, 1 for a float) stays within
 denominator; past it every evaluation, finite difference and analytic
 sign is a DomainError, never an OverflowError or an unbounded power.
 
+float_form(w) gives h and h' for float points, built once: the same
+floats and errors as eval_h and eval_h_prime, without their per-call
+dispatch and Fraction-to-float conversions.
+
 The dual weighting function hbar(p) = 1 - h(1 - p) is the survival-side
 twin: its m-th forward difference equals (-1)^(m+1) times the m-th
 forward difference of h at the reflected start point, so sign statements
@@ -32,6 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 
 from . import polyops
@@ -208,23 +213,33 @@ def eval_h(w: WeightingSpec, p):
                 _check_power(m, _bits(p))
                 return 1 - (1 - p) ** m
             case TverskyKahneman(gamma=g):
-                x = float(p)
-                if x == 0.0 or x == 1.0:
-                    return x
-                num = x**g
-                return num / (num + (1 - x) ** g) ** (1 / g)
+                return _tk(g, float(p))
             case Prelec(a=a, b=b):
-                x = float(p)
-                if x == 0.0 or x == 1.0:
-                    return x
-                return math.exp(-b * (-math.log(x)) ** a)
+                return _prelec(a, b, float(p))
             case Tabulated(knots=knots):
                 return _interp(knots, p)
             case Polynomial(coeffs=coeffs):
                 return polyops.peval(list(coeffs), p)
     except OverflowError:
-        raise DomainError(f"weighting {format_weighting(w)} overflows a float at p = {p}") from None
+        raise _overflow(w, p) from None
     raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
+
+
+def _overflow(w: WeightingSpec, p) -> DomainError:
+    return DomainError(f"weighting {format_weighting(w)} overflows a float at p = {p}")
+
+
+def _tk(g: float, x: float) -> float:
+    if x == 0.0 or x == 1.0:
+        return x
+    num = x**g
+    return num / (num + (1 - x) ** g) ** (1 / g)
+
+
+def _prelec(a: float, b: float, x: float) -> float:
+    if x == 0.0 or x == 1.0:
+        return x
+    return math.exp(-b * (-math.log(x)) ** a)
 
 
 def eval_hbar(w: WeightingSpec, p):
@@ -265,29 +280,120 @@ def eval_h_prime(w: WeightingSpec, p):
             case Polynomial(coeffs=coeffs):
                 return polyops.peval(polyops.pderiv(list(coeffs)), p)
             case TverskyKahneman(gamma=g):
-                x = float(p)
-                if x <= 0.0 or x >= 1.0:
-                    return _central_difference(w, x)
-                num = x**g
-                d = num + (1 - x) ** g
-                h = num / d ** (1 / g)
-                return h * (g / x - (x ** (g - 1) - (1 - x) ** (g - 1)) / d)
+                return _tk_prime(g, float(p), partial(eval_h, w))
             case Prelec(a=a, b=b):
-                x = float(p)
-                if x <= 0.0 or x >= 1.0:
-                    return _central_difference(w, x)
-                t = -math.log(x)
-                return math.exp(-b * t**a) * a * b * t ** (a - 1) / x
+                return _prelec_prime(a, b, float(p), partial(eval_h, w))
             case Tabulated():
-                return _central_difference(w, float(p))
+                return _central_difference(partial(eval_h, w), float(p))
     except OverflowError:
-        raise DomainError(f"weighting {format_weighting(w)} overflows a float at p = {p}") from None
+        raise _overflow(w, p) from None
     raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
 
 
-def _central_difference(w, x: float, s: float = 1e-6) -> float:
+def _tk_prime(g: float, x: float, h) -> float:
+    if x <= 0.0 or x >= 1.0:
+        return _central_difference(h, x)
+    num = x**g
+    d = num + (1 - x) ** g
+    value = num / d ** (1 / g)
+    return value * (g / x - (x ** (g - 1) - (1 - x) ** (g - 1)) / d)
+
+
+def _prelec_prime(a: float, b: float, x: float, h) -> float:
+    if x <= 0.0 or x >= 1.0:
+        return _central_difference(h, x)
+    t = -math.log(x)
+    return math.exp(-b * t**a) * a * b * t ** (a - 1) / x
+
+
+def _central_difference(h, x: float, s: float = 1e-6) -> float:
     lo, hi = max(0.0, x - s), min(1.0, x + s)
-    return (eval_h(w, hi) - eval_h(w, lo)) / (hi - lo)
+    return (h(hi) - h(lo)) / (hi - lo)
+
+
+def float_form(w: WeightingSpec):
+    """(h, h') for float points, built once per weighting.
+
+    Each equals eval_h(w, x) and eval_h_prime(w, x) bit for bit on every
+    float x, errors included: the [0, 1] check runs at every point, an
+    OverflowError becomes the same DomainError, and the power-size bound,
+    the same for every float, is checked here. A Fraction that meets a
+    float is taken to float first, so the exact families take their
+    constants to float here, each exact sub-expression (1 + beta, 2 beta,
+    the derivative's coefficients) formed exactly as eval_h forms it; the
+    Tabulated segment is still chosen by exact comparison. h' is None
+    where eval_h_prime stays exact on floats: a Polynomial of degree 1,
+    whose slope is the Fraction 1. Coefficients past the float range keep
+    eval_h's own path, which raises at the point.
+    """
+    match w:
+        case Identity():
+            return _on_floats(w, lambda x: x), _on_floats(w, lambda x: 1.0)
+        case Quadratic(beta=b):
+            lin, sq, slope = float(1 + b), float(b), float(2 * b)
+            return _on_floats(w, lambda x: lin * x - sq * x * x), _on_floats(w, lambda x: lin - slope * x)
+        case Power(k=k) if k.denominator == 1:
+            n = k.numerator
+            _check_power(n, 1)
+            slope = (lambda x: n * x ** (n - 1)) if n > 1 else (lambda x: 1.0)
+            return _on_floats(w, lambda x: x**n), _on_floats(w, slope)
+        case Power(k=k):
+            _check_power(k, 1)
+            kf, unbounded = float(k), k < 1
+
+            def power_prime(x):
+                if x == 0 and unbounded:
+                    raise DomainError(f"power k={k} has an unbounded derivative at p = 0")
+                return kf * x ** (kf - 1.0)
+
+            return _on_floats(w, lambda x: x**kf), _on_floats(w, power_prime)
+        case DualPower(m=m):
+            _check_power(m, 1)
+            return _on_floats(w, lambda x: 1 - (1 - x) ** m), _on_floats(w, lambda x: m * (1 - x) ** (m - 1))
+        case TverskyKahneman(gamma=g):
+            h = _on_floats(w, lambda x: _tk(g, x))
+            return h, _on_floats(w, lambda x: _tk_prime(g, x, h))
+        case Prelec(a=a, b=b):
+            h = _on_floats(w, lambda x: _prelec(a, b, x))
+            return h, _on_floats(w, lambda x: _prelec_prime(a, b, x, h))
+        case Tabulated(knots=knots):
+            last = len(knots) - 1
+            # v0 + (v1 - v0) * (p - p0) / (p1 - p0) on each segment, as _interp reads it
+            segments = [None] + [
+                (float(v0), float(v1 - v0), float(p0), float(p1 - p0))
+                for (p0, v0), (p1, v1) in zip(knots, knots[1:])
+            ]
+
+            def tabulated(x):
+                v0, dv, p0, dp = segments[bisect_left(knots, x, 1, last, key=itemgetter(0))]
+                return v0 + dv * (x - p0) / dp
+
+            h = _on_floats(w, tabulated)
+            return h, _on_floats(w, lambda x: _central_difference(h, x))
+        case Polynomial(coeffs=coeffs):
+            slope = polyops.pderiv(list(coeffs))
+            try:
+                values, slopes = [float(c) for c in coeffs], [float(c) for c in slope]
+            except OverflowError:
+                return partial(eval_h, w), partial(eval_h_prime, w)
+            h = _on_floats(w, lambda x: polyops.peval(values, x))
+            return h, _on_floats(w, lambda x: polyops.peval(slopes, x)) if len(slope) > 1 else None
+    raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
+
+
+def _on_floats(w: WeightingSpec, f):
+    """f behind eval_h's per-point checks: [0, 1] first, then an
+    OverflowError as eval_h's DomainError."""
+
+    def checked(x):
+        if x < 0 or x > 1:
+            _check_unit(x)
+        try:
+            return f(x)
+        except OverflowError:
+            raise _overflow(w, x) from None
+
+    return checked
 
 
 class SignClass(Enum):

@@ -24,7 +24,9 @@ constructs every member afresh where the library memoizes the unseeded
 ones, and the difference certificate, the draw's window rule and the
 converse witness search evaluate h window by window through
 finite_difference, over every step for the certificate, where the
-library reads one evaluated grid at unit step.
+library reads one evaluated grid at unit step, and the self-protection
+solver evaluates every point through sp_value and sp_foc_lhs where the
+library evaluates the float form it builds once per solve.
 
 One section is not independent on purpose: spline, iterated_quantile
 and iterated_cdf wrap the library's integer splines
@@ -34,7 +36,8 @@ tests can hold those splines against the antiderivative chain.
 
 import bisect
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -42,6 +45,7 @@ import mpmath
 import numpy as np
 
 from dualrisk import (
+    BackgroundEffectReport,
     DomainError,
     DualPower,
     FormatError,
@@ -53,14 +57,20 @@ from dualrisk import (
     SignCertificate,
     SignClass,
     SignWitness,
+    SPDiagnostics,
+    SPSolution,
     TverskyKahneman,
     as_distribution,
+    background_shift_expression,
     dual_power_mixture,
     eval_h,
     eval_hbar,
     finite_difference,
     is_exact,
+    loss_probability,
     rat,
+    sp_foc_lhs,
+    sp_value,
 )
 from dualrisk.dominance import _cdf_steps, _quantile_steps
 from dualrisk.piecewise import global_coeffs, spline_pieces
@@ -723,3 +733,78 @@ def converse_witness_windows(w, m: int, grid_count: int):
             if (d < 0) if m % 2 == 1 else (d > 0):
                 return n, j, d
     return None
+
+
+# ---------------------------------------------------------------------------
+# Self-protection solved point by point through the closed forms
+
+
+def _golden_max_reference(f, lo: float, hi: float) -> float:
+    golden = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-10:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = f(d)
+    return (a + b) / 2
+
+
+def sp_solve_reference(sp, w) -> SPSolution:
+    """Grid of 256 cells, golden section, first-order-condition bisection
+    and the bound check, every point through float(sp_value) and
+    float(sp_foc_lhs)."""
+
+    def value(e):
+        return float(sp_value(sp, e, w))
+
+    def slope(e):
+        return float(sp_foc_lhs(sp, e, w))
+
+    lo, hi = float(sp.effort_bounds[0]), float(sp.effort_bounds[1])
+    grid = 256
+    es = [lo + i * ((hi - lo) / grid) for i in range(grid + 1)]
+    vs = [value(e) for e in es]
+    scale = max(1.0, max(abs(v) for v in vs))
+    concave = all(vs[i + 1] - vs[i] <= vs[i] - vs[i - 1] + 1e-9 * scale for i in range(1, grid))
+    if not concave:
+        warnings.warn("value not concave on the effort grid; returning the global grid maximum")
+    best = max(range(grid + 1), key=lambda i: vs[i])
+    a, b = es[max(best - 1, 0)], es[min(best + 1, grid)]
+    e_star = _golden_max_reference(value, a, b)
+    sign_change = slope(lo) > 0 > slope(hi)
+    if slope(a) > 0 > slope(b):
+        while (a + b) / 2 not in (a, b):
+            mid = (a + b) / 2
+            a, b = (mid, b) if slope(mid) > 0 else (a, mid)
+        if value((a + b) / 2) >= value(e_star) - 1e-12 * scale:
+            e_star = (a + b) / 2
+    for bound, held in ((lo, best <= 1), (hi, best >= grid - 1)):
+        if held and value(bound) >= value(e_star):
+            e_star = bound
+    tol = (hi - lo) * 1e-9
+    at_bound = "lower" if e_star - lo <= tol else "upper" if hi - e_star <= tol else None
+    diag = SPDiagnostics(at_bound is None, at_bound, concave, sign_change, float(loss_probability(sp.effort_model, e_star)))
+    return SPSolution(e_star, value(e_star), diag)
+
+
+def sp_background_effect_reference(sp, w) -> BackgroundEffectReport:
+    with_bg = sp_solve_reference(sp, w)
+    without = sp_solve_reference(replace(sp, epsilon=Fraction(0)), w)
+    gap = with_bg.e_star - without.e_star
+    tol = 1e-9 * max(1.0, abs(without.e_star))
+    p_opt = without.diagnostics.p_at_opt
+    return BackgroundEffectReport(
+        solution=with_bg,
+        e_without=without.e_star,
+        direction="more" if gap > tol else "less" if gap < -tol else "none",
+        p_at_opt=p_opt,
+        shift_at_half=background_shift_expression(w, Fraction(1, 2)),
+        shift_at_opt=float(background_shift_expression(w, p_opt)),
+    )

@@ -1,12 +1,16 @@
 """Portfolio menus and self-protection against closed forms and finite differences."""
 
+import inspect
 import math
 import random
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrisk import (
     CaseBoundary,
@@ -24,7 +28,9 @@ from dualrisk import (
     NegativeOutcome,
     Polynomial,
     PortfolioProblem,
+    Power,
     PowerLawEffort,
+    Prelec,
     Quadratic,
     QuadraticUtility,
     SelfProtectionProblem,
@@ -33,6 +39,7 @@ from dualrisk import (
     Straddle,
     Tabulated,
     TabulatedUtility,
+    TverskyKahneman,
     background_shift_expression,
     build_menu,
     calibrate_exponential,
@@ -56,7 +63,10 @@ from dualrisk import (
     sp_value,
     supplemented_prices,
 )
-from dualrisk.applications import format_effort
+from dualrisk.applications import _float_forms, format_effort
+from dualrisk.cli import main
+
+from oracles import sp_background_effect_reference, sp_solve_reference
 
 F = Fraction
 
@@ -363,6 +373,9 @@ class TestSpSolve:
         assert sp_foc_lhs(sp, F(3, 10), Identity()) == 1
         assert sp_foc_lhs(sp, F(2, 5), Identity()) == -1
 
+    def test_takes_no_search_knobs(self):
+        assert list(inspect.signature(sp_solve).parameters) == ["sp", "w"]
+
     def test_nonconcave_grid_warns_but_still_maximizes(self):
         pl = calibrate_power_law(F(4, 5), F(1, 2), DualPower(3), 1)
         sp = SelfProtectionProblem(4, 1, 0, pl, (0, F(1, 5)))
@@ -370,6 +383,129 @@ class TestSpSolve:
             sol = sp_solve(sp, DualPower(3))
         grid = [sp_value(sp, 0.2 * i / 400, DualPower(3)) for i in range(401)]
         assert sol.value >= max(grid) - 1e-9
+
+
+# the members of each weighting family the float forms are checked on
+FAMILIES = {
+    "identity": [Identity()],
+    "quadratic": [Quadratic(F(1, 2)), Quadratic(0)],
+    "power": [Power(3), Power(1), Power(F(1, 2)), Power(F(5, 2))],
+    "dualpower": [DualPower(1), DualPower(3)],
+    "tk": [TverskyKahneman(0.8)],
+    "prelec": [Prelec(0.65, 1.0)],
+    "tabulated": [Tabulated(((0, 0), (F(1, 3), F(1, 2)), (F(2, 3), F(3, 4)), (1, 1)))],
+    "polynomial": [REVERSE_CUBIC, Polynomial((0, 1)), dual_power_mixture({2: F(1, 3), 5: F(2, 3)})],
+}
+KINKED = LinearEffort(F(4, 5), 2, F(1, 10), F(99, 100))  # clamps at e = -19/200 and 7/20
+EFFORTS = {
+    "linear": KINKED,
+    "exponential": ExponentialEffort(F(3, 5), 2),
+    "powerlaw": PowerLawEffort(F(4, 5), F(1024, 75), F(1, 2)),
+}
+REGIMES = {"bare": F(0), "small": F(1, 8), "large": F(3, 4)}
+
+
+class TestFloatForms:
+    """The solver's float V and V' equal float(sp_value) and
+    float(sp_foc_lhs) bit for bit."""
+
+    BOUNDS = [0.0, 0.5]
+    # both clamp points of KINKED and their float neighbours
+    CLAMPS = [
+        math.nextafter(float(c), toward) for c in (F(-19, 200), F(7, 20)) for toward in (-1, c, 1)
+    ]
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("effort", EFFORTS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_bit_for_bit(self, family, effort, regime, data):
+        w = data.draw(st.sampled_from(FAMILIES[family]))
+        sp = SelfProtectionProblem(4, 1, REGIMES[regime], EFFORTS[effort], (0, F(1, 2)))
+        efforts = data.draw(st.lists(st.floats(0, 0.5), min_size=1, max_size=8))
+        value, slope = _float_forms(sp, w)
+        for e in efforts + self.BOUNDS + (self.CLAMPS if effort == "linear" else []):
+            assert value(e).hex() == float(sp_value(sp, e, w)).hex()
+            assert slope(e).hex() == float(sp_foc_lhs(sp, e, w)).hex()
+
+
+# the bound optimum a float search only approaches: the value is convex
+# in effort, so the optimum is e = 0 exactly
+CONVEX = SelfProtectionProblem(4, 1, 0, LinearEffort(F(1, 2), F(1, 2)), (0, F(1, 2)))
+CONVEX_CONFIG = """\
+wealth = 4
+loss = 1
+epsilon = {epsilon}
+effort = linear: p0=1/2, k=1/2
+bounds = 0:1/2
+weighting = dualpower:m=2
+"""
+
+
+class TestBoundOptimum:
+    def test_lower_bound_is_returned_exactly(self):
+        with pytest.warns(UserWarning, match="not concave"):
+            sol = sp_solve(CONVEX, DualPower(2))
+        assert sol.e_star == 0.0
+        assert sol.diagnostics.at_bound == "lower"
+        assert sol.value == sp_value(CONVEX, F(0), DualPower(2)) == F(13, 4)
+        assert sol.diagnostics.p_at_opt == 0.5
+
+    def test_two_bound_optima_have_no_direction(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = sp_background_effect(replace(CONVEX, epsilon=F(1, 8)), DualPower(2))
+        assert rep.e_with == rep.e_without == 0.0
+        assert rep.direction == "none"
+        assert rep.shift_at_opt == 0.0
+
+    @pytest.mark.parametrize("epsilon", ["0", "1/8"])
+    def test_cli_prints_the_bound(self, tmp_path, capsys, epsilon):
+        cfg = tmp_path / "convex.cfg"
+        cfg.write_text(CONVEX_CONFIG.format(epsilon=epsilon))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["selfprotect", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^e_star +0$", out, re.M)
+        assert re.search(r"^at_bound +lower$", out, re.M)
+        if epsilon != "0":
+            assert re.search(r"^e_without_background +0$", out, re.M)
+            assert re.search(r"^background_direction +none$", out, re.M)
+
+
+class TestAgainstReferenceSolver:
+    """The paper-repro self-protection problems solve to the same
+    solutions and reports as a solver that evaluates every point through
+    sp_value and sp_foc_lhs."""
+
+    def _check(self, sp, w, background):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if background:
+                assert sp_background_effect(sp, w) == sp_background_effect_reference(sp, w)
+            else:
+                assert sp_solve(sp, w) == sp_solve_reference(sp, w)
+
+    def test_calibrated_power_law(self):
+        pl = calibrate_power_law(F(4, 5), F(1, 2), DualPower(3), 1)
+        self._check(SelfProtectionProblem(4, 1, F(1, 8), pl, (0, F(1, 5))), DualPower(3), True)
+
+    def test_reverse_cubic(self):
+        ex = calibrate_exponential(F(3, 5), REVERSE_CUBIC, 1)
+        self._check(SelfProtectionProblem(4, 1, F(1, 8), ex, (0, 1)), REVERSE_CUBIC, True)
+
+    def test_identity_exponential(self):
+        sp = SelfProtectionProblem(4, 1, 0, ExponentialEffort(F(3, 5), 2), (0, 1))
+        self._check(sp, Identity(), False)
+
+    def test_linear_kink(self):
+        self._check(SelfProtectionProblem(4, 1, 0, KINKED, (0, F(1, 2))), Identity(), False)
+
+    @pytest.mark.parametrize("epsilon", [F(0), F(1, 8)])
+    def test_bound_optimum(self, epsilon):
+        self._check(replace(CONVEX, epsilon=epsilon), DualPower(2), epsilon > 0)
 
 
 class TestBackgroundEffect:

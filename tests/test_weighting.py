@@ -32,6 +32,7 @@ from dualrisk import (
 )
 
 from dualrisk.polyops import padd, pscale
+from dualrisk.weighting import float_form
 
 from oracles import finite_difference_sign_all_steps, interp_linear_scan
 
@@ -333,6 +334,71 @@ class TestFloatOverflow:
         with pytest.raises(DomainError, match="unbounded derivative"):
             eval_h_prime(Power(F(1, 2)), p)
         assert eval_h_prime(Power(F(3, 2)), p) == 0.0
+
+
+# at least one member of each of the eight families, with the edge cases
+# of the float form: order-1 powers, a degree-1 polynomial (its slope is
+# exact on floats), a fractional power below 1 (unbounded slope at 0)
+FLOAT_FORM_SPECS = EXACT_SPECS + [
+    Quadratic(F(0)),
+    Power(F(1)),
+    Power(F(1, 2)),
+    Power(F(7, 3)),
+    DualPower(1),
+    TverskyKahneman(0.61),
+    TverskyKahneman(1.3),
+    Prelec(0.65, 1.0),
+    Prelec(200.0),
+    Tabulated(((F(0), F(0)), (F(1, 3), F(1, 2)), (F(1, 3) + F(1, 10**30), F(2, 3)), (F(1), F(1)))),
+    Polynomial((F(0), F(1))),
+    dual_power_mixture({2: F(1, 3), 7: F(2, 3)}),
+]
+
+
+def _outcome(f, x):
+    """The float a call returns, by its hex, or the error it raises."""
+    try:
+        value = f(x)
+    except DomainError as exc:
+        return "error", str(exc)
+    return ("exact", value) if isinstance(value, Fraction) else ("float", value.hex())
+
+
+class TestFloatForm:
+    """float_form(w) is eval_h and eval_h_prime on floats, bit for bit."""
+
+    POINTS = [0.0, 1.0, 5e-324, 1e-300, 1 - 2**-53, 0.5, 1 / 3, 0.25 + 1e-6, -0.5, 1.5, float(F(1, 3))]
+
+    @given(st.sampled_from(FLOAT_FORM_SPECS), st.lists(st.floats(0, 1), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eval_h(self, w, xs):
+        h, hp = float_form(w)
+        for x in xs + self.POINTS:
+            assert _outcome(h, x) == _outcome(lambda q: eval_h(w, q), x)
+            exact = _outcome(lambda q: eval_h_prime(w, q), x)
+            if hp is None:
+                assert exact[0] in ("exact", "error")
+            else:
+                assert _outcome(hp, x) == exact
+
+    def test_slope_is_none_only_where_exact(self):
+        assert float_form(Polynomial((F(0), F(1), F(0))))[1] is None
+        assert eval_h_prime(Polynomial((F(0), F(1), F(0))), 0.5) == 1
+        assert all(float_form(w)[1] is not None for w in FLOAT_FORM_SPECS if w != Polynomial((F(0), F(1))))
+
+    def test_order_bound_is_checked_once(self):
+        for w in (Power(10**7), DualPower(10**7), Power(F(2 * 10**400 + 1, 2))):
+            with pytest.raises(DomainError, match="order too large"):
+                float_form(w)
+        h, hp = float_form(DualPower(2**20))
+        assert h(0.5) == eval_h(DualPower(2**20), 0.5)
+
+    def test_coefficients_past_the_float_range_keep_eval_h(self):
+        w = dual_power_mixture({1050: F(1)})  # binomials past 10^308
+        h, hp = float_form(w)
+        for f, exact in ((h, eval_h), (hp, eval_h_prime)):
+            assert _outcome(f, 0.5) == _outcome(lambda q: exact(w, q), 0.5)
+            assert _outcome(f, 0.5)[0] == "error"
 
 
 class TestConstruction:
