@@ -297,27 +297,20 @@ EffortModel = LinearEffort | ExponentialEffort | PowerLawEffort
 
 
 def loss_probability(model: EffortModel, e):
-    """p(e); exact for the linear family, float for the transcendental ones."""
+    """p(e); exact for the linear family at exact effort and at a clamp,
+    float otherwise."""
     match model:
-        case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi):
+        case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi) if not isinstance(e, float):
             return min(hi, max(lo, p0 - k * e))
-        case ExponentialEffort(p0=p0, k=k):
-            return float(p0) * math.exp(-float(k) * float(e))
-        case PowerLawEffort(p0=p0, c=c, gamma=g):
-            return float(p0) * (1 + float(c) * float(e)) ** (-float(g))
-    raise DomainError(f"unknown effort model {model!r}")
+    return _float_effort(model)[0](float(e))[0]
 
 
 def loss_probability_slope(model: EffortModel, e):
     """p'(e) (zero on the clamped stretches of the linear family)."""
     match model:
-        case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi):
+        case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi) if not isinstance(e, float):
             return Fraction(0) if not lo < p0 - k * e < hi else -k
-        case ExponentialEffort(k=k):
-            return -float(k) * loss_probability(model, e)
-        case PowerLawEffort(c=c, gamma=g):
-            return -float(g) * float(c) * loss_probability(model, e) / (1 + float(c) * float(e))
-    raise DomainError(f"unknown effort model {model!r}")
+    return _float_effort(model)[0](float(e))[1]
 
 
 @dataclass(frozen=True)
@@ -547,21 +540,24 @@ def _float_terms(terms: tuple, fixed: dict) -> tuple:
 
 
 def _float_effort(model: EffortModel):
-    """(point, fixed): point(e) gives (p(e), p'(e)) on float effort, bit
-    for bit loss_probability and loss_probability_slope, or None where
-    p(e) comes back exact (a clamped linear point); fixed gives p'(e)
-    where it is an exact constant instead."""
+    """(point, fixed): point(e) gives (p(e), p'(e)) on float effort, the
+    one float implementation of the effort models. A clamped linear point
+    gives the exact bound and slope 0, the open linear stretch the exact
+    slope -k; fixed maps "p'" to -k there."""
     match model:
         case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi):
             start, rate, floor, cap = float(p0), float(k), float(lo), float(hi)
+            slope, flat = -k, Fraction(0)
 
             def linear(e):
-                # a float strictly inside (float(lo), float(hi)) is strictly
-                # inside (lo, hi): float() rounds to nearest
+                # float() rounds to nearest, so only floor and cap themselves
+                # can lie on either side of the bound they round
                 x = start - rate * e
-                return (x, None) if floor < x < cap else None
+                if floor < x < cap or (x == floor or x == cap) and lo < x < hi:
+                    return x, slope
+                return (lo, flat) if x < floor or x == floor and x <= lo else (hi, flat)
 
-            return linear, {"p'": -k}
+            return linear, {"p'": slope}
         case ExponentialEffort(p0=p0, k=k):
             start, rate = float(p0), -float(k)
 
@@ -587,25 +583,36 @@ def _float_forms(sp: SelfProtectionProblem, w: WeightingSpec):
     """V(e) and V'(e) on float effort, built once: bit for bit
     float(sp_value(sp, e, w)) and float(sp_foc_lhs(sp, e, w)).
 
-    A point where p(e) is exact, and V' of a weighting whose h' is exact
-    on floats, go through sp_value and sp_foc_lhs unchanged.
+    Each stretch of effort on which point quantities are exact constants
+    has its terms folded by _float_terms on its first point: the open
+    stretch (p' = -k for linear effort), each clamp, where p and every h
+    and h' read from it are exact, and, where h' is the exact constant 1
+    (a degree-1 Polynomial), h'(p), the shift and the slopes everywhere.
     """
     h, hp = float_form(w)
     point, fixed = _float_effort(sp.effort_model)
-    value_terms = _float_terms(_value_terms(sp, w), fixed)
-    slope_terms = _float_terms(_slope_terms(sp), fixed)
+    exact_h, exact_hp = partial(eval_h, w), partial(eval_h_prime, w)
+    if hp is None:  # h' is the exact constant 1, and so is every name read from it alone, at any p
+        names = ("h'(p)", "shift", "slopes")
+        fixed |= {n: _POINT[n](None, Fraction(1, 2), None, None, exact_hp) for n in names}
+    folded = {}  # stretch (None when open, else the clamp's exact p) -> (value terms, slope terms)
+
+    def terms(p, dp):
+        stretch = None if p.__class__ is float else p
+        if stretch not in folded:
+            names = fixed if stretch is None else {
+                n: f(None, p, dp, exact_h, exact_hp) for n, f in _POINT.items() if n != "e"
+            }
+            folded[stretch] = _float_terms(_value_terms(sp, w), names), _float_terms(_slope_terms(sp), names)
+        return folded[stretch]
 
     def value(e: float) -> float:
-        at = point(e)
-        if at is None:
-            return float(sp_value(sp, e, w))
-        return _evaluate(value_terms, e, *at, h, hp)
+        p, dp = point(e)
+        return _evaluate(terms(p, dp)[0], e, p, dp, h, hp)
 
     def slope(e: float) -> float:
-        at = point(e)
-        if at is None or hp is None:
-            return float(sp_foc_lhs(sp, e, w))
-        return _evaluate(slope_terms, e, *at, h, hp)
+        p, dp = point(e)
+        return _evaluate(terms(p, dp)[1], e, p, dp, h, hp)
 
     return value, slope
 

@@ -195,7 +195,10 @@ def run_direct_trials(theorem: int, m: int, trials: int, seed: int) -> HarnessRe
     return HarnessReport(theorem, "direct", m, trials, tuple(failures))
 
 
-def random_mixed_tabulated(rng: random.Random, m: int, tries: int = 500) -> Tabulated:
+_MIXED_TRIES = 500  # draws random_mixed_tabulated makes before it gives up
+
+
+def random_mixed_tabulated(rng: random.Random, m: int) -> Tabulated:
     """Piecewise-linear weighting whose m-th differences take both signs.
 
     Knot values are jittered off the diagonal by multiples of 1/(32K)
@@ -203,7 +206,7 @@ def random_mixed_tabulated(rng: random.Random, m: int, tries: int = 500) -> Tabu
     are rejected until the order-m certificate on the knot grid 1/K is
     Mixed, that is until the aligned step-1/K windows show both signs.
     """
-    for _ in range(tries):
+    for _ in range(_MIXED_TRIES):
         k = rng.choice((8, 16, 32))
         knots = [(Fraction(0), Fraction(0))]
         for i in range(1, k):
@@ -213,7 +216,7 @@ def random_mixed_tabulated(rng: random.Random, m: int, tries: int = 500) -> Tabu
         w = Tabulated(tuple(knots))
         if m <= k and finite_difference_sign(w, m, k).kind is SignClass.MIXED:
             return w
-    raise DualRiskError(f"no mixed-difference tabulated weighting found in {tries} draws")
+    raise DualRiskError(f"no mixed-difference tabulated weighting found in {_MIXED_TRIES} draws")
 
 
 def _candidate_counts(m: int, grid_count: int) -> list[int]:

@@ -20,14 +20,15 @@ below it (so F = c/d and S = (d - c)/d) and the integer step to it, and
 every family reads those counts. DualPower(m) and the dual moments sum
 (d - c)^m per step; the other exact families use V = x_max -
 sum_i h(F_i) (x_i - x_{i-1}): integer Power sums c^k, Identity, Quadratic
-and Polynomial run Horner on integer coefficients of h taken straight
-from their parameters, and Tabulated walks a segment pointer forward as
-c rises, over its knots scaled to integers by the lcm of the segment
+and Polynomial run Horner on the numerators of h's coefficients over
+their common denominator, and Tabulated walks a segment pointer forward
+as c rises, over its knots scaled to integers by the lcm of the segment
 widths. Each builds one Fraction at the end. An exact order m with
 m * bitlength(d) above 2^20, about the size of its powers, is a
 DomainError. The float families (TverskyKahneman, Prelec, fractional
-Power) read the same counts, with the level c/d and the step as int
-true divisions, which are the correctly rounded floats of the rationals;
+Power) read the same counts through the weighting's float form, with
+the level c/d and the step as int true divisions, which are the
+correctly rounded floats of the rationals;
 an outcome beyond the float range is a DomainError. The raw and central
 moments are single integer sums over the same form.
 """
@@ -54,7 +55,8 @@ from .weighting import (
     TverskyKahneman,
     WeightingSpec,
     _check_power,
-    eval_h,
+    _h_coeffs,
+    float_form,
 )
 
 
@@ -159,13 +161,8 @@ def dt_value(lot: Lottery, w: WeightingSpec):
             return _survival_power(jumps, m, d, xd)
         case Power(k=k) if k.denominator == 1:
             return _cdf_power(jumps, k.numerator, d, xd, top)
-        case Identity():
-            return _cdf_poly(jumps, [0, 1], 1, d, xd, top)
-        case Quadratic(beta=b):
-            q, n = b.denominator, b.numerator
-            return _cdf_poly(jumps, [0, q + n, -n], q, d, xd, top)
-        case Polynomial(coeffs=c):
-            return _cdf_poly(jumps, *_common_denominator(c), d, xd, top)
+        case Identity() | Quadratic() | Polynomial():
+            return _cdf_poly(jumps, *_common_denominator(_h_coeffs(w)), d, xd, top)
         case Tabulated(knots=knots):
             return _cdf_tabulated(jumps, knots, d, xd, top)
         case TverskyKahneman() | Prelec() | Power():
@@ -246,10 +243,10 @@ def _float_sweep(jumps, w: WeightingSpec, d: int, xd: int) -> float:
     """sum_i hbar(S_i) step_i in floats; the level c/d and the step step/xd
     are int true divisions, so each is the correctly rounded float of its
     rational."""
-    acc = 0.0
+    h, acc = float_form(w)[0], 0.0
     try:
         for c, step in jumps:
-            acc += (1 - eval_h(w, c / d)) * (step / xd)
+            acc += (1 - h(c / d)) * (step / xd)
     except OverflowError:  # an outcome beyond float range
         name = type(w).__name__
         raise DomainError(f"{name} values need outcomes within the float range") from None

@@ -12,9 +12,11 @@ size of the point (its denominator's bits, 1 for a float) stays within
 denominator; past it every evaluation, finite difference and analytic
 sign is a DomainError, never an OverflowError or an unbounded power.
 
-float_form(w) gives h and h' for float points, built once: the same
-floats and errors as eval_h and eval_h_prime, without their per-call
-dispatch and Fraction-to-float conversions.
+float_form(w) is the one float implementation of h and h', built once
+per weighting: eval_h and eval_h_prime send it every float point, and
+every point of the transcendental families and fractional Power
+(eval_h_prime also of Tabulated), and loops over many float points read
+one form.
 
 The dual weighting function hbar(p) = 1 - h(1 - p) is the survival-side
 twin: its m-th forward difference equals (-1)^(m+1) times the m-th
@@ -36,7 +38,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from operator import itemgetter
 
 from . import polyops
@@ -189,44 +190,28 @@ def _check_power(order, bits: int) -> None:
         )
 
 
-def _bits(p) -> int:
-    """The size of p in [0, 1] for the bound: its denominator's bits, 1 for a float."""
-    return 1 if isinstance(p, float) else p.denominator.bit_length()
-
-
 def eval_h(w: WeightingSpec, p):
-    """Evaluate h at p in [0, 1]. Exact families preserve Fraction inputs."""
+    """Evaluate h at p in [0, 1]. Exact families keep Fraction and int
+    points exact; a float point, or a transcendental family, goes through
+    float_form(w)."""
     _check_unit(p)
-    try:
-        match w:
-            case Identity():
-                return p
-            case Quadratic(beta=b):
-                return (1 + b) * p - b * p * p
-            case Power(k=k):
-                if k.denominator == 1:
-                    _check_power(k.numerator, _bits(p))
-                    return p ** k.numerator
-                _check_power(k, 1)
-                return float(p) ** float(k)
-            case DualPower(m=m):
-                _check_power(m, _bits(p))
-                return 1 - (1 - p) ** m
-            case TverskyKahneman(gamma=g):
-                return _tk(g, float(p))
-            case Prelec(a=a, b=b):
-                return _prelec(a, b, float(p))
-            case Tabulated(knots=knots):
-                return _interp(knots, p)
-            case Polynomial(coeffs=coeffs):
-                return polyops.peval(list(coeffs), p)
-    except OverflowError:
-        raise _overflow(w, p) from None
-    raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
-
-
-def _overflow(w: WeightingSpec, p) -> DomainError:
-    return DomainError(f"weighting {format_weighting(w)} overflows a float at p = {p}")
+    if isinstance(p, float) or not is_exact(w):
+        return float_form(w)[0](float(p))
+    match w:
+        case Identity():
+            return p
+        case Quadratic(beta=b):
+            return (1 + b) * p - b * p * p
+        case Power(k=k):
+            _check_power(k.numerator, p.denominator.bit_length())
+            return p**k.numerator
+        case DualPower(m=m):
+            _check_power(m, p.denominator.bit_length())
+            return 1 - (1 - p) ** m
+        case Tabulated(knots=knots):
+            return _interp(knots, p)
+        case Polynomial(coeffs=coeffs):
+            return polyops.peval(list(coeffs), p)
 
 
 def _tk(g: float, x: float) -> float:
@@ -257,37 +242,29 @@ def _interp(knots, p):
 
 
 def eval_h_prime(w: WeightingSpec, p):
-    """First derivative of h; analytic except Tabulated (central difference)."""
+    """First derivative of h; analytic except Tabulated (central difference).
+
+    Exact families keep Fraction and int points exact; a float point, a
+    transcendental family or Tabulated goes through float_form(w).
+    """
     _check_unit(p)
-    try:
-        match w:
-            case Identity():
-                return Fraction(1) if isinstance(p, Fraction) else 1.0
-            case Quadratic(beta=b):
-                return 1 + b - 2 * b * p
-            case Power(k=k):
-                if k.denominator == 1:
-                    n = k.numerator
-                    _check_power(n, _bits(p))
-                    return n * p ** (n - 1) if n > 1 else (p**0) * n
-                _check_power(k, 1)
-                if p == 0 and k < 1:
-                    raise DomainError(f"power k={k} has an unbounded derivative at p = 0")
-                return float(k) * float(p) ** (float(k) - 1.0)
-            case DualPower(m=m):
-                _check_power(m, _bits(p))
-                return m * (1 - p) ** (m - 1)
-            case Polynomial(coeffs=coeffs):
-                return polyops.peval(polyops.pderiv(list(coeffs)), p)
-            case TverskyKahneman(gamma=g):
-                return _tk_prime(g, float(p), partial(eval_h, w))
-            case Prelec(a=a, b=b):
-                return _prelec_prime(a, b, float(p), partial(eval_h, w))
-            case Tabulated():
-                return _central_difference(partial(eval_h, w), float(p))
-    except OverflowError:
-        raise _overflow(w, p) from None
-    raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
+    if isinstance(p, float) or not is_exact(w) or isinstance(w, Tabulated):
+        hp = float_form(w)[1]
+        return Fraction(1) if hp is None else hp(float(p))
+    match w:
+        case Identity():
+            return Fraction(1) if isinstance(p, Fraction) else 1.0
+        case Quadratic(beta=b):
+            return 1 + b - 2 * b * p
+        case Power(k=k):
+            n = k.numerator
+            _check_power(n, p.denominator.bit_length())
+            return n * p ** (n - 1) if n > 1 else (p**0) * n
+        case DualPower(m=m):
+            _check_power(m, p.denominator.bit_length())
+            return m * (1 - p) ** (m - 1)
+        case Polynomial(coeffs=coeffs):
+            return polyops.peval(polyops.pderiv(list(coeffs)), p)
 
 
 def _tk_prime(g: float, x: float, h) -> float:
@@ -306,25 +283,29 @@ def _prelec_prime(a: float, b: float, x: float, h) -> float:
     return math.exp(-b * t**a) * a * b * t ** (a - 1) / x
 
 
-def _central_difference(h, x: float, s: float = 1e-6) -> float:
-    lo, hi = max(0.0, x - s), min(1.0, x + s)
+_DIFFERENCE_STEP = 1e-6  # half-width of the central difference for h'
+
+
+def _central_difference(h, x: float) -> float:
+    lo, hi = max(0.0, x - _DIFFERENCE_STEP), min(1.0, x + _DIFFERENCE_STEP)
     return (h(hi) - h(lo)) / (hi - lo)
 
 
 def float_form(w: WeightingSpec):
     """(h, h') for float points, built once per weighting.
 
-    Each equals eval_h(w, x) and eval_h_prime(w, x) bit for bit on every
-    float x, errors included: the [0, 1] check runs at every point, an
-    OverflowError becomes the same DomainError, and the power-size bound,
-    the same for every float, is checked here. A Fraction that meets a
-    float is taken to float first, so the exact families take their
-    constants to float here, each exact sub-expression (1 + beta, 2 beta,
-    the derivative's coefficients) formed exactly as eval_h forms it; the
-    Tabulated segment is still chosen by exact comparison. h' is None
-    where eval_h_prime stays exact on floats: a Polynomial of degree 1,
-    whose slope is the Fraction 1. Coefficients past the float range keep
-    eval_h's own path, which raises at the point.
+    The only float arithmetic of each family: eval_h and eval_h_prime
+    call it for every point they do not keep exact. Every point gets the
+    [0, 1] check, and an OverflowError becomes DomainError; the
+    power-size bound, the same for every float, is checked here once. A
+    Fraction that meets a float is taken to float first, so the exact
+    families take their constants to float once, each exact
+    sub-expression (1 + beta, 2 beta, the derivative's coefficients)
+    formed exactly first; the Tabulated segment is chosen by exact
+    comparison. h' is None where it is the exact constant 1 (a Polynomial
+    of degree 1), which eval_h_prime returns on floats too. Polynomial
+    coefficients past the float range keep the mixed Fraction/float
+    formula, which raises at every point.
     """
     match w:
         case Identity():
@@ -375,15 +356,15 @@ def float_form(w: WeightingSpec):
             try:
                 values, slopes = [float(c) for c in coeffs], [float(c) for c in slope]
             except OverflowError:
-                return partial(eval_h, w), partial(eval_h_prime, w)
+                values, slopes = list(coeffs), slope
             h = _on_floats(w, lambda x: polyops.peval(values, x))
             return h, _on_floats(w, lambda x: polyops.peval(slopes, x)) if len(slope) > 1 else None
     raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
 
 
 def _on_floats(w: WeightingSpec, f):
-    """f behind eval_h's per-point checks: [0, 1] first, then an
-    OverflowError as eval_h's DomainError."""
+    """f behind the per-point checks: [0, 1] first, then an OverflowError
+    as DomainError."""
 
     def checked(x):
         if x < 0 or x > 1:
@@ -391,7 +372,7 @@ def _on_floats(w: WeightingSpec, f):
         try:
             return f(x)
         except OverflowError:
-            raise _overflow(w, x) from None
+            raise DomainError(f"weighting {format_weighting(w)} overflows a float at p = {x}") from None
 
     return checked
 
@@ -455,9 +436,10 @@ def difference_grid(w: WeightingSpec, m: int, grid_count: int) -> list:
         raise DomainError(f"difference order must be >= 1, got {m}")
     if grid_count < m:
         raise DomainError(f"grid_count must be at least m, got {grid_count} < {m}")
-    exact = is_exact(w)
-    grid = (Fraction(i, grid_count) for i in range(grid_count + 1))
-    return [eval_h(w, q if exact else float(q)) for q in grid]
+    if is_exact(w):
+        return [eval_h(w, Fraction(i, grid_count)) for i in range(grid_count + 1)]
+    h = float_form(w)[0]
+    return [h(i / grid_count) for i in range(grid_count + 1)]
 
 
 def unit_differences(values: list, m: int):
@@ -582,13 +564,16 @@ def dual_power_mixture(weights: dict[int, Fraction]) -> Polynomial:
     return Polynomial(tuple(acc))
 
 
-def _grid_monotone_check(w, label: str, grid_count: int = 512) -> None:
-    prev = 0.0
-    for i in range(1, grid_count + 1):
-        cur = eval_h(w, i / grid_count)
+_MONOTONE_GRID = 512  # cells of the grid a float family's monotonicity is checked on
+
+
+def _grid_monotone_check(w, label: str) -> None:
+    h, prev = float_form(w)[0], 0.0
+    for i in range(1, _MONOTONE_GRID + 1):
+        cur = h(i / _MONOTONE_GRID)
         if cur < prev - 1e-12:
             raise NonMonotoneUtility(
-                f"{label} is decreasing near p = {i / grid_count:.4f}; not a valid weighting"
+                f"{label} is decreasing near p = {i / _MONOTONE_GRID:.4f}; not a valid weighting"
             )
         prev = cur
 

@@ -24,9 +24,12 @@ constructs every member afresh where the library memoizes the unseeded
 ones, and the difference certificate, the draw's window rule and the
 converse witness search evaluate h window by window through
 finite_difference, over every step for the certificate, where the
-library reads one evaluated grid at unit step, and the self-protection
-solver evaluates every point through sp_value and sp_foc_lhs where the
-library evaluates the float form it builds once per solve.
+library reads one evaluated grid at unit step, h and h' are computed
+call by call, each float formula written out at the point, where the
+library builds one float form per weighting (weighting.float_form), and
+the self-protection solver evaluates every point through closed forms
+written out over those calls where the library folds its term tables
+into a float form once per solve.
 
 One section is not independent on purpose: spline, iterated_quantile
 and iterated_cdf wrap the library's integer splines
@@ -40,6 +43,7 @@ import warnings
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -48,29 +52,32 @@ from dualrisk import (
     BackgroundEffectReport,
     DomainError,
     DualPower,
+    ExponentialEffort,
     FormatError,
     Identity,
+    LinearEffort,
     Lottery,
     NonUnitMass,
     Polynomial,
+    Power,
+    PowerLawEffort,
     Prelec,
+    Quadratic,
     SignCertificate,
     SignClass,
     SignWitness,
     SPDiagnostics,
     SPSolution,
+    Tabulated,
     TverskyKahneman,
     as_distribution,
-    background_shift_expression,
     dual_power_mixture,
     eval_h,
     eval_hbar,
     finite_difference,
+    format_weighting,
     is_exact,
-    loss_probability,
     rat,
-    sp_foc_lhs,
-    sp_value,
 )
 from dualrisk.dominance import _cdf_steps, _quantile_steps
 from dualrisk.piecewise import global_coeffs, spline_pieces
@@ -736,6 +743,164 @@ def converse_witness_windows(w, m: int, grid_count: int):
 
 
 # ---------------------------------------------------------------------------
+# h, h' and the self-protection closed forms, call by call: every family's
+# and effort model's float formula written out at the point, Fractions
+# taken to float where they meet a float
+
+
+def _check_power_reference(order, bits: int) -> None:
+    if order * bits > 1 << 20:
+        raise DomainError(
+            f"order too large for an exact value: its powers would need more than {1 << 20} bits"
+        )
+
+
+def _tk_reference(g: float, x: float) -> float:
+    if x == 0.0 or x == 1.0:
+        return x
+    num = x**g
+    return num / (num + (1 - x) ** g) ** (1 / g)
+
+
+def _prelec_reference(a: float, b: float, x: float) -> float:
+    if x == 0.0 or x == 1.0:
+        return x
+    return math.exp(-b * (-math.log(x)) ** a)
+
+
+def _central_difference_reference(w, x: float) -> float:
+    lo, hi = max(0.0, x - 1e-6), min(1.0, x + 1e-6)
+    return (eval_h_reference(w, hi) - eval_h_reference(w, lo)) / (hi - lo)
+
+
+def eval_h_reference(w, p):
+    """h(p): exact on Fraction and int points of the exact families, floats otherwise."""
+    if p < 0 or p > 1:
+        raise DomainError(f"weighting argument must lie in [0, 1], got {p}")
+    bits = 1 if isinstance(p, float) else p.denominator.bit_length()
+    try:
+        match w:
+            case Identity():
+                return p
+            case Quadratic(beta=b):
+                return (1 + b) * p - b * p * p
+            case Power(k=k) if k.denominator == 1:
+                _check_power_reference(k.numerator, bits)
+                return p**k.numerator
+            case Power(k=k):
+                _check_power_reference(k, 1)
+                return float(p) ** float(k)
+            case DualPower(m=m):
+                _check_power_reference(m, bits)
+                return 1 - (1 - p) ** m
+            case TverskyKahneman(gamma=g):
+                return _tk_reference(g, float(p))
+            case Prelec(a=a, b=b):
+                return _prelec_reference(a, b, float(p))
+            case Tabulated(knots=knots):
+                return interp_linear_scan(knots, p)
+            case Polynomial(coeffs=coeffs):
+                return peval(list(coeffs), p)
+    except OverflowError:
+        raise DomainError(f"weighting {format_weighting(w)} overflows a float at p = {p}") from None
+
+
+def eval_h_prime_reference(w, p):
+    """h'(p), analytic except Tabulated (central difference) and the
+    transcendental families at 0 and 1."""
+    if p < 0 or p > 1:
+        raise DomainError(f"weighting argument must lie in [0, 1], got {p}")
+    bits = 1 if isinstance(p, float) else p.denominator.bit_length()
+    try:
+        match w:
+            case Identity():
+                return Fraction(1) if isinstance(p, Fraction) else 1.0
+            case Quadratic(beta=b):
+                return 1 + b - 2 * b * p
+            case Power(k=k) if k.denominator == 1:
+                n = k.numerator
+                _check_power_reference(n, bits)
+                return n * p ** (n - 1) if n > 1 else (p**0) * n
+            case Power(k=k):
+                _check_power_reference(k, 1)
+                if p == 0 and k < 1:
+                    raise DomainError(f"power k={k} has an unbounded derivative at p = 0")
+                return float(k) * float(p) ** (float(k) - 1.0)
+            case DualPower(m=m):
+                _check_power_reference(m, bits)
+                return m * (1 - p) ** (m - 1)
+            case Polynomial(coeffs=coeffs):
+                return peval(pderiv(list(coeffs)), p)
+            case TverskyKahneman(gamma=g):
+                x = float(p)
+                if x <= 0.0 or x >= 1.0:
+                    return _central_difference_reference(w, x)
+                num = x**g
+                d = num + (1 - x) ** g
+                return num / d ** (1 / g) * (g / x - (x ** (g - 1) - (1 - x) ** (g - 1)) / d)
+            case Prelec(a=a, b=b):
+                x = float(p)
+                if x <= 0.0 or x >= 1.0:
+                    return _central_difference_reference(w, x)
+                t = -math.log(x)
+                return math.exp(-b * t**a) * a * b * t ** (a - 1) / x
+            case Tabulated():
+                return _central_difference_reference(w, float(p))
+    except OverflowError:
+        raise DomainError(f"weighting {format_weighting(w)} overflows a float at p = {p}") from None
+
+
+def loss_probability_reference(model, e):
+    match model:
+        case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi):
+            return min(hi, max(lo, p0 - k * e))
+        case ExponentialEffort(p0=p0, k=k):
+            return float(p0) * math.exp(-float(k) * float(e))
+        case PowerLawEffort(p0=p0, c=c, gamma=g):
+            return float(p0) * (1 + float(c) * float(e)) ** (-float(g))
+
+
+def loss_probability_slope_reference(model, e):
+    match model:
+        case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi):
+            return Fraction(0) if not lo < p0 - k * e < hi else -k
+        case ExponentialEffort(k=k):
+            return -float(k) * loss_probability_reference(model, e)
+        case PowerLawEffort(c=c, gamma=g):
+            return -float(g) * float(c) * loss_probability_reference(model, e) / (1 + float(c) * float(e))
+
+
+def sp_value_reference(sp, e, w):
+    """The closed-form value of each regime (no background risk, 2 eps <
+    loss, 2 eps > loss), summed left to right as sp_value sums it."""
+    p = loss_probability_reference(sp.effort_model, e)
+    h = partial(eval_h_reference, w)
+    base, eps2, loss = sp.w0 + sp.epsilon, 2 * sp.epsilon, sp.loss
+    if sp.epsilon == 0:
+        return base - e - h(p) * loss
+    if eps2 < loss:
+        return base - e - eps2 * h(p / 2) - (loss - eps2) * h(p) - eps2 * h((1 + p) / 2)
+    return base - e - loss * h(p / 2) - (eps2 - loss) * h(Fraction(1, 2)) - loss * h((1 + p) / 2)
+
+
+def background_shift_reference(w, p):
+    hp = partial(eval_h_prime_reference, w)
+    return -hp(p / 2) + 2 * hp(p) - hp((1 + p) / 2)
+
+
+def sp_foc_lhs_reference(sp, e, w):
+    """The closed-form first-order condition of each regime, as sp_foc_lhs sums it."""
+    p = loss_probability_reference(sp.effort_model, e)
+    dp = loss_probability_slope_reference(sp.effort_model, e)
+    hp = partial(eval_h_prime_reference, w)
+    if sp.epsilon == 0:
+        return -1 * dp * hp(p) * sp.loss - 1
+    if 2 * sp.epsilon < sp.loss:
+        return dp * sp.epsilon * background_shift_reference(w, p) - dp * hp(p) * sp.loss - 1
+    return Fraction(-1, 2) * dp * sp.loss * (hp(p / 2) + hp((1 + p) / 2)) - 1
+
+
+# ---------------------------------------------------------------------------
 # Self-protection solved point by point through the closed forms
 
 
@@ -758,14 +923,14 @@ def _golden_max_reference(f, lo: float, hi: float) -> float:
 
 def sp_solve_reference(sp, w) -> SPSolution:
     """Grid of 256 cells, golden section, first-order-condition bisection
-    and the bound check, every point through float(sp_value) and
-    float(sp_foc_lhs)."""
+    and the bound check, every point through float(sp_value_reference)
+    and float(sp_foc_lhs_reference)."""
 
     def value(e):
-        return float(sp_value(sp, e, w))
+        return float(sp_value_reference(sp, e, w))
 
     def slope(e):
-        return float(sp_foc_lhs(sp, e, w))
+        return float(sp_foc_lhs_reference(sp, e, w))
 
     lo, hi = float(sp.effort_bounds[0]), float(sp.effort_bounds[1])
     grid = 256
@@ -790,7 +955,8 @@ def sp_solve_reference(sp, w) -> SPSolution:
             e_star = bound
     tol = (hi - lo) * 1e-9
     at_bound = "lower" if e_star - lo <= tol else "upper" if hi - e_star <= tol else None
-    diag = SPDiagnostics(at_bound is None, at_bound, concave, sign_change, float(loss_probability(sp.effort_model, e_star)))
+    p_at_opt = float(loss_probability_reference(sp.effort_model, e_star))
+    diag = SPDiagnostics(at_bound is None, at_bound, concave, sign_change, p_at_opt)
     return SPSolution(e_star, value(e_star), diag)
 
 
@@ -805,6 +971,6 @@ def sp_background_effect_reference(sp, w) -> BackgroundEffectReport:
         e_without=without.e_star,
         direction="more" if gap > tol else "less" if gap < -tol else "none",
         p_at_opt=p_opt,
-        shift_at_half=background_shift_expression(w, Fraction(1, 2)),
-        shift_at_opt=float(background_shift_expression(w, p_opt)),
+        shift_at_half=background_shift_reference(w, Fraction(1, 2)),
+        shift_at_opt=float(background_shift_reference(w, p_opt)),
     )

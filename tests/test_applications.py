@@ -63,10 +63,16 @@ from dualrisk import (
     sp_value,
     supplemented_prices,
 )
+import dualrisk.applications as applications
 from dualrisk.applications import _float_forms, format_effort
 from dualrisk.cli import main
 
-from oracles import sp_background_effect_reference, sp_solve_reference
+from oracles import (
+    sp_background_effect_reference,
+    sp_foc_lhs_reference,
+    sp_solve_reference,
+    sp_value_reference,
+)
 
 F = Fraction
 
@@ -406,8 +412,9 @@ REGIMES = {"bare": F(0), "small": F(1, 8), "large": F(3, 4)}
 
 
 class TestFloatForms:
-    """The solver's float V and V' equal float(sp_value) and
-    float(sp_foc_lhs) bit for bit."""
+    """The solver's float V and V', and float(sp_value) and
+    float(sp_foc_lhs), equal the closed forms over h and h' computed
+    call by call (oracles), bit for bit."""
 
     BOUNDS = [0.0, 0.5]
     # both clamp points of KINKED and their float neighbours
@@ -426,8 +433,10 @@ class TestFloatForms:
         efforts = data.draw(st.lists(st.floats(0, 0.5), min_size=1, max_size=8))
         value, slope = _float_forms(sp, w)
         for e in efforts + self.BOUNDS + (self.CLAMPS if effort == "linear" else []):
-            assert value(e).hex() == float(sp_value(sp, e, w)).hex()
-            assert slope(e).hex() == float(sp_foc_lhs(sp, e, w)).hex()
+            expected = float(sp_value_reference(sp, e, w)).hex()
+            assert value(e).hex() == float(sp_value(sp, e, w)).hex() == expected
+            expected = float(sp_foc_lhs_reference(sp, e, w)).hex()
+            assert slope(e).hex() == float(sp_foc_lhs(sp, e, w)).hex() == expected
 
 
 # the bound optimum a float search only approaches: the value is convex
@@ -478,7 +487,7 @@ class TestBoundOptimum:
 class TestAgainstReferenceSolver:
     """The paper-repro self-protection problems solve to the same
     solutions and reports as a solver that evaluates every point through
-    sp_value and sp_foc_lhs."""
+    the closed forms over h and h' computed call by call."""
 
     def _check(self, sp, w, background):
         with warnings.catch_warnings():
@@ -506,6 +515,27 @@ class TestAgainstReferenceSolver:
     @pytest.mark.parametrize("epsilon", [F(0), F(1, 8)])
     def test_bound_optimum(self, epsilon):
         self._check(replace(CONVEX, epsilon=epsilon), DualPower(2), epsilon > 0)
+
+
+class TestSolveStaysOnFloats:
+    """sp_solve evaluates no point through sp_value or sp_foc_lhs: a
+    clamped linear stretch and a constant h' are folded into its float form."""
+
+    @pytest.mark.parametrize("epsilon", REGIMES.values(), ids=REGIMES)
+    @pytest.mark.parametrize("w", [Identity(), Polynomial((F(0), F(1), F(0)))], ids=["identity", "degree-1"])
+    def test_no_exact_fallback(self, monkeypatch, w, epsilon):
+        calls = []
+        for name in ("sp_value", "sp_foc_lhs"):
+            real = getattr(applications, name)
+            monkeypatch.setattr(
+                applications, name, lambda *args, real=real: calls.append(args) or real(*args)
+            )
+        sp = SelfProtectionProblem(4, 1, epsilon, KINKED, (0, F(1, 2)))  # linear_kink at epsilon 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solution = sp_solve(sp, w)
+        assert calls == []
+        assert solution == sp_solve_reference(sp, w)
 
 
 class TestBackgroundEffect:

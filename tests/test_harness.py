@@ -228,7 +228,6 @@ class TestOneGrid:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_converse_check_evaluates_h_once_per_grid_point(self, m, monkeypatch):
-        import dualrisk.valuation as valuation
         import dualrisk.weighting as weighting
 
         calls = []
@@ -240,7 +239,6 @@ class TestOneGrid:
 
         w = random_mixed_tabulated(random.Random(300 + m), m)
         monkeypatch.setattr(weighting, "eval_h", counted)
-        monkeypatch.setattr(valuation, "eval_h", counted)
         assert converse_check(w, m)["status"] == "violation"
         assert len(calls) == 257 + m + 1  # the grid, then the survival-form window
         calls.clear()

@@ -34,7 +34,12 @@ from dualrisk import (
 from dualrisk.polyops import padd, pscale
 from dualrisk.weighting import float_form
 
-from oracles import finite_difference_sign_all_steps, interp_linear_scan
+from oracles import (
+    eval_h_prime_reference,
+    eval_h_reference,
+    finite_difference_sign_all_steps,
+    interp_linear_scan,
+)
 
 F = Fraction
 
@@ -365,7 +370,8 @@ def _outcome(f, x):
 
 
 class TestFloatForm:
-    """float_form(w) is eval_h and eval_h_prime on floats, bit for bit."""
+    """float_form(w), and eval_h and eval_h_prime on floats through it,
+    equal h and h' computed call by call (oracles), bit for bit."""
 
     POINTS = [0.0, 1.0, 5e-324, 1e-300, 1 - 2**-53, 0.5, 1 / 3, 0.25 + 1e-6, -0.5, 1.5, float(F(1, 3))]
 
@@ -374,12 +380,14 @@ class TestFloatForm:
     def test_matches_eval_h(self, w, xs):
         h, hp = float_form(w)
         for x in xs + self.POINTS:
-            assert _outcome(h, x) == _outcome(lambda q: eval_h(w, q), x)
-            exact = _outcome(lambda q: eval_h_prime(w, q), x)
+            value = _outcome(lambda q: eval_h_reference(w, q), x)
+            assert _outcome(h, x) == _outcome(lambda q: eval_h(w, q), x) == value
+            slope = _outcome(lambda q: eval_h_prime_reference(w, q), x)
+            assert _outcome(lambda q: eval_h_prime(w, q), x) == slope
             if hp is None:
-                assert exact[0] in ("exact", "error")
+                assert slope[0] in ("exact", "error")
             else:
-                assert _outcome(hp, x) == exact
+                assert _outcome(hp, x) == slope
 
     def test_slope_is_none_only_where_exact(self):
         assert float_form(Polynomial((F(0), F(1), F(0))))[1] is None
@@ -391,13 +399,13 @@ class TestFloatForm:
             with pytest.raises(DomainError, match="order too large"):
                 float_form(w)
         h, hp = float_form(DualPower(2**20))
-        assert h(0.5) == eval_h(DualPower(2**20), 0.5)
+        assert h(0.5) == eval_h_reference(DualPower(2**20), 0.5)
 
     def test_coefficients_past_the_float_range_keep_eval_h(self):
         w = dual_power_mixture({1050: F(1)})  # binomials past 10^308
         h, hp = float_form(w)
-        for f, exact in ((h, eval_h), (hp, eval_h_prime)):
-            assert _outcome(f, 0.5) == _outcome(lambda q: exact(w, q), 0.5)
+        for f, reference in ((h, eval_h_reference), (hp, eval_h_prime_reference)):
+            assert _outcome(f, 0.5) == _outcome(lambda q: reference(w, q), 0.5)
             assert _outcome(f, 0.5)[0] == "error"
 
 
