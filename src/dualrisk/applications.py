@@ -19,11 +19,10 @@ direction dictated by the third derivative of the weighting function.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial
 
 from .dominance import dual_sd_check
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
 from .lottery import EqualProbLottery, Lottery, make_lottery, mean
 from .rationals import format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
 from .valuation import dt_value
-from .weighting import WeightingSpec, eval_h, eval_h_prime, float_form, parse_weighting
+from .weighting import WeightingSpec, eval_h, eval_h_prime, float_form, format_weighting, parse_weighting
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +166,9 @@ def supplemented_prices(stock_prices: EqualProbLottery, menu: DerivativeMenu | N
     return EqualProbLottery(stock_prices.n, tuple(values))
 
 
+_MENU_STRIKES = {2: 1, 3: 1, 4: 3}  # order -> the strikes its menu takes
+
+
 def build_menu(order: int, stock_prices: EqualProbLottery, strikes: tuple | None = None) -> DerivativeMenu:
     """Zero-cost menu improving the stock at the given dual order.
 
@@ -180,6 +182,13 @@ def build_menu(order: int, stock_prices: EqualProbLottery, strikes: tuple | None
     """
     if stock_prices.n < 2:
         raise DomainError("the stock support needs at least two states")
+    if order not in _MENU_STRIKES:
+        raise DomainError(f"menus exist for orders 2, 3, 4 only, got {order}")
+    count = _MENU_STRIKES[order]
+    if strikes is not None and len(strikes) != count:
+        raise DomainError(
+            f"an order-{order} menu takes {count} strike{'s' if count > 1 else ''}, got {len(strikes)}"
+        )
     mu = mean(stock_prices)
     if order == 2:
         (k,) = strikes if strikes is not None else (mu,)
@@ -187,7 +196,7 @@ def build_menu(order: int, stock_prices: EqualProbLottery, strikes: tuple | None
     elif order == 3:
         (c,) = strikes if strikes is not None else (mu,)
         menu = DerivativeMenu((Straddle(c),))
-    elif order == 4:
+    else:  # order 4
         if strikes is not None:
             c_low, c_high, z = strikes
         else:
@@ -198,8 +207,6 @@ def build_menu(order: int, stock_prices: EqualProbLottery, strikes: tuple | None
             c_high = sum(upper, Fraction(0)) / len(upper)
             z = mu
         menu = DerivativeMenu((Straddle(c_low), ShortStraddle(c_high), DigitalZeroAt(z)))
-    else:
-        raise DomainError(f"menus exist for orders 2, 3, 4 only, got {order}")
     report = dual_sd_check(stock_prices, supplemented_prices(stock_prices, menu), order)
     if not report:
         raise DominanceCheckFailed(
@@ -302,7 +309,7 @@ def loss_probability(model: EffortModel, e):
     match model:
         case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi) if not isinstance(e, float):
             return min(hi, max(lo, p0 - k * e))
-    return _float_effort(model)[0](float(e))[0]
+    return _float_effort(model)(float(e))[0]
 
 
 def loss_probability_slope(model: EffortModel, e):
@@ -310,7 +317,7 @@ def loss_probability_slope(model: EffortModel, e):
     match model:
         case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi) if not isinstance(e, float):
             return Fraction(0) if not lo < p0 - k * e < hi else -k
-    return _float_effort(model)[0](float(e))[1]
+    return _float_effort(model)(float(e))[1]
 
 
 @dataclass(frozen=True)
@@ -361,14 +368,6 @@ def _reject(field: str, error: type, message: str):
     raise exc
 
 
-def _regime(sp: SelfProtectionProblem) -> str:
-    if sp.epsilon == 0:
-        return "bare"
-    if 2 * sp.epsilon < sp.loss:
-        return "small"
-    return "large"
-
-
 def _loss_probability_exact(sp: SelfProtectionProblem, e) -> Fraction:
     p = loss_probability(sp.effort_model, e)
     # binary floats are dyadic rationals; taking them exactly keeps the
@@ -403,93 +402,50 @@ def sp_lottery(sp: SelfProtectionProblem, e) -> Lottery:
     )
 
 
-# The closed forms are written once, as data. Each is a signed sum, left
-# to right, of products, left to right, of factors; a factor is an exact
-# constant or the name of a quantity at the point (_POINT). sp_value and
-# sp_foc_lhs evaluate them as they stand; sp_solve folds their constants
-# once per solve and evaluates them on floats (_float_forms).
+def _value_form(sp: SelfProtectionProblem, w: WeightingSpec, num):
+    """V(e, p, h) of the regime (no background risk, 2 eps < loss, 2 eps >
+    loss), summed left to right; each exact constant, an exact
+    sub-product formed first, is passed through num."""
+    base, eps2, loss = num(sp.w0 + sp.epsilon), num(2 * sp.epsilon), num(sp.loss)
+    if sp.epsilon == 0:
+        return lambda e, p, h: base - e - h(p) * loss
+    if 2 * sp.epsilon < sp.loss:
+        rest = num(sp.loss - 2 * sp.epsilon)
+        return lambda e, p, h: base - e - eps2 * h(p / 2) - rest * h(p) - eps2 * h((1 + p) / 2)
+    middle = num((2 * sp.epsilon - sp.loss) * eval_h(w, Fraction(1, 2)))
+    return lambda e, p, h: base - e - loss * h(p / 2) - middle - loss * h((1 + p) / 2)
 
 
-def _value_terms(sp: SelfProtectionProblem, w: WeightingSpec) -> tuple:
-    base, eps2 = sp.w0 + sp.epsilon, 2 * sp.epsilon
-    match _regime(sp):
-        case "bare":
-            return (("+", (base,)), ("-", ("e",)), ("-", ("h(p)", sp.loss)))
-        case "small":
-            return (
-                ("+", (base,)),
-                ("-", ("e",)),
-                ("-", (eps2, "h(p/2)")),
-                ("-", (sp.loss - eps2, "h(p)")),
-                ("-", (eps2, "h((1+p)/2)")),
-            )
-        case "large":
-            return (
-                ("+", (base,)),
-                ("-", ("e",)),
-                ("-", (sp.loss, "h(p/2)")),
-                ("-", (eps2 - sp.loss, eval_h(w, Fraction(1, 2)))),
-                ("-", (sp.loss, "h((1+p)/2)")),
-            )
-    raise DomainError("unreachable regime")
+def _slope_form(sp: SelfProtectionProblem, num):
+    """V'(p, p', h') of the regime: d/de of _value_form, summed and its
+    constants passed through num the same way."""
+    eps, loss = num(sp.epsilon), num(sp.loss)
+    if sp.epsilon == 0:
+        return lambda p, dp, hp: -dp * hp(p) * loss - 1
+    if 2 * sp.epsilon < sp.loss:
+        return lambda p, dp, hp: dp * eps * _shift(hp, p) - dp * hp(p) * loss - 1
+    half = num(Fraction(-1, 2))
+    return lambda p, dp, hp: half * dp * loss * (hp(p / 2) + hp((1 + p) / 2)) - 1
 
 
-def _slope_terms(sp: SelfProtectionProblem) -> tuple:
-    if sp.epsilon > 0 and 2 * sp.epsilon == sp.loss:
-        raise CaseBoundary("2 eps = loss has no well-defined case")
-    match _regime(sp):
-        case "bare":
-            return (("+", (-1, "p'", "h'(p)", sp.loss)), ("-", (1,)))
-        case "small":
-            return (("+", ("p'", sp.epsilon, "shift")), ("-", ("p'", "h'(p)", sp.loss)), ("-", (1,)))
-        case "large":
-            return (("+", (Fraction(-1, 2), "p'", sp.loss, "slopes")), ("-", (1,)))
-    raise DomainError("unreachable regime")
+def _exact(c):
+    return c
 
 
 def _shift(hp, p):
     return -hp(p / 2) + 2 * hp(p) - hp((1 + p) / 2)
 
 
-# name -> its value from (e, p(e), p'(e), h, h') at the point
-_POINT = {
-    "e": lambda e, p, dp, h, hp: e,
-    "p'": lambda e, p, dp, h, hp: dp,
-    "h(p/2)": lambda e, p, dp, h, hp: h(p / 2),
-    "h(p)": lambda e, p, dp, h, hp: h(p),
-    "h((1+p)/2)": lambda e, p, dp, h, hp: h((1 + p) / 2),
-    "h'(p)": lambda e, p, dp, h, hp: hp(p),
-    "shift": lambda e, p, dp, h, hp: _shift(hp, p),
-    "slopes": lambda e, p, dp, h, hp: hp(p / 2) + hp((1 + p) / 2),
-}
-
-
-def _evaluate(terms: tuple, e, p, dp, h, hp):
-    total = None
-    for sign, factors in terms:
-        product = None
-        for f in factors:
-            if f.__class__ is str:
-                f = _POINT[f](e, p, dp, h, hp)
-            product = f if product is None else product * f
-        if total is None:
-            total = product
-        elif sign == "+":
-            total += product
-        else:
-            total -= product
-    return total
-
-
 def sp_value(sp: SelfProtectionProblem, e, w: WeightingSpec):
     """Dual value of the wealth lottery at effort e, in closed form.
 
     Equals dt_value(sp_lottery(sp, e), w); the closed form also accepts
-    float effort. sp_solve evaluates a float form of it built once per
-    solve, equal to float(sp_value(sp, e, w)) bit for bit.
+    float effort. sp_solve reads the same closed form with float
+    constants where Python would take them to float anyway, equal to
+    float(sp_value(sp, e, w)) bit for bit.
     """
     p = loss_probability(sp.effort_model, e)
-    return _evaluate(_value_terms(sp, w), e, p, None, partial(eval_h, w), None)
+    return _value_form(sp, w, _exact)(e, p, partial(eval_h, w))
 
 
 def background_shift_expression(w: WeightingSpec, p):
@@ -501,49 +457,15 @@ def background_shift_expression(w: WeightingSpec, p):
 
 def sp_foc_lhs(sp: SelfProtectionProblem, e, w: WeightingSpec):
     """d/de of the closed-form value: the first-order condition's left side."""
-    terms = _slope_terms(sp)
     p = loss_probability(sp.effort_model, e)
     dp = loss_probability_slope(sp.effort_model, e)
-    return _evaluate(terms, e, p, dp, None, partial(eval_h_prime, w))
-
-
-def _float_terms(terms: tuple, fixed: dict) -> tuple:
-    """terms for float evaluation, with the same result bit for bit.
-
-    Python evaluates sums and products left to right, and takes a
-    Fraction to float where it meets a float. So a leading run of exact
-    factors is one exact product, a leading run of exact terms one exact
-    sum, each taken to float once, and every later exact factor or term
-    is its float. fixed maps the point names that are exact constants
-    here to their values.
-    """
-
-    def exact(f):
-        return not isinstance(f, str) or f in fixed
-
-    def constant(f):
-        return fixed[f] if isinstance(f, str) else f
-
-    folded, lead = [], None
-    for sign, factors in terms:
-        run = next((i for i, f in enumerate(factors) if not exact(f)), len(factors))
-        product = reduce(operator.mul, map(constant, factors[:run])) if run else None
-        rest = tuple(float(constant(f)) if exact(f) else f for f in factors[run:])
-        if not rest and not folded:  # still in the leading run of exact terms
-            lead = product if lead is None else lead + product if sign == "+" else lead - product
-            continue
-        if lead is not None:
-            folded.append(("+", (float(lead),)))
-            lead = None
-        folded.append((sign, ((float(product),) if run else ()) + rest))
-    return tuple(folded) if lead is None else (("+", (float(lead),)),)
+    return _slope_form(sp, _exact)(p, dp, partial(eval_h_prime, w))
 
 
 def _float_effort(model: EffortModel):
-    """(point, fixed): point(e) gives (p(e), p'(e)) on float effort, the
-    one float implementation of the effort models. A clamped linear point
-    gives the exact bound and slope 0, the open linear stretch the exact
-    slope -k; fixed maps "p'" to -k there."""
+    """point(e) = (p(e), p'(e)) on float effort, the one float
+    implementation of the effort models. A clamped linear point gives the
+    exact bound and slope 0, the open linear stretch the exact slope -k."""
     match model:
         case LinearEffort(p0=p0, k=k, p_min=lo, p_max=hi):
             start, rate, floor, cap = float(p0), float(k), float(lo), float(hi)
@@ -557,7 +479,7 @@ def _float_effort(model: EffortModel):
                     return x, slope
                 return (lo, flat) if x < floor or x == floor and x <= lo else (hi, flat)
 
-            return linear, {"p'": slope}
+            return linear
         case ExponentialEffort(p0=p0, k=k):
             start, rate = float(p0), -float(k)
 
@@ -565,7 +487,7 @@ def _float_effort(model: EffortModel):
                 p = start * math.exp(rate * e)
                 return p, rate * p
 
-            return exponential, {}
+            return exponential
         case PowerLawEffort(p0=p0, c=c, gamma=g):
             start, scale, power = float(p0), float(c), -float(g)
             rate = power * scale
@@ -575,44 +497,41 @@ def _float_effort(model: EffortModel):
                 p = start * grown**power
                 return p, rate * p / grown
 
-            return power_law, {}
+            return power_law
     raise DomainError(f"unknown effort model {model!r}")
 
 
 def _float_forms(sp: SelfProtectionProblem, w: WeightingSpec):
-    """V(e) and V'(e) on float effort, built once: bit for bit
+    """V(e) and V'(e) on float effort, built once per solve: bit for bit
     float(sp_value(sp, e, w)) and float(sp_foc_lhs(sp, e, w)).
 
-    Each stretch of effort on which point quantities are exact constants
-    has its terms folded by _float_terms on its first point: the open
-    stretch (p' = -k for linear effort), each clamp, where p and every h
-    and h' read from it are exact, and, where h' is the exact constant 1
-    (a degree-1 Polynomial), h'(p), the shift and the slopes everywhere.
+    V reads the closed form with float constants wherever p is a float,
+    V' wherever p and p' both are, with h and h' from float_form(w): each
+    constant meets a float first, where Python takes it to float anyway.
+    With an exact p' (the open linear stretch, -k) or an exact p (a clamp)
+    they read it with exact constants, Python's mixed arithmetic as
+    sp_value's and sp_foc_lhs's own; at a clamp h and h' are evaluated
+    exactly, once per point for the solve.
     """
     h, hp = float_form(w)
-    point, fixed = _float_effort(sp.effort_model)
-    exact_h, exact_hp = partial(eval_h, w), partial(eval_h_prime, w)
-    if hp is None:  # h' is the exact constant 1, and so is every name read from it alone, at any p
-        names = ("h'(p)", "shift", "slopes")
-        fixed |= {n: _POINT[n](None, Fraction(1, 2), None, None, exact_hp) for n in names}
-    folded = {}  # stretch (None when open, else the clamp's exact p) -> (value terms, slope terms)
-
-    def terms(p, dp):
-        stretch = None if p.__class__ is float else p
-        if stretch not in folded:
-            names = fixed if stretch is None else {
-                n: f(None, p, dp, exact_h, exact_hp) for n, f in _POINT.items() if n != "e"
-            }
-            folded[stretch] = _float_terms(_value_terms(sp, w), names), _float_terms(_slope_terms(sp), names)
-        return folded[stretch]
+    exact_h, exact_hp = cache(partial(eval_h, w)), cache(partial(eval_h_prime, w))
+    point = _float_effort(sp.effort_model)
+    float_value, float_slope = _value_form(sp, w, float), _slope_form(sp, float)
+    exact_value, exact_slope = _value_form(sp, w, _exact), _slope_form(sp, _exact)
 
     def value(e: float) -> float:
-        p, dp = point(e)
-        return _evaluate(terms(p, dp)[0], e, p, dp, h, hp)
+        p = point(e)[0]
+        if p.__class__ is float:
+            return float_value(e, p, h)
+        return float(exact_value(e, p, exact_h))
 
     def slope(e: float) -> float:
         p, dp = point(e)
-        return _evaluate(terms(p, dp)[1], e, p, dp, h, hp)
+        if p.__class__ is not float:
+            return float(exact_slope(p, dp, exact_hp))
+        if dp.__class__ is not float:
+            return float(exact_slope(p, dp, hp))
+        return float_slope(p, dp, hp)
 
     return value, slope
 
@@ -662,8 +581,9 @@ def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec) -> SPSolution:
     on the scan grid and a violation triggers a warning while the
     returned point is still the refined global grid maximum. A bound
     whose value is at least the refined point's is returned as the bound
-    itself. Every evaluation reads the float form of sp_value and
-    sp_foc_lhs built once for this solve, equal to them bit for bit.
+    itself. Every evaluation reads the closed forms of sp_value and
+    sp_foc_lhs as _float_forms builds them once for this solve, equal to
+    their floats bit for bit.
     """
     value, slope = _float_forms(sp, w)
     lo, hi = float(sp.effort_bounds[0]), float(sp.effort_bounds[1])
@@ -753,6 +673,18 @@ def sp_background_effect(sp: SelfProtectionProblem, w: WeightingSpec) -> Backgro
     )
 
 
+def _calibration_slope(p0: Fraction, w: WeightingSpec, loss: Fraction):
+    """h'(1/2), once p0, loss and h'(1/2) admit a calibration."""
+    if p0 <= Fraction(1, 2):
+        raise DomainError(f"calibration needs p0 > 1/2, got {p0}")
+    if loss <= 0:
+        raise DomainError(f"calibration needs loss > 0, got {loss}")
+    hp = eval_h_prime(w, Fraction(1, 2))
+    if not hp > 0:
+        raise DomainError(f"calibration needs h'(1/2) > 0, got {hp} for weighting {format_weighting(w)}")
+    return hp
+
+
 def calibrate_power_law(p0, gamma, w: WeightingSpec, loss) -> PowerLawEffort:
     """Pick c so the bare first-order condition holds exactly at p = 1/2.
 
@@ -761,11 +693,7 @@ def calibrate_power_law(p0, gamma, w: WeightingSpec, loss) -> PowerLawEffort:
     the probability actually falls through 1/2 at positive effort.
     """
     p0, gamma, loss = rat(p0), rat(gamma), rat(loss)
-    if p0 <= Fraction(1, 2):
-        raise DomainError(f"calibration needs p0 > 1/2, got {p0}")
-    if loss <= 0:
-        raise DomainError(f"calibration needs loss > 0, got {loss}")
-    hp = eval_h_prime(w, Fraction(1, 2))
+    hp = _calibration_slope(p0, w, loss)
     inv_gamma = 1 / gamma
     base = 2 * p0
     grown = base**inv_gamma if inv_gamma.denominator == 1 else float(base) ** float(inv_gamma)
@@ -776,12 +704,7 @@ def calibrate_power_law(p0, gamma, w: WeightingSpec, loss) -> PowerLawEffort:
 def calibrate_exponential(p0, w: WeightingSpec, loss) -> ExponentialEffort:
     """Pick k so the bare first-order condition holds exactly at p = 1/2."""
     p0, loss = rat(p0), rat(loss)
-    if p0 <= Fraction(1, 2):
-        raise DomainError(f"calibration needs p0 > 1/2, got {p0}")
-    if loss <= 0:
-        raise DomainError(f"calibration needs loss > 0, got {loss}")
-    hp = eval_h_prime(w, Fraction(1, 2))
-    k = 2 / (hp * loss)
+    k = 2 / (_calibration_slope(p0, w, loss) * loss)
     return ExponentialEffort(p0, k if isinstance(k, Fraction) else Fraction(k))
 
 

@@ -55,7 +55,6 @@ from .weighting import (
     TverskyKahneman,
     WeightingSpec,
     _check_power,
-    _h_coeffs,
     float_form,
 )
 
@@ -162,7 +161,7 @@ def dt_value(lot: Lottery, w: WeightingSpec):
         case Power(k=k) if k.denominator == 1:
             return _cdf_power(jumps, k.numerator, d, xd, top)
         case Identity() | Quadratic() | Polynomial():
-            return _cdf_poly(jumps, *_common_denominator(_h_coeffs(w)), d, xd, top)
+            return _cdf_poly(jumps, *w._ints, d, xd, top)
         case Tabulated(knots=knots):
             return _cdf_tabulated(jumps, knots, d, xd, top)
         case TverskyKahneman() | Prelec() | Power():

@@ -16,7 +16,8 @@ float_form(w) is the one float implementation of h and h', built once
 per weighting: eval_h and eval_h_prime send it every float point, and
 every point of the transcendental families and fractional Power
 (eval_h_prime also of Tabulated), and loops over many float points read
-one form.
+one form. Its h' returns a float at every point, except for a degree-1
+Polynomial, whose h' is the exact constant Fraction(1) there too.
 
 The dual weighting function hbar(p) = 1 - h(1 - p) is the survival-side
 twin: its m-th forward difference equals (-1)^(m+1) times the m-th
@@ -38,16 +39,33 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
 from . import polyops
 from .errors import DomainError, NonMonotoneUtility, UnsupportedFamily
-from .rationals import format_exact, format_float, format_spec, parse_float_range, parse_rational, parse_spec, rat
+from .rationals import (
+    _common_denominator,
+    format_exact,
+    format_float,
+    format_spec,
+    parse_float_range,
+    parse_rational,
+    parse_spec,
+    rat,
+)
+
+
+def _integer_coeffs(w) -> tuple[list[int], int]:
+    """(hs, scale) with h(p) = sum_i hs[i] p^i / scale, the integer
+    coefficients dt_value reads; Identity, Quadratic and Polynomial build
+    them once per weighting object, as their _ints."""
+    return _common_denominator(_h_coeffs(w))
 
 
 @dataclass(frozen=True)
 class Identity:
-    pass
+    _ints = cached_property(_integer_coeffs)
 
 
 @dataclass(frozen=True)
@@ -55,6 +73,7 @@ class Quadratic:
     """h(p) = (1 + beta) p - beta p^2; beta in [0, 1]. Concave for beta > 0."""
 
     beta: Fraction
+    _ints = cached_property(_integer_coeffs)
 
     def __post_init__(self):
         object.__setattr__(self, "beta", rat(self.beta))
@@ -143,6 +162,7 @@ class Polynomial:
     """
 
     coeffs: tuple[Fraction, ...]
+    _ints = cached_property(_integer_coeffs)
 
     def __post_init__(self):
         coeffs = tuple(rat(c) for c in self.coeffs)
@@ -245,12 +265,12 @@ def eval_h_prime(w: WeightingSpec, p):
     """First derivative of h; analytic except Tabulated (central difference).
 
     Exact families keep Fraction and int points exact; a float point, a
-    transcendental family or Tabulated goes through float_form(w).
+    transcendental family or Tabulated goes through float_form(w), whose
+    h' of a degree-1 Polynomial is the exact 1 on floats too.
     """
     _check_unit(p)
     if isinstance(p, float) or not is_exact(w) or isinstance(w, Tabulated):
-        hp = float_form(w)[1]
-        return Fraction(1) if hp is None else hp(float(p))
+        return float_form(w)[1](float(p))
     match w:
         case Identity():
             return Fraction(1) if isinstance(p, Fraction) else 1.0
@@ -302,8 +322,8 @@ def float_form(w: WeightingSpec):
     families take their constants to float once, each exact
     sub-expression (1 + beta, 2 beta, the derivative's coefficients)
     formed exactly first; the Tabulated segment is chosen by exact
-    comparison. h' is None where it is the exact constant 1 (a Polynomial
-    of degree 1), which eval_h_prime returns on floats too. Polynomial
+    comparison. h' of a degree-1 Polynomial returns the exact constant
+    Fraction(1) at every float point. Polynomial
     coefficients past the float range keep the mixed Fraction/float
     formula, which raises at every point.
     """
@@ -358,7 +378,9 @@ def float_form(w: WeightingSpec):
             except OverflowError:
                 values, slopes = list(coeffs), slope
             h = _on_floats(w, lambda x: polyops.peval(values, x))
-            return h, _on_floats(w, lambda x: polyops.peval(slopes, x)) if len(slope) > 1 else None
+            if len(slope) == 1:  # degree 1: h' is the exact constant 1
+                return h, _on_floats(w, lambda x: slope[0])
+            return h, _on_floats(w, lambda x: polyops.peval(slopes, x))
     raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
 
 

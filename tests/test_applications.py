@@ -50,6 +50,7 @@ from dualrisk import (
     eu_value,
     eval_h,
     eval_h_prime,
+    format_weighting,
     loss_probability,
     loss_probability_slope,
     make_lottery,
@@ -148,6 +149,19 @@ class TestBuildMenu:
     def test_tiny_support_rejected(self):
         with pytest.raises(DomainError):
             build_menu(2, EqualProbLottery(1, (F(2),)))
+
+    @pytest.mark.parametrize(
+        "order, strikes, message",
+        [
+            (2, (F(4), F(5)), "order-2 menu takes 1 strike, got 2"),
+            (3, (), "order-3 menu takes 1 strike, got 0"),
+            (4, (F(2), F(6)), "order-4 menu takes 3 strikes, got 2"),
+        ],
+        ids=["order-2", "order-3", "order-4"],
+    )
+    def test_wrong_strike_count(self, order, strikes, message):
+        with pytest.raises(DomainError, match=message):
+            build_menu(order, STOCK4, strikes)
 
     def test_bad_custom_strikes_fail_the_gate(self):
         # a straddle centered below the mean fattens the left tail and
@@ -326,6 +340,15 @@ class TestSpFoc:
         sp, bare = sp_instance(F(1, 8)), sp_instance(F(0))
         assert sp_foc_lhs(sp, F(1, 5), Identity()) == sp_foc_lhs(bare, F(1, 5), Identity())
 
+    def test_reads_no_constant_of_the_value(self):
+        # h(1/2) of this order is past the exact size bound; the 2 eps > loss
+        # first-order condition at a float effort never reads it
+        w = DualPower(2**20)
+        sp = SelfProtectionProblem(4, 1, F(3, 4), LinearEffort(F(1, 2), F(1, 2)), (0, F(1, 2)))
+        with pytest.raises(DomainError, match="order too large"):
+            sp_value(sp, 0.25, w)
+        assert sp_foc_lhs(sp, 0.25, w) == sp_foc_lhs_reference(sp, 0.25, w)
+
     def test_case_boundary_rejected(self):
         sp = sp_instance(F(1, 8))
         with pytest.raises(CaseBoundary):
@@ -378,6 +401,15 @@ class TestSpSolve:
         assert sol.diagnostics.p_at_opt == pytest.approx(0.1, abs=1e-12)
         assert sp_foc_lhs(sp, F(3, 10), Identity()) == 1
         assert sp_foc_lhs(sp, F(2, 5), Identity()) == -1
+
+    def test_clamp_reads_only_the_points_of_its_regime(self):
+        # at the clamp p = 1/10 this order is within the exact size bound
+        # for h(p) and past it for h(p/2), which the bare regime never reads
+        w = DualPower(250000)
+        sp = SelfProtectionProblem(4, 1, 0, LinearEffort(F(4, 5), 2, F(1, 10)), (0, F(1, 2)))
+        value, slope = _float_forms(sp, w)
+        assert value(0.5) == float(sp_value(sp, F(1, 2), w))
+        assert slope(0.5) == float(sp_foc_lhs(sp, F(1, 2), w)) == -1
 
     def test_takes_no_search_knobs(self):
         assert list(inspect.signature(sp_solve).parameters) == ["sp", "w"]
@@ -519,7 +551,8 @@ class TestAgainstReferenceSolver:
 
 class TestSolveStaysOnFloats:
     """sp_solve evaluates no point through sp_value or sp_foc_lhs: a
-    clamped linear stretch and a constant h' are folded into its float form."""
+    clamped linear stretch and a constant h' are read by the closed forms
+    it builds once per solve."""
 
     @pytest.mark.parametrize("epsilon", REGIMES.values(), ids=REGIMES)
     @pytest.mark.parametrize("w", [Identity(), Polynomial((F(0), F(1), F(0)))], ids=["identity", "degree-1"])
@@ -590,6 +623,21 @@ class TestCalibration:
             calibrate_power_law(F(1, 2), F(1, 2), DualPower(3), 1)
         with pytest.raises(DomainError):
             calibrate_exponential(F(3, 5), DualPower(3), 0)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            Polynomial((F(0), F(3), F(-6), F(4))),  # h' = 3 (1 - 2p)^2
+            Tabulated(((F(0), F(0)), (F(1, 4), F(1, 2)), (F(3, 4), F(1, 2)), (F(1), F(1)))),
+        ],
+        ids=["polynomial", "tabulated"],
+    )
+    def test_flat_slope_at_one_half(self, w):
+        message = re.escape("h'(1/2) > 0, got 0") + ".*" + re.escape(format_weighting(w))
+        with pytest.raises(DomainError, match=message):
+            calibrate_exponential(F(3, 5), w, 1)
+        with pytest.raises(DomainError, match=message):
+            calibrate_power_law(F(4, 5), F(1, 2), w, 1)
 
 
 GOOD_CONFIG = """\
