@@ -36,7 +36,15 @@ from .errors import (
 from .lottery import EqualProbLottery, Lottery, make_lottery, mean
 from .rationals import format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
 from .valuation import dt_value
-from .weighting import WeightingSpec, eval_h, eval_h_prime, float_form, format_weighting, parse_weighting
+from .weighting import (
+    WeightingSpec,
+    _check_power,
+    eval_h,
+    eval_h_prime,
+    float_form,
+    format_weighting,
+    parse_weighting,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +698,25 @@ def calibrate_power_law(p0, gamma, w: WeightingSpec, loss) -> PowerLawEffort:
 
     -p'(e) h'(1/2) loss = 1 at the effort where p(e) = 1/2 forces
     c = 2 (2 p0)^(1/gamma) / (gamma h'(1/2) loss); p0 > 1/2 is needed so
-    the probability actually falls through 1/2 at positive effort.
+    the probability actually falls through 1/2 at positive effort. gamma
+    must be positive, and (2 p0)^(1/gamma) is bounded as eval_h bounds
+    powers: an integer 1/gamma may not take it past 2^20 bits, and a
+    fractional one past the float range; either is a DomainError.
     """
     p0, gamma, loss = rat(p0), rat(gamma), rat(loss)
+    if gamma <= 0:
+        raise DomainError(f"calibration needs gamma > 0, got {gamma}")
     hp = _calibration_slope(p0, w, loss)
     inv_gamma = 1 / gamma
     base = 2 * p0
-    grown = base**inv_gamma if inv_gamma.denominator == 1 else float(base) ** float(inv_gamma)
+    if inv_gamma.denominator == 1:
+        _check_power(inv_gamma.numerator, base.numerator.bit_length())
+        grown = base**inv_gamma
+    else:
+        try:
+            grown = float(base) ** float(inv_gamma)
+        except OverflowError:
+            raise DomainError(f"(2 p0)^(1/gamma) overflows a float at gamma = {gamma}") from None
     c = 2 * grown / (gamma * hp * loss)
     return PowerLawEffort(p0, c if isinstance(c, Fraction) else Fraction(c), gamma)
 

@@ -166,8 +166,9 @@ def random_pair(rng: random.Random, m: int) -> ApportionmentPair:
     raise DualRiskError("pair sampling failed to find a fitting configuration")
 
 
-def direct_check(pair: ApportionmentPair, rng: random.Random | None = None) -> list[dict]:
-    """Sweep the order-m battery over one pair; return replay records of violations."""
+def direct_check(pair: ApportionmentPair, rng: random.Random | None = None) -> tuple[dict, ...]:
+    """Sweep the order-m battery over one pair; return replay records of
+    violations as a tuple, () when the pair passes (as HarnessReport.failures)."""
     failures = []
     for w, relation in direct_battery(pair.order, rng):
         got = preference_direction(pair, w)
@@ -181,7 +182,7 @@ def direct_check(pair: ApportionmentPair, rng: random.Random | None = None) -> l
                     "pair": json.loads(pair.provenance.to_json()),
                 }
             )
-    return failures
+    return tuple(failures)
 
 
 def run_direct_trials(theorem: int, m: int, trials: int, seed: int) -> HarnessReport:

@@ -100,8 +100,12 @@ class DualPower:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise DomainError(f"dual power order must be an integer >= 1, got {self.m}")
+        _check_dual_order(self.m)
+
+
+def _check_dual_order(m) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise DomainError(f"dual power order must be an integer >= 1, got {m}")
 
 
 @dataclass(frozen=True)
@@ -156,9 +160,12 @@ class Polynomial:
     """h(p) = sum c_i p^i with exact rational coefficients.
 
     Monotonicity on [0, 1] is certified at construction by exact sign
-    analysis of h'. This family supplies strict flipped-sign test
-    functions at odd orders (e.g. (1+c) p - c p^3 has h''' < 0) and exact
-    mixtures of DualPower weights.
+    analysis of h', read from the integer form _ints: an h' that
+    polyops.bernstein_nonneg accepts is certified, and any other goes to
+    Sturm (nonneg_on_interval), which decides every rejection and its
+    witness. This family supplies strict flipped-sign test functions at
+    odd orders (e.g. (1+c) p - c p^3 has h''' < 0) and exact mixtures of
+    DualPower weights.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -169,8 +176,11 @@ class Polynomial:
         object.__setattr__(self, "coeffs", coeffs)
         if not coeffs or coeffs[0] != 0:
             raise DomainError("polynomial weighting needs h(0) = 0 (zero constant term)")
-        if sum(coeffs) != 1:
+        hs, scale = self._ints
+        if sum(hs) != scale:
             raise DomainError("polynomial weighting needs h(1) = 1 (coefficients summing to 1)")
+        if polyops.bernstein_nonneg([i * hs[i] for i in range(1, len(hs))], 1):
+            return  # scale * h', a positive multiple of h', is >= 0 on [0, 1]
         ok, witness = polyops.nonneg_on_interval(polyops.pderiv(list(coeffs)), Fraction(0), Fraction(1))
         if not ok:
             raise NonMonotoneUtility(f"polynomial weighting decreasing near p = {witness}")
@@ -551,7 +561,7 @@ def _h_coeffs(w: WeightingSpec) -> list[Fraction] | None:
             return [Fraction(0), 1 + b, -b]
         case DualPower(m=m):
             _check_power(m, m)
-            return _poly_coeffs(w)
+            return [Fraction(c) for c in _dual_power_ints(m)]
         case Power(k=k) if k.denominator == 1:
             _check_power(k.numerator, k.numerator)
             return [Fraction(0)] * k.numerator + [Fraction(1)]
@@ -560,14 +570,9 @@ def _h_coeffs(w: WeightingSpec) -> list[Fraction] | None:
     return None
 
 
-def _poly_coeffs(w: DualPower) -> list[Fraction]:
-    # 1 - (1-p)^m expanded
-    m = w.m
-    coeffs = [Fraction(0)] * (m + 1)
-    for i in range(m + 1):
-        coeffs[i] = -Fraction((-1) ** i * math.comb(m, i))
-    coeffs[0] += 1
-    return coeffs
+def _dual_power_ints(m: int) -> list[int]:
+    """1 - (1 - p)^m expanded, lowest degree first: 0, then (-1)^(i+1) C(m, i)."""
+    return [0] + [(-1) ** (i + 1) * math.comb(m, i) for i in range(1, m + 1)]
 
 
 def dual_power_mixture(weights: dict[int, Fraction]) -> Polynomial:
@@ -575,15 +580,28 @@ def dual_power_mixture(weights: dict[int, Fraction]) -> Polynomial:
 
     Inherits every alternating derivative sign satisfied by all mixture
     components, which makes it the workhorse for random admissible
-    weighting functions in the test harnesses.
+    weighting functions in the test harnesses. Built in integers: with
+    the weights over one denominator d, order k with weight r_k / d adds
+    (-1)^(i+1) C(k, i) r_k to the numerator of p^i, and each coefficient
+    becomes one Fraction over d at the end. Trailing zero coefficients,
+    which zero weights leave, are dropped.
     """
     total = sum(weights.values())
     if total != 1 or any(v < 0 for v in weights.values()):
         raise DomainError("mixture weights must be non-negative and sum to 1")
-    acc = [Fraction(0)]
+    orders, lams = [], []
     for m, lam in weights.items():
-        acc = polyops.padd(acc, polyops.pscale(_poly_coeffs(DualPower(m)), rat(lam)))
-    return Polynomial(tuple(acc))
+        _check_dual_order(m)
+        orders.append(m)
+        lams.append(rat(lam))
+    rs, d = _common_denominator(lams)
+    acc = [0] * (max(orders) + 1)
+    for m, r in zip(orders, rs):
+        for i, c in enumerate(_dual_power_ints(m)):
+            acc[i] += c * r
+    while len(acc) > 1 and acc[-1] == 0:
+        acc.pop()
+    return Polynomial(tuple(Fraction(a, d) for a in acc))
 
 
 _MONOTONE_GRID = 512  # cells of the grid a float family's monotonicity is checked on

@@ -19,10 +19,13 @@ taken on merged breakpoint grids, by Sturm (where the library accepts
 pieces with non-negative Taylor or Bernstein coefficients without it),
 root isolation and sign profiles run a Sturm chain of Fraction
 polynomials (monic gcd, true remainders, deflation by x - r) where the
-library works on primitive integer polynomials, the direct battery
-constructs every member afresh where the library memoizes the unseeded
-ones, and the difference certificate, the draw's window rule and the
-converse witness search evaluate h window by window through
+library works on primitive integer polynomials, a Polynomial's
+monotonicity is decided by that Fraction chain alone where the library
+first tries the Bernstein pre-accept, the direct battery constructs
+every member afresh where the library memoizes the unseeded ones, and
+sums its DualPower mixture as Fraction polynomials where the library
+builds it in ints, and the difference certificate, the draw's window
+rule and the converse witness search evaluate h window by window through
 finite_difference, over every step for the certificate, where the
 library reads one evaluated grid at unit step, h and h' are computed
 call by call, each float formula written out at the point, where the
@@ -71,7 +74,6 @@ from dualrisk import (
     Tabulated,
     TverskyKahneman,
     as_distribution,
-    dual_power_mixture,
     eval_h,
     eval_hbar,
     finite_difference,
@@ -365,15 +367,34 @@ def dual_moment_mc_oracle(
     return est, se
 
 
+def dual_power_mixture_reference(weights: dict) -> tuple[Fraction, ...]:
+    """Coefficients of the convex mixture sum_k w_k (1 - (1 - p)^k), summed
+    as Fraction polynomials one component at a time (padd of pscale),
+    trailing zeros dropped."""
+    acc = [Fraction(0)]
+    for k, lam in weights.items():
+        component = [Fraction(0)] + [Fraction((-1) ** (i + 1) * math.comb(k, i)) for i in range(1, k + 1)]
+        acc = padd(acc, pscale(component, rat(lam)))
+    return tuple(acc)
+
+
+def polynomial_monotone_reference(coeffs) -> tuple[bool, Fraction | None]:
+    """(ok, witness) of h' >= 0 on [0, 1] for h with these coefficients, by
+    the Fraction Sturm chain alone: witness is the first point where h' < 0."""
+    _, has_neg, _, neg_w = sign_profile_fraction(pderiv([rat(c) for c in coeffs]), Fraction(0), Fraction(1))
+    return not has_neg, neg_w
+
+
 def direct_battery_rebuild(m: int, rng):
     """The order-m direct battery with every member constructed afresh, in the
-    order DualPower(m..6), seeded mixture, flipped-sign pair, Identity,
-    lower DualPowers, lower monomials."""
+    order DualPower(m..6), seeded mixture (summed by
+    dual_power_mixture_reference), flipped-sign pair, Identity, lower
+    DualPowers, lower monomials."""
     battery = [(DualPower(j), "ge") for j in range(m, 7)]
     ks = rng.sample(range(m, max(9, m + 2)), 2)
     raw = {k: Fraction(rng.randint(1, 4)) for k in ks}
     total = sum(raw.values())
-    battery.append((dual_power_mixture({k: v / total for k, v in raw.items()}), "ge"))
+    battery.append((Polynomial(dual_power_mixture_reference({k: v / total for k, v in raw.items()})), "ge"))
 
     def monomial(k):
         return Polynomial((Fraction(0),) * k + (Fraction(1),))

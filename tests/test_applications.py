@@ -624,6 +624,20 @@ class TestCalibration:
         with pytest.raises(DomainError):
             calibrate_exponential(F(3, 5), DualPower(3), 0)
 
+    @pytest.mark.parametrize("gamma", [F(0), F(-1, 2)])
+    def test_power_law_needs_positive_gamma(self, gamma):
+        with pytest.raises(DomainError, match=re.escape(f"calibration needs gamma > 0, got {gamma}")):
+            calibrate_power_law(F(4, 5), gamma, DualPower(3), 1)
+
+    def test_power_law_constant_is_bounded(self):
+        # (8/5)^(10^6) would need 4 * 10^6 bits, past the 2^20 power bound
+        with pytest.raises(DomainError, match="order too large for an exact value"):
+            calibrate_power_law(F(4, 5), F(1, 10**6), DualPower(3), 1)
+        # 1/gamma = 1000000.5 takes (8/5)^(1/gamma) past the float range
+        with pytest.raises(DomainError, match="overflows a float"):
+            calibrate_power_law(F(4, 5), F(2, 2 * 10**6 + 1), DualPower(3), 1)
+        assert calibrate_power_law(F(4, 5), F(1, 3), DualPower(3), 1).c == F(4096, 125)
+
     @pytest.mark.parametrize(
         "w",
         [

@@ -22,6 +22,7 @@ from dualrisk import (
     eval_h,
     finite_difference,
     finite_difference_sign,
+    format_weighting,
     preference_direction,
     random_base,
     random_mixed_tabulated,
@@ -91,7 +92,13 @@ class TestBattery:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
     def test_order_matches_a_fresh_build(self, m):
-        assert direct_battery(m, random.Random(m)) == direct_battery_rebuild(m, random.Random(m))
+        for seed in (m, *range(8)):
+            battery = direct_battery(m, random.Random(seed))
+            rebuilt = direct_battery_rebuild(m, random.Random(seed))
+            assert battery == rebuilt
+            assert [(format_weighting(w), rel) for w, rel in battery] == [
+                (format_weighting(w), rel) for w, rel in rebuilt
+            ]
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
     def test_battery_is_honest_on_a_known_pair(self, m):
@@ -99,7 +106,7 @@ class TestBattery:
         # minimal-gap pair, otherwise direct runs would flag good pairs
         rng = random.Random(m)
         pair = random_pair(rng, m)
-        assert direct_check(pair, rng) == []
+        assert direct_check(pair, rng) == ()
 
 
 class TestRandomSources:

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from dualrisk import (
     InputValidationError,
     DomainError,
+    NonMonotoneUtility,
     DualPower,
     FormatError,
     Identity,
@@ -35,10 +38,12 @@ from dualrisk.polyops import padd, pscale
 from dualrisk.weighting import float_form
 
 from oracles import (
+    dual_power_mixture_reference,
     eval_h_prime_reference,
     eval_h_reference,
     finite_difference_sign_all_steps,
     interp_linear_scan,
+    polynomial_monotone_reference,
 )
 
 F = Fraction
@@ -435,6 +440,112 @@ class TestConstruction:
             p = F(i, 8)
             expected = (eval_h(DualPower(2), p) + eval_h(DualPower(4), p)) / 2
             assert eval_h(w, p) == expected
+
+
+mixture_weights = st.dictionaries(st.integers(1, 12), st.integers(0, 5), min_size=1, max_size=4).filter(
+    lambda raw: sum(raw.values()) > 0
+)
+
+
+class TestDualPowerMixture:
+    """The mixture built in ints equals the Fraction polynomial sum
+    (oracles.dual_power_mixture_reference), and keeps its input errors."""
+
+    @given(mixture_weights)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_sum(self, raw):
+        total = sum(raw.values())
+        weights = {k: F(v, total) for k, v in raw.items()}
+        coeffs = dual_power_mixture(weights).coeffs
+        assert coeffs == dual_power_mixture_reference(weights)
+        assert all(type(c) is Fraction for c in coeffs)
+
+    def test_zero_weight_drops_trailing_zeros(self):
+        assert dual_power_mixture({3: 1, 5: 0}).coeffs == (0, 3, -3, 1)
+        assert dual_power_mixture({5: 0, 3: F(1)}).coeffs == (0, 3, -3, 1)
+
+    @pytest.mark.parametrize(
+        "weights,error,message",
+        [
+            ({0: F(1)}, DomainError, "dual power order must be an integer >= 1, got 0"),
+            ({3: F(1, 2), F(5, 2): F(1, 2)}, DomainError, "dual power order must be an integer >= 1, got 5/2"),
+            ({2.0: F(1)}, DomainError, "dual power order must be an integer >= 1, got 2.0"),
+            ({2: F(3, 2), 3: F(-1, 2)}, DomainError, "mixture weights must be non-negative and sum to 1"),
+            ({2: F(1, 2), 3: F(1, 3)}, DomainError, "mixture weights must be non-negative and sum to 1"),
+            ({2: 0.5, 3: 0.5}, FormatError, "refusing to coerce non-integral float 0.5; pass a Fraction or a string"),
+        ],
+        ids=["order-0", "fractional-order", "float-order", "negative-weight", "sum-below-1", "float-weight"],
+    )
+    def test_errors(self, weights, error, message):
+        with pytest.raises(error) as exc:
+            dual_power_mixture(weights)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+
+integer_form_polynomials = st.tuples(st.lists(st.integers(-8, 8), max_size=6), st.integers(1, 6)).map(
+    lambda drawn: (0, *(F(a, drawn[1]) for a in drawn[0]), F(drawn[1] - sum(drawn[0]), drawn[1]))
+)
+
+
+class TestPolynomialCertification:
+    """Monotonicity takes the Bernstein pre-accept before Sturm; what it
+    accepts, rejects and names as the witness equals the Fraction Sturm
+    chain alone (oracles.polynomial_monotone_reference)."""
+
+    @given(integer_form_polynomials)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_sturm_alone(self, coeffs):
+        ok, witness = polynomial_monotone_reference(coeffs)
+        if ok:
+            assert Polynomial(coeffs).coeffs == coeffs
+        else:
+            with pytest.raises(NonMonotoneUtility) as exc:
+                Polynomial(coeffs)
+            assert str(exc.value) == f"polynomial weighting decreasing near p = {witness}"
+
+    @staticmethod
+    def _counting_sturm():
+        """polyops.nonneg_on_interval wrapped in a mock that counts its calls."""
+        import dualrisk.polyops as polyops
+
+        return mock.patch.object(polyops, "nonneg_on_interval", wraps=polyops.nonneg_on_interval)
+
+    @pytest.mark.parametrize(
+        "coeffs,sturm,ok",
+        [
+            ((0, 2, -1), 0, True),  # DualPower(2): non-negative Bernstein coefficients of h'
+            ((0, 3, -6, 4), 1, True),  # h' = 3 (1 - 2p)^2: Bernstein b_1 < 0, Sturm accepts
+            ((0, 4, -9, 6), 1, False),  # h' < 0 on (1/3, 2/3)
+        ],
+    )
+    def test_routes(self, coeffs, sturm, ok):
+        expected_ok, witness = polynomial_monotone_reference(coeffs)
+        assert expected_ok is ok
+        with self._counting_sturm() as calls:
+            if ok:
+                Polynomial(coeffs)
+            else:
+                with pytest.raises(NonMonotoneUtility, match=re.escape(f"near p = {witness}")):
+                    Polynomial(coeffs)
+        assert calls.call_count == sturm
+
+    @given(mixture_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_mixtures_take_no_sturm_call(self, raw):
+        total = sum(raw.values())
+        with self._counting_sturm() as calls:
+            dual_power_mixture({k: F(v, total) for k, v in raw.items()})
+        assert calls.call_count == 0
+
+    def test_fixed_batteries_take_no_sturm_call(self):
+        from dualrisk.harness import _fixed_battery
+
+        with self._counting_sturm() as calls:
+            for m in range(2, 10):
+                head, tail = _fixed_battery.__wrapped__(m)
+                assert any(isinstance(w, Polynomial) for w, _ in tail)
+        assert calls.call_count == 0
 
 
 class TestParseFormat:
