@@ -179,9 +179,10 @@ class Polynomial:
         hs, scale = self._ints
         if sum(hs) != scale:
             raise DomainError("polynomial weighting needs h(1) = 1 (coefficients summing to 1)")
-        if polyops.bernstein_nonneg([i * hs[i] for i in range(1, len(hs))], 1):
-            return  # scale * h', a positive multiple of h', is >= 0 on [0, 1]
-        ok, witness = polyops.nonneg_on_interval(polyops.pderiv(list(coeffs)), Fraction(0), Fraction(1))
+        slope = [i * hs[i] for i in range(1, len(hs))]  # scale * h', a positive multiple of h'
+        if polyops.bernstein_nonneg(slope, 1):
+            return
+        ok, witness = polyops.nonneg_on_interval(slope, Fraction(0), Fraction(1))
         if not ok:
             raise NonMonotoneUtility(f"polynomial weighting decreasing near p = {witness}")
 
