@@ -34,7 +34,7 @@ from .errors import (
     NegativeOutcome,
 )
 from .lottery import EqualProbLottery, Lottery, make_lottery, mean
-from .rationals import format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
+from .rationals import _exact_text, format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
 from .valuation import dt_value
 from .weighting import (
     WeightingSpec,
@@ -701,7 +701,8 @@ def calibrate_power_law(p0, gamma, w: WeightingSpec, loss) -> PowerLawEffort:
     the probability actually falls through 1/2 at positive effort. gamma
     must be positive, and (2 p0)^(1/gamma) is bounded as eval_h bounds
     powers: an integer 1/gamma may not take it past 2^20 bits, and a
-    fractional one past the float range; either is a DomainError.
+    fractional one past the float range; either is a DomainError, and so
+    is a c with more digits than the interpreter converts to text.
     """
     p0, gamma, loss = rat(p0), rat(gamma), rat(loss)
     if gamma <= 0:
@@ -718,7 +719,9 @@ def calibrate_power_law(p0, gamma, w: WeightingSpec, loss) -> PowerLawEffort:
         except OverflowError:
             raise DomainError(f"(2 p0)^(1/gamma) overflows a float at gamma = {gamma}") from None
     c = 2 * grown / (gamma * hp * loss)
-    return PowerLawEffort(p0, c if isinstance(c, Fraction) else Fraction(c), gamma)
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    _exact_text(c)  # a c too long to write as text is the DomainError of format_exact
+    return PowerLawEffort(p0, c, gamma)
 
 
 def calibrate_exponential(p0, w: WeightingSpec, loss) -> ExponentialEffort:

@@ -15,6 +15,11 @@ The parsimonious pair keeps the base lottery itself as one member and
 applies good and bad blocks with unit amplitude 1/M at adjacent
 positions, so only m consecutive states move, by alternating binomial
 increments.
+
+C and D have the same n equally likely ranked states and differ only
+where the blocks sit, so their value gap under an exact weighting is a
+short integer sum over those moved states (moved_state_gap), which is
+how preference_direction ranks a pair under the exact families.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .errors import (
     BadGapSpec,
@@ -35,7 +43,7 @@ from .errors import (
 from .lottery import EqualProbLottery
 from .rationals import format_exact, rat
 from .valuation import dt_value, dual_moment
-from .weighting import WeightingSpec, is_exact
+from .weighting import WeightingSpec, _level_ints, is_exact
 
 
 class Polarity(enum.Enum):
@@ -254,6 +262,30 @@ class ApportionmentPair:
     d: EqualProbLottery
     provenance: PairProvenance
 
+    @cached_property
+    def moved_states(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """((i, delta_i), ...), den: the 1-based states i where D and C
+        differ, with d_i - c_i = delta_i / den, den the lcm of the two
+        members' outcome denominators."""
+        cs, cd = self.c._ints[:2]
+        ds, dd = self.d._ints[:2]
+        den = lcm(cd, dd)
+        fc, fd = den // cd, den // dd
+        moved = tuple((i, b * fd - a * fc) for i, (a, b) in enumerate(zip(cs, ds), 1) if b * fd != a * fc)
+        return moved, den
+
+    @cached_property
+    def _level_weights(self) -> tuple[list[int], list[int]]:
+        """(levels, weights) with sum_i delta_i (H_i - H_{i-1}) =
+        sum_k weights[k] H_levels[k] for any H with H_0 = 0: summed by
+        parts, level l weighs delta_l - delta_(l+1)."""
+        acc: dict[int, int] = {}
+        for i, v in self.moved_states[0]:
+            acc[i] = acc.get(i, 0) + v
+            acc[i - 1] = acc.get(i - 1, 0) - v
+        levels = sorted(level for level, v in acc.items() if level and v)
+        return levels, [acc[level] for level in levels]
+
 
 def _validate_pair(pair: ApportionmentPair) -> None:
     c, d = pair.c, pair.d
@@ -381,17 +413,38 @@ def rebuild_pair(prov: PairProvenance) -> ApportionmentPair:
     return pair
 
 
+def _moved_gap(pair: ApportionmentPair, w: WeightingSpec) -> tuple[int, int]:
+    """(num, den), den > 0, with moved_state_gap(pair, w) = num / den."""
+    levels, weights = pair._level_weights
+    hs, scale = _level_ints(w, pair.c.n, levels)
+    return sum(map(mul, weights, hs)), pair.moved_states[1] * scale
+
+
+def moved_state_gap(pair: ApportionmentPair, w: WeightingSpec) -> Fraction:
+    """V(D) - V(C) under an exact weighting w, read from the moved states.
+
+    C and D are ranked with n equally likely states each, so the CDF form
+    of the dual value gives the gap as sum_i (d_i - c_i) (h(i/n) -
+    h((i-1)/n)) over the states that moved. Under DualPower(j) this is the
+    pair's j-th dual-moment gap. An order past the size bound is the
+    DomainError dt_value raises.
+    """
+    return Fraction(*_moved_gap(pair, w))
+
+
 def preference_direction(pair: ApportionmentPair, w: WeightingSpec) -> int:
     """Sign of value(D) - value(C) under weighting w: +1, 0, or -1.
 
-    Exact for exact weighting families. For float families 0 is the
-    answer whenever the float gap cannot be resolved: each float value
-    sums n rounded terms bounded by the largest outcome, so a gap within
-    4 n eps times that outcome may carry either sign.
+    Exact for exact weighting families, which read only the moved states
+    (moved_state_gap). For float families 0 is the answer whenever the
+    float gap cannot be resolved: each float value sums n rounded terms
+    bounded by the largest outcome, so a gap within 4 n eps times that
+    outcome may carry either sign.
     """
+    if is_exact(w):
+        num = _moved_gap(pair, w)[0]
+        return (num > 0) - (num < 0)
     diff = dt_value(pair.d, w) - dt_value(pair.c, w)
-    if not is_exact(w):
-        top = max(pair.c.outcomes[-1], pair.d.outcomes[-1])
-        bound = 4 * pair.c.n * sys.float_info.epsilon * float(top)
-        return (diff > bound) - (diff < -bound)
-    return (diff > 0) - (diff < 0)
+    top = max(pair.c.outcomes[-1], pair.d.outcomes[-1])
+    bound = 4 * pair.c.n * sys.float_info.epsilon * float(top)
+    return (diff > bound) - (diff < -bound)

@@ -10,15 +10,21 @@ a parsimonious pair ranked strictly against the direct direction.
 
 Direct runs fuzz random bases, block amplitudes, gap specs, and
 positions, then sweep a battery of right-sign, flipped-sign, and
-zero-derivative weighting functions. Converse runs generate piecewise
-linear weighting functions with certified mixed differences, evaluate h
-once on the grid 1/G, and read both the certificate and the witness from
-that list. The witness search walks the divisors n of G in ascending
-order, then the window starts j/n, reading each 1/n window as every
-(G/n)-th grid value, until a violating pair is exhibited, so the pair
-has the fewest states any aligned window allows; the pair's value gap is
-checked exactly against the window and against the same window of hbar,
-evaluated afresh, and its sign is the reported direction.
+zero-derivative weighting functions. Each member ranks the pair from the
+few states where C and D differ (apportionment.moved_state_gap), never
+valuing either member in full. The seeded DualPower mixture is valued in
+full once per pair as well: its dt_value gap must equal its moved-state
+gap exactly, and a mismatch is a failure record with relation
+"identity" that carries both gaps and the pair's provenance. Converse
+runs generate piecewise linear weighting functions with certified mixed
+differences, evaluate h once on the grid 1/G, and read both the
+certificate and the witness from that list. The witness search walks
+the divisors n of G in ascending order, then the window starts j/n,
+reading each 1/n window as every (G/n)-th grid value, until a violating
+pair is exhibited, so the pair has the fewest states any aligned window
+allows; the pair's value gap is checked exactly against the window and
+against the same window of hbar, evaluated afresh, and its sign is the
+reported direction.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .apportionment import (
     make_blocks,
     make_pair,
     make_parsimonious_pair,
+    moved_state_gap,
     preference_direction,
 )
 from .errors import DomainError, DualRiskError
@@ -100,15 +107,22 @@ def direct_battery(m: int, rng: random.Random | None = None):
     With an rng, a seeded mixture of two DualPowers of orders m..8 (m and
     m + 1 from order 8 on) follows the DualPower entries.
     """
+    return _battery(m, rng)[0]
+
+
+def _battery(m: int, rng: random.Random | None):
+    """(direct_battery(m, rng), probe): the probe is the seeded mixture,
+    or DualPower(m) without an rng."""
     if m < 2:
         raise DomainError(f"statements start at order 2, got {m}")
     head, tail = _fixed_battery(m)
     if rng is None:
-        return [*head, *tail]
+        return [*head, *tail], DualPower(m)
     ks = rng.sample(range(m, max(9, m + 2)), 2)
     raw = {k: Fraction(rng.randint(1, 4)) for k in ks}
     total = sum(raw.values())
-    return [*head, (dual_power_mixture({k: v / total for k, v in raw.items()}), "ge"), *tail]
+    mixture = dual_power_mixture({k: v / total for k, v in raw.items()})
+    return [*head, (mixture, "ge"), *tail], mixture
 
 
 @lru_cache(maxsize=None)
@@ -168,9 +182,17 @@ def random_pair(rng: random.Random, m: int) -> ApportionmentPair:
 
 def direct_check(pair: ApportionmentPair, rng: random.Random | None = None) -> tuple[dict, ...]:
     """Sweep the order-m battery over one pair; return replay records of
-    violations as a tuple, () when the pair passes (as HarnessReport.failures)."""
+    violations as a tuple, () when the pair passes (as HarnessReport.failures).
+
+    The battery's exact members are ranked from the pair's moved states
+    (apportionment.moved_state_gap). One member, the seeded mixture (or
+    DualPower(m) without an rng), is also valued in full: its dt_value
+    gap must equal its moved-state gap, and a mismatch is an "identity"
+    record carrying both gaps.
+    """
+    battery, probe = _battery(pair.order, rng)
     failures = []
-    for w, relation in direct_battery(pair.order, rng):
+    for w, relation in battery:
         got = preference_direction(pair, w)
         ok = got >= 0 if relation == "ge" else got <= 0 if relation == "le" else got == 0
         if not ok:
@@ -182,6 +204,18 @@ def direct_check(pair: ApportionmentPair, rng: random.Random | None = None) -> t
                     "pair": json.loads(pair.provenance.to_json()),
                 }
             )
+    gap = dt_value(pair.d, probe) - dt_value(pair.c, probe)
+    moved = moved_state_gap(pair, probe)
+    if gap != moved:
+        failures.append(
+            {
+                "weighting": format_weighting(probe),
+                "relation": "identity",
+                "gap": format_exact(gap),
+                "moved_state_gap": format_exact(moved),
+                "pair": json.loads(pair.provenance.to_json()),
+            }
+        )
     return tuple(failures)
 
 

@@ -24,7 +24,9 @@ monotonicity is decided by that Fraction chain alone where the library
 first tries the Bernstein pre-accept, the direct battery constructs
 every member afresh where the library memoizes the unseeded ones, and
 sums its DualPower mixture as Fraction polynomials where the library
-builds it in ints, and the difference certificate, the draw's window
+builds it in ints, a pair's preference direction is the sign of two
+full dt_value sweeps where the library reads only the states where the
+members differ, and the difference certificate, the draw's window
 rule and the converse witness search evaluate h window by window through
 finite_difference, over every step for the certificate, where the
 library reads one evaluated grid at unit step, h and h' are computed
@@ -42,6 +44,7 @@ tests can hold those splines against the antiderivative chain.
 
 import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -74,6 +77,7 @@ from dualrisk import (
     Tabulated,
     TverskyKahneman,
     as_distribution,
+    dt_value,
     eval_h,
     eval_hbar,
     finite_difference,
@@ -412,6 +416,17 @@ def direct_battery_rebuild(m: int, rng):
     battery += [(DualPower(j), "eq") for j in range(1, m)]
     battery += [(monomial(k), "eq") for k in range(2, m)]
     return battery
+
+
+def preference_direction_reference(pair, w) -> int:
+    """Sign of dt_value(D) - dt_value(C), both members valued in full; a
+    float family's gap within 4 n eps times the largest outcome is 0."""
+    diff = dt_value(pair.d, w) - dt_value(pair.c, w)
+    if not is_exact(w):
+        top = max(pair.c.outcomes[-1], pair.d.outcomes[-1])
+        bound = 4 * pair.c.n * sys.float_info.epsilon * float(top)
+        return (diff > bound) - (diff < -bound)
+    return (diff > 0) - (diff < 0)
 
 
 def interp_linear_scan(knots, p: Fraction) -> Fraction:

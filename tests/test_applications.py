@@ -4,6 +4,7 @@ import inspect
 import math
 import random
 import re
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -637,6 +638,16 @@ class TestCalibration:
         with pytest.raises(DomainError, match="overflows a float"):
             calibrate_power_law(F(4, 5), F(2, 2 * 10**6 + 1), DualPower(3), 1)
         assert calibrate_power_law(F(4, 5), F(1, 3), DualPower(3), 1).c == F(4096, 125)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int-to-text digit limit in this interpreter",
+    )
+    def test_power_law_constant_past_the_digit_limit(self):
+        # (8/5)^100000 is inside the power bound, but c's 300,009-bit
+        # numerator has more digits than the interpreter writes as text
+        with pytest.raises(DomainError, match="^exact value too long to print: "):
+            calibrate_power_law(F(4, 5), F(1, 100000), DualPower(3), 1)
 
     @pytest.mark.parametrize(
         "w",

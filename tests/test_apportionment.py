@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualrisk import (
@@ -21,14 +21,19 @@ from dualrisk import (
     NegativeOutcome,
     PairProvenance,
     Polarity,
+    Polynomial,
+    Power,
     PrecedenceViolation,
     Prelec,
     Quadratic,
     RankViolation,
+    Tabulated,
     anti_squeeze,
     attach,
     dt_value,
     dual_moment,
+    dual_moment_weights,
+    dual_power_mixture,
     dual_sd_check,
     make_blocks,
     make_pair,
@@ -37,12 +42,15 @@ from dualrisk import (
     pair_increments,
     preference_direction,
     primal_moment,
+    random_base,
+    random_pair,
     rebuild_pair,
     squeeze,
     TverskyKahneman,
 )
+from dualrisk.apportionment import moved_state_gap
 
-from oracles import dt_value_mpmath
+from oracles import dt_value_mpmath, preference_direction_reference
 
 F = Fraction
 
@@ -383,3 +391,127 @@ class TestProvenance:
         assert rebuilt.c == pair.c
         assert rebuilt.d == pair.d
         assert rebuilt.provenance.seed == 5
+
+
+@st.composite
+def pairs(draw):
+    """Order 2..5 pairs from random_pair or make_parsimonious_pair (on a
+    random_base, or on small integers with ties and zeros that the moves
+    leave ranked), often rebuilt from their provenance JSON."""
+    m = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("random", "parsimonious", "tied")))
+    if kind == "random":
+        pair = random_pair(rng, m)
+    else:
+        if kind == "parsimonious":
+            outcomes = random_base(rng, m).outcomes
+        else:
+            outcomes = sorted(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m + 4)))
+        j = draw(st.integers(0, len(outcomes) - m))
+        try:
+            pair = make_parsimonious_pair(outcomes, j, m, 2 ** (m + 1) * draw(st.integers(1, 8)))
+        except (NegativeOutcome, RankViolation):
+            assume(False)
+    if draw(st.booleans()):
+        pair = rebuild_pair(PairProvenance.from_json(pair.provenance.to_json()))
+    return pair
+
+
+@st.composite
+def mixtures(draw):
+    orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True))
+    raw = [draw(st.integers(1, 5)) for _ in orders]
+    return dual_power_mixture({k: F(r, sum(raw)) for k, r in zip(orders, raw)})
+
+
+@st.composite
+def monotone_polynomials(draw):
+    """(1 + c) p - c p^k with 0 <= c <= 1/(k - 1), mixed with p^j: h' >= 0."""
+    k, j = draw(st.integers(2, 7)), draw(st.integers(1, 7))
+    c = draw(st.fractions(0, F(1, k - 1), max_denominator=16))
+    lam = draw(st.fractions(0, 1, max_denominator=8))
+    coeffs = [F(0)] * (max(k, j) + 1)
+    coeffs[1] += lam * (1 + c)
+    coeffs[k] -= lam * c
+    coeffs[j] += 1 - lam
+    return Polynomial(tuple(coeffs))
+
+
+@st.composite
+def tabulated(draw):
+    xs = sorted(draw(st.sets(st.fractions(F(1, 64), F(63, 64), max_denominator=64), max_size=6)))
+    ys = sorted(draw(st.lists(st.fractions(0, 1, max_denominator=64), min_size=len(xs), max_size=len(xs))))
+    return Tabulated(((F(0), F(0)), *zip(xs, ys), (F(1), F(1))))
+
+
+EXACT_WEIGHTINGS = st.one_of(
+    st.just(Identity()),
+    st.fractions(0, 1, max_denominator=12).map(Quadratic),
+    st.integers(1, 12).map(DualPower),
+    st.integers(1, 9).map(Power),
+    mixtures(),
+    monotone_polynomials(),
+    tabulated(),
+)
+FLOAT_WEIGHTINGS = st.one_of(
+    st.floats(0.3, 2.0).map(TverskyKahneman),
+    st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)).map(lambda ab: Prelec(*ab)),
+    st.fractions(F(1, 8), 6, max_denominator=9).filter(lambda k: k.denominator > 1).map(Power),
+)
+
+
+class TestMovedStates:
+    """preference_direction reads an exact family's gap from the moved
+    states alone; the oracle values both members in full with dt_value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs(), EXACT_WEIGHTINGS)
+    def test_exact_families_match_the_full_valuation(self, pair, w):
+        assert moved_state_gap(pair, w) == dt_value(pair.d, w) - dt_value(pair.c, w)
+        assert preference_direction(pair, w) == preference_direction_reference(pair, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs(), FLOAT_WEIGHTINGS)
+    def test_float_families_keep_the_band(self, pair, w):
+        assert preference_direction(pair, w) == preference_direction_reference(pair, w)
+
+    def test_moved_states_are_the_differing_states(self):
+        pair = make_pair(ep(1, 2, 4, 7), *make_blocks(3, 4, F(1, 6)), 1, 2)
+        moved, den = pair.moved_states
+        expected = [(i, d - c) for i, (c, d) in enumerate(zip(pair.c.outcomes, pair.d.outcomes), 1) if c != d]
+        assert [(i, F(v, den)) for i, v in moved] == expected
+        assert den == math.lcm(*(x.denominator for x in pair.c.outcomes + pair.d.outcomes))
+
+    # 2^19 passes the bound on one bit, but not on the 3 bits of n = 4
+    @pytest.mark.parametrize("w", [DualPower(10**7), Power(10**7), DualPower(2**19), Power(2**19)])
+    def test_order_past_the_size_bound(self, w):
+        pair = make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16)
+        with pytest.raises(DomainError) as full:
+            dt_value(pair.d, w)
+        with pytest.raises(DomainError) as moved:
+            preference_direction(pair, w)
+        assert type(moved.value) is type(full.value) is DomainError
+        assert str(moved.value) == str(full.value) == (
+            "order too large for an exact value: its powers would need more than 1048576 bits"
+        )
+
+
+class TestNestedClass:
+    """The j-th dual-moment gap of an order-m pair, three ways: zero below
+    m, non-negative from m on."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs())
+    def test_dual_moment_gaps(self, pair):
+        m, n = pair.order, pair.c.n
+        steps = [d - c for c, d in zip(pair.c.outcomes, pair.d.outcomes)]
+        for j in range(1, m + 4):
+            by_weights = sum(s * wt for s, wt in zip(steps, dual_moment_weights(n, j)))
+            by_moments = dual_moment(pair.d, j) - dual_moment(pair.c, j)
+            by_moved = moved_state_gap(pair, DualPower(j))
+            assert by_weights == by_moments == by_moved
+            if j < m:
+                assert by_moved == 0
+            else:
+                assert by_moved >= 0

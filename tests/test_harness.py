@@ -31,8 +31,13 @@ from dualrisk import (
     run_theorem,
     PairProvenance,
     Polynomial,
+    Power,
+    Prelec,
     Tabulated,
 )
+from dualrisk import apportionment as apportionment_module
+from dualrisk import harness as harness_module
+from dualrisk.cli import main as cli_main
 from dualrisk.weighting import difference_grid
 
 from oracles import aligned_windows_mixed, converse_witness_windows, direct_battery_rebuild, interp_linear_scan
@@ -251,6 +256,74 @@ class TestOneGrid:
         calls.clear()
         assert converse_check(DualPower(m), m)["status"] == "vacuous"
         assert len(calls) == 257
+
+
+class TestDirectCheckValuesOnlyTheProbe:
+    """direct_check values one member, the probe, in full: two dt_value
+    calls per pair. Every other member is ranked from the moved states."""
+
+    @staticmethod
+    def _count_dt_value(monkeypatch) -> list:
+        calls = []
+        for module in (harness_module, apportionment_module):
+            real = module.dt_value
+            monkeypatch.setattr(module, "dt_value", lambda *args, real=real: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_two_dt_value_calls_per_pair(self, m, monkeypatch):
+        calls = self._count_dt_value(monkeypatch)
+        rng = random.Random(m)
+        for _ in range(5):
+            pair = random_pair(rng, m)
+            twin = random.Random()
+            twin.setstate(rng.getstate())
+            mixture = direct_battery(m, twin)[7 - m][0]  # the battery direct_check draws next
+            calls.clear()
+            assert direct_check(pair, rng) == ()
+            assert calls == [(pair.d, mixture), (pair.c, mixture)]
+        calls.clear()
+        assert direct_check(pair) == ()
+        assert calls == [(pair.d, DualPower(m)), (pair.c, DualPower(m))]
+
+    def test_exact_families_make_no_dt_value_call(self, monkeypatch):
+        calls = self._count_dt_value(monkeypatch)
+        pair = random_pair(random.Random(3), 3)
+        exact = [w for w, _ in direct_battery(3, random.Random(3))]
+        exact += [Quadratic(F(1, 3)), Power(4), Tabulated(((F(0), F(0)), (F(1, 2), F(2, 3)), (F(1), F(1))))]
+        for w in exact:
+            preference_direction(pair, w)
+        assert calls == []
+        preference_direction(pair, Prelec(0.65))
+        assert len(calls) == 2  # a float family keeps its two sweeps and its band
+
+
+def _broken_identity(monkeypatch):
+    real = harness_module.moved_state_gap
+    monkeypatch.setattr(harness_module, "moved_state_gap", lambda pair, w: real(pair, w) + F(1, 7))
+
+
+class TestIdentityFailure:
+    def test_a_mismatch_is_one_identity_record(self, monkeypatch):
+        _broken_identity(monkeypatch)
+        rng = random.Random(4)
+        pair = random_pair(rng, 3)
+        (record,) = direct_check(pair, rng)
+        assert record["relation"] == "identity"
+        assert F(record["moved_state_gap"]) == F(record["gap"]) + F(1, 7)
+        assert record["weighting"].startswith("poly:coeffs=")
+        assert rebuild_pair(PairProvenance.from_json(json.dumps(record["pair"]))) == pair
+
+    def test_verify_exits_1_and_writes_the_record(self, monkeypatch, tmp_path, capsys):
+        _broken_identity(monkeypatch)
+        code = cli_main(["verify", "--theorem", "1", "--trials", "1", "--seed", "0", "--outdir", str(tmp_path)])
+        assert code == 1
+        assert "failures=1 FAIL" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "theorem1_failures.json").read_text())
+        (record,) = payload["reports"][0]["failures"]
+        assert record["relation"] == "identity"
+        assert record["trial"] == 0
+        assert {"gap", "moved_state_gap", "pair", "weighting"} <= set(record)
 
 
 class TestRunTheorem:
