@@ -18,8 +18,9 @@ increments.
 
 C and D have the same n equally likely ranked states and differ only
 where the blocks sit, so their value gap under an exact weighting is a
-short integer sum over those moved states (moved_state_gap), which is
-how preference_direction ranks a pair under the exact families.
+short integer sum over those moved states: the difference of their jump
+lists, valued by dt_value's kernels (moved_state_gap). That is how
+preference_direction ranks a pair under the exact families.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
 
 from .errors import (
     BadGapSpec,
@@ -42,8 +42,8 @@ from .errors import (
 )
 from .lottery import EqualProbLottery
 from .rationals import format_exact, rat
-from .valuation import dt_value, dual_moment
-from .weighting import WeightingSpec, _level_ints, is_exact
+from .valuation import _value, dt_value, dual_moment
+from .weighting import WeightingSpec, is_exact
 
 
 class Polarity(enum.Enum):
@@ -267,6 +267,8 @@ class ApportionmentPair:
         """((i, delta_i), ...), den: the 1-based states i where D and C
         differ, with d_i - c_i = delta_i / den, den the lcm of the two
         members' outcome denominators."""
+        if self.c.n != self.d.n:
+            raise ConstructionInvariantError("pair members have different state counts")
         cs, cd = self.c._ints[:2]
         ds, dd = self.d._ints[:2]
         den = lcm(cd, dd)
@@ -275,16 +277,19 @@ class ApportionmentPair:
         return moved, den
 
     @cached_property
-    def _level_weights(self) -> tuple[list[int], list[int]]:
-        """(levels, weights) with sum_i delta_i (H_i - H_{i-1}) =
-        sum_k weights[k] H_levels[k] for any H with H_0 = 0: summed by
-        parts, level l weighs delta_l - delta_(l+1)."""
+    def _gap_jumps(self) -> tuple[list[tuple[int, int]], int, int, int]:
+        """(jumps, n, den, top): D's jump list minus C's, as valuation._jumps
+        gives them. Both members have CDF count l below state l + 1, so the
+        jump there is delta_(l+1) - delta_l over den, and the jumps add up
+        to top = delta_n."""
         acc: dict[int, int] = {}
-        for i, v in self.moved_states[0]:
-            acc[i] = acc.get(i, 0) + v
-            acc[i - 1] = acc.get(i - 1, 0) - v
-        levels = sorted(level for level, v in acc.items() if level and v)
-        return levels, [acc[level] for level in levels]
+        moved, den = self.moved_states
+        for i, v in moved:
+            acc[i - 1] = acc.get(i - 1, 0) + v
+            acc[i] = acc.get(i, 0) - v
+        n = self.c.n
+        top = -acc.pop(n, 0)
+        return [(level, step) for level, step in sorted(acc.items()) if step], n, den, top
 
 
 def _validate_pair(pair: ApportionmentPair) -> None:
@@ -413,23 +418,17 @@ def rebuild_pair(prov: PairProvenance) -> ApportionmentPair:
     return pair
 
 
-def _moved_gap(pair: ApportionmentPair, w: WeightingSpec) -> tuple[int, int]:
-    """(num, den), den > 0, with moved_state_gap(pair, w) = num / den."""
-    levels, weights = pair._level_weights
-    hs, scale = _level_ints(w, pair.c.n, levels)
-    return sum(map(mul, weights, hs)), pair.moved_states[1] * scale
-
-
 def moved_state_gap(pair: ApportionmentPair, w: WeightingSpec) -> Fraction:
     """V(D) - V(C) under an exact weighting w, read from the moved states.
 
     C and D are ranked with n equally likely states each, so the CDF form
     of the dual value gives the gap as sum_i (d_i - c_i) (h(i/n) -
     h((i-1)/n)) over the states that moved. Under DualPower(j) this is the
-    pair's j-th dual-moment gap. An order past the size bound is the
-    DomainError dt_value raises.
+    pair's j-th dual-moment gap. It runs dt_value's kernels on the
+    difference of the two members' jump lists (ApportionmentPair._gap_jumps),
+    so an order past the size bound is the DomainError dt_value raises.
     """
-    return Fraction(*_moved_gap(pair, w))
+    return _value(w, *pair._gap_jumps)
 
 
 def preference_direction(pair: ApportionmentPair, w: WeightingSpec) -> int:
@@ -442,8 +441,8 @@ def preference_direction(pair: ApportionmentPair, w: WeightingSpec) -> int:
     outcome may carry either sign.
     """
     if is_exact(w):
-        num = _moved_gap(pair, w)[0]
-        return (num > 0) - (num < 0)
+        gap = moved_state_gap(pair, w)
+        return (gap > 0) - (gap < 0)
     diff = dt_value(pair.d, w) - dt_value(pair.c, w)
     top = max(pair.c.outcomes[-1], pair.d.outcomes[-1])
     bound = 4 * pair.c.n * sys.float_info.epsilon * float(top)

@@ -154,7 +154,16 @@ def dt_value(lot: Lottery, w: WeightingSpec):
     past the size bound; transcendental families a float, and DomainError
     for an outcome beyond the float range.
     """
-    jumps, d, xd, top = _jumps(lot)
+    return _value(w, *_jumps(lot))
+
+
+def _value(w: WeightingSpec, jumps, d: int, xd: int, top: int):
+    """The survival sum of a jump list (as _jumps returns it) under w.
+
+    Every family is linear in the steps and top, so the difference of two
+    jump lists over the same CDF counts values to the difference of their
+    values: apportionment.moved_state_gap reads a pair's gap this way.
+    """
     match w:
         case DualPower(m=m):
             return _survival_power(jumps, m, d, xd)

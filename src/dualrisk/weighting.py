@@ -63,38 +63,6 @@ def _integer_coeffs(w) -> tuple[list[int], int]:
     return _common_denominator(_h_coeffs(w))
 
 
-def _level_ints(w, n: int, levels) -> tuple[list[int], int]:
-    """(hs, den) with h(l/n) = hs[k]/den at the k-th of levels (0 <= l <= n)
-    and den > 0, for an exact family. DualPower(m) gives n^m - (n - l)^m
-    over n^m, integer Power(k) l^k over n^k, each past the size bound for
-    n's bits a DomainError, as in dt_value; Identity, Quadratic and
-    Polynomial run Horner on _ints scaled by n^deg, and Tabulated brings
-    its exact values to their lcm denominator."""
-    match w:
-        case DualPower(m=m):
-            _check_power(m, n.bit_length())
-            top = n**m
-            return [top - (n - l) ** m for l in levels], top
-        case Power(k=k) if k.denominator == 1:
-            order = k.numerator
-            _check_power(order, n.bit_length())
-            return [l**order for l in levels], n**order
-        case Identity() | Quadratic() | Polynomial():
-            hs, scale = w._ints
-            deg = len(hs) - 1
-            coeffs = [h * n ** (deg - i) for i, h in enumerate(hs)][::-1]
-            out = []
-            for l in levels:
-                v = 0
-                for c in coeffs:
-                    v = v * l + c
-                out.append(v)
-            return out, scale * n**deg
-        case Tabulated(knots=knots):
-            return _common_denominator([_interp(knots, Fraction(l, n)) for l in levels])
-    raise UnsupportedFamily(f"no exact levels for {type(w).__name__}")
-
-
 @dataclass(frozen=True)
 class Identity:
     _ints = cached_property(_integer_coeffs)

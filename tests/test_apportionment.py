@@ -48,7 +48,7 @@ from dualrisk import (
     squeeze,
     TverskyKahneman,
 )
-from dualrisk.apportionment import moved_state_gap
+from dualrisk.apportionment import ApportionmentPair, moved_state_gap
 
 from oracles import dt_value_mpmath, preference_direction_reference
 
@@ -482,6 +482,12 @@ class TestMovedStates:
         expected = [(i, d - c) for i, (c, d) in enumerate(zip(pair.c.outcomes, pair.d.outcomes), 1) if c != d]
         assert [(i, F(v, den)) for i, v in moved] == expected
         assert den == math.lcm(*(x.denominator for x in pair.c.outcomes + pair.d.outcomes))
+
+    def test_members_with_different_state_counts(self):
+        pair = make_pair(ep(1, 2, 4, 7), *make_blocks(3, 4, F(1, 6)), 1, 2)
+        by_hand = ApportionmentPair(pair.order, pair.c, ep(*pair.d.outcomes, 9), pair.provenance)
+        with pytest.raises(ConstructionInvariantError, match="different state counts"):
+            preference_direction(by_hand, DualPower(3))
 
     # 2^19 passes the bound on one bit, but not on the 3 bits of n = 4
     @pytest.mark.parametrize("w", [DualPower(10**7), Power(10**7), DualPower(2**19), Power(2**19)])
