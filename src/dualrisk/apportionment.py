@@ -1,15 +1,15 @@
 """Squeeze transformations and good/bad increment-block constructions.
 
 A squeeze moves two ranked equal-probability states toward each other by
-the same amount (an anti-squeeze moves them apart); both preserve the
-mean. Increment blocks generalize this: the order-2 blocks are a single
-+delta (good) or -delta (bad) entry, and an order-m block concatenates an
-order-(m-1) block with its exact negation starting at least one state
-later, increments accumulating additively where entries land on the same
-state. Attaching the good block before the bad one to a base lottery, or
-the other way around, yields a pair of lotteries whose first m-1 dual
-moments agree exactly; which member of the pair is preferred is decided
-by the sign of the m-th derivative of the evaluator's weighting function.
+the same amount, which preserves the mean. Increment blocks generalize
+this: the order-2 blocks are a single +delta (good) or -delta (bad)
+entry, and an order-m block concatenates an order-(m-1) block with its
+exact negation starting at least one state later, increments
+accumulating additively where entries land on the same state. Attaching
+the good block before the bad one to a base lottery, or the other way
+around, yields a pair of lotteries whose first m-1 dual moments agree
+exactly; which member of the pair is preferred is decided by the sign of
+the m-th derivative of the evaluator's weighting function.
 
 The parsimonious pair keeps the base lottery itself as one member and
 applies good and bad blocks with unit amplitude 1/M at adjacent
@@ -167,19 +167,6 @@ def squeeze(lot: EqualProbLottery, i: int, j: int, x) -> EqualProbLottery:
     return EqualProbLottery(lot.n, tuple(outcomes))
 
 
-def anti_squeeze(lot: EqualProbLottery, i: int, j: int, x) -> EqualProbLottery:
-    """Move states i < j apart by x >= 0 (mean preserved)."""
-    x = rat(x)
-    if x < 0:
-        raise DomainError(f"anti-squeeze amount must be >= 0, got {x}")
-    if not 1 <= i < j <= lot.n:
-        raise DomainError(f"need states 1 <= i < j <= {lot.n}, got i={i}, j={j}")
-    outcomes = list(lot.outcomes)
-    outcomes[i - 1] -= x
-    outcomes[j - 1] += x
-    return EqualProbLottery(lot.n, tuple(outcomes))
-
-
 @dataclass(frozen=True)
 class PairProvenance:
     """Reproducible construction record; round-trips through JSON."""
@@ -215,7 +202,7 @@ class PairProvenance:
         try:
             raw = json.loads(text)
             return PairProvenance(
-                kind=_field(raw, "kind", str),
+                kind=_kind(raw),
                 order=_field(raw, "order", int),
                 n=_field(raw, "n", int),
                 base_outcomes=tuple(rat(x) for x in _field(raw, "base_outcomes", list)),
@@ -238,6 +225,14 @@ def _field(raw: dict, key: str, kind: type):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise FormatError(f"pair provenance field {key!r} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def _kind(raw: dict) -> str:
+    """raw["kind"] when rebuild_pair knows it: "general" or "parsimonious"."""
+    kind = _field(raw, "kind", str)
+    if kind not in ("general", "parsimonious"):
+        raise FormatError(f"pair provenance field 'kind' must be general or parsimonious, got {kind!r}")
+    return kind
 
 
 def _entries(raw: dict, key: str) -> tuple[tuple[int, Fraction], ...]:
@@ -304,6 +299,22 @@ def _validate_pair(pair: ApportionmentPair) -> None:
             )
 
 
+def _assemble(prov: PairProvenance, base: EqualProbLottery, good: Block, bad: Block) -> ApportionmentPair:
+    """The pair prov records, built from its base and blocks and validated.
+
+    D attaches good at prov.pos_first and bad at prov.pos_second. C is the
+    reverse, or the base itself for a parsimonious pair.
+    """
+    d = attach(base, good, bad, prov.pos_first, prov.pos_second)
+    if prov.kind == "parsimonious":
+        c = base
+    else:
+        c = attach(base, bad, good, prov.pos_first, prov.pos_second)
+    pair = ApportionmentPair(prov.order, c, d, prov)
+    _validate_pair(pair)
+    return pair
+
+
 def make_pair(
     base: EqualProbLottery,
     good: Block,
@@ -322,8 +333,6 @@ def make_pair(
         raise DomainError(f"block orders differ: {good.order} vs {bad.order}")
     if good.polarity is not Polarity.GOOD or bad.polarity is not Polarity.BAD:
         raise DomainError("pass the good block first and the bad block second")
-    d = attach(base, good, bad, pos_first, pos_second)
-    c = attach(base, bad, good, pos_first, pos_second)
     prov = PairProvenance(
         kind="general",
         order=good.order,
@@ -335,27 +344,7 @@ def make_pair(
         bad_entries=bad.entries,
         seed=seed,
     )
-    pair = ApportionmentPair(good.order, c, d, prov)
-    _validate_pair(pair)
-    return pair
-
-
-def pair_increments(m: int, big_m) -> list[Fraction]:
-    """Net outcome changes from C to D on the m moved states.
-
-    Produced by running the block recursion with minimal gaps and
-    amplitude 1/M; equals the alternating binomials
-    (-1)^(k-1) binom(m-1, k-1) / M for k = 1..m.
-    """
-    big_m = rat(big_m)
-    if big_m <= 0:
-        raise DomainError(f"need M > 0, got {big_m}")
-    good, bad = make_blocks(m, max(m, 2), Fraction(1, 1) / big_m)
-    merged = _merge_entries(good.entries, tuple((o + 1, v) for o, v in bad.entries))
-    out = [Fraction(0)] * m
-    for o, v in merged:
-        out[o] = v
-    return out
+    return _assemble(prov, base, good, bad)
 
 
 def make_parsimonious_pair(
@@ -370,7 +359,8 @@ def make_parsimonious_pair(
     The m states j+1 .. j+m (1-based) of the n given ranked outcomes are
     moved: D adds the good block of order m at state j+1 and the bad
     block at state j+2, both with amplitude 1/M and minimal gaps, which
-    nets out to the alternating binomial increments of pair_increments.
+    nets out to the alternating binomial increments
+    (-1)^(k-1) binom(m-1, k-1) / M on states j+k, k = 1..m.
     M must be large enough that the ranking survives.
     """
     base = EqualProbLottery(len(outcomes), tuple(rat(x) for x in outcomes))
@@ -385,7 +375,6 @@ def make_parsimonious_pair(
     if big_m <= 0:
         raise DomainError(f"need M > 0, got {big_m}")
     good, bad = make_blocks(m, n, Fraction(1, 1) / big_m)
-    d = attach(base, good, bad, j + 1, j + 2)
     prov = PairProvenance(
         kind="parsimonious",
         order=m,
@@ -398,9 +387,7 @@ def make_parsimonious_pair(
         big_m=big_m,
         seed=seed,
     )
-    pair = ApportionmentPair(m, base, d, prov)
-    _validate_pair(pair)
-    return pair
+    return _assemble(prov, base, good, bad)
 
 
 def rebuild_pair(prov: PairProvenance) -> ApportionmentPair:
@@ -408,14 +395,7 @@ def rebuild_pair(prov: PairProvenance) -> ApportionmentPair:
     base = EqualProbLottery(prov.n, prov.base_outcomes)
     good = Block(prov.order, Polarity.GOOD, prov.n, prov.good_entries)
     bad = Block(prov.order, Polarity.BAD, prov.n, prov.bad_entries)
-    d = attach(base, good, bad, prov.pos_first, prov.pos_second)
-    if prov.kind == "parsimonious":
-        pair = ApportionmentPair(prov.order, base, d, prov)
-    else:
-        c = attach(base, bad, good, prov.pos_first, prov.pos_second)
-        pair = ApportionmentPair(prov.order, c, d, prov)
-    _validate_pair(pair)
-    return pair
+    return _assemble(prov, base, good, bad)
 
 
 def moved_state_gap(pair: ApportionmentPair, w: WeightingSpec) -> Fraction:

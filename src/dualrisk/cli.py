@@ -51,14 +51,12 @@ def _outdir(args) -> str:
 
 def _cell(value) -> str:
     """Exact cell text: p/q for rationals, 12 significant digits for floats."""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, float, Fraction)):
         return format_exact(value)
     return str(value)
 
 
-def _emit_rows(header: tuple[str, ...], rows: list[tuple], fmt: str, out=None) -> str:
+def _emit_rows(header: tuple[str, ...], rows: list[tuple], fmt: str, out=None) -> None:
     out = out if out is not None else sys.stdout
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -69,7 +67,6 @@ def _emit_rows(header: tuple[str, ...], rows: list[tuple], fmt: str, out=None) -
         widths = [max(len(row[i]) for row in table) for i in range(len(header))]
         for row in table:
             out.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
-    return ""
 
 
 def _read_text(path: str) -> str:
@@ -147,7 +144,7 @@ def cmd_dominance(args) -> int:
 def _resolve_base(args, m: int) -> EqualProbLottery:
     if args.base is not None:
         if os.path.exists(args.base):
-            return equal_prob_from_lottery(parse_lottery_text(_read_text(args.base), source=args.base))
+            return equal_prob_from_lottery(_load_lottery(args.base))
         outcomes = tuple(parse_rational(tok) for tok in args.base.split(","))
         return EqualProbLottery(len(outcomes), outcomes)
     if args.random:

@@ -19,8 +19,10 @@ interval, are all >= 0 is non-negative there, and a False from it
 decides nothing, so callers hand every other polynomial to
 nonneg_on_interval.
 
-Degrees in this package stay small (at most the dominance order plus a
-couple), which keeps coefficient growth harmless.
+Degrees reach the thousands: the tests certify a degree-1,050
+Polynomial, and analytic_derivative_sign takes Power and DualPower up to
+order 1,024. Every step stays in Python ints, so a large degree costs
+time, not exactness.
 """
 
 from __future__ import annotations
@@ -47,15 +49,6 @@ def peval(c: Poly, x):
     for a in reversed(c[:-1]):
         acc = acc * x + a
     return acc
-
-
-def padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return ptrim([(a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO) for i in range(n)])
-
-
-def pscale(a: Poly, k: Fraction) -> Poly:
-    return ptrim([x * k for x in a])
 
 
 def pderiv(c: Poly) -> Poly:

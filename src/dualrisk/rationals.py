@@ -110,23 +110,10 @@ def _exact_text(value: Fraction) -> str:
         ) from None
 
 
-def format_rational(value: Num, sig: int = 12) -> str:
-    """Render a number as "p/q (= decimal)" with sig significant digits.
-
-    Floats render as plain decimals; integers drop the parenthetical.
-    """
+def format_exact(value: Num) -> str:
+    """Render "p/q" for rationals and a 12-significant-digit decimal for floats."""
     if isinstance(value, float):
-        return f"{value:.{sig}g}"
-    value = Fraction(value)
-    if value.denominator == 1:
-        return _exact_text(value)
-    return f"{_exact_text(value)} (= {_decimal(value, sig)})"
-
-
-def format_exact(value: Num, sig: int = 12) -> str:
-    """Render "p/q" for rationals and a sig-digit decimal for floats."""
-    if isinstance(value, float):
-        return f"{value:.{sig}g}"
+        return f"{value:.12g}"
     return _exact_text(Fraction(value))
 
 

@@ -6,8 +6,10 @@ x_1 < ... < x_n and CDF F is
     V = sum_i x_i (h(F(x_i)) - h(F(x_{i-1})))          (CDF form)
       = sum_i hbar(S(x_{i-1})) (x_i - x_{i-1})         (survival form)
 
-with x_0 = 0, F(x_0) = 0, S = 1 - F, hbar(p) = 1 - h(1 - p). The survival
-form is the one computed; the tests check it against the CDF form.
+with x_0 = 0, F(x_0) = 0, S = 1 - F, hbar(p) = 1 - h(1 - p). DualPower,
+the dual moments and the float families compute the survival form, the
+other exact kernels x_max - sum_i h(F(x_{i-1})) (x_i - x_{i-1}); the
+tests check both against the CDF form.
 
 The m-th dual moment is the expected minimum of m independent draws,
 integral of S(x)^m, and coincides with the dual-theory value under the
@@ -301,11 +303,3 @@ def dual_moment(lot: Lottery, m: int) -> Fraction:
     jumps, d, xd, _ = _jumps(lot)
     return _survival_power(jumps, m, d, xd)
 
-
-def dual_moment_weights(n: int, m: int) -> list[Fraction]:
-    """Per-state weights of the m-draw expected minimum for n ranked
-    equally likely states: weight_i = ((n-i+1)^m - (n-i)^m) / n^m,
-    i = 1..n from lowest outcome upward."""
-    if n < 1 or m < 1:
-        raise DomainError("need n >= 1 and m >= 1")
-    return [Fraction((n - i + 1) ** m - (n - i) ** m, n**m) for i in range(1, n + 1)]

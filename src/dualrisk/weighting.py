@@ -284,7 +284,7 @@ def eval_h_prime(w: WeightingSpec, p):
         return float_form(w)[1](float(p))
     match w:
         case Identity():
-            return Fraction(1) if isinstance(p, Fraction) else 1.0
+            return Fraction(1)
         case Quadratic(beta=b):
             return 1 + b - 2 * b * p
         case Power(k=k):
@@ -436,16 +436,6 @@ class SignCertificate:
     positive: SignWitness | None = None
     negative: SignWitness | None = None
 
-    def agrees_with(self, other: "SignCertificate") -> bool:
-        """Compatible sign classes (Zero is consistent with either weak sign)."""
-        weak = {
-            SignClass.ZERO: {SignClass.ZERO, SignClass.NON_NEGATIVE, SignClass.NON_POSITIVE},
-            SignClass.NON_NEGATIVE: {SignClass.NON_NEGATIVE, SignClass.ZERO},
-            SignClass.NON_POSITIVE: {SignClass.NON_POSITIVE, SignClass.ZERO},
-            SignClass.MIXED: {SignClass.MIXED},
-        }
-        return other.kind in weak[self.kind]
-
 
 def _classify(order, pos, neg) -> SignCertificate:
     if pos and neg:
@@ -512,13 +502,6 @@ def finite_difference_sign(w: WeightingSpec, m: int, grid_count: int = 256) -> S
     ones in floats.
     """
     return difference_sign(difference_grid(w, m, grid_count), m)
-
-
-def finite_difference(w: WeightingSpec, m: int, p, s):
-    """One m-th forward difference of h at start p with step s."""
-    if s < 0 or p < 0 or p + m * s > 1:
-        raise DomainError(f"difference window [{p}, {p + m * s}] leaves [0, 1]")
-    return sum((-1) ** (m - k) * math.comb(m, k) * eval_h(w, p + k * s) for k in range(m + 1))
 
 
 def hbar_finite_difference(w: WeightingSpec, m: int, p, s):

@@ -6,27 +6,28 @@ in mpmath at 60 digits, the knot interpolation walks the segments one by
 one, the exact dual-theory value is summed in CDF form, the survival
 loop sums eval_hbar at Fraction survival levels (where the library
 sweeps integer CDF counts), the dual moment is a Fraction loop over the
-survival function, the CDF and quantile walk the states one by one, ties
-merge by comparing and adding Fraction states (where the library merges
-the integer form), the mean, raw and central moments are Fraction sums
-over the states (where the library sums the lottery's integer form), the
-lottery parser reads every literal with rat and checks mass, signs and
-order in Fractions, the iterated quantile and CDF are chains of Fraction
-antiderivatives of step functions built from one quantile() or cdf()
-call per piece (where the library sums truncated powers in ints), the
-dominance checks certify every piece of the differences of those chains,
-taken on merged breakpoint grids, by Sturm (where the library accepts
-pieces with non-negative Taylor or Bernstein coefficients without it),
-root isolation and sign profiles run a Sturm chain of Fraction
-polynomials (monic gcd, true remainders, deflation by x - r) where the
-library works on primitive integer polynomials, a Polynomial's
-monotonicity is decided by that Fraction chain alone where the library
-first tries the Bernstein pre-accept, the direct battery constructs
-every member afresh where the library memoizes the unseeded ones, and
-sums its DualPower mixture as Fraction polynomials where the library
-builds it in ints, a pair's preference direction is the sign of two
-full dt_value sweeps where the library reads only the states where the
-members differ, and the difference certificate, the draw's window
+survival function or, on ranked equally likely states, a sum with
+closed-form per-state weights, the CDF and quantile walk the states one
+by one, ties merge by comparing and adding Fraction states (where the
+library merges the integer form), the mean, raw and central moments are
+Fraction sums over the states (where the library sums the lottery's
+integer form), the lottery parser reads every literal with rat and
+checks mass, signs and order in Fractions, the iterated quantile and CDF
+are chains of Fraction antiderivatives of step functions built from one
+quantile() or cdf() call per piece (where the library sums truncated
+powers in ints), the dominance checks certify every piece of the
+differences of those chains, taken on merged breakpoint grids, by Sturm
+(where the library accepts pieces with non-negative Taylor or Bernstein
+coefficients without it), root isolation and sign profiles run a Sturm
+chain of Fraction polynomials (monic gcd, true remainders, deflation by
+x - r) where the library works on primitive integer polynomials, a
+Polynomial's monotonicity is decided by that Fraction chain alone where
+the library first tries the Bernstein pre-accept, the direct battery
+constructs every member afresh where the library memoizes the unseeded
+ones, and sums its DualPower mixture as Fraction polynomials where the
+library builds it in ints, a pair's preference direction is the sign of
+two full dt_value sweeps where the library reads only the states where
+the members differ, and the difference certificate, the draw's window
 rule and the converse witness search evaluate h window by window through
 finite_difference, over every step for the certificate, where the
 library reads one evaluated grid at unit step, h and h' are computed
@@ -80,14 +81,13 @@ from dualrisk import (
     dt_value,
     eval_h,
     eval_hbar,
-    finite_difference,
     format_weighting,
     is_exact,
     rat,
 )
 from dualrisk.dominance import _cdf_steps, _quantile_steps
 from dualrisk.piecewise import global_coeffs, spline_pieces
-from dualrisk.polyops import Poly, nonneg_on_interval, padd, pderiv, peval, pscale, ptrim
+from dualrisk.polyops import Poly, nonneg_on_interval, pderiv, peval, ptrim
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,16 @@ def decimal_sig(value: Fraction, sig: int) -> str:
 # Polynomial and piecewise-polynomial arithmetic over Fractions: the
 # antiderivative chain that the closed-form splines below and the
 # dominance checks must reproduce
+
+
+def padd(a: Poly, b: Poly) -> Poly:
+    n = max(len(a), len(b))
+    zero = Fraction(0)
+    return ptrim([(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero) for i in range(n)])
+
+
+def pscale(a: Poly, k: Fraction) -> Poly:
+    return ptrim([x * k for x in a])
 
 
 def psub(a: Poly, b: Poly) -> Poly:
@@ -507,6 +517,15 @@ def dual_moment_survival(lot: Lottery, m: int) -> Fraction:
     return acc
 
 
+def dual_moment_weights(n: int, m: int) -> list[Fraction]:
+    """Per-state weights of the m-draw expected minimum for n ranked
+    equally likely states: weight_i = ((n-i+1)^m - (n-i)^m) / n^m,
+    i = 1..n from lowest outcome upward."""
+    if n < 1 or m < 1:
+        raise DomainError("need n >= 1 and m >= 1")
+    return [Fraction((n - i + 1) ** m - (n - i) ** m, n**m) for i in range(1, n + 1)]
+
+
 def iterated_quantile_per_piece(lot: Lottery, m: int) -> PiecewisePoly:
     """(m-1)-fold antiderivative chain of the quantile function on [0, 1],
     its steps from one quantile() call per piece."""
@@ -736,6 +755,13 @@ def sign_profile_fraction(c: Poly, a: Fraction, b: Fraction):
 # one evaluated grid at unit step
 
 
+def finite_difference(w, m: int, p, s):
+    """One m-th forward difference of h at start p with step s."""
+    if s < 0 or p < 0 or p + m * s > 1:
+        raise DomainError(f"difference window [{p}, {p + m * s}] leaves [0, 1]")
+    return sum((-1) ** (m - k) * math.comb(m, k) * eval_h(w, p + k * s) for k in range(m + 1))
+
+
 def finite_difference_sign_all_steps(w, m: int, grid_count: int) -> SignCertificate:
     """Sign certificate over every start i/G and step j/G (j >= 1) with
     i/G + m j/G <= 1, steps ascending, starts ascending within a step,
@@ -850,7 +876,7 @@ def eval_h_prime_reference(w, p):
     try:
         match w:
             case Identity():
-                return Fraction(1) if isinstance(p, Fraction) else 1.0
+                return 1.0 if isinstance(p, float) else Fraction(1)
             case Quadratic(beta=b):
                 return 1 + b - 2 * b * p
             case Power(k=k) if k.denominator == 1:

@@ -28,18 +28,15 @@ from dualrisk import (
     Quadratic,
     RankViolation,
     Tabulated,
-    anti_squeeze,
     attach,
     dt_value,
     dual_moment,
-    dual_moment_weights,
     dual_power_mixture,
     dual_sd_check,
     make_blocks,
     make_pair,
     make_parsimonious_pair,
     mean,
-    pair_increments,
     preference_direction,
     primal_moment,
     random_base,
@@ -50,7 +47,7 @@ from dualrisk import (
 )
 from dualrisk.apportionment import ApportionmentPair, moved_state_gap
 
-from oracles import dt_value_mpmath, preference_direction_reference
+from oracles import dt_value_mpmath, dual_moment_weights, preference_direction_reference
 
 F = Fraction
 
@@ -63,9 +60,6 @@ class TestSqueeze:
     def test_second_order_example(self):
         assert squeeze(ep(1, 2), 1, 2, F(1, 4)) == ep(F(5, 4), F(7, 4))
 
-    def test_anti_squeeze_example(self):
-        assert anti_squeeze(ep(1, 2), 1, 2, F(1, 4)) == ep(F(3, 4), F(9, 4))
-
     def test_too_far_breaks_ranking(self):
         with pytest.raises(RankViolation):
             squeeze(ep(1, 2), 1, 2, F(3, 4))
@@ -73,25 +67,26 @@ class TestSqueeze:
     def test_inverse_pair(self):
         base = ep(1, 3, 8)
         x = F(2, 5)
-        assert anti_squeeze(squeeze(base, 1, 3, x), 1, 3, x) == base
+        assert squeeze(ep(1 - x, 3, 8 + x), 1, 3, x) == base
 
     def test_identity_at_zero(self):
         base = ep(2, 5)
-        assert anti_squeeze(base, 1, 2, 0) == base
         assert squeeze(base, 1, 2, 0) == base
 
     def test_mean_preserved_variance_moves(self):
         base = ep(1, 2, 6, 9)
         tight = squeeze(base, 2, 4, F(1, 2))
-        wide = anti_squeeze(base, 2, 4, F(1, 2))
+        wide = ep(1, F(3, 2), 6, F(19, 2))
+        assert squeeze(wide, 2, 4, F(1, 2)) == base
         for lt in (tight, wide):
             assert mean(lt.to_lottery()) == mean(base.to_lottery())
         var = lambda lt: primal_moment(lt.to_lottery(), 2)
         assert var(tight) < var(base) < var(wide)
 
     def test_negative_outcome_blocked(self):
+        good, bad = make_blocks(2, 2, F(1, 2))
         with pytest.raises((NegativeOutcome, RankViolation)):
-            anti_squeeze(ep(0, 1), 1, 2, F(1, 2))
+            attach(ep(0, 1), bad, good, 1, 2)
 
     def test_touching_outcomes_allowed(self):
         assert squeeze(ep(1, 3), 1, 2, 1) == ep(2, 2)
@@ -247,6 +242,15 @@ class TestMakePair:
             make_pair(base3, good, corrupt, 1, 2)
 
 
+def increments(m, big_m):
+    """d_i - c_i on the m moved states of an order-m parsimonious pair
+    with amplitude 1/M, on a base spread wide enough to stay ranked."""
+    pair = make_parsimonious_pair(tuple(10**4 * i for i in range(1, m + 1)), 0, m, big_m)
+    moved, den = pair.moved_states
+    assert [i for i, _ in moved] == list(range(1, m + 1))
+    return [F(v, den) for _, v in moved]
+
+
 class TestParsimonious:
     @pytest.mark.parametrize(
         "m,expected",
@@ -257,17 +261,17 @@ class TestParsimonious:
         ],
     )
     def test_increment_vectors(self, m, expected):
-        assert pair_increments(m, 8) == expected
+        assert increments(m, 8) == expected
 
     @given(st.integers(min_value=2, max_value=8), st.fractions(min_value=F(1, 50), max_value=50))
     @settings(max_examples=40, deadline=None)
     def test_increments_for_any_amplitude(self, m, big_m):
-        incs = pair_increments(m, big_m)
+        incs = increments(m, big_m)
         assert incs == [(-1) ** k * math.comb(m - 1, k) / big_m for k in range(m)]
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_increments_are_alternating_binomials(self, m):
-        incs = pair_increments(m, 16)
+        incs = increments(m, 16)
         assert incs == [F((-1) ** k * math.comb(m - 1, k), 16) for k in range(m)]
         assert sum(incs) == 0
 
@@ -275,7 +279,7 @@ class TestParsimonious:
         pair = make_parsimonious_pair(tuple(range(1, 9)), 2, 3, 32)
         assert pair.c == ep(*range(1, 9))
         diffs = [d - c for c, d in zip(pair.c.outcomes, pair.d.outcomes)]
-        assert diffs[2:5] == pair_increments(3, 32)
+        assert diffs[2:5] == [F(1, 32), F(-2, 32), F(1, 32)]
         assert all(v == 0 for v in diffs[:2] + diffs[5:])
 
     def test_moves_must_fit(self):
@@ -383,6 +387,15 @@ class TestProvenance:
         payload = json.loads(make_pair(base3, good, bad, 1, 2, seed=77).provenance.to_json())
         payload[key] = value
         with pytest.raises(FormatError, match=key):
+            PairProvenance.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("kind", ["bogus", "Parsimonious", ""])
+    def test_unknown_kind_is_a_format_error(self, kind):
+        # read as a general pair, a parsimonious record would rebuild a C
+        # that is not its base
+        payload = json.loads(make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16).provenance.to_json())
+        payload["kind"] = kind
+        with pytest.raises(FormatError, match="'kind'"):
             PairProvenance.from_json(json.dumps(payload))
 
     def test_rebuild_parsimonious(self):

@@ -20,7 +20,6 @@ from dualrisk import (
     direct_check,
     dt_value,
     eval_h,
-    finite_difference,
     finite_difference_sign,
     format_weighting,
     preference_direction,
@@ -40,7 +39,13 @@ from dualrisk import harness as harness_module
 from dualrisk.cli import main as cli_main
 from dualrisk.weighting import difference_grid
 
-from oracles import aligned_windows_mixed, converse_witness_windows, direct_battery_rebuild, interp_linear_scan
+from oracles import (
+    aligned_windows_mixed,
+    converse_witness_windows,
+    direct_battery_rebuild,
+    finite_difference,
+    interp_linear_scan,
+)
 
 F = Fraction
 

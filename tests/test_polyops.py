@@ -18,7 +18,6 @@ from dualrisk.polyops import (
     bernstein_nonneg,
     isolate_roots,
     nonneg_on_interval,
-    padd,
     pderiv,
     peval,
     pshift,
@@ -28,6 +27,7 @@ from dualrisk.polyops import (
 from oracles import (
     count_roots,
     isolate_roots_fraction,
+    padd,
     pantideriv,
     pdivmod,
     pgcd,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualrisk import FormatError, format_exact, format_rational, parse_rational, rat
+from dualrisk import FormatError, format_exact, parse_rational, rat
 from dualrisk.rationals import _decimal
 from oracles import decimal_sig
 
@@ -35,16 +35,17 @@ def test_format_exact_plain():
     assert format_exact(3) == "3"
 
 
-def test_format_rational_adds_decimal():
-    assert format_rational(F(25, 12)) == "25/12 (= 2.08333333333)"
-    assert format_rational(5) == "5"
-    assert format_rational(0.125) == "0.125"
+def test_decimal_and_float_text():
+    assert _decimal(F(25, 12)) == "2.08333333333"
+    assert _decimal(5) == "5"
+    assert format_exact(0.125) == "0.125"
+    assert format_exact(2 / 3) == "0.666666666667"
 
 
-def test_format_rational_beyond_float_range():
-    assert format_rational(F(10**400 + 1, 3)) == f"{10**400 + 1}/3 (= 3.33333333333e+399)"
-    assert format_rational(F(-1, 3 * 10**400)) == f"-1/{3 * 10**400} (= -3.33333333333e-401)"
-    assert format_rational(F(2, 3 * 10**400), sig=3) == f"1/{15 * 10**399} (= 6.67e-401)"
+def test_decimal_beyond_float_range():
+    assert _decimal(F(10**400 + 1, 3)) == "3.33333333333e+399"
+    assert _decimal(F(-1, 3 * 10**400)) == "-3.33333333333e-401"
+    assert _decimal(F(2, 3 * 10**400), 3) == "6.67e-401"
 
 
 @given(

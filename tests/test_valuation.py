@@ -33,7 +33,6 @@ from dualrisk import (
     canonical_distribution,
     dt_value,
     dual_moment,
-    dual_moment_weights,
     eu_value,
     eval_h,
     make_lottery,
@@ -48,6 +47,7 @@ from oracles import (
     dt_value_survival_loop,
     dual_moment_mc_oracle,
     dual_moment_survival,
+    dual_moment_weights,
 )
 
 F = Fraction

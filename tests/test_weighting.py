@@ -26,7 +26,6 @@ from dualrisk import (
     eval_h,
     eval_h_prime,
     eval_hbar,
-    finite_difference,
     finite_difference_sign,
     format_weighting,
     hbar_finite_difference,
@@ -34,16 +33,18 @@ from dualrisk import (
     parse_weighting,
 )
 
-from dualrisk.polyops import padd, pscale
 from dualrisk.weighting import float_form
 
 from oracles import (
     dual_power_mixture_reference,
     eval_h_prime_reference,
     eval_h_reference,
+    finite_difference,
     finite_difference_sign_all_steps,
     interp_linear_scan,
+    padd,
     polynomial_monotone_reference,
+    pscale,
 )
 
 F = Fraction
@@ -59,6 +60,15 @@ EXACT_SPECS = [
     Tabulated(((F(0), F(0)), (F(1, 4), F(1, 8)), (F(1, 2), F(1, 2)), (F(1), F(1)))),
     Polynomial((F(0), F(3, 2), F(0), F(-1, 2))),
 ]
+
+# the certificate kinds a finite-difference scan may give when h^(m) has
+# the analytic kind: ZERO is consistent with either weak sign
+COMPATIBLE_KINDS = {
+    SignClass.ZERO: {SignClass.ZERO, SignClass.NON_NEGATIVE, SignClass.NON_POSITIVE},
+    SignClass.NON_NEGATIVE: {SignClass.NON_NEGATIVE, SignClass.ZERO},
+    SignClass.NON_POSITIVE: {SignClass.NON_POSITIVE, SignClass.ZERO},
+    SignClass.MIXED: {SignClass.MIXED},
+}
 
 
 class TestEvalH:
@@ -122,6 +132,14 @@ class TestDerivative:
     def test_quadratic_prime(self):
         assert eval_h_prime(Quadratic(F(1, 2)), F(1, 4)) == F(3, 2) - F(1, 4)
 
+    # Tabulated is exact, but its h' is a float central difference
+    ANALYTIC = [w for w in EXACT_SPECS if not isinstance(w, Tabulated)] + [Power(F(1)), DualPower(1)]
+
+    @pytest.mark.parametrize("w", ANALYTIC, ids=format_weighting)
+    @pytest.mark.parametrize("p", [0, 1, F(1, 2)], ids=str)
+    def test_exact_points_give_exact_slopes(self, w, p):
+        assert not isinstance(eval_h_prime(w, p), float)
+
     @pytest.mark.parametrize("w", [TverskyKahneman(0.61), Prelec(0.65, 1.0)])
     def test_transcendental_prime_matches_difference(self, w):
         p = 0.37
@@ -161,7 +179,7 @@ class TestFiniteDifferenceSign:
         except UnsupportedFamily:
             return
         for grid in (m + 1, 16, 64):
-            assert analytic.agrees_with(finite_difference_sign(w, m, grid))
+            assert finite_difference_sign(w, m, grid).kind in COMPATIBLE_KINDS[analytic.kind]
 
     @pytest.mark.parametrize("w", EXACT_SPECS + [TverskyKahneman(0.61), Prelec(0.65, 1.0)])
     def test_monotone_first_differences(self, w):
