@@ -302,4 +302,3 @@ def dual_moment(lot: Lottery, m: int) -> Fraction:
         raise DomainError(f"dual moment order must be >= 1, got {m}")
     jumps, d, xd, _ = _jumps(lot)
     return _survival_power(jumps, m, d, xd)
-

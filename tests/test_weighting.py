@@ -138,7 +138,9 @@ class TestDerivative:
     @pytest.mark.parametrize("w", ANALYTIC, ids=format_weighting)
     @pytest.mark.parametrize("p", [0, 1, F(1, 2)], ids=str)
     def test_exact_points_give_exact_slopes(self, w, p):
-        assert not isinstance(eval_h_prime(w, p), float)
+        slope = eval_h_prime(w, p)
+        assert not isinstance(slope, float)
+        assert slope == eval_h_prime_reference(w, p)
 
     @pytest.mark.parametrize("w", [TverskyKahneman(0.61), Prelec(0.65, 1.0)])
     def test_transcendental_prime_matches_difference(self, w):
