@@ -16,6 +16,14 @@ applies good and bad blocks with unit amplitude 1/M at adjacent
 positions, so only m consecutive states move, by alternating binomial
 increments.
 
+Blocks and members are built in integers, once. make_blocks runs the gap
+recursion on integer multiples of delta and hands each block its entries
+over delta's denominator (Block._ints); attach adds those to the base's
+integer outcomes over one common denominator, checks signs and ranking
+in ints, and gives the member its reduced integer form directly
+(lottery._equal_prob), building Fractions only for the states the
+blocks span. Every pair builder goes through attach.
+
 C and D have the same n equally likely ranked states and differ only
 where the blocks sit, so their value gap under an exact weighting is a
 short integer sum over those moved states: the difference of their jump
@@ -32,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from numbers import Rational
 
 from .errors import (
     BadGapSpec,
@@ -40,8 +49,8 @@ from .errors import (
     FormatError,
     PrecedenceViolation,
 )
-from .lottery import EqualProbLottery
-from .rationals import format_exact, rat
+from .lottery import EqualProbLottery, _equal_prob
+from .rationals import _common_denominator, format_exact, rat
 from .valuation import _value, dt_value, dual_moment
 from .weighting import WeightingSpec, is_exact
 
@@ -76,16 +85,24 @@ class Block:
     def span(self) -> int:
         return self.entries[-1][0]
 
-    def negated(self) -> "Block":
-        pol = Polarity.BAD if self.polarity is Polarity.GOOD else Polarity.GOOD
-        return Block(self.order, pol, self.n, tuple((o, -v) for o, v in self.entries))
+    @cached_property
+    def _ints(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """((offset, numerator), ...), den: the entries over their lcm
+        denominator; make_blocks sets it as it builds the entries."""
+        nums, den = _common_denominator([rat(v) for _, v in self.entries])
+        return tuple(zip([o for o, _ in self.entries], nums)), den
 
 
-def _merge_entries(first, second) -> tuple[tuple[int, Fraction], ...]:
-    acc: dict[int, Fraction] = {}
-    for o, v in list(first) + list(second):
-        acc[o] = acc.get(o, Fraction(0)) + v
-    return tuple((o, acc[o]) for o in sorted(acc) if acc[o] != 0)
+def _gap(g) -> int:
+    """A gap entry as an int >= 1: an int or an integral float or Fraction,
+    never a bool."""
+    if isinstance(g, float):
+        whole = g.is_integer()
+    else:
+        whole = isinstance(g, Rational) and not isinstance(g, bool) and g.denominator == 1
+    if not whole or g < 1:
+        raise BadGapSpec(f"gaps must be integers >= 1, got {g!r}")
+    return int(g)
 
 
 def make_blocks(m: int, n: int, delta, gaps=None) -> tuple[Block, Block]:
@@ -97,28 +114,36 @@ def make_blocks(m: int, n: int, delta, gaps=None) -> tuple[Block, Block]:
     With all gaps 1 the order-m block is the alternating binomial vector
     binom(m-2, .) * delta on m-1 consecutive states. The bad block is the
     entry-wise negation of the good one.
+
+    The recursion runs on integer multiples of delta: each gap g turns the
+    coefficients c into c minus c shifted right by g, so they are those of
+    the product of the factors (1 - z^g). The last one, at offset
+    sum(gaps), is +-1, so that is the block's span. The entries are delta
+    times the nonzero coefficients.
     """
     if m < 2:
         raise DomainError(f"block order must be >= 2, got {m}")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     delta = rat(delta)
-    if delta <= 0:
+    if delta.numerator <= 0:
         raise DomainError(f"block amplitude must be positive, got {delta}")
     if gaps is None:
         gaps = (1,) * (m - 2)
     gaps = tuple(gaps)
     if len(gaps) != m - 2:
         raise BadGapSpec(f"order {m} needs {m - 2} gap entries, got {len(gaps)}")
-    for g in gaps:
-        if g != int(g) or g < 1:
-            raise BadGapSpec(f"gaps must be integers >= 1, got {g}")
-    entries: tuple[tuple[int, Fraction], ...] = ((0, delta),)
-    for g in gaps:
-        shifted = tuple((o + int(g), -v) for o, v in entries)
-        entries = _merge_entries(entries, shifted)
-    good = Block(m, Polarity.GOOD, n, entries)
-    return good, good.negated()
+    coeffs = [1]
+    for g in map(_gap, gaps):
+        coeffs = [a - b for a, b in zip(coeffs + [0] * g, [0] * g + coeffs)]
+    # coeffs[0] is 1, so the entries' lcm denominator is delta's
+    p, q = delta.numerator, delta.denominator
+    ints = tuple((o, p * c) for o, c in enumerate(coeffs) if c)
+    good = Block(m, Polarity.GOOD, n, tuple((o, Fraction(v, q)) for o, v in ints))
+    bad = Block(m, Polarity.BAD, n, tuple((o, Fraction(-v, q)) for o, v in ints))
+    good.__dict__["_ints"] = ints, q
+    bad.__dict__["_ints"] = tuple((o, -v) for o, v in ints), q
+    return good, bad
 
 
 def attach(
@@ -132,8 +157,10 @@ def attach(
 
     Positions are 1-based states of the block's offset-0 entry. The first
     block must strictly precede the second (overlap of the remaining
-    entries is fine; increments accumulate). Ranking and non-negativity
-    of the resulting outcomes are enforced by the lottery constructor.
+    entries is fine; increments accumulate). The outcomes are added in
+    ints, over the lcm of the base's and the blocks' denominators, and
+    their ranking and non-negativity are checked there, with the lottery
+    constructor's errors.
     """
     if first.n != lot.n or second.n != lot.n:
         raise DomainError("block n does not match the lottery")
@@ -147,11 +174,18 @@ def attach(
             raise DomainError(
                 f"block spanning offsets 0..{block.span} does not fit at state {pos} of {lot.n}"
             )
-    outcomes = list(lot.outcomes)
+    xs, xd = lot._ints[:2]
+    den = lcm(xd, first._ints[1], second._ints[1])
+    ints = [x * (den // xd) for x in xs]
     for block, pos in ((first, pos_first), (second, pos_second)):
-        for o, v in block.entries:
-            outcomes[pos - 1 + o] += v
-    return EqualProbLottery(lot.n, tuple(outcomes))
+        entries, bd = block._ints
+        scale = den // bd
+        for o, v in entries:
+            ints[pos - 1 + o] += v * scale
+    # states outside the blocks keep the base's outcomes
+    lo, hi = pos_first - 1, max(pos_first + first.span, pos_second + second.span)
+    moved = tuple(Fraction(a, den) for a in ints[lo:hi])
+    return _equal_prob(ints, den, lot.outcomes[:lo] + moved + lot.outcomes[hi:])
 
 
 def squeeze(lot: EqualProbLottery, i: int, j: int, x) -> EqualProbLottery:
@@ -227,10 +261,13 @@ def _field(raw: dict, key: str, kind: type):
     return value
 
 
+_KINDS = ("general", "parsimonious")
+
+
 def _kind(raw: dict) -> str:
     """raw["kind"] when rebuild_pair knows it: "general" or "parsimonious"."""
     kind = _field(raw, "kind", str)
-    if kind not in ("general", "parsimonious"):
+    if kind not in _KINDS:
         raise FormatError(f"pair provenance field 'kind' must be general or parsimonious, got {kind!r}")
     return kind
 
@@ -303,8 +340,11 @@ def _assemble(prov: PairProvenance, base: EqualProbLottery, good: Block, bad: Bl
     """The pair prov records, built from its base and blocks and validated.
 
     D attaches good at prov.pos_first and bad at prov.pos_second. C is the
-    reverse, or the base itself for a parsimonious pair.
+    reverse, or the base itself for a parsimonious pair. Any other kind is
+    a DomainError.
     """
+    if prov.kind not in _KINDS:
+        raise DomainError(f"pair provenance kind must be general or parsimonious, got {prov.kind!r}")
     d = attach(base, good, bad, prov.pos_first, prov.pos_second)
     if prov.kind == "parsimonious":
         c = base

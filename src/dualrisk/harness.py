@@ -44,7 +44,7 @@ from .apportionment import (
     preference_direction,
 )
 from .errors import DomainError, DualRiskError
-from .lottery import EqualProbLottery
+from .lottery import EqualProbLottery, _equal_prob
 from .rationals import format_exact
 from .valuation import dt_value
 from .weighting import (
@@ -149,10 +149,12 @@ def random_base(rng: random.Random, m: int, n: int | None = None) -> EqualProbLo
     """Equal-probability base lottery with gaps >= 1 (room for small blocks)."""
     if n is None:
         n = rng.randint(m, m + 6)
-    outcomes = [Fraction(rng.randint(1, 4))]
+    if n < 1:
+        raise DomainError(f"a random base needs n >= 1 states, got {n}")
+    halves = [2 * rng.randint(1, 4)]
     for _ in range(n - 1):
-        outcomes.append(outcomes[-1] + Fraction(rng.randint(2, 8), 2))
-    return EqualProbLottery(n, tuple(outcomes))
+        halves.append(halves[-1] + rng.randint(2, 8))
+    return _equal_prob(halves, 2, tuple(Fraction(a, 2) for a in halves))
 
 
 def _random_gaps(rng: random.Random, m: int) -> tuple[int, ...]:
@@ -168,14 +170,16 @@ def random_pair(rng: random.Random, m: int) -> ApportionmentPair:
     """
     for _ in range(128):
         base = random_base(rng, m)
-        good, _ = make_blocks(m, base.n, Fraction(rng.randint(1, 4), 128), _random_gaps(rng, m))
-        _, bad = make_blocks(m, base.n, Fraction(rng.randint(1, 4), 128), _random_gaps(rng, m))
-        span = max(good.span, bad.span)
+        good_delta, good_gaps = Fraction(rng.randint(1, 4), 128), _random_gaps(rng, m)
+        bad_delta, bad_gaps = Fraction(rng.randint(1, 4), 128), _random_gaps(rng, m)
+        span = max(sum(good_gaps), sum(bad_gaps))  # a block's span is the sum of its gaps
         hi_first = base.n - span - 1
         if hi_first < 1:
             continue
         pos_first = rng.randint(1, hi_first)
         pos_second = rng.randint(pos_first + 1, base.n - span)
+        good, _ = make_blocks(m, base.n, good_delta, good_gaps)
+        _, bad = make_blocks(m, base.n, bad_delta, bad_gaps)
         return make_pair(base, good, bad, pos_first, pos_second, seed=None)
     raise DualRiskError("pair sampling failed to find a fitting configuration")
 

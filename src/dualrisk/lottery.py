@@ -15,6 +15,11 @@ outcome run in ints; mean, raw_moment, primal_moment and the survival
 sweep of the valuation module read it. canonical_distribution merges
 ties on that form and hands the merged form on with its result, and the
 dominance checks build their jump lists from the same merge.
+
+The block operations of the apportionment module build their
+EqualProbLottery members from integer outcomes through _equal_prob,
+which runs the constructor's sign and ranking checks on those ints and
+keeps their reduced form.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import lt, mul
+from operator import le, lt, mul
 
 from .errors import (
     DomainError,
@@ -80,18 +85,41 @@ class EqualProbLottery:
         outcomes = tuple(rat(x) for x in self.outcomes)
         object.__setattr__(self, "outcomes", outcomes)
         xs, xd = _common_denominator(outcomes)
-        for i, a in enumerate(xs):
-            if a < 0:
-                raise NegativeOutcome(f"outcome {outcomes[i]} at state {i} is negative")
-            if i and a < xs[i - 1]:
-                raise RankViolation(
-                    f"outcomes must be non-decreasing; state {i} has {outcomes[i]} after {outcomes[i-1]}"
-                )
+        _check_ranked(xs, outcomes)
         object.__setattr__(self, "_ints", (xs, xd, [1] * self.n, self.n))
 
     def to_lottery(self) -> Lottery:
         p = Fraction(1, self.n)
         return _with_ints(tuple((x, p) for x in self.outcomes), self._ints)
+
+
+def _check_ranked(xs: list[int], outcomes: tuple[Fraction, ...]) -> None:
+    """EqualProbLottery's sign and ranking checks, run on the numerators xs
+    of its outcomes over one denominator."""
+    if xs[0] >= 0 and all(map(le, xs, xs[1:])):
+        return
+    for i, a in enumerate(xs):
+        if a < 0:
+            raise NegativeOutcome(f"outcome {outcomes[i]} at state {i} is negative")
+        if i and a < xs[i - 1]:
+            raise RankViolation(
+                f"outcomes must be non-decreasing; state {i} has {outcomes[i]} after {outcomes[i-1]}"
+            )
+
+
+def _equal_prob(xs: list[int], xd: int, outcomes: tuple[Fraction, ...]) -> EqualProbLottery:
+    """The EqualProbLottery of the outcomes xs[i]/xd (xd > 0), which the
+    caller also passes as Fractions: the constructor's checks run in ints,
+    and the lottery keeps the reduced form of xs over xd as its _ints."""
+    _check_ranked(xs, outcomes)
+    g = gcd(xd, *xs)
+    if g > 1:
+        xs, xd = [a // g for a in xs], xd // g
+    lot = object.__new__(EqualProbLottery)
+    object.__setattr__(lot, "n", len(xs))
+    object.__setattr__(lot, "outcomes", outcomes)
+    object.__setattr__(lot, "_ints", (xs, xd, [1] * len(xs), len(xs)))
+    return lot
 
 
 def _ranked(states: list[tuple[Fraction, Fraction]]) -> Lottery:

@@ -27,7 +27,10 @@ constructs every member afresh where the library memoizes the unseeded
 ones, and sums its DualPower mixture as Fraction polynomials where the
 library builds it in ints, a pair's preference direction is the sign of
 two full dt_value sweeps where the library reads only the states where
-the members differ, and the difference certificate, the draw's window
+the members differ, a block's entries merge Fraction copies gap by gap
+and attaching blocks adds Fraction increments and checks signs and order
+in Fractions where the library runs both on integer numerators, and the
+difference certificate, the draw's window
 rule and the converse witness search evaluate h window by window through
 finite_difference, over every step for the certificate, where the
 library reads one evaluated grid at unit step, h and h' are computed
@@ -64,12 +67,15 @@ from dualrisk import (
     Identity,
     LinearEffort,
     Lottery,
+    NegativeOutcome,
     NonUnitMass,
     Polynomial,
     Power,
     PowerLawEffort,
     Prelec,
+    PrecedenceViolation,
     Quadratic,
+    RankViolation,
     SignCertificate,
     SignClass,
     SignWitness,
@@ -426,6 +432,54 @@ def direct_battery_rebuild(m: int, rng):
     battery += [(DualPower(j), "eq") for j in range(1, m)]
     battery += [(monomial(k), "eq") for k in range(2, m)]
     return battery
+
+
+def _merge_entries(first, second) -> tuple[tuple[int, Fraction], ...]:
+    acc: dict[int, Fraction] = {}
+    for o, v in list(first) + list(second):
+        acc[o] = acc.get(o, Fraction(0)) + v
+    return tuple((o, acc[o]) for o in sorted(acc) if acc[o] != 0)
+
+
+def block_entries_reference(delta: Fraction, gaps) -> tuple[tuple[int, Fraction], ...]:
+    """The good block's entries: from (0, delta), each gap g merges in the
+    negated copy shifted right by g, Fraction by Fraction."""
+    entries: tuple[tuple[int, Fraction], ...] = ((0, delta),)
+    for g in gaps:
+        shifted = tuple((o + int(g), -v) for o, v in entries)
+        entries = _merge_entries(entries, shifted)
+    return entries
+
+
+def attach_reference(lot, first, second, pos_first: int, pos_second: int):
+    """(outcomes, (xs, xd)) of lot with both blocks added in Fractions, xs
+    the outcome numerators over their lcm denominator xd; the same errors,
+    with the same messages, as apportionment.attach."""
+    if first.n != lot.n or second.n != lot.n:
+        raise DomainError("block n does not match the lottery")
+    if pos_second < pos_first + 1:
+        raise PrecedenceViolation(
+            f"second block at state {pos_second} must start at least one state "
+            f"after the first at {pos_first}"
+        )
+    for block, pos in ((first, pos_first), (second, pos_second)):
+        if pos < 1 or pos + block.span > lot.n:
+            raise DomainError(
+                f"block spanning offsets 0..{block.span} does not fit at state {pos} of {lot.n}"
+            )
+    outcomes = list(lot.outcomes)
+    for block, pos in ((first, pos_first), (second, pos_second)):
+        for o, v in block.entries:
+            outcomes[pos - 1 + o] += v
+    for i, x in enumerate(outcomes):
+        if x < 0:
+            raise NegativeOutcome(f"outcome {x} at state {i} is negative")
+        if i and x < outcomes[i - 1]:
+            raise RankViolation(
+                f"outcomes must be non-decreasing; state {i} has {x} after {outcomes[i - 1]}"
+            )
+    xd = math.lcm(*(x.denominator for x in outcomes))
+    return tuple(outcomes), ([x.numerator * (xd // x.denominator) for x in outcomes], xd)
 
 
 def preference_direction_reference(pair, w) -> int:

@@ -3,7 +3,9 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +17,7 @@ from dualrisk import (
     ConstructionInvariantError,
     DomainError,
     DualPower,
+    DualRiskError,
     EqualProbLottery,
     FormatError,
     Identity,
@@ -47,7 +50,13 @@ from dualrisk import (
 )
 from dualrisk.apportionment import ApportionmentPair, moved_state_gap
 
-from oracles import dt_value_mpmath, dual_moment_weights, preference_direction_reference
+from oracles import (
+    attach_reference,
+    block_entries_reference,
+    dt_value_mpmath,
+    dual_moment_weights,
+    preference_direction_reference,
+)
 
 F = Fraction
 
@@ -143,6 +152,94 @@ class TestMakeBlocks:
             make_blocks(4, 8, 1, gaps=(1,))
         with pytest.raises(BadGapSpec):
             make_blocks(4, 8, 1, gaps=(0, 1))
+
+    @pytest.mark.parametrize(
+        "gap", ["x", "2", None, True, False, 0, -1, 1.5, F(3, 2), float("nan"), float("inf")]
+    )
+    def test_malformed_gap_is_a_bad_gap_spec(self, gap):
+        with pytest.raises(BadGapSpec, match="gaps must be integers >= 1"):
+            make_blocks(4, 8, 1, gaps=(1, gap))
+
+    @pytest.mark.parametrize("gap", [2.0, F(2)])
+    def test_integral_gaps_are_ints(self, gap):
+        assert make_blocks(3, 8, F(1, 3), gaps=(gap,)) == make_blocks(3, 8, F(1, 3), gaps=(2,))
+
+
+ODD_DENOMINATORS = (1, 3, 5, 7, 9, 15, 21, 27)
+
+
+@st.composite
+def block_builds(draw):
+    """An order 2..8 build on a base with non-integer outcomes: good and
+    bad amplitudes over odd denominators and gaps 1..3. Half the position
+    draws fit both blocks at both slots; the others need not fit or
+    precede. Large amplitudes on close outcomes break the ranking."""
+    m = draw(st.integers(2, 8))
+    gaps = st.lists(st.integers(1, 3), min_size=m - 2, max_size=m - 2)
+    delta = st.builds(F, st.integers(1, 4), st.sampled_from(ODD_DENOMINATORS))
+    good_delta, good_gaps, bad_delta, bad_gaps = draw(delta), draw(gaps), draw(delta), draw(gaps)
+    span = max(sum(good_gaps), sum(bad_gaps))
+    n = draw(st.integers(span + 2, span + 8))
+    first = draw(st.fractions(0, 2, max_denominator=10).filter(lambda x: x.denominator > 1))
+    steps = draw(st.lists(st.fractions(0, 40, max_denominator=10), min_size=n - 1, max_size=n - 1))
+    base = EqualProbLottery(n, tuple(accumulate(steps, initial=first)))
+    if draw(st.booleans()):
+        pos_first = draw(st.integers(1, n - span - 1))
+        pos_second = draw(st.integers(pos_first + 1, n - span))
+    else:
+        pos_first = draw(st.integers(0, n))
+        pos_second = draw(st.integers(pos_first, n + 1))
+    return m, base, good_delta, good_gaps, bad_delta, bad_gaps, pos_first, pos_second
+
+
+def _result(fn, *args):
+    """fn(*args), or the type and message of the library error it raises."""
+    try:
+        return fn(*args)
+    except DualRiskError as exc:
+        return type(exc), str(exc)
+
+
+def _entry_ints(entries):
+    den = math.lcm(*(v.denominator for _, v in entries))
+    return tuple((o, v.numerator * (den // v.denominator)) for o, v in entries), den
+
+
+class TestIntegerBuild:
+    """make_blocks and attach against the Fraction recursion and attach
+    in tests/oracles.py."""
+
+    @given(block_builds(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_and_members_match_the_fraction_reference(self, build, hand_built):
+        m, base, good_delta, good_gaps, bad_delta, bad_gaps, pos_first, pos_second = build
+        good, _ = make_blocks(m, base.n, good_delta, good_gaps)
+        _, bad = make_blocks(m, base.n, bad_delta, bad_gaps)
+        assert good.entries == block_entries_reference(good_delta, good_gaps)
+        assert bad.entries == tuple((o, -v) for o, v in block_entries_reference(bad_delta, bad_gaps))
+        assert good.span == sum(good_gaps) and bad.span == sum(bad_gaps)
+        if hand_built:  # blocks as rebuild_pair makes them, with no integer form yet
+            good = Block(m, Polarity.GOOD, base.n, good.entries)
+            bad = Block(m, Polarity.BAD, base.n, bad.entries)
+        for block in (good, bad):
+            assert block._ints == _entry_ints(block.entries)
+        members = []
+        for first, second in ((good, bad), (bad, good)):
+            got = _result(attach, base, first, second, pos_first, pos_second)
+            want = _result(attach_reference, base, first, second, pos_first, pos_second)
+            if isinstance(got, EqualProbLottery):
+                outcomes, (xs, xd) = want
+                assert got.outcomes == outcomes
+                assert all(type(x) is F for x in got.outcomes)
+                assert got._ints == (xs, xd, [1] * base.n, base.n)
+                assert got == EqualProbLottery(base.n, outcomes)
+                members.append(got)
+            else:
+                assert got == want
+        if len(members) == 2:
+            pair = make_pair(base, good, bad, pos_first, pos_second)
+            assert (pair.d, pair.c) == tuple(members)
+            assert (pair.d._ints, pair.c._ints) == tuple(member._ints for member in members)
 
 
 class TestAttach:
@@ -397,6 +494,12 @@ class TestProvenance:
         payload["kind"] = kind
         with pytest.raises(FormatError, match="'kind'"):
             PairProvenance.from_json(json.dumps(payload))
+
+    def test_unknown_kind_built_in_code_is_a_domain_error(self):
+        # from_json refuses the kind; a record made in code reaches the assembler
+        prov = replace(make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16).provenance, kind="bogus")
+        with pytest.raises(DomainError, match="got 'bogus'"):
+            rebuild_pair(prov)
 
     def test_rebuild_parsimonious(self):
         pair = make_parsimonious_pair(tuple(range(1, 9)), 3, 4, 64, seed=5)

@@ -266,6 +266,19 @@ class TestPairgen:
         for name in ("p_c.txt", "p_d.txt", "p_provenance.json"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_random_pair_matches_its_golden(self, tmp_path, capsys):
+        # tests/golden/pairgen holds the files of the Fraction build; CI
+        # compares the same command's output with them
+        assert main(
+            ["pairgen", "--order", "5", "--random", "--n", "9", "--seed", "42", "--outdir", str(tmp_path)]
+        ) == 0
+        for name in ("order5_c.txt", "order5_d.txt", "order5_provenance.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / "pairgen" / name).read_bytes()
+
+    def test_random_base_needs_a_state(self, tmp_path, capsys):
+        assert main(["pairgen", "--order", "3", "--random", "--n", "0", "--outdir", str(tmp_path)]) == 2
+        assert "n >= 1" in capsys.readouterr().err
+
     def test_base_file_input(self, tmp_path, capsys):
         base = tmp_path / "base.txt"
         base.write_text("1 1/3\n2 1/3\n4 1/3\n")
