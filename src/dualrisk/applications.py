@@ -171,7 +171,7 @@ def supplemented_prices(stock_prices: EqualProbLottery, menu: DerivativeMenu | N
         return stock_prices
     prem = menu.premium(stock_prices)
     values = sorted(s + menu.payoff(s) - prem for s in stock_prices.outcomes)
-    return EqualProbLottery(stock_prices.n, tuple(values))
+    return EqualProbLottery(tuple(values))
 
 
 _MENU_STRIKES = {2: 1, 3: 1, 4: 3}  # order -> the strikes its menu takes
@@ -546,11 +546,14 @@ def _float_forms(sp: SelfProtectionProblem, w: WeightingSpec):
 
 @dataclass(frozen=True)
 class SPDiagnostics:
-    interior: bool
     at_bound: str | None
     concave_on_grid: bool
     foc_sign_change: bool
     p_at_opt: float
+
+    @property
+    def interior(self) -> bool:
+        return self.at_bound is None
 
 
 @dataclass(frozen=True)
@@ -635,7 +638,6 @@ def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec) -> SPSolution:
     bound_tol = (hi - lo) * 1e-9
     at_bound = "lower" if e_star - lo <= bound_tol else "upper" if hi - e_star <= bound_tol else None
     diag = SPDiagnostics(
-        interior=at_bound is None,
         at_bound=at_bound,
         concave_on_grid=concave,
         foc_sign_change=sign_change,

@@ -16,8 +16,8 @@ applies good and bad blocks with unit amplitude 1/M at adjacent
 positions, so only m consecutive states move, by alternating binomial
 increments.
 
-Blocks and members are built in integers, once. make_blocks runs the gap
-recursion on integer multiples of delta and hands each block its entries
+Blocks and members are built in integers, once. make_block runs the gap
+recursion on integer multiples of delta and hands the block its entries
 over delta's denominator (Block._ints); attach adds those to the base's
 integer outcomes over one common denominator, checks signs and ranking
 in ints, and gives the member its reduced integer form directly
@@ -33,7 +33,6 @@ preference_direction ranks a pair under the exact families.
 
 from __future__ import annotations
 
-import enum
 import json
 import sys
 from dataclasses import dataclass
@@ -55,28 +54,21 @@ from .valuation import _value, dt_value, dual_moment
 from .weighting import WeightingSpec, is_exact
 
 
-class Polarity(enum.Enum):
-    GOOD = "good"
-    BAD = "bad"
-
-
 @dataclass(frozen=True)
 class Block:
     """Signed increment vector on consecutive-state offsets.
 
     entries are (state_offset, increment) with offsets strictly
-    increasing from 0; n is the number of states of the lotteries the
-    block is meant for (each touched state has probability 1/n).
+    increasing from 0. The sign of the offset-0 increment is the block's
+    polarity: positive for a good block, negative for a bad one.
     """
 
     order: int
-    polarity: Polarity
-    n: int
     entries: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        if not self.entries or self.entries[0][0] != 0:
-            raise DomainError("a block needs entries starting at offset 0")
+        if not self.entries or self.entries[0][0] != 0 or self.entries[0][1] == 0:
+            raise DomainError("a block needs a nonzero increment at offset 0: its sign is the polarity")
         for (o1, _), (o2, _) in zip(self.entries, self.entries[1:]):
             if o2 <= o1:
                 raise DomainError("block offsets must be strictly increasing")
@@ -88,7 +80,7 @@ class Block:
     @cached_property
     def _ints(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """((offset, numerator), ...), den: the entries over their lcm
-        denominator; make_blocks sets it as it builds the entries."""
+        denominator; make_block sets it as it builds the entries."""
         nums, den = _common_denominator([rat(v) for _, v in self.entries])
         return tuple(zip([o for o, _ in self.entries], nums)), den
 
@@ -105,15 +97,15 @@ def _gap(g) -> int:
     return int(g)
 
 
-def make_blocks(m: int, n: int, delta, gaps=None) -> tuple[Block, Block]:
-    """Good and bad blocks of order m for n-state lotteries.
+def make_block(m: int, delta, gaps=None) -> Block:
+    """The order-m block of amplitude delta: good for delta > 0, bad (the
+    entry-wise negation) for delta < 0, and a DomainError for 0.
 
-    The recursion starts from the single-entry order-2 blocks and at each
-    order k = 3..m appends the negated copy of the current block shifted
-    right by gaps[k-3] states (default 1, the minimal strict precedence).
-    With all gaps 1 the order-m block is the alternating binomial vector
-    binom(m-2, .) * delta on m-1 consecutive states. The bad block is the
-    entry-wise negation of the good one.
+    The recursion starts from the single-entry order-2 block (0, delta)
+    and at each order k = 3..m appends the negated copy of the current
+    block shifted right by gaps[k-3] states (default 1, the minimal strict
+    precedence). With all gaps 1 the order-m block is the alternating
+    binomial vector binom(m-2, .) * delta on m-1 consecutive states.
 
     The recursion runs on integer multiples of delta: each gap g turns the
     coefficients c into c minus c shifted right by g, so they are those of
@@ -123,11 +115,9 @@ def make_blocks(m: int, n: int, delta, gaps=None) -> tuple[Block, Block]:
     """
     if m < 2:
         raise DomainError(f"block order must be >= 2, got {m}")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
     delta = rat(delta)
-    if delta.numerator <= 0:
-        raise DomainError(f"block amplitude must be positive, got {delta}")
+    if delta.numerator == 0:
+        raise DomainError("block amplitude must be nonzero, got 0")
     if gaps is None:
         gaps = (1,) * (m - 2)
     gaps = tuple(gaps)
@@ -139,11 +129,9 @@ def make_blocks(m: int, n: int, delta, gaps=None) -> tuple[Block, Block]:
     # coeffs[0] is 1, so the entries' lcm denominator is delta's
     p, q = delta.numerator, delta.denominator
     ints = tuple((o, p * c) for o, c in enumerate(coeffs) if c)
-    good = Block(m, Polarity.GOOD, n, tuple((o, Fraction(v, q)) for o, v in ints))
-    bad = Block(m, Polarity.BAD, n, tuple((o, Fraction(-v, q)) for o, v in ints))
-    good.__dict__["_ints"] = ints, q
-    bad.__dict__["_ints"] = tuple((o, -v) for o, v in ints), q
-    return good, bad
+    block = Block(m, tuple((o, Fraction(v, q)) for o, v in ints))
+    block.__dict__["_ints"] = ints, q
+    return block
 
 
 def attach(
@@ -162,8 +150,6 @@ def attach(
     their ranking and non-negativity are checked there, with the lottery
     constructor's errors.
     """
-    if first.n != lot.n or second.n != lot.n:
-        raise DomainError("block n does not match the lottery")
     if pos_second < pos_first + 1:
         raise PrecedenceViolation(
             f"second block at state {pos_second} must start at least one state "
@@ -198,16 +184,16 @@ def squeeze(lot: EqualProbLottery, i: int, j: int, x) -> EqualProbLottery:
     outcomes = list(lot.outcomes)
     outcomes[i - 1] += x
     outcomes[j - 1] -= x
-    return EqualProbLottery(lot.n, tuple(outcomes))
+    return EqualProbLottery(tuple(outcomes))
 
 
 @dataclass(frozen=True)
 class PairProvenance:
-    """Reproducible construction record; round-trips through JSON."""
+    """Reproducible construction record; round-trips through JSON, which
+    also records n, the number of base outcomes."""
 
     kind: str
     order: int
-    n: int
     base_outcomes: tuple[Fraction, ...]
     pos_first: int
     pos_second: int
@@ -220,7 +206,7 @@ class PairProvenance:
         payload = {
             "kind": self.kind,
             "order": self.order,
-            "n": self.n,
+            "n": len(self.base_outcomes),
             "base_outcomes": [format_exact(x) for x in self.base_outcomes],
             "pos_first": self.pos_first,
             "pos_second": self.pos_second,
@@ -235,11 +221,14 @@ class PairProvenance:
     def from_json(text: str) -> "PairProvenance":
         try:
             raw = json.loads(text)
+            kind, order, n = _kind(raw), _field(raw, "order", int), _field(raw, "n", int)
+            base = tuple(rat(x) for x in _field(raw, "base_outcomes", list))
+            if n != len(base):
+                raise FormatError(f"pair provenance field 'n' must be {len(base)}, the base size, got {n}")
             return PairProvenance(
-                kind=_kind(raw),
-                order=_field(raw, "order", int),
-                n=_field(raw, "n", int),
-                base_outcomes=tuple(rat(x) for x in _field(raw, "base_outcomes", list)),
+                kind=kind,
+                order=order,
+                base_outcomes=base,
                 pos_first=_field(raw, "pos_first", int),
                 pos_second=_field(raw, "pos_second", int),
                 good_entries=_entries(raw, "good_entries"),
@@ -289,10 +278,13 @@ class ApportionmentPair:
     of the weighting function.
     """
 
-    order: int
     c: EqualProbLottery
     d: EqualProbLottery
     provenance: PairProvenance
+
+    @property
+    def order(self) -> int:
+        return self.provenance.order
 
     @cached_property
     def moved_states(self) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -326,8 +318,6 @@ class ApportionmentPair:
 
 def _validate_pair(pair: ApportionmentPair) -> None:
     c, d = pair.c, pair.d
-    if c.n != d.n:
-        raise ConstructionInvariantError("pair members have different state counts")
     for k in range(1, pair.order):
         mc, md = dual_moment(c, k), dual_moment(d, k)
         if mc != md:
@@ -341,16 +331,19 @@ def _assemble(prov: PairProvenance, base: EqualProbLottery, good: Block, bad: Bl
 
     D attaches good at prov.pos_first and bad at prov.pos_second. C is the
     reverse, or the base itself for a parsimonious pair. Any other kind is
-    a DomainError.
+    a DomainError, as is a good block that does not lead positive or a bad
+    one that does not lead negative.
     """
     if prov.kind not in _KINDS:
         raise DomainError(f"pair provenance kind must be general or parsimonious, got {prov.kind!r}")
+    if not good.entries[0][1] > 0 > bad.entries[0][1]:
+        raise DomainError("pass the good block first and the bad block second")
     d = attach(base, good, bad, prov.pos_first, prov.pos_second)
     if prov.kind == "parsimonious":
         c = base
     else:
         c = attach(base, bad, good, prov.pos_first, prov.pos_second)
-    pair = ApportionmentPair(prov.order, c, d, prov)
+    pair = ApportionmentPair(c, d, prov)
     _validate_pair(pair)
     return pair
 
@@ -371,12 +364,9 @@ def make_pair(
     """
     if good.order != bad.order:
         raise DomainError(f"block orders differ: {good.order} vs {bad.order}")
-    if good.polarity is not Polarity.GOOD or bad.polarity is not Polarity.BAD:
-        raise DomainError("pass the good block first and the bad block second")
     prov = PairProvenance(
         kind="general",
         order=good.order,
-        n=base.n,
         base_outcomes=base.outcomes,
         pos_first=pos_first,
         pos_second=pos_second,
@@ -403,22 +393,20 @@ def make_parsimonious_pair(
     (-1)^(k-1) binom(m-1, k-1) / M on states j+k, k = 1..m.
     M must be large enough that the ranking survives.
     """
-    base = EqualProbLottery(len(outcomes), tuple(rat(x) for x in outcomes))
-    n = base.n
+    base = EqualProbLottery(tuple(rat(x) for x in outcomes))
     if m < 2:
         raise DomainError(f"pair order must be >= 2, got {m}")
-    if n < m:
-        raise DomainError(f"need at least m={m} states, got {n}")
-    if not 0 <= j <= n - m:
-        raise DomainError(f"moved states {j + 1}..{j + m} do not fit in 1..{n}")
+    if base.n < m:
+        raise DomainError(f"need at least m={m} states, got {base.n}")
+    if not 0 <= j <= base.n - m:
+        raise DomainError(f"moved states {j + 1}..{j + m} do not fit in 1..{base.n}")
     big_m = rat(big_m)
     if big_m <= 0:
         raise DomainError(f"need M > 0, got {big_m}")
-    good, bad = make_blocks(m, n, Fraction(1, 1) / big_m)
+    good, bad = make_block(m, 1 / big_m), make_block(m, -1 / big_m)
     prov = PairProvenance(
         kind="parsimonious",
         order=m,
-        n=n,
         base_outcomes=base.outcomes,
         pos_first=j + 1,
         pos_second=j + 2,
@@ -432,9 +420,9 @@ def make_parsimonious_pair(
 
 def rebuild_pair(prov: PairProvenance) -> ApportionmentPair:
     """Reconstruct a pair from its provenance record."""
-    base = EqualProbLottery(prov.n, prov.base_outcomes)
-    good = Block(prov.order, Polarity.GOOD, prov.n, prov.good_entries)
-    bad = Block(prov.order, Polarity.BAD, prov.n, prov.bad_entries)
+    base = EqualProbLottery(prov.base_outcomes)
+    good = Block(prov.order, prov.good_entries)
+    bad = Block(prov.order, prov.bad_entries)
     return _assemble(prov, base, good, bad)
 
 

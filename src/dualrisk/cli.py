@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import applications, harness
-from .apportionment import make_blocks, make_pair, make_parsimonious_pair
+from .apportionment import make_block, make_pair, make_parsimonious_pair
 from .dominance import dual_sd_check, primal_sd_check
 from .errors import DomainError, DualRiskError, FormatError, InputValidationError
 from .lottery import (
@@ -145,8 +145,7 @@ def _resolve_base(args, m: int) -> EqualProbLottery:
     if args.base is not None:
         if os.path.exists(args.base):
             return equal_prob_from_lottery(_load_lottery(args.base))
-        outcomes = tuple(parse_rational(tok) for tok in args.base.split(","))
-        return EqualProbLottery(len(outcomes), outcomes)
+        return EqualProbLottery(tuple(parse_rational(tok) for tok in args.base.split(",")))
     if args.random:
         import random
 
@@ -161,17 +160,15 @@ def cmd_pairgen(args) -> int:
     big_m = args.M if args.M is not None else 2 ** (m + 1)
     if big_m < 1:
         raise DomainError(f"M must be >= 1, got {big_m}")
+    seed = args.seed if args.random else None
     if args.parsimonious:
         j = args.j if args.j is not None else 0
-        pair = make_parsimonious_pair(
-            base.outcomes, j, m, big_m, seed=args.seed if args.random else None
-        )
+        pair = make_parsimonious_pair(base.outcomes, j, m, big_m, seed=seed)
     else:
         if args.j is not None:
             raise DomainError("--j positions the parsimonious bold block; add --parsimonious")
         delta = Fraction(1, big_m)
-        good, bad = make_blocks(m, base.n, delta)
-        pair = make_pair(base, good, bad, 1, 2, seed=args.seed if args.random else None)
+        pair = make_pair(base, make_block(m, delta), make_block(m, -delta), 1, 2, seed=seed)
     prefix = args.prefix or f"order{m}"
     outdir = _outdir(args)
     written = []
@@ -246,9 +243,9 @@ _SEC3_CASES = ((2, (1, 2), 4), (3, (1, 2, 4), 6), (4, (1, 2, 4, 7), 4))
 def _sec3_rows() -> list[tuple]:
     rows: list[tuple] = []
     for m, outcomes, big_m in _SEC3_CASES:
-        base = EqualProbLottery(len(outcomes), tuple(Fraction(x) for x in outcomes))
-        good, bad = make_blocks(m, base.n, Fraction(1, big_m))
-        pair = make_pair(base, good, bad, 1, 2)
+        base = EqualProbLottery(tuple(Fraction(x) for x in outcomes))
+        delta = Fraction(1, big_m)
+        pair = make_pair(base, make_block(m, delta), make_block(m, -delta), 1, 2)
         c, d = pair.c, pair.d
 
         def put(name, fc, fd):
@@ -269,9 +266,9 @@ def _sec3_rows() -> list[tuple]:
 
 
 _SEC4_STOCKS = {
-    2: EqualProbLottery(2, (Fraction(1), Fraction(3))),
-    3: EqualProbLottery(4, (Fraction(1), Fraction(3), Fraction(5), Fraction(7))),
-    4: EqualProbLottery(8, tuple(Fraction(x) for x in range(1, 16, 2))),
+    2: EqualProbLottery((Fraction(1), Fraction(3))),
+    3: EqualProbLottery((Fraction(1), Fraction(3), Fraction(5), Fraction(7))),
+    4: EqualProbLottery(tuple(Fraction(x) for x in range(1, 16, 2))),
 }
 
 

@@ -52,9 +52,12 @@ MAX_DEGREE = 16
 class DominanceReport:
     kind: str
     degree: int
-    holds: bool
     failed_condition: str | None = None
     witness: Fraction | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.failed_condition is None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -126,15 +129,15 @@ def dual_sd_check(a: Lottery, b: Lottery, m: int) -> DominanceReport:
     """
     _check_degree(m)
     if m >= 2 and mean(a) > mean(b):
-        return DominanceReport("dual", m, False, "mean")
+        return DominanceReport("dual", m, "mean")
     for k in range(2, m):
         if dual_moment(a, k) > dual_moment(b, k):
-            return DominanceReport("dual", m, False, f"dual_moment_{k}")
+            return DominanceReport("dual", m, f"dual_moment_{k}")
     knots, jumps, big_l, _ = _gap(_quantile_steps(a), _quantile_steps(b))
     ok, witness = _pointwise_leq(knots, jumps, big_l, big_l, m)
     if not ok:
-        return DominanceReport("dual", m, False, "iterated_quantile", witness)
-    return DominanceReport("dual", m, True)
+        return DominanceReport("dual", m, "iterated_quantile", witness)
+    return DominanceReport("dual", m)
 
 
 def primal_sd_check(a: Lottery, b: Lottery, m: int, ekern: bool = False) -> DominanceReport:
@@ -151,18 +154,18 @@ def primal_sd_check(a: Lottery, b: Lottery, m: int, ekern: bool = False) -> Domi
     if ekern:
         for k in range(1, m):
             if raw_moment(a, k) != raw_moment(b, k):
-                return DominanceReport(kind, m, False, f"raw_moment_{k}")
+                return DominanceReport(kind, m, f"raw_moment_{k}")
     knots, jumps, big_l, _ = _gap(_cdf_steps(b), _cdf_steps(a))
     top = max(knots)
     if top == 0:
-        return DominanceReport(kind, m, True)
+        return DominanceReport(kind, m)
     if not ekern:
         # the order-k integral of F_a - F_b at the top outcome, times
         # D L^(k-1) (k-1)!; a jump at the top adds nothing for k >= 2
         for k in range(2, m):
             if sum(v * (top - u) ** (k - 1) for u, v in zip(knots, jumps)) < 0:
-                return DominanceReport(kind, m, False, f"endpoint_{k}")
+                return DominanceReport(kind, m, f"endpoint_{k}")
     ok, witness = _pointwise_leq(knots, jumps, top, big_l, m)
     if not ok:
-        return DominanceReport(kind, m, False, "iterated_cdf", witness)
-    return DominanceReport(kind, m, True)
+        return DominanceReport(kind, m, "iterated_cdf", witness)
+    return DominanceReport(kind, m)

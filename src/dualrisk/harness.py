@@ -37,13 +37,13 @@ from functools import lru_cache
 
 from .apportionment import (
     ApportionmentPair,
-    make_blocks,
+    make_block,
     make_pair,
     make_parsimonious_pair,
     moved_state_gap,
     preference_direction,
 )
-from .errors import DomainError, DualRiskError
+from .errors import DomainError, DualRiskError, RankViolation
 from .lottery import EqualProbLottery, _equal_prob
 from .rationals import format_exact
 from .valuation import dt_value
@@ -57,7 +57,6 @@ from .weighting import (
     difference_grid,
     difference_sign,
     dual_power_mixture,
-    finite_difference_sign,
     format_weighting,
     hbar_finite_difference,
     unit_differences,
@@ -165,8 +164,9 @@ def random_pair(rng: random.Random, m: int) -> ApportionmentPair:
     """Random order-m pair: independent amplitudes and gap specs per block.
 
     Positions are sampled so that both blocks fit at both slots (each
-    member hosts each block once). Amplitudes stay <= 1/32 so that no
-    draw can break outcome ranking against unit base gaps.
+    member hosts each block once). Amplitudes stay <= 1/32 against base
+    gaps >= 1, but block coefficients reach 20 at order 8, so from order 7
+    on two blocks can reverse neighbouring states: such a draw is redrawn.
     """
     for _ in range(128):
         base = random_base(rng, m)
@@ -178,9 +178,11 @@ def random_pair(rng: random.Random, m: int) -> ApportionmentPair:
             continue
         pos_first = rng.randint(1, hi_first)
         pos_second = rng.randint(pos_first + 1, base.n - span)
-        good, _ = make_blocks(m, base.n, good_delta, good_gaps)
-        _, bad = make_blocks(m, base.n, bad_delta, bad_gaps)
-        return make_pair(base, good, bad, pos_first, pos_second, seed=None)
+        good, bad = make_block(m, good_delta, good_gaps), make_block(m, -bad_delta, bad_gaps)
+        try:
+            return make_pair(base, good, bad, pos_first, pos_second, seed=None)
+        except RankViolation:
+            continue
     raise DualRiskError("pair sampling failed to find a fitting configuration")
 
 
@@ -243,7 +245,8 @@ def random_mixed_tabulated(rng: random.Random, m: int) -> Tabulated:
     Knot values are jittered off the diagonal by multiples of 1/(32K)
     bounded by 1/(8K), which keeps the knots strictly increasing; draws
     are rejected until the order-m certificate on the knot grid 1/K is
-    Mixed, that is until the aligned step-1/K windows show both signs.
+    Mixed, that is until the aligned step-1/K windows show both signs;
+    h at i/K is the i-th knot value, so the certificate reads those.
     """
     for _ in range(_MIXED_TRIES):
         k = rng.choice((8, 16, 32))
@@ -252,9 +255,8 @@ def random_mixed_tabulated(rng: random.Random, m: int) -> Tabulated:
             eta = Fraction(rng.randint(-4, 4), 32 * k)
             knots.append((Fraction(i, k), Fraction(i, k) + eta))
         knots.append((Fraction(1), Fraction(1)))
-        w = Tabulated(tuple(knots))
-        if m <= k and finite_difference_sign(w, m, k).kind is SignClass.MIXED:
-            return w
+        if m <= k and difference_sign([v for _, v in knots], m).kind is SignClass.MIXED:
+            return Tabulated(tuple(knots))
     raise DualRiskError(f"no mixed-difference tabulated weighting found in {_MIXED_TRIES} draws")
 
 

@@ -11,10 +11,11 @@ states, built at most once per object: the outcome numerators over
 their lcm denominator and the probability numerators over theirs.
 make_lottery and parse_lottery_text build it while they check the
 states, so the sign checks, the unit-mass check and the stable sort by
-outcome run in ints; mean, raw_moment, primal_moment and the survival
-sweep of the valuation module read it. canonical_distribution merges
-ties on that form and hands the merged form on with its result, and the
-dominance checks build their jump lists from the same merge.
+outcome run in ints (and not again in the constructor); mean, raw_moment,
+primal_moment and the survival sweep of the valuation module read it.
+canonical_distribution merges ties on that form and hands the merged form
+on with its result, and the dominance checks build their jump lists from
+the same merge.
 
 The block operations of the apportionment module build their
 EqualProbLottery members from integer outcomes through _equal_prob,
@@ -43,9 +44,17 @@ from .rationals import _common_denominator, format_exact, rat
 
 @dataclass(frozen=True)
 class Lottery:
-    """Ranked finite lottery; build through make_lottery."""
+    """Ranked finite lottery; built directly, the states must come ranked."""
 
     states: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self):
+        xs, _, ps, pd = self._ints
+        _check_ranked(xs, self.outcomes)
+        if sum(ps) != pd:
+            raise NonUnitMass(f"probabilities sum to {Fraction(sum(ps), pd)}, not 1")
+        if min(ps) <= 0:
+            raise NonPositiveProbability(f"probability {min(self.probabilities)} is not positive")
 
     @property
     def outcomes(self) -> tuple[Fraction, ...]:
@@ -67,8 +76,9 @@ class Lottery:
 
 
 def _with_ints(states, ints) -> Lottery:
-    lot = Lottery(states)
-    lot.__dict__["_ints"] = ints
+    """The Lottery of states the caller has checked, with integer form ints."""
+    lot = object.__new__(Lottery)
+    lot.__dict__.update(states=states, _ints=ints)
     return lot
 
 
@@ -76,17 +86,19 @@ def _with_ints(states, ints) -> Lottery:
 class EqualProbLottery:
     """n equally likely ranked states; the carrier for block operations."""
 
-    n: int
     outcomes: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.n < 1 or len(self.outcomes) != self.n:
-            raise DomainError(f"need n >= 1 outcomes, got n={self.n}, {len(self.outcomes)} outcomes")
+        if not self.outcomes:
+            raise DomainError("an equal-probability lottery needs at least one outcome")
         outcomes = tuple(rat(x) for x in self.outcomes)
-        object.__setattr__(self, "outcomes", outcomes)
         xs, xd = _common_denominator(outcomes)
         _check_ranked(xs, outcomes)
-        object.__setattr__(self, "_ints", (xs, xd, [1] * self.n, self.n))
+        self.__dict__.update(outcomes=outcomes, _ints=(xs, xd, [1] * len(xs), len(xs)))
+
+    @property
+    def n(self) -> int:
+        return len(self.outcomes)
 
     def to_lottery(self) -> Lottery:
         p = Fraction(1, self.n)
@@ -94,9 +106,9 @@ class EqualProbLottery:
 
 
 def _check_ranked(xs: list[int], outcomes: tuple[Fraction, ...]) -> None:
-    """EqualProbLottery's sign and ranking checks, run on the numerators xs
-    of its outcomes over one denominator."""
-    if xs[0] >= 0 and all(map(le, xs, xs[1:])):
+    """The constructors' sign and ranking checks, run on the numerators xs
+    of the outcomes over one denominator."""
+    if all(map(le, [0, *xs], xs)):
         return
     for i, a in enumerate(xs):
         if a < 0:
@@ -116,9 +128,7 @@ def _equal_prob(xs: list[int], xd: int, outcomes: tuple[Fraction, ...]) -> Equal
     if g > 1:
         xs, xd = [a // g for a in xs], xd // g
     lot = object.__new__(EqualProbLottery)
-    object.__setattr__(lot, "n", len(xs))
-    object.__setattr__(lot, "outcomes", outcomes)
-    object.__setattr__(lot, "_ints", (xs, xd, [1] * len(xs), len(xs)))
+    lot.__dict__.update(outcomes=outcomes, _ints=(xs, xd, [1] * len(xs), len(xs)))
     return lot
 
 
@@ -158,11 +168,10 @@ def make_lottery(pairs) -> Lottery:
 
 def equal_prob_from_lottery(lot: Lottery) -> EqualProbLottery:
     """Reinterpret a lottery with uniform state probabilities as ranked states."""
-    n = len(lot)
-    p = Fraction(1, n)
+    p = Fraction(1, len(lot))
     if any(q != p for q in lot.probabilities):
         raise DomainError("lottery does not have equal state probabilities")
-    return EqualProbLottery(n, lot.outcomes)
+    return EqualProbLottery(lot.outcomes)
 
 
 def as_distribution(obj) -> Lottery:

@@ -27,12 +27,12 @@ def lottery_b():
 
 @pytest.fixture(scope="session")
 def base3():
-    return EqualProbLottery(3, (F(1), F(2), F(4)))
+    return EqualProbLottery((F(1), F(2), F(4)))
 
 
 @pytest.fixture(scope="session")
 def base4():
-    return EqualProbLottery(4, (F(1), F(2), F(4), F(7)))
+    return EqualProbLottery((F(1), F(2), F(4), F(7)))
 
 
 def rational(min_value=0, max_value=16, max_den=12):
@@ -55,7 +55,7 @@ def lotteries(draw, max_states=6, max_outcome=16):
 def equal_prob_lotteries(draw, min_states=2, max_states=8, max_outcome=24):
     n = draw(st.integers(min_value=min_states, max_value=max_states))
     outcomes = sorted(draw(st.lists(rational(0, max_outcome), min_size=n, max_size=n)))
-    return EqualProbLottery(n, tuple(outcomes))
+    return EqualProbLottery(tuple(outcomes))
 
 
 @st.composite

@@ -89,6 +89,7 @@ from dualrisk import (
     eval_hbar,
     format_weighting,
     is_exact,
+    make_block,
     rat,
 )
 from dualrisk.dominance import _cdf_steps, _quantile_steps
@@ -451,12 +452,15 @@ def block_entries_reference(delta: Fraction, gaps) -> tuple[tuple[int, Fraction]
     return entries
 
 
+def good_and_bad(m: int, delta, gaps=None):
+    """The good and the bad order-m block of amplitude delta > 0."""
+    return make_block(m, delta, gaps), make_block(m, -delta, gaps)
+
+
 def attach_reference(lot, first, second, pos_first: int, pos_second: int):
     """(outcomes, (xs, xd)) of lot with both blocks added in Fractions, xs
     the outcome numerators over their lcm denominator xd; the same errors,
     with the same messages, as apportionment.attach."""
-    if first.n != lot.n or second.n != lot.n:
-        raise DomainError("block n does not match the lottery")
     if pos_second < pos_first + 1:
         raise PrecedenceViolation(
             f"second block at state {pos_second} must start at least one state "
@@ -1072,7 +1076,7 @@ def sp_solve_reference(sp, w) -> SPSolution:
     tol = (hi - lo) * 1e-9
     at_bound = "lower" if e_star - lo <= tol else "upper" if hi - e_star <= tol else None
     p_at_opt = float(loss_probability_reference(sp.effort_model, e_star))
-    diag = SPDiagnostics(at_bound is None, at_bound, concave, sign_change, p_at_opt)
+    diag = SPDiagnostics(at_bound, concave, sign_change, p_at_opt)
     return SPSolution(e_star, value(e_star), diag)
 
 

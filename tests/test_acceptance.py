@@ -37,7 +37,7 @@ from dualrisk import (
     eu_value,
     eval_h,
     eval_h_prime,
-    make_blocks,
+    make_block,
     make_lottery,
     make_pair,
     mean,
@@ -184,13 +184,11 @@ def test_criterion_4_converse_witness_map():
 
 
 def test_criterion_5_moment_table():
-    base3 = EqualProbLottery(3, (F(1), F(2), F(4)))
-    base4 = EqualProbLottery(4, (F(1), F(2), F(4), F(7)))
-    good3, bad3 = make_blocks(3, 3, F(1, 6))
-    pair3 = make_pair(base3, good3, bad3, 1, 2)
+    base3 = EqualProbLottery((F(1), F(2), F(4)))
+    base4 = EqualProbLottery((F(1), F(2), F(4), F(7)))
+    pair3 = make_pair(base3, make_block(3, F(1, 6)), make_block(3, F(-1, 6)), 1, 2)
     c3, d3 = pair3.c.to_lottery(), pair3.d.to_lottery()
-    good4, bad4 = make_blocks(4, 4, F(1, 4))
-    pair4 = make_pair(base4, good4, bad4, 1, 2)
+    pair4 = make_pair(base4, make_block(4, F(1, 4)), make_block(4, F(-1, 4)), 1, 2)
     c4, d4 = pair4.c.to_lottery(), pair4.d.to_lottery()
 
     # direct-expansion oracles first, then the library values they freeze
@@ -219,9 +217,9 @@ def test_criterion_5_moment_table():
 
 def test_criterion_6_portfolio():
     stocks = {
-        2: EqualProbLottery(2, (F(1), F(3))),
-        3: EqualProbLottery(4, (F(1), F(3), F(5), F(7))),
-        4: EqualProbLottery(8, tuple(F(x) for x in range(1, 16, 2))),
+        2: EqualProbLottery((F(1), F(3))),
+        3: EqualProbLottery((F(1), F(3), F(5), F(7))),
+        4: EqualProbLottery(tuple(F(x) for x in range(1, 16, 2))),
     }
     expected_supplemented = {
         2: (F(2), F(2)),
@@ -231,7 +229,7 @@ def test_criterion_6_portfolio():
     menus = {m: build_menu(m, stock) for m, stock in stocks.items()}
     for m, stock in stocks.items():
         prices = supplemented_prices(stock, menus[m])
-        assert prices == EqualProbLottery(stock.n, expected_supplemented[m])
+        assert prices == EqualProbLottery(expected_supplemented[m])
 
     pp2 = PortfolioProblem(1, 0, 2, stocks[2])
     assert portfolio_value(pp2, None, DualPower(2)) == F(-1, 4)

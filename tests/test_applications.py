@@ -78,9 +78,9 @@ from oracles import (
 
 F = Fraction
 
-STOCK2 = EqualProbLottery(2, (F(1), F(3)))
-STOCK3 = EqualProbLottery(4, (F(1), F(3), F(5), F(7)))
-STOCK4 = EqualProbLottery(8, tuple(F(k) for k in range(1, 16, 2)))
+STOCK2 = EqualProbLottery((F(1), F(3)))
+STOCK3 = EqualProbLottery((F(1), F(3), F(5), F(7)))
+STOCK4 = EqualProbLottery(tuple(F(k) for k in range(1, 16, 2)))
 
 REVERSE_CUBIC = Polynomial((0, F(3, 2), 0, F(-1, 2)))
 
@@ -97,7 +97,7 @@ class TestInstruments:
         # supplemented position is the riskless mean regardless of K
         for k in (F(1), F(5, 2), F(4)):
             menu = DerivativeMenu((LongPut(k), ShortCall(k)))
-            assert supplemented_prices(STOCK3, menu) == EqualProbLottery(4, (F(4),) * 4)
+            assert supplemented_prices(STOCK3, menu) == EqualProbLottery((F(4),) * 4)
 
     def test_straddles(self):
         assert DerivativeMenu((Straddle(4),)).payoff(1) == 3
@@ -124,22 +124,20 @@ class TestBuildMenu:
     def test_order_two(self):
         menu = build_menu(2, STOCK2)
         assert menu.premium(STOCK2) == 0
-        assert supplemented_prices(STOCK2, menu) == EqualProbLottery(2, (F(2), F(2)))
+        assert supplemented_prices(STOCK2, menu) == EqualProbLottery((F(2), F(2)))
 
     def test_order_three(self):
         menu = build_menu(3, STOCK3)
         assert [menu.payoff(s) for s in STOCK3.outcomes] == [3, 1, 1, 3]
         assert menu.premium(STOCK3) == 2
-        assert supplemented_prices(STOCK3, menu) == EqualProbLottery(
-            4, (F(2), F(2), F(4), F(8))
-        )
+        assert supplemented_prices(STOCK3, menu) == EqualProbLottery((F(2), F(2), F(4), F(8)))
 
     def test_order_four(self):
         menu = build_menu(4, STOCK4)
         assert [menu.payoff(s) for s in STOCK4.outcomes] == [3, 1, 1, 3, -3, -1, -1, -3]
         assert menu.premium(STOCK4) == 0
         assert supplemented_prices(STOCK4, menu) == EqualProbLottery(
-            8, tuple(F(k) for k in (4, 4, 6, 6, 10, 10, 12, 12))
+            tuple(F(k) for k in (4, 4, 6, 6, 10, 10, 12, 12))
         )
 
     @pytest.mark.parametrize("order", [1, 5])
@@ -149,7 +147,7 @@ class TestBuildMenu:
 
     def test_tiny_support_rejected(self):
         with pytest.raises(DomainError):
-            build_menu(2, EqualProbLottery(1, (F(2),)))
+            build_menu(2, EqualProbLottery((F(2),)))
 
     @pytest.mark.parametrize(
         "order, strikes, message",
@@ -174,7 +172,7 @@ class TestBuildMenu:
         # centering at the top outcome collapses the position toward the
         # mean, the maximal squeeze, which dominates at every dual order
         menu = build_menu(3, STOCK3, strikes=(F(7),))
-        assert supplemented_prices(STOCK3, menu) == EqualProbLottery(4, (F(4),) * 4)
+        assert supplemented_prices(STOCK3, menu) == EqualProbLottery((F(4),) * 4)
 
     def test_custom_strikes_accepted_when_sound(self):
         menu = build_menu(2, STOCK3, strikes=(F(3),))
@@ -200,7 +198,7 @@ class TestPortfolioValue:
         assert portfolio_value(pp, menu, DualPower(4)) == F(-199, 512)
 
     def test_value_is_scale_free(self):
-        doubled = EqualProbLottery(2, (F(2), F(6)))
+        doubled = EqualProbLottery((F(2), F(6)))
         a = portfolio_value(PortfolioProblem(1, 0, 2, STOCK2), None, DualPower(2))
         b = portfolio_value(PortfolioProblem(1, 0, 4, doubled), None, DualPower(2))
         assert a == b
@@ -377,7 +375,7 @@ class TestSpSolve:
     def test_zero_loss_pins_the_lower_bound(self):
         sp = SelfProtectionProblem(4, 0, 0, ExponentialEffort(F(3, 5), 2), (0, 1))
         sol = sp_solve(sp, Identity())
-        assert sol.diagnostics.at_bound == "lower"
+        assert sol.diagnostics.at_bound == "lower" and not sol.diagnostics.interior
         assert not sol.diagnostics.foc_sign_change
         assert abs(sol.e_star) < 1e-9
         assert abs(sol.value - 4.0) < 1e-9

@@ -23,7 +23,6 @@ from dualrisk import (
     Identity,
     NegativeOutcome,
     PairProvenance,
-    Polarity,
     Polynomial,
     Power,
     PrecedenceViolation,
@@ -36,7 +35,7 @@ from dualrisk import (
     dual_moment,
     dual_power_mixture,
     dual_sd_check,
-    make_blocks,
+    make_block,
     make_pair,
     make_parsimonious_pair,
     mean,
@@ -55,6 +54,7 @@ from oracles import (
     block_entries_reference,
     dt_value_mpmath,
     dual_moment_weights,
+    good_and_bad,
     preference_direction_reference,
 )
 
@@ -62,7 +62,7 @@ F = Fraction
 
 
 def ep(*outcomes):
-    return EqualProbLottery(len(outcomes), tuple(F(x) for x in outcomes))
+    return EqualProbLottery(tuple(F(x) for x in outcomes))
 
 
 class TestSqueeze:
@@ -93,7 +93,7 @@ class TestSqueeze:
         assert var(tight) < var(base) < var(wide)
 
     def test_negative_outcome_blocked(self):
-        good, bad = make_blocks(2, 2, F(1, 2))
+        good, bad = make_block(2, F(1, 2)), make_block(2, F(-1, 2))
         with pytest.raises((NegativeOutcome, RankViolation)):
             attach(ep(0, 1), bad, good, 1, 2)
 
@@ -103,22 +103,30 @@ class TestSqueeze:
 
 class TestMakeBlocks:
     def test_order_two_base_case(self):
-        good, bad = make_blocks(2, 4, F(1, 8))
-        assert good.entries == ((0, F(1, 8)),)
-        assert bad.entries == ((0, F(-1, 8)),)
-        assert good.polarity is Polarity.GOOD and bad.polarity is Polarity.BAD
+        assert make_block(2, F(1, 8)).entries == ((0, F(1, 8)),)
+        assert make_block(2, F(-1, 8)).entries == ((0, F(-1, 8)),)
+
+    @pytest.mark.parametrize("delta", [0, F(0), "0/5"])
+    def test_zero_amplitude_is_a_domain_error(self, delta):
+        with pytest.raises(DomainError, match="nonzero"):
+            make_block(3, delta)
+
+    def test_zero_leading_increment_is_a_domain_error(self):
+        # the offset-0 increment's sign is the polarity, so it may not be 0
+        with pytest.raises(DomainError, match="polarity"):
+            Block(3, ((0, F(0)), (1, F(1, 6))))
 
     def test_order_three_adjacent(self):
-        good, _ = make_blocks(3, 5, F(1, 6))
+        good = make_block(3, F(1, 6))
         assert good.entries == ((0, F(1, 6)), (1, F(-1, 6)))
 
     def test_order_four_middle_overlap(self):
-        good, _ = make_blocks(4, 6, F(1, 4))
+        good = make_block(4, F(1, 4))
         assert good.entries == ((0, F(1, 4)), (1, F(-1, 2)), (2, F(1, 4)))
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_minimal_gap_binomials(self, m):
-        good, bad = make_blocks(m, m + 2, F(1, 3))
+        good, bad = make_block(m, F(1, 3)), make_block(m, F(-1, 3))
         expected = tuple(
             (k, F((-1) ** k * math.comb(m - 2, k), 3)) for k in range(m - 1)
         )
@@ -126,7 +134,7 @@ class TestMakeBlocks:
         assert bad.entries == tuple((o, -v) for o, v in expected)
 
     def test_wide_gaps_spread_entries(self):
-        good, _ = make_blocks(4, 10, 1, gaps=(2, 3))
+        good = make_block(4, 1, gaps=(2, 3))
         assert good.span == 5
         assert sum(v for _, v in good.entries) == 0
 
@@ -141,7 +149,7 @@ class TestMakeBlocks:
         # each gap g multiplies the entries' generating polynomial by
         # (1 - z^g), so it has the root 1 with multiplicity m - 2
         m = len(gaps) + 2
-        good, bad = make_blocks(m, sum(gaps) + 1, delta, gaps=gaps)
+        good, bad = make_block(m, delta, gaps=gaps), make_block(m, -delta, gaps=gaps)
         assert good.span == sum(gaps)
         for j in range(m - 2):
             assert sum(v * o**j for o, v in good.entries) == 0
@@ -149,20 +157,20 @@ class TestMakeBlocks:
 
     def test_gap_spec_errors(self):
         with pytest.raises(BadGapSpec):
-            make_blocks(4, 8, 1, gaps=(1,))
+            make_block(4, 1, gaps=(1,))
         with pytest.raises(BadGapSpec):
-            make_blocks(4, 8, 1, gaps=(0, 1))
+            make_block(4, -1, gaps=(0, 1))
 
     @pytest.mark.parametrize(
         "gap", ["x", "2", None, True, False, 0, -1, 1.5, F(3, 2), float("nan"), float("inf")]
     )
     def test_malformed_gap_is_a_bad_gap_spec(self, gap):
         with pytest.raises(BadGapSpec, match="gaps must be integers >= 1"):
-            make_blocks(4, 8, 1, gaps=(1, gap))
+            make_block(4, 1, gaps=(1, gap))
 
     @pytest.mark.parametrize("gap", [2.0, F(2)])
     def test_integral_gaps_are_ints(self, gap):
-        assert make_blocks(3, 8, F(1, 3), gaps=(gap,)) == make_blocks(3, 8, F(1, 3), gaps=(2,))
+        assert make_block(3, F(1, 3), gaps=(gap,)) == make_block(3, F(1, 3), gaps=(2,))
 
 
 ODD_DENOMINATORS = (1, 3, 5, 7, 9, 15, 21, 27)
@@ -182,7 +190,7 @@ def block_builds(draw):
     n = draw(st.integers(span + 2, span + 8))
     first = draw(st.fractions(0, 2, max_denominator=10).filter(lambda x: x.denominator > 1))
     steps = draw(st.lists(st.fractions(0, 40, max_denominator=10), min_size=n - 1, max_size=n - 1))
-    base = EqualProbLottery(n, tuple(accumulate(steps, initial=first)))
+    base = EqualProbLottery(tuple(accumulate(steps, initial=first)))
     if draw(st.booleans()):
         pos_first = draw(st.integers(1, n - span - 1))
         pos_second = draw(st.integers(pos_first + 1, n - span))
@@ -206,21 +214,21 @@ def _entry_ints(entries):
 
 
 class TestIntegerBuild:
-    """make_blocks and attach against the Fraction recursion and attach
+    """make_block and attach against the Fraction recursion and attach
     in tests/oracles.py."""
 
     @given(block_builds(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_blocks_and_members_match_the_fraction_reference(self, build, hand_built):
         m, base, good_delta, good_gaps, bad_delta, bad_gaps, pos_first, pos_second = build
-        good, _ = make_blocks(m, base.n, good_delta, good_gaps)
-        _, bad = make_blocks(m, base.n, bad_delta, bad_gaps)
+        good = make_block(m, good_delta, good_gaps)
+        bad = make_block(m, -bad_delta, bad_gaps)
         assert good.entries == block_entries_reference(good_delta, good_gaps)
         assert bad.entries == tuple((o, -v) for o, v in block_entries_reference(bad_delta, bad_gaps))
         assert good.span == sum(good_gaps) and bad.span == sum(bad_gaps)
         if hand_built:  # blocks as rebuild_pair makes them, with no integer form yet
-            good = Block(m, Polarity.GOOD, base.n, good.entries)
-            bad = Block(m, Polarity.BAD, base.n, bad.entries)
+            good = Block(m, good.entries)
+            bad = Block(m, bad.entries)
         for block in (good, bad):
             assert block._ints == _entry_ints(block.entries)
         members = []
@@ -232,7 +240,7 @@ class TestIntegerBuild:
                 assert got.outcomes == outcomes
                 assert all(type(x) is F for x in got.outcomes)
                 assert got._ints == (xs, xd, [1] * base.n, base.n)
-                assert got == EqualProbLottery(base.n, outcomes)
+                assert got == EqualProbLottery(outcomes)
                 members.append(got)
             else:
                 assert got == want
@@ -244,27 +252,27 @@ class TestIntegerBuild:
 
 class TestAttach:
     def test_third_order_good_first(self, base3):
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         d = attach(base3, good, bad, 1, 2)
         assert d == ep(F(7, 6), F(5, 3), F(25, 6))
 
     def test_third_order_bad_first(self, base3):
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         c = attach(base3, bad, good, 1, 2)
         assert c == ep(F(5, 6), F(7, 3), F(23, 6))
 
     def test_fourth_order(self, base4):
-        good, bad = make_blocks(4, 4, F(1, 4))
+        good, bad = good_and_bad(4, F(1, 4))
         d = attach(base4, good, bad, 1, 2)
         assert d == ep(F(5, 4), F(5, 4), F(19, 4), F(27, 4))
 
     def test_precedence_enforced(self, base3):
-        good, bad = make_blocks(3, 3, F(1, 100))
+        good, bad = good_and_bad(3, F(1, 100))
         with pytest.raises(PrecedenceViolation):
             attach(base3, good, bad, 2, 2)
 
     def test_must_fit(self, base3):
-        good, bad = make_blocks(3, 3, F(1, 100))
+        good, bad = good_and_bad(3, F(1, 100))
         with pytest.raises(Exception):
             attach(base3, good, bad, 2, 3)  # bad block spills past state 3
 
@@ -272,7 +280,7 @@ class TestAttach:
 class TestMakePair:
     def test_second_order_members(self):
         base = ep(1, 2)
-        good, bad = make_blocks(2, 2, F(1, 4))
+        good, bad = good_and_bad(2, F(1, 4))
         pair = make_pair(base, good, bad, 1, 2)
         assert pair.d == ep(F(5, 4), F(7, 4))
         assert pair.c == ep(F(3, 4), F(9, 4))
@@ -280,7 +288,7 @@ class TestMakePair:
         assert primal_moment(pair.d.to_lottery(), 2) == F(1, 16)
 
     def test_third_order_moment_table(self, base3):
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(base3, good, bad, 1, 2)
         c, d = pair.c.to_lottery(), pair.d.to_lottery()
         assert mean(c) == mean(d) == F(7, 3)
@@ -289,14 +297,14 @@ class TestMakePair:
 
     def test_even_spacing_keeps_variances_equal(self):
         # with consecutive integers the second-order effects cancel
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(ep(1, 2, 3), good, bad, 1, 2)
         c, d = pair.c.to_lottery(), pair.d.to_lottery()
         assert primal_moment(c, 2) == primal_moment(d, 2)
         assert primal_moment(c, 3) != primal_moment(d, 3)
 
     def test_fourth_order_moment_table(self, base4):
-        good, bad = make_blocks(4, 4, F(1, 4))
+        good, bad = good_and_bad(4, F(1, 4))
         pair = make_pair(base4, good, bad, 1, 2)
         c, d = pair.c.to_lottery(), pair.d.to_lottery()
         assert mean(c) == mean(d) == F(7, 2)
@@ -314,8 +322,8 @@ class TestMakePair:
             outcomes = [F(rng.randint(1, 4))]
             for _ in range(n - 1):
                 outcomes.append(outcomes[-1] + F(rng.randint(2, 9), 2))
-            base = EqualProbLottery(n, tuple(outcomes))
-            good, bad = make_blocks(m, n, F(rng.randint(1, 3), 64))
+            base = EqualProbLottery(tuple(outcomes))
+            good, bad = good_and_bad(m, F(rng.randint(1, 3), 64))
             span = good.span + 1
             pos = rng.randint(1, n - span - 1)
             pair = make_pair(base, good, bad, pos, pos + 1)
@@ -325,16 +333,26 @@ class TestMakePair:
             assert dual_sd_check(c, d, m).holds
 
     def test_mismatched_orders_rejected(self, base3):
-        good, _ = make_blocks(3, 3, F(1, 6))
-        _, bad2 = make_blocks(2, 3, F(1, 6))
+        good = make_block(3, F(1, 6))
+        bad2 = make_block(2, F(-1, 6))
         with pytest.raises(DomainError):
             make_pair(base3, good, bad2, 1, 2)
+
+    def test_swapped_polarity_is_a_domain_error(self, base4):
+        # the polarity is the sign of the offset-0 increment: a "good" block
+        # that leads with -1/8 would build the reversed pair
+        reversed_good = Block(3, ((0, F(-1, 8)), (1, F(1, 8))))
+        with pytest.raises(DomainError, match="good block first"):
+            make_pair(base4, reversed_good, make_block(3, F(-1, 8)), 1, 2)
+        good, bad = good_and_bad(3, F(1, 8))
+        with pytest.raises(DomainError, match="good block first"):
+            make_pair(base4, bad, good, 1, 2)
 
     def test_construction_validation_trips_on_corrupt_block(self, base3):
         # a hand-built bad block whose second entry does not mirror the
         # good one shifts the second dual moment between the members
-        good, _ = make_blocks(3, 3, F(1, 6))
-        corrupt = Block(3, Polarity.BAD, 3, ((0, F(-1, 6)), (1, F(1, 7))))
+        good = make_block(3, F(1, 6))
+        corrupt = Block(3, ((0, F(-1, 6)), (1, F(1, 7))))
         with pytest.raises(ConstructionInvariantError):
             make_pair(base3, good, corrupt, 1, 2)
 
@@ -390,21 +408,21 @@ class TestParsimonious:
 
 class TestPreferenceDirection:
     def test_third_order_directions(self, base3):
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(base3, good, bad, 1, 2)
         assert preference_direction(pair, DualPower(3)) >= 0
         assert preference_direction(pair, Quadratic(F(1, 2))) == 0
         assert preference_direction(pair, Identity()) == 0
 
     def test_fourth_order_direction(self, base4):
-        good, bad = make_blocks(4, 4, F(1, 4))
+        good, bad = good_and_bad(4, F(1, 4))
         pair = make_pair(base4, good, bad, 1, 2)
         assert preference_direction(pair, DualPower(4)) >= 0
 
     def test_sandwich_between_base_and_mirror(self, base3):
         # D improves on the base and the base improves on C whenever the
         # weighting has the full alternating derivative signs
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(base3, good, bad, 1, 2)
         for j in (3, 4, 5, 6):
             w = DualPower(j)
@@ -424,7 +442,7 @@ class TestPreferenceDirection:
             m = rng.randint(2, 5)
             n = rng.randint(m + 1, m + 6)
             base = ep(*(10**12 + 3 * i + rng.randint(0, 2) for i in range(n)))
-            good, bad = make_blocks(m, n, F(1, 128 * rng.randint(1, 64)))
+            good, bad = good_and_bad(m, F(1, 128 * rng.randint(1, 64)))
             first = rng.randint(1, n - good.span - 1)
             pair = make_pair(base, good, bad, first, rng.randint(first + 1, n - good.span))
             for w in families:
@@ -432,7 +450,7 @@ class TestPreferenceDirection:
                 assert preference_direction(pair, w) in (0, (gap > 0) - (gap < 0))
 
     def test_float_families_resolve_ordinary_gaps(self, base3):
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(base3, good, bad, 1, 2)
         for w in (TverskyKahneman(0.8), Prelec(0.65)):
             gap = dt_value_mpmath(pair.d.to_lottery(), w) - dt_value_mpmath(pair.c.to_lottery(), w)
@@ -442,13 +460,13 @@ class TestPreferenceDirection:
 
 class TestProvenance:
     def test_json_round_trip(self, base3):
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(base3, good, bad, 1, 2, seed=77)
         back = PairProvenance.from_json(pair.provenance.to_json())
         assert back == pair.provenance
 
     def test_rebuild_general(self, base4):
-        good, bad = make_blocks(4, 4, F(1, 4))
+        good, bad = good_and_bad(4, F(1, 4))
         pair = make_pair(base4, good, bad, 1, 2)
         rebuilt = rebuild_pair(pair.provenance)
         assert rebuilt.c == pair.c
@@ -460,7 +478,7 @@ class TestProvenance:
             PairProvenance.from_json(text)
 
     def test_missing_key_is_a_format_error(self, base3):
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         payload = json.loads(make_pair(base3, good, bad, 1, 2).provenance.to_json())
         del payload["good_entries"]
         with pytest.raises(FormatError, match="good_entries"):
@@ -480,7 +498,7 @@ class TestProvenance:
         ],
     )
     def test_wrong_field_type_is_a_format_error(self, base3, key, value):
-        good, bad = make_blocks(3, 3, F(1, 6))
+        good, bad = good_and_bad(3, F(1, 6))
         payload = json.loads(make_pair(base3, good, bad, 1, 2, seed=77).provenance.to_json())
         payload[key] = value
         with pytest.raises(FormatError, match=key):
@@ -500,6 +518,25 @@ class TestProvenance:
         prov = replace(make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16).provenance, kind="bogus")
         with pytest.raises(DomainError, match="got 'bogus'"):
             rebuild_pair(prov)
+
+    @pytest.mark.parametrize("parsimonious", [False, True])
+    def test_swapped_entries_are_a_domain_error(self, base3, parsimonious):
+        if parsimonious:
+            pair = make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16)
+        else:
+            pair = make_pair(base3, *good_and_bad(3, F(1, 6)), 1, 2)
+        payload = json.loads(pair.provenance.to_json())
+        payload["good_entries"], payload["bad_entries"] = payload["bad_entries"], payload["good_entries"]
+        prov = PairProvenance.from_json(json.dumps(payload))
+        with pytest.raises(DomainError, match="good block first"):
+            rebuild_pair(prov)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_n_other_than_the_base_size_is_a_format_error(self, base3, n):
+        payload = json.loads(make_pair(base3, *good_and_bad(3, F(1, 6)), 1, 2).provenance.to_json())
+        payload["n"] = n
+        with pytest.raises(FormatError, match="'n'"):
+            PairProvenance.from_json(json.dumps(payload))
 
     def test_rebuild_parsimonious(self):
         pair = make_parsimonious_pair(tuple(range(1, 9)), 3, 4, 64, seed=5)
@@ -593,15 +630,15 @@ class TestMovedStates:
         assert preference_direction(pair, w) == preference_direction_reference(pair, w)
 
     def test_moved_states_are_the_differing_states(self):
-        pair = make_pair(ep(1, 2, 4, 7), *make_blocks(3, 4, F(1, 6)), 1, 2)
+        pair = make_pair(ep(1, 2, 4, 7), *good_and_bad(3, F(1, 6)), 1, 2)
         moved, den = pair.moved_states
         expected = [(i, d - c) for i, (c, d) in enumerate(zip(pair.c.outcomes, pair.d.outcomes), 1) if c != d]
         assert [(i, F(v, den)) for i, v in moved] == expected
         assert den == math.lcm(*(x.denominator for x in pair.c.outcomes + pair.d.outcomes))
 
     def test_members_with_different_state_counts(self):
-        pair = make_pair(ep(1, 2, 4, 7), *make_blocks(3, 4, F(1, 6)), 1, 2)
-        by_hand = ApportionmentPair(pair.order, pair.c, ep(*pair.d.outcomes, 9), pair.provenance)
+        pair = make_pair(ep(1, 2, 4, 7), *good_and_bad(3, F(1, 6)), 1, 2)
+        by_hand = ApportionmentPair(pair.c, ep(*pair.d.outcomes, 9), pair.provenance)
         with pytest.raises(ConstructionInvariantError, match="different state counts"):
             preference_direction(by_hand, DualPower(3))
 

@@ -219,16 +219,16 @@ class TestDominance:
 
 EXPECTED_PAIRS = {
     ("2", "1,2", "4"): (
-        EqualProbLottery(2, (F(3, 4), F(9, 4))),
-        EqualProbLottery(2, (F(5, 4), F(7, 4))),
+        EqualProbLottery((F(3, 4), F(9, 4))),
+        EqualProbLottery((F(5, 4), F(7, 4))),
     ),
     ("3", "1,2,4", "6"): (
-        EqualProbLottery(3, (F(5, 6), F(7, 3), F(23, 6))),
-        EqualProbLottery(3, (F(7, 6), F(5, 3), F(25, 6))),
+        EqualProbLottery((F(5, 6), F(7, 3), F(23, 6))),
+        EqualProbLottery((F(7, 6), F(5, 3), F(25, 6))),
     ),
     ("4", "1,2,4,7", "4"): (
-        EqualProbLottery(4, (F(3, 4), F(11, 4), F(13, 4), F(29, 4))),
-        EqualProbLottery(4, (F(5, 4), F(5, 4), F(19, 4), F(27, 4))),
+        EqualProbLottery((F(3, 4), F(11, 4), F(13, 4), F(29, 4))),
+        EqualProbLottery((F(5, 4), F(5, 4), F(19, 4), F(27, 4))),
     ),
 }
 
@@ -302,7 +302,7 @@ class TestPairgen:
         prov = json.loads((tmp_path / "order3_provenance.json").read_text())
         assert prov["kind"] == "parsimonious"
         c_text = (tmp_path / "order3_c.txt").read_text()
-        assert c_text == format_lottery_text(EqualProbLottery(5, tuple(map(F, range(1, 6)))).to_lottery())
+        assert c_text == format_lottery_text(EqualProbLottery(tuple(map(F, range(1, 6)))).to_lottery())
 
     def test_base_required(self, capsys):
         assert main(["pairgen", "--order", "3"]) == 2

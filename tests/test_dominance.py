@@ -13,7 +13,6 @@ from dualrisk import (
     dt_value,
     dual_moment,
     dual_sd_check,
-    make_blocks,
     make_lottery,
     make_pair,
     mean,
@@ -30,6 +29,7 @@ from oracles import (
     degree,
     difference,
     dual_sd_rebuild,
+    good_and_bad,
     iterated_cdf,
     iterated_cdf_per_point,
     iterated_quantile,
@@ -51,15 +51,15 @@ def mean_ordered_pairs(draw):
 
 
 def sec3_pair(order, outcomes, big_m):
-    base = EqualProbLottery(len(outcomes), tuple(F(x) for x in outcomes))
-    good, bad = make_blocks(order, base.n, F(1, big_m))
+    base = EqualProbLottery(tuple(F(x) for x in outcomes))
+    good, bad = good_and_bad(order, F(1, big_m))
     return make_pair(base, good, bad, 1, 2)
 
 
 def random_equal_prob(rng, n_max=6, hi=20):
     n = rng.randint(2, n_max)
     outcomes = sorted(F(rng.randint(0, hi * 2), 2) for _ in range(n))
-    return EqualProbLottery(n, tuple(outcomes))
+    return EqualProbLottery(tuple(outcomes))
 
 
 class TestIteratedQuantile:
@@ -187,7 +187,7 @@ class TestProperties:
         rng = random.Random(30 + m)
         for _ in range(50):
             base = random_equal_prob(rng, n_max=m + 3, hi=30)
-            good, bad = make_blocks(m, base.n, F(1, 64))
+            good, bad = good_and_bad(m, F(1, 64))
             span = max(e[0] for e in good.entries) + 1
             if base.n < span + 2:
                 continue
@@ -282,7 +282,7 @@ def _from_pool(draw, pool):
     outcomes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     route = draw(st.sampled_from(("make", "parse", "equal")))
     if route == "equal":
-        return EqualProbLottery(n, tuple(sorted(outcomes)))
+        return EqualProbLottery(tuple(sorted(outcomes)))
     raw = [
         F(w, d)
         for w, d in zip(
@@ -334,7 +334,7 @@ class TestClosedFormSplines:
     @example(make_lottery([(0, 1)]), F(1, 3))
     @example(AT_ZERO, F(0))
     @example(TIED_AT_ZERO, F(2))
-    @example(EqualProbLottery(3, (F(0), F(0), F(5, 7))), F(1, 3))
+    @example(EqualProbLottery((F(0), F(0), F(5, 7))), F(1, 3))
     @settings(max_examples=250, deadline=None)
     def test_iterated_functions_match_the_chain(self, lot, extra):
         hi = max(lot.outcomes) + extra
@@ -353,7 +353,7 @@ class TestClosedFormSplines:
     @example((TIED_AT_ZERO, AT_ZERO), 3)
     @example((POINT_MASS, make_lottery([(0, 1)])), 1)
     @example((TIED_AT_ZERO, TIED_AT_ZERO), 4)
-    @example((EqualProbLottery(3, (F(0), F(0), F(5, 7))), make_lottery([(0, 1)])), 2)
+    @example((EqualProbLottery((F(0), F(0), F(5, 7))), make_lottery([(0, 1)])), 2)
     @example((DECLINED_A, DECLINED_B), 3)
     @settings(max_examples=450, deadline=None)
     def test_checks_match_the_chain(self, pair, m):

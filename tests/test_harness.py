@@ -138,6 +138,18 @@ class TestRandomSources:
             assert list(pair.c.outcomes) == sorted(pair.c.outcomes)
             assert list(pair.d.outcomes) == sorted(pair.d.outcomes)
 
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_random_pair_redraws_a_draw_that_breaks_the_ranking(self, m):
+        # block entries reach 20 times an amplitude of up to 1/32 at order 8,
+        # enough to reverse two base states one apart (seeds 1-4 draw such
+        # configurations within 100 pairs); they are redrawn, not raised
+        for seed in range(5):
+            rng = random.Random(seed)
+            for _ in range(100):
+                pair = random_pair(rng, m)
+                assert pair.order == m
+                assert list(pair.d.outcomes) == sorted(pair.d.outcomes)
+
     # sha256 over the provenance JSON and the C and D lottery files of 50
     # random_pair draws per seed and order, recorded from the Fraction build
     # that the integer build replaced: the draw stream may not move

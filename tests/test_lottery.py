@@ -11,6 +11,7 @@ from dualrisk import (
     EqualProbLottery,
     FormatError,
     Identity,
+    Lottery,
     NegativeOutcome,
     NonPositiveProbability,
     NonUnitMass,
@@ -22,6 +23,7 @@ from dualrisk import (
     Polynomial,
     Power,
     Quadratic,
+    RankViolation,
     dt_value,
     dual_moment,
     dual_power_mixture,
@@ -63,6 +65,33 @@ class TestMakeLottery:
     def test_no_zero_probability(self):
         with pytest.raises(NonPositiveProbability):
             make_lottery([(1, F(0)), (2, F(1))])
+
+
+class TestLotteryConstructor:
+    """Lottery(states) built directly runs make_lottery's checks and never
+    reorders the states."""
+
+    @pytest.mark.parametrize(
+        "states, error",
+        [
+            (((F(-1), F(3, 2)),), NegativeOutcome),
+            (((F(1), F(1, 2)), (F(-2), F(1, 2))), NegativeOutcome),
+            (((F(1), F(0)), (F(2), F(1))), NonPositiveProbability),
+            (((F(1), F(3, 2)), (F(2), F(-1, 2))), NonPositiveProbability),
+            (((F(1), F(1, 2)), (F(2), F(1, 3))), NonUnitMass),
+            ((), NonUnitMass),
+            (((F(3), F(1, 2)), (F(1), F(1, 2))), RankViolation),
+        ],
+    )
+    def test_bad_states_raise_the_typed_error(self, states, error):
+        with pytest.raises(error):
+            Lottery(states)
+
+    def test_ranked_states_equal_make_lottery(self):
+        states = ((F(1), F(1, 3)), (F(1), F(1, 6)), (F(5, 2), F(1, 2)))
+        lot = Lottery(states)
+        assert lot == make_lottery(states) and lot.states == states
+        assert lot._ints == make_lottery(states)._ints
 
 
 class TestCdfQuantile:
@@ -134,7 +163,7 @@ class TestCanonical:
 
 class TestEqualProb:
     def test_round_trip(self):
-        ep = EqualProbLottery(3, (F(1), F(2), F(4)))
+        ep = EqualProbLottery((F(1), F(2), F(4)))
         assert equal_prob_from_lottery(ep.to_lottery()) == ep
 
     def test_rejects_unequal_probabilities(self, lottery_a):
@@ -143,7 +172,12 @@ class TestEqualProb:
 
     def test_rejects_unsorted(self):
         with pytest.raises(Exception):
-            EqualProbLottery(2, (F(3), F(1)))
+            EqualProbLottery((F(3), F(1)))
+
+    def test_n_is_the_number_of_outcomes(self):
+        assert EqualProbLottery((1, 2, 2)).n == 3
+        with pytest.raises(DomainError):
+            EqualProbLottery(())
 
 
 class TestTextFormat:
@@ -196,7 +230,7 @@ def core_lotteries(draw):
     outcomes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     route = draw(st.sampled_from(("make", "parse", "equal")))
     if route == "equal":
-        return EqualProbLottery(n, tuple(sorted(outcomes)))
+        return EqualProbLottery(tuple(sorted(outcomes)))
     raw = [
         Fraction(w, d)
         for w, d in zip(
@@ -224,7 +258,7 @@ def _poly_families():
 class TestIntegerCore:
     @given(core_lotteries())
     @example(make_lottery([(0, 1)]))
-    @example(EqualProbLottery(3, (Fraction(0), Fraction(0), Fraction(5, 7))))
+    @example(EqualProbLottery((Fraction(0), Fraction(0), Fraction(5, 7))))
     def test_moments_equal_the_fraction_sums(self, lot):
         got = mean(lot)
         assert type(got) is Fraction and got == oracles.mean(lot)

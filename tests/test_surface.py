@@ -40,3 +40,35 @@ def test_every_export_is_documented_or_used():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert stray == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads: not as a name, not as the
+    base of an attribute, not in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(elt.value for elt in node.value.elts)
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+def test_a_leftover_import_is_caught():
+    assert _unused_imports("import enum\nimport json\n\njson.dumps(1)\n") == ["enum (line 1)"]

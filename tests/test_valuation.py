@@ -194,8 +194,8 @@ any_lottery = st.one_of(
 )
 zero_point_masses = (
     make_lottery([(0, 1)]),
-    EqualProbLottery(1, (F(0),)),
-    EqualProbLottery(3, (F(0),) * 3),
+    EqualProbLottery((F(0),)),
+    EqualProbLottery((F(0),) * 3),
 )
 
 
