@@ -28,7 +28,8 @@ C and D have the same n equally likely ranked states and differ only
 where the blocks sit, so their value gap under an exact weighting is a
 short integer sum over those moved states: the difference of their jump
 lists, valued by dt_value's kernels (moved_state_gap). That is how
-preference_direction ranks a pair under the exact families.
+preference_direction ranks a pair under the exact families, and how
+_validate_pair checks its first m-1 dual moments agree.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .lottery import EqualProbLottery, _equal_prob
 from .rationals import _common_denominator, format_exact, rat
-from .valuation import _value, dt_value, dual_moment
+from .valuation import _survival_power, _value, dt_value, dual_moment
 from .weighting import WeightingSpec, is_exact
 
 
@@ -302,7 +303,7 @@ class ApportionmentPair:
 
     @cached_property
     def _gap_jumps(self) -> tuple[list[tuple[int, int]], int, int, int]:
-        """(jumps, n, den, top): D's jump list minus C's, as valuation._jumps
+        """(jumps, n, den, top): D's jump list minus C's, as lottery._jumps
         gives them. Both members have CDF count l below state l + 1, so the
         jump there is delta_(l+1) - delta_l over den, and the jumps add up
         to top = delta_n."""
@@ -317,10 +318,13 @@ class ApportionmentPair:
 
 
 def _validate_pair(pair: ApportionmentPair) -> None:
-    c, d = pair.c, pair.d
+    """Raise unless the members' dual moments 1..m-1 agree. Each gap is read
+    off the pair's gap jump list (_survival_power, as moved_state_gap reads
+    it); only a failure sweeps the members, to word its error."""
+    jumps, n, den, _ = pair._gap_jumps
     for k in range(1, pair.order):
-        mc, md = dual_moment(c, k), dual_moment(d, k)
-        if mc != md:
+        if _survival_power(jumps, k, n, den):
+            mc, md = dual_moment(pair.c, k), dual_moment(pair.d, k)
             raise ConstructionInvariantError(
                 f"dual moment {k} differs between pair members: {mc} vs {md}"
             )

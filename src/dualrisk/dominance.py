@@ -10,36 +10,34 @@ replaces those with exact equality of the first m-1 raw moments.
 Each of these integrals is a truncated-power spline: the quantile
 function jumps by x_i - x_(i-1) at the cumulative probability below
 state i, the CDF by p_i at outcome x_i, and each jump J at knot c adds
-J (t - c)_+^(m-1) / (m-1)! to the (m-1)-fold integral. The jump lists
-come straight from the lotteries' integer form with ties merged
-(lottery._merged): quantile knots are running probability counts and
-jumps outcome steps, CDF knots are outcomes and jumps probability
-counts. Two lotteries meet over one knot denominator L and one jump
-denominator D by integer multiplication, and the difference spline is
-built from the merged list, one integer polynomial per piece of the
-union of both grids (piecewise.spline_pieces). A piece is accepted when
-its Taylor or Bernstein coefficients are all >= 0
-(polyops.bernstein_nonneg); every other piece is certified by Sturm root
-isolation, and failures come with a rational witness point. The
-pre-check only accepts pieces that are non-negative, so results and
-witnesses are the ones Sturm alone gives. The endpoint conditions are
-one integer sum each at the top outcome. All comparisons are exact, and
-degrees past MAX_DEGREE are refused.
+J (t - c)_+^(m-1) / (m-1)! to the (m-1)-fold integral. Both read the
+lottery's jump list (lottery._jumps), as dt_value does: the quantile
+spline as it is (CDF counts as knots, outcome steps as jumps), the CDF
+spline its support (lottery._support: outcomes as knots, probability
+counts as jumps). The dual gates are its survival power sums. Two
+lotteries meet over one knot denominator L and one jump denominator D
+by integer multiplication, and the difference spline is built from the
+joined list, one integer polynomial per piece of the union of both
+grids (piecewise.spline_pieces). A piece is accepted when its Taylor or
+Bernstein coefficients are all >= 0 (polyops.bernstein_nonneg); every
+other piece is certified by Sturm root isolation, and failures come with
+a rational witness point. The pre-check only accepts pieces that are
+non-negative, so results and witnesses are the ones Sturm alone gives.
+The endpoint conditions are one integer sum each at the top outcome. All
+comparisons are exact, and degrees past MAX_DEGREE are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
 from math import lcm
-from operator import sub
 
 from .errors import DomainError
-from .lottery import Lottery, _merged, mean
+from .lottery import Lottery, _jumps, _support
 from .piecewise import global_coeffs, spline_pieces
 from .polyops import bernstein_nonneg, nonneg_on_interval
-from .valuation import dual_moment, raw_moment
+from .valuation import _survival_power, raw_moment
 
 # Past this degree a check is refused. A piece's coefficients grow with
 # the degree's power of the knot numerators: on two 128-state lotteries
@@ -63,30 +61,22 @@ class DominanceReport:
         return self.holds
 
 
-def _quantile_steps(lot):
-    """(knots, jumps, L, D) of the left-continuous quantile function on
-    [0, 1]: at the probability knots[i]/L below each distinct outcome it
-    jumps by jumps[i]/D, the step up to that outcome from the one below
-    (from 0 for the lowest)."""
-    xs, xd, ps, pd = _merged(lot)
-    return list(accumulate(ps[:-1], initial=0)), list(map(sub, xs, chain((0,), xs))), pd, xd
-
-
 def _cdf_steps(lot):
-    """(knots, jumps, L, D) of the left-continuous CDF: at each distinct
-    outcome knots[i]/L it jumps by that outcome's mass jumps[i]/D."""
-    xs, xd, ps, pd = _merged(lot)
-    return xs, ps, xd, pd
+    """(steps, L, D) of the left-continuous CDF: at each distinct outcome
+    u/L it jumps by that outcome's mass v/D, steps listing the (u, v)."""
+    jumps, d, xd, _ = _jumps(lot)
+    return list(zip(*_support(jumps, d))), xd, d
 
 
 def _gap(f, g):
-    """g - f as one (knots, jumps, L, D) list over common denominators."""
-    fk, fj, fl, fd = f
-    gk, gj, gl, gd = g
+    """g - f as one (knots, jumps, L, D) list over common denominators,
+    from two (steps, L, D) lists of (knot, jump) pairs."""
+    fs, fl, fd = f
+    gs, gl, gd = g
     big_l, big_d = lcm(fl, gl), lcm(fd, gd)
     rf, rg, sf, sg = big_l // fl, big_l // gl, big_d // fd, big_d // gd
-    knots = [u * rf for u in fk] + [u * rg for u in gk]
-    jumps = [-v * sf for v in fj] + [v * sg for v in gj]
+    knots = [u * rf for u, _ in fs] + [u * rg for u, _ in gs]
+    jumps = [-v * sf for _, v in fs] + [v * sg for _, v in gs]
     return knots, jumps, big_l, big_d
 
 
@@ -123,17 +113,17 @@ def dual_sd_check(a: Lottery, b: Lottery, m: int) -> DominanceReport:
 
     Checks, in order and without assuming any redundancy: mean(a) <=
     mean(b); dual moments 2..m-1 of a below b's; and the pointwise
-    comparison of m-fold iterated quantiles. The first failed condition is
-    reported, with a rational witness for pointwise failures. Degrees
-    past MAX_DEGREE are a DomainError.
+    comparison of m-fold iterated quantiles, all read from the two
+    lotteries' jump lists. The first failed condition is reported, with a
+    rational witness for pointwise failures. Degrees past MAX_DEGREE are
+    a DomainError.
     """
     _check_degree(m)
-    if m >= 2 and mean(a) > mean(b):
-        return DominanceReport("dual", m, "mean")
-    for k in range(2, m):
-        if dual_moment(a, k) > dual_moment(b, k):
-            return DominanceReport("dual", m, f"dual_moment_{k}")
-    knots, jumps, big_l, _ = _gap(_quantile_steps(a), _quantile_steps(b))
+    (ja, da, xa, _), (jb, db, xb, _) = _jumps(a), _jumps(b)
+    for k in range(1, m):
+        if _survival_power(ja, k, da, xa) > _survival_power(jb, k, db, xb):
+            return DominanceReport("dual", m, "mean" if k == 1 else f"dual_moment_{k}")
+    knots, jumps, big_l, _ = _gap((ja, da, xa), (jb, db, xb))
     ok, witness = _pointwise_leq(knots, jumps, big_l, big_l, m)
     if not ok:
         return DominanceReport("dual", m, "iterated_quantile", witness)

@@ -11,11 +11,10 @@ states, built at most once per object: the outcome numerators over
 their lcm denominator and the probability numerators over theirs.
 make_lottery and parse_lottery_text build it while they check the
 states, so the sign checks, the unit-mass check and the stable sort by
-outcome run in ints (and not again in the constructor); mean, raw_moment,
-primal_moment and the survival sweep of the valuation module read it.
-canonical_distribution merges ties on that form and hands the merged form
-on with its result, and the dominance checks build their jump lists from
-the same merge.
+outcome run in ints (and not again in the constructor); mean, raw_moment
+and primal_moment read it. _jumps reads the survival step function off
+it, the one form every dual quantity reads, and _support the merged
+support off that, for canonical_distribution and the primal CDF.
 
 The block operations of the apportionment module build their
 EqualProbLottery members from integer outcomes through _equal_prob,
@@ -28,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain, compress
 from math import gcd
-from operator import le, lt, mul
+from operator import le, mul, sub
 
 from .errors import (
     DomainError,
@@ -179,32 +179,36 @@ def as_distribution(obj) -> Lottery:
     return obj.to_lottery() if isinstance(obj, EqualProbLottery) else obj
 
 
-def _merged(lot) -> tuple[list[int], int, list[int], int]:
-    """The integer form with ties merged: (xs, xd, ps, pd) with xs strictly
-    increasing and ps[i]/pd the total probability of outcome xs[i]/xd.
+def _jumps(lot) -> tuple[list[tuple[int, int]], int, int, int]:
+    """The survival step function in the lottery's integer form.
 
-    Without ties these are the lottery's own lists; callers do not mutate them.
+    Returns (jumps, d, xd, top). jumps holds (c, step) for each distinct
+    outcome x_i above x_{i-1} (x_0 = 0): c/d = F(x_{i-1}) is the CDF below
+    it, so d - c counts the survival level, and step/xd = x_i - x_{i-1}.
+    Ties and a state at 0 add no step. The steps add up to top/xd, the
+    largest outcome.
     """
-    xs, xd, ps, pd = lot._ints
-    if all(map(lt, xs, xs[1:])):
-        return xs, xd, ps, pd
-    ux, up = [xs[0]], [ps[0]]
-    for x, p in zip(xs[1:], ps[1:]):
-        if x == ux[-1]:
-            up[-1] += p
-        else:
-            ux.append(x)
-            up.append(p)
-    return ux, xd, up, pd
+    xs, xd, ps, d = lot._ints
+    steps = list(map(sub, xs, chain((0,), xs)))
+    return list(compress(zip(accumulate(ps, initial=0), steps), steps)), d, xd, xs[-1]
+
+
+def _support(jumps, d: int) -> tuple[list[int], list[int]]:
+    """(xs, ps): the distinct outcomes of a jump list over its xd (0 and the
+    running sums of the steps) and their masses over d (the differences of
+    the CDF counts around them, d above the top); a massless 0 is dropped."""
+    cs = [c for c, _ in jumps]
+    xs = list(accumulate((step for _, step in jumps), initial=0))
+    ps = list(map(sub, cs + [d], [0] + cs))
+    return (xs, ps) if ps[0] else (xs[1:], ps[1:])
 
 
 def canonical_distribution(lot: Lottery) -> Lottery:
-    """Merge states with equal outcomes; the distribution itself.
-
-    The ties merge on the integer form, which the result carries (its
-    probability numerators over their lcm denominator)."""
+    """Merge states with equal outcomes; the distribution itself. The result
+    carries the merged support of the jump list (_support) as its integer form."""
     lot = as_distribution(lot)
-    xs, xd, ps, pd = _merged(lot)
+    jumps, pd, xd, _ = _jumps(lot)
+    xs, ps = _support(jumps, pd)
     if len(xs) == len(lot.states):
         return lot
     g = gcd(pd, *ps)

@@ -17,7 +17,7 @@ bernstein_nonneg is an accept-only pre-check in ints: an integer
 polynomial whose coefficients, or whose Bernstein coefficients on the
 interval, are all >= 0 is non-negative there, and a False from it
 decides nothing, so callers hand every other polynomial to
-nonneg_on_interval.
+nonneg_on_interval. It tries degrees up to BERNSTEIN_MAX_DEGREE only.
 
 Degrees reach the thousands: the tests certify a degree-1,050
 Polynomial, and analytic_derivative_sign takes Power and DualPower up to
@@ -69,6 +69,12 @@ def pshift(c: Poly, h) -> Poly:
     return c
 
 
+# The highest degree bernstein_nonneg tries: past about 40 its n^2/2 big-int
+# additions cost more than Sturm (20 times more at 1,049). Dominance pieces
+# (degree <= 15) and harness mixtures (<= 9) stay below it.
+BERNSTEIN_MAX_DEGREE = 32
+
+
 def bernstein_nonneg(c: list[int], h: int) -> bool:
     """An accept-only certificate that the integer polynomial c is >= 0 on [0, h], h > 0.
 
@@ -76,8 +82,11 @@ def bernstein_nonneg(c: list[int], h: int) -> bool:
     coefficient of c on [0, h] is (Farouki & Rajan 1988): c(h s) =
     sum_i b_i C(n, i) s^i (1 - s)^(n-i) on s in [0, 1], so b_i >= 0 for
     all i bounds c below by 0 there. In ints, n! b_i = sum_{k <= i}
-    C(i, k) c_k h^k k! (n-k)!. False decides nothing.
+    C(i, k) c_k h^k k! (n-k)!. False decides nothing, and it is the
+    answer for every degree past BERNSTEIN_MAX_DEGREE.
     """
+    if len(c) - 1 > BERNSTEIN_MAX_DEGREE:
+        return False
     if min(c) >= 0:
         return True
     if c[0] < 0:  # b_0 = c(0)

@@ -15,11 +15,12 @@ The m-th dual moment is the expected minimum of m independent draws,
 integral of S(x)^m, and coincides with the dual-theory value under the
 DualPower(m) weighting.
 
-dt_value and dual_moment are one sweep over the lottery's integer form
-(outcome numerators over xd, probability numerators over d, built once
-per lottery): at each distinct outcome it takes the integer CDF count c
-below it (so F = c/d and S = (d - c)/d) and the integer step to it, and
-every family reads those counts. DualPower(m) and the dual moments sum
+dt_value and dual_moment are one sweep over the lottery's jump list
+(lottery._jumps, read off its integer form): at each distinct outcome
+the integer CDF count c below it (so F = c/d and S = (d - c)/d) and the
+integer step to it, over the outcome denominator xd. Every family reads
+those counts, and so do the dominance gates and the pair gaps of the
+apportionment module. DualPower(m) and the dual moments sum
 (d - c)^m per step; the other exact families use V = x_max -
 sum_i h(F_i) (x_i - x_{i-1}): integer Power sums c^k, Identity, Quadratic
 and Polynomial run Horner on the numerators of h's coefficients over
@@ -32,19 +33,18 @@ Power) read the same counts through the weighting's float form, with
 the level c/d and the step as int true divisions, which are the
 correctly rounded floats of the rationals;
 an outcome beyond the float range is a DomainError. The raw and central
-moments are single integer sums over the same form.
+moments are single integer sums over the lottery's integer form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress
 from math import lcm
 from operator import mul, sub
 
 from .errors import DomainError, NonMonotoneUtility, UnsupportedFamily
-from .lottery import Lottery, as_distribution, mean
+from .lottery import Lottery, _jumps, as_distribution, mean
 from .rationals import _common_denominator, rat
 from .weighting import (
     DualPower,
@@ -160,7 +160,7 @@ def dt_value(lot: Lottery, w: WeightingSpec):
 
 
 def _value(w: WeightingSpec, jumps, d: int, xd: int, top: int):
-    """The survival sum of a jump list (as _jumps returns it) under w.
+    """The survival sum of a jump list (as lottery._jumps returns it) under w.
 
     Every family is linear in the steps and top, so the difference of two
     jump lists over the same CDF counts values to the difference of their
@@ -178,19 +178,6 @@ def _value(w: WeightingSpec, jumps, d: int, xd: int, top: int):
         case TverskyKahneman() | Prelec() | Power():
             return _float_sweep(jumps, w, d, xd)
     raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
-
-
-def _jumps(lot: Lottery) -> tuple[list[tuple[int, int]], int, int, int]:
-    """The terms of the survival sum in the lottery's integer form.
-
-    Returns (jumps, d, xd, top). jumps holds (c, step) for each distinct
-    outcome x_i above x_{i-1} (x_0 = 0): c/d = F(x_{i-1}) is the CDF below
-    it, so d - c counts the survival level, and step/xd = x_i - x_{i-1}.
-    The steps add up to top/xd, the largest outcome.
-    """
-    xs, xd, ps, d = lot._ints
-    steps = list(map(sub, xs, chain((0,), xs)))
-    return list(compress(zip(accumulate(ps, initial=0), steps), steps)), d, xd, xs[-1]
 
 
 def _survival_power(jumps, m: int, d: int, xd: int) -> Fraction:

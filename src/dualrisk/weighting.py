@@ -327,16 +327,16 @@ def float_form(w: WeightingSpec):
 
     The only float arithmetic of each family: eval_h and eval_h_prime
     call it for every point they do not keep exact. Every point gets the
-    [0, 1] check, and an OverflowError becomes DomainError; the
-    power-size bound, the same for every float, is checked here once. A
-    Fraction that meets a float is taken to float first, so the exact
-    families take their constants to float once, each exact
-    sub-expression (1 + beta, 2 beta, the derivative's coefficients)
-    formed exactly first; the Tabulated segment is chosen by exact
-    comparison. h' of a degree-1 Polynomial returns the exact constant
-    Fraction(1) at every float point. Polynomial
-    coefficients past the float range keep the mixed Fraction/float
-    formula, which raises at every point.
+    [0, 1] check, and an OverflowError or ZeroDivisionError becomes
+    DomainError (_on_floats); the power-size bound, the same for every
+    float, is checked here once. A Fraction that meets a float is taken
+    to float first, so the exact families take their constants to float
+    once, each exact sub-expression (1 + beta, 2 beta, the derivative's
+    coefficients) formed exactly first; the Tabulated segment is chosen
+    by exact comparison. h' of a degree-1 Polynomial returns the exact
+    constant Fraction(1) at every float point. Polynomial coefficients
+    past the float range keep the mixed Fraction/float formula, which
+    raises at every point.
     """
     match w:
         case Identity():
@@ -396,8 +396,8 @@ def float_form(w: WeightingSpec):
 
 
 def _on_floats(w: WeightingSpec, f):
-    """f behind the per-point checks: [0, 1] first, then an OverflowError
-    as DomainError."""
+    """f behind the per-point checks: [0, 1] first, then an OverflowError or
+    a ZeroDivisionError (TverskyKahneman's 0/0 at a large gamma) as DomainError."""
 
     def checked(x):
         if x < 0 or x > 1:
@@ -406,6 +406,8 @@ def _on_floats(w: WeightingSpec, f):
             return f(x)
         except OverflowError:
             raise DomainError(f"weighting {format_weighting(w)} overflows a float at p = {x}") from None
+        except ZeroDivisionError:
+            raise DomainError(f"weighting {format_weighting(w)} divides by zero in floats at p = {x}") from None
 
     return checked
 

@@ -9,7 +9,7 @@ sweeps integer CDF counts), the dual moment is a Fraction loop over the
 survival function or, on ranked equally likely states, a sum with
 closed-form per-state weights, the CDF and quantile walk the states one
 by one, ties merge by comparing and adding Fraction states (where the
-library merges the integer form), the mean, raw and central moments are
+library reads the merged support off the jump list), the mean, raw and central moments are
 Fraction sums over the states (where the library sums the lottery's
 integer form), the lottery parser reads every literal with rat and
 checks mass, signs and order in Fractions, the iterated quantile and CDF
@@ -43,7 +43,10 @@ into a float form once per solve.
 One section is not independent on purpose: spline, iterated_quantile
 and iterated_cdf wrap the library's integer splines
 (piecewise.spline_pieces) as PiecewisePoly over Fractions, so that the
-tests can hold those splines against the antiderivative chain.
+tests can hold those splines against the antiderivative chain. Their
+step lists come from merged_ints, quantile_steps and cdf_steps, which
+merge ties on the integer form explicitly, where the library reads both
+step lists off one jump list (lottery._jumps).
 """
 
 import bisect
@@ -54,6 +57,8 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
+from operator import sub
 
 import mpmath
 import numpy as np
@@ -92,7 +97,6 @@ from dualrisk import (
     make_block,
     rat,
 )
-from dualrisk.dominance import _cdf_steps, _quantile_steps
 from dualrisk.piecewise import global_coeffs, spline_pieces
 from dualrisk.polyops import Poly, nonneg_on_interval, pderiv, peval, ptrim
 
@@ -338,13 +342,43 @@ def spline(knots, jumps, end: int, big_l: int, big_d: int, m: int) -> PiecewiseP
     )
 
 
+def merged_ints(lot) -> tuple[list[int], int, list[int], int]:
+    """The integer form with ties merged: (xs, xd, ps, pd) with xs strictly
+    increasing and ps[i]/pd the total probability of outcome xs[i]/xd."""
+    xs, xd, ps, pd = lot._ints
+    ux, up = [xs[0]], [ps[0]]
+    for x, p in zip(xs[1:], ps[1:]):
+        if x == ux[-1]:
+            up[-1] += p
+        else:
+            ux.append(x)
+            up.append(p)
+    return ux, xd, up, pd
+
+
+def quantile_steps(lot):
+    """(knots, jumps, L, D) of the left-continuous quantile function on
+    [0, 1]: at the probability knots[i]/L below each distinct outcome it
+    jumps by jumps[i]/D, the step up to that outcome from the one below
+    (from 0 for the lowest, a jump of 0 when that is 0)."""
+    xs, xd, ps, pd = merged_ints(lot)
+    return list(accumulate(ps[:-1], initial=0)), list(map(sub, xs, [0, *xs])), pd, xd
+
+
+def cdf_steps(lot):
+    """(knots, jumps, L, D) of the left-continuous CDF: at each distinct
+    outcome knots[i]/L it jumps by that outcome's mass jumps[i]/D."""
+    xs, xd, ps, pd = merged_ints(lot)
+    return xs, ps, xd, pd
+
+
 def iterated_quantile(lot: Lottery, m: int) -> PiecewisePoly:
     """(m-1)-fold integral from 0 of the quantile function on [0, 1], from
     the closed-form spline. m = 1 is the left-continuous quantile step
     function itself, with breakpoints at the cumulative probabilities."""
     if m < 1:
         raise DomainError(f"iteration order must be >= 1, got {m}")
-    knots, jumps, big_l, big_d = _quantile_steps(lot)
+    knots, jumps, big_l, big_d = quantile_steps(lot)
     return spline(knots, jumps, big_l, big_l, big_d, m)
 
 
@@ -354,7 +388,7 @@ def iterated_cdf(lot: Lottery, m: int, hi: Fraction) -> PiecewisePoly:
         raise DomainError(f"iteration order must be >= 1, got {m}")
     if hi < max(lot.outcomes) or hi <= 0:
         raise DomainError("iterated CDF domain must cover the support and have positive length")
-    knots, jumps, xd, big_d = _cdf_steps(lot)
+    knots, jumps, xd, big_d = cdf_steps(lot)
     big_l = math.lcm(xd, hi.denominator)
     r = big_l // xd
     end = hi.numerator * (big_l // hi.denominator)

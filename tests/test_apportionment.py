@@ -353,8 +353,19 @@ class TestMakePair:
         # good one shifts the second dual moment between the members
         good = make_block(3, F(1, 6))
         corrupt = Block(3, ((0, F(-1, 6)), (1, F(1, 7))))
-        with pytest.raises(ConstructionInvariantError):
+        with pytest.raises(ConstructionInvariantError, match="dual moment 2 differs"):
             make_pair(base3, good, corrupt, 1, 2)
+        prov = PairProvenance(
+            kind="general",
+            order=3,
+            base_outcomes=base3.outcomes,
+            pos_first=1,
+            pos_second=2,
+            good_entries=good.entries,
+            bad_entries=corrupt.entries,
+        )
+        with pytest.raises(ConstructionInvariantError, match="dual moment 2 differs"):
+            rebuild_pair(PairProvenance.from_json(prov.to_json()))
 
 
 def increments(m, big_m):

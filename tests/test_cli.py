@@ -140,6 +140,14 @@ class TestEval:
         assert rows["mean"][1] == "1.5e-400"
         assert rows["central_moment_2"][1] == "2.5e-801"
 
+    def test_tk_where_both_powers_underflow_exits_two(self, lottery_files, capsys):
+        a, _ = lottery_files
+        assert main(["eval", a, "--weighting", "tk:gamma=2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad weighting spec 'tk:gamma=2000'")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("spec", ["tk:gamma=0.6", "prelec:a=1/2,b=1", "power:k=1/2"])
     def test_float_family_beyond_float_range_is_a_domain_error(self, tmp_path, capsys, spec):
         path = tmp_path / "big.txt"
@@ -450,6 +458,15 @@ class TestSelfProtect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: order too large for an exact value")
+
+    def test_tk_where_both_powers_underflow_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "tk.cfg"
+        cfg.write_text(SP_CONFIG.replace("dualpower:m=3", "tk:gamma=1e5"))
+        assert main(["selfprotect", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}:6: bad weighting spec 'tk:gamma=1e5'")
+        assert "Traceback" not in captured.err
 
     def test_no_background_rows_when_epsilon_zero(self, tmp_path, capsys):
         cfg = tmp_path / "bare.cfg"

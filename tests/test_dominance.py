@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from dualrisk import (
     DomainError,
     DualPower,
     EqualProbLottery,
+    as_distribution,
+    canonical_distribution,
     dt_value,
     dual_moment,
     dual_sd_check,
@@ -21,11 +24,13 @@ from dualrisk import (
     squeeze,
 )
 from dualrisk.dominance import MAX_DEGREE
+from dualrisk.lottery import _jumps
 from dualrisk.piecewise import global_coeffs, spline_pieces
 from dualrisk.polyops import bernstein_nonneg, nonneg_on_interval
 
 from conftest import lotteries, tied_lotteries
 from oracles import (
+    cdf_steps,
     degree,
     difference,
     dual_sd_rebuild,
@@ -34,8 +39,10 @@ from oracles import (
     iterated_cdf_per_point,
     iterated_quantile,
     iterated_quantile_per_piece,
+    merged_ints,
     primal_sd_rebuild,
     quantile,
+    quantile_steps,
 )
 
 F = Fraction
@@ -367,13 +374,68 @@ class TestClosedFormSplines:
                 assert (primal.holds, primal.failed_condition, primal.witness) == expected
 
 
+def _steps(reference):
+    """A reference (knots, jumps, L, D) list as the (steps, L, D) that dominance._gap reads."""
+    knots, jumps, big_l, big_d = reference
+    return list(zip(knots, jumps)), big_l, big_d
+
+
+def _dual_from_reference(a, b, m):
+    """dual_sd_check's report with its gates read through mean and
+    dual_moment and its spline from the reference quantile steps."""
+    if m >= 2 and mean(a) > mean(b):
+        return dominance.DominanceReport("dual", m, "mean")
+    for k in range(2, m):
+        if dual_moment(a, k) > dual_moment(b, k):
+            return dominance.DominanceReport("dual", m, f"dual_moment_{k}")
+    knots, jumps, big_l, _ = dominance._gap(_steps(quantile_steps(a)), _steps(quantile_steps(b)))
+    ok, witness = dominance._pointwise_leq(knots, jumps, big_l, big_l, m)
+    return dominance.DominanceReport("dual", m, None if ok else "iterated_quantile", witness)
+
+
+class TestOneJumpList:
+    """Everything read off the jump list (lottery._jumps) against the
+    reference merge of ties on the integer form."""
+
+    @given(integer_form_pairs(), st.integers(1, 6))
+    @example((POINT_MASS, make_lottery([(0, 1)])), 2)
+    @example((make_lottery([(0, 1)]), make_lottery([(0, 1)])), 3)
+    @example((TIED_AT_ZERO, AT_ZERO), 3)
+    @example((EqualProbLottery((F(0), F(0), F(5, 7))), SHARED_A), 2)
+    @example((SHARED_A, SHARED_B), 4)
+    @settings(max_examples=200, deadline=None)
+    def test_reads_match_the_reference_merge(self, pair, m):
+        for lot in pair:
+            jumps, d, xd, _ = _jumps(lot)
+            knots, steps, big_l, big_d = quantile_steps(lot)
+            assert (jumps, d, xd) == ([(u, v) for u, v in zip(knots, steps) if v], big_l, big_d)
+            assert dominance._cdf_steps(lot) == _steps(cdf_steps(lot))
+            xs, xd, ps, pd = merged_ints(lot)
+            can = canonical_distribution(lot)
+            assert can.states == tuple((F(x, xd), F(p, pd)) for x, p in zip(xs, ps))
+            if len(xs) == len(lot._ints[0]):
+                assert can._ints == as_distribution(lot)._ints
+            else:
+                g = math.gcd(pd, *ps)
+                assert can._ints == (xs, xd, [p // g for p in ps], pd // g)
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            assert dual_sd_check(x, y, m) == _dual_from_reference(x, y, m)
+            for ekern in (False, True):
+                report = primal_sd_check(x, y, m, ekern=ekern)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(dominance, "_cdf_steps", lambda lot: _steps(cdf_steps(lot)))
+                    assert report == primal_sd_check(x, y, m, ekern=ekern)
+
+
 def _gap_pieces(a, b, m, kind):
-    """(grid, pieces, L) of the difference spline a check certifies."""
+    """(grid, pieces, L) of the difference spline a check certifies, from
+    the reference step lists."""
     if kind == "dual":
-        knots, jumps, big_l, _ = dominance._gap(dominance._quantile_steps(a), dominance._quantile_steps(b))
+        knots, jumps, big_l, _ = dominance._gap(_steps(quantile_steps(a)), _steps(quantile_steps(b)))
         end = big_l
     else:
-        knots, jumps, big_l, _ = dominance._gap(dominance._cdf_steps(b), dominance._cdf_steps(a))
+        knots, jumps, big_l, _ = dominance._gap(_steps(cdf_steps(b)), _steps(cdf_steps(a)))
         end = max(knots)
     return (*spline_pieces(knots, jumps, end, m), big_l) if end else ([], [], big_l)
 

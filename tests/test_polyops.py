@@ -7,6 +7,7 @@ independent-oracle treatment; the integer kernel must return exactly the
 intervals and witnesses of the Fraction chain.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrisk.polyops import (
+    BERNSTEIN_MAX_DEGREE,
     bernstein_nonneg,
     isolate_roots,
     nonneg_on_interval,
@@ -230,6 +232,15 @@ class TestPreAccept:
     def test_negative_at_the_left_end_is_declined(self):
         assert not bernstein_nonneg([-1, 5], 3)
         assert not bernstein_nonneg([0, -1], 1)
+
+    def test_degrees_past_the_cap_are_declined(self):
+        # (1 - x)^n on [0, 1]: alternating coefficients, Bernstein coefficients 1, 0, ..., 0
+        assert 16 <= BERNSTEIN_MAX_DEGREE
+        for n in (BERNSTEIN_MAX_DEGREE, BERNSTEIN_MAX_DEGREE + 1):
+            c = [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
+            assert bernstein_nonneg(c, 1) is (n <= BERNSTEIN_MAX_DEGREE)
+            assert nonneg_on_interval(c, F(0), F(1)) == (True, None)
+        assert not bernstein_nonneg([1] * (BERNSTEIN_MAX_DEGREE + 2), 1)
 
 
 class TestShift:

@@ -355,6 +355,12 @@ class TestFloatOverflow:
         with pytest.raises(DomainError, match="tk:gamma=1e-05"):
             TverskyKahneman(gamma=1e-5)
 
+    @pytest.mark.parametrize("gamma", [2000.0, 1e5])
+    def test_tk_construction_where_both_powers_underflow(self, gamma):
+        with pytest.raises(DomainError, match="divides by zero"):
+            TverskyKahneman(gamma=gamma)
+        assert TverskyKahneman(gamma=1000.0).gamma == 1000.0
+
     def test_prelec_slope(self):
         with pytest.raises(DomainError, match="prelec:a=200"):
             eval_h_prime(Prelec(200.0), 1e-300)
