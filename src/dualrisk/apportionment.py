@@ -21,8 +21,9 @@ recursion on integer multiples of delta and hands the block its entries
 over delta's denominator (Block._ints); attach adds those to the base's
 integer outcomes over one common denominator, checks signs and ranking
 in ints, and gives the member its reduced integer form directly
-(lottery._equal_prob), building Fractions only for the states the
-blocks span. Every pair builder goes through attach.
+(lottery._equal_prob). A member is an EqualProbLottery, which stores only
+that form: it builds no Fraction until something reads its outcomes or
+states. Every pair builder goes through attach.
 
 C and D have the same n equally likely ranked states and differ only
 where the blocks sit, so their value gap under an exact weighting is a
@@ -169,10 +170,7 @@ def attach(
         scale = den // bd
         for o, v in entries:
             ints[pos - 1 + o] += v * scale
-    # states outside the blocks keep the base's outcomes
-    lo, hi = pos_first - 1, max(pos_first + first.span, pos_second + second.span)
-    moved = tuple(Fraction(a, den) for a in ints[lo:hi])
-    return _equal_prob(ints, den, lot.outcomes[:lo] + moved + lot.outcomes[hi:])
+    return _equal_prob(ints, den)
 
 
 def squeeze(lot: EqualProbLottery, i: int, j: int, x) -> EqualProbLottery:
@@ -397,7 +395,7 @@ def make_parsimonious_pair(
     (-1)^(k-1) binom(m-1, k-1) / M on states j+k, k = 1..m.
     M must be large enough that the ranking survives.
     """
-    base = EqualProbLottery(tuple(rat(x) for x in outcomes))
+    base = EqualProbLottery(outcomes)
     if m < 2:
         raise DomainError(f"pair order must be >= 2, got {m}")
     if base.n < m:
@@ -456,6 +454,6 @@ def preference_direction(pair: ApportionmentPair, w: WeightingSpec) -> int:
         gap = moved_state_gap(pair, w)
         return (gap > 0) - (gap < 0)
     diff = dt_value(pair.d, w) - dt_value(pair.c, w)
-    top = max(pair.c.outcomes[-1], pair.d.outcomes[-1])
+    top = max(Fraction(m._ints[0][-1], m._ints[1]) for m in (pair.c, pair.d))
     bound = 4 * pair.c.n * sys.float_info.epsilon * float(top)
     return (diff > bound) - (diff < -bound)

@@ -174,7 +174,7 @@ def cmd_pairgen(args) -> int:
     written = []
     for tag, member in (("c", pair.c), ("d", pair.d)):
         path = os.path.join(outdir, f"{prefix}_{tag}.txt")
-        _write_text(path, format_lottery_text(member.to_lottery()))
+        _write_text(path, format_lottery_text(member))
         written.append(path)
     prov_path = os.path.join(outdir, f"{prefix}_provenance.json")
     _write_text(prov_path, pair.provenance.to_json() + "\n")
@@ -290,7 +290,7 @@ def _sec4_rows() -> list[tuple]:
         put("payoffs", " ".join(format_exact(menu.payoff(s)) for s in stock.outcomes))
         put("premium", menu.premium(stock))
         put("portfolio_states", " ".join(map(format_exact, prices.outcomes)))
-        support = canonical_distribution(prices.to_lottery())
+        support = canonical_distribution(prices)
         put("portfolio_support", " ".join(format_exact(x) for x, _ in support.states))
         put("s0", s0)
         put(f"value_plain_dualpower_{m}", v_plain)

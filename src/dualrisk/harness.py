@@ -153,7 +153,7 @@ def random_base(rng: random.Random, m: int, n: int | None = None) -> EqualProbLo
     halves = [2 * rng.randint(1, 4)]
     for _ in range(n - 1):
         halves.append(halves[-1] + rng.randint(2, 8))
-    return _equal_prob(halves, 2, tuple(Fraction(a, 2) for a in halves))
+    return _equal_prob(halves, 2)
 
 
 def _random_gaps(rng: random.Random, m: int) -> tuple[int, ...]:

@@ -6,20 +6,20 @@ summing to one. States with equal outcomes are kept distinct: the ranked
 state list is what squeeze and block operations act on, and questions
 about the distribution itself go through canonical_distribution.
 
-Lottery and EqualProbLottery also carry one integer form of their
-states, built at most once per object: the outcome numerators over
-their lcm denominator and the probability numerators over theirs.
-make_lottery and parse_lottery_text build it while they check the
-states, so the sign checks, the unit-mass check and the stable sort by
-outcome run in ints (and not again in the constructor); mean, raw_moment
-and primal_moment read it. _jumps reads the survival step function off
-it, the one form every dual quantity reads, and _support the merged
-support off that, for canonical_distribution and the primal CDF.
+A Lottery also carries one integer form of its states, built at most
+once per object: the outcome numerators over their lcm denominator and
+the probability numerators over theirs. make_lottery and
+parse_lottery_text build it while they check the states, so the sign
+checks, the unit-mass check and the stable sort by outcome run in ints
+(and not again in the constructor); mean, raw_moment and primal_moment
+read it. _jumps reads the survival step function off it, the one form
+every dual quantity reads, and _support the merged support off that,
+for canonical_distribution and the primal CDF.
 
-The block operations of the apportionment module build their
-EqualProbLottery members from integer outcomes through _equal_prob,
-which runs the constructor's sign and ranking checks on those ints and
-keeps their reduced form.
+An EqualProbLottery is a Lottery of n equally likely states that stores
+only this integer form; its outcomes and states are Fractions read off
+it when first asked for, so the block operations of the apportionment
+module build their members from ints alone (_equal_prob).
 """
 
 from __future__ import annotations
@@ -49,12 +49,23 @@ class Lottery:
     states: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        xs, _, ps, pd = self._ints
-        _check_ranked(xs, self.outcomes)
+        xs, xd, ps, pd = self._ints
+        _check_ranked(xs, xd)
         if sum(ps) != pd:
             raise NonUnitMass(f"probabilities sum to {Fraction(sum(ps), pd)}, not 1")
         if min(ps) <= 0:
             raise NonPositiveProbability(f"probability {min(self.probabilities)} is not positive")
+
+    @classmethod
+    def _trusted(cls, ints, **fields):
+        """A cls lottery with integer form ints and fields, as the caller checked them."""
+        lot = object.__new__(cls)
+        lot.__dict__.update(_ints=ints, **fields)
+        return lot
+
+    def __eq__(self, other):
+        """Lotteries are equal when their ranked states are, whatever their class."""
+        return self.states == other.states if isinstance(other, Lottery) else NotImplemented
 
     @property
     def outcomes(self) -> tuple[Fraction, ...]:
@@ -65,7 +76,7 @@ class Lottery:
         return tuple(p for _, p in self.states)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._ints[0])
 
     @cached_property
     def _ints(self) -> tuple[list[int], int, list[int], int]:
@@ -75,61 +86,54 @@ class Lottery:
         return xs, xd, ps, pd
 
 
-def _with_ints(states, ints) -> Lottery:
-    """The Lottery of states the caller has checked, with integer form ints."""
-    lot = object.__new__(Lottery)
-    lot.__dict__.update(states=states, _ints=ints)
-    return lot
+@dataclass(frozen=True, init=False, eq=False)
+class EqualProbLottery(Lottery):
+    """n equally likely ranked states; the carrier for block operations. It
+    stores only its integer form (xs, xd, [1] * n, n), xs over xd reduced;
+    outcomes and states are read off it when first asked for."""
 
-
-@dataclass(frozen=True)
-class EqualProbLottery:
-    """n equally likely ranked states; the carrier for block operations."""
-
-    outcomes: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.outcomes:
+    def __init__(self, outcomes):
+        xs, xd = _common_denominator([rat(x) for x in outcomes])
+        if not xs:
             raise DomainError("an equal-probability lottery needs at least one outcome")
-        outcomes = tuple(rat(x) for x in self.outcomes)
-        xs, xd = _common_denominator(outcomes)
-        _check_ranked(xs, outcomes)
-        self.__dict__.update(outcomes=outcomes, _ints=(xs, xd, [1] * len(xs), len(xs)))
+        _check_ranked(xs, xd)
+        self.__dict__["_ints"] = xs, xd, [1] * len(xs), len(xs)
+
+    @cached_property
+    def outcomes(self) -> tuple[Fraction, ...]:
+        xs, xd = self._ints[:2]
+        return tuple(Fraction(a, xd) for a in xs)
+
+    @cached_property
+    def states(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        p = Fraction(1, len(self))
+        return tuple((x, p) for x in self.outcomes)
 
     @property
     def n(self) -> int:
-        return len(self.outcomes)
-
-    def to_lottery(self) -> Lottery:
-        p = Fraction(1, self.n)
-        return _with_ints(tuple((x, p) for x in self.outcomes), self._ints)
+        return len(self)
 
 
-def _check_ranked(xs: list[int], outcomes: tuple[Fraction, ...]) -> None:
-    """The constructors' sign and ranking checks, run on the numerators xs
-    of the outcomes over one denominator."""
+def _check_ranked(xs: list[int], xd: int) -> None:
+    """The constructors' sign and ranking checks on the outcomes xs[i]/xd."""
     if all(map(le, [0, *xs], xs)):
         return
     for i, a in enumerate(xs):
         if a < 0:
-            raise NegativeOutcome(f"outcome {outcomes[i]} at state {i} is negative")
+            raise NegativeOutcome(f"outcome {Fraction(a, xd)} at state {i} is negative")
         if i and a < xs[i - 1]:
-            raise RankViolation(
-                f"outcomes must be non-decreasing; state {i} has {outcomes[i]} after {outcomes[i-1]}"
-            )
+            x, prev = Fraction(a, xd), Fraction(xs[i - 1], xd)
+            raise RankViolation(f"outcomes must be non-decreasing; state {i} has {x} after {prev}")
 
 
-def _equal_prob(xs: list[int], xd: int, outcomes: tuple[Fraction, ...]) -> EqualProbLottery:
-    """The EqualProbLottery of the outcomes xs[i]/xd (xd > 0), which the
-    caller also passes as Fractions: the constructor's checks run in ints,
-    and the lottery keeps the reduced form of xs over xd as its _ints."""
-    _check_ranked(xs, outcomes)
+def _equal_prob(xs: list[int], xd: int) -> EqualProbLottery:
+    """The EqualProbLottery of the outcomes xs[i]/xd (xd > 0), checked as the
+    constructor checks them, with their reduced form as its _ints."""
+    _check_ranked(xs, xd)
     g = gcd(xd, *xs)
     if g > 1:
         xs, xd = [a // g for a in xs], xd // g
-    lot = object.__new__(EqualProbLottery)
-    lot.__dict__.update(outcomes=outcomes, _ints=(xs, xd, [1] * len(xs), len(xs)))
-    return lot
+    return EqualProbLottery._trusted((xs, xd, [1] * len(xs), len(xs)))
 
 
 def _ranked(states: list[tuple[Fraction, Fraction]]) -> Lottery:
@@ -143,8 +147,8 @@ def _ranked(states: list[tuple[Fraction, Fraction]]) -> Lottery:
     if total != pd:
         raise NonUnitMass(f"probabilities sum to {Fraction(total, pd)}, not 1")
     order = sorted(range(len(states)), key=xs.__getitem__)
-    return _with_ints(
-        tuple(states[i] for i in order), ([xs[i] for i in order], xd, [ps[i] for i in order], pd)
+    return Lottery._trusted(
+        ([xs[i] for i in order], xd, [ps[i] for i in order], pd), states=tuple(states[i] for i in order)
     )
 
 
@@ -167,16 +171,14 @@ def make_lottery(pairs) -> Lottery:
 
 
 def equal_prob_from_lottery(lot: Lottery) -> EqualProbLottery:
-    """Reinterpret a lottery with uniform state probabilities as ranked states."""
-    p = Fraction(1, len(lot))
-    if any(q != p for q in lot.probabilities):
+    """Reinterpret a lottery with uniform state probabilities as ranked states.
+
+    Its positive probability numerators sum to pd, their lcm denominator,
+    so they are all 1 exactly when pd is the state count.
+    """
+    if lot._ints[3] != len(lot):
         raise DomainError("lottery does not have equal state probabilities")
-    return EqualProbLottery(lot.outcomes)
-
-
-def as_distribution(obj) -> Lottery:
-    """Coerce Lottery | EqualProbLottery to a Lottery."""
-    return obj.to_lottery() if isinstance(obj, EqualProbLottery) else obj
+    return EqualProbLottery._trusted(lot._ints)
 
 
 def _jumps(lot) -> tuple[list[tuple[int, int]], int, int, int]:
@@ -206,15 +208,14 @@ def _support(jumps, d: int) -> tuple[list[int], list[int]]:
 def canonical_distribution(lot: Lottery) -> Lottery:
     """Merge states with equal outcomes; the distribution itself. The result
     carries the merged support of the jump list (_support) as its integer form."""
-    lot = as_distribution(lot)
     jumps, pd, xd, _ = _jumps(lot)
     xs, ps = _support(jumps, pd)
-    if len(xs) == len(lot.states):
+    if len(xs) == len(lot):
         return lot
     g = gcd(pd, *ps)
     ps, pd = [p // g for p in ps], pd // g
     states = tuple((Fraction(x, xd), Fraction(p, pd)) for x, p in zip(xs, ps))
-    return _with_ints(states, (xs, xd, ps, pd))
+    return Lottery._trusted((xs, xd, ps, pd), states=states)
 
 
 def mean(lot: Lottery) -> Fraction:

@@ -44,7 +44,7 @@ from math import lcm
 from operator import mul, sub
 
 from .errors import DomainError, NonMonotoneUtility, UnsupportedFamily
-from .lottery import Lottery, _jumps, as_distribution, mean
+from .lottery import Lottery, _jumps, mean
 from .rationals import _common_denominator, rat
 from .weighting import (
     DualPower,
@@ -131,7 +131,7 @@ def eval_utility(u: UtilityFunction, x: Fraction) -> Fraction:
 
 def _check_monotone_on(u: UtilityFunction, lot: Lottery) -> None:
     if isinstance(u, QuadraticUtility) and u.c > 0:
-        top = max(lot.outcomes)
+        top = Fraction(lot._ints[0][-1], lot._ints[1])
         if 2 * u.c * top > 1:
             raise NonMonotoneUtility(
                 f"quadratic utility with c={u.c} decreases beyond x={1 / (2 * u.c)}, "
@@ -141,7 +141,6 @@ def _check_monotone_on(u: UtilityFunction, lot: Lottery) -> None:
 
 def eu_value(lot: Lottery, u: UtilityFunction) -> Fraction:
     """Expected utility sum p_i u(x_i); utility must be non-decreasing on the support."""
-    lot = as_distribution(lot)
     _check_monotone_on(u, lot)
     return sum((p * eval_utility(u, x) for x, p in lot.states), Fraction(0))
 

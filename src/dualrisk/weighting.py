@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 
 from . import polyops
@@ -557,8 +558,10 @@ def _h_coeffs(w: WeightingSpec) -> list[Fraction] | None:
 
 
 def _dual_power_ints(m: int) -> list[int]:
-    """1 - (1 - p)^m expanded, lowest degree first: 0, then (-1)^(i+1) C(m, i)."""
-    return [0] + [(-1) ** (i + 1) * math.comb(m, i) for i in range(1, m + 1)]
+    """1 - (1 - p)^m expanded, lowest degree first: 0, then (-1)^(i+1) C(m, i),
+    with C(m, i) = C(m, i - 1) (m - i + 1) / i, an exact division."""
+    cs = accumulate(range(1, m + 1), lambda c, i: c * (m - i + 1) // i, initial=1)
+    return [0] + [c if i % 2 else -c for i, c in enumerate(cs) if i]
 
 
 def dual_power_mixture(weights: dict[int, Fraction]) -> Polynomial:

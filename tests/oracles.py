@@ -88,7 +88,6 @@ from dualrisk import (
     SPSolution,
     Tabulated,
     TverskyKahneman,
-    as_distribution,
     dt_value,
     eval_h,
     eval_hbar,
@@ -108,7 +107,7 @@ from dualrisk.polyops import Poly, nonneg_on_interval, pderiv, peval, ptrim
 def cdf(lot: Lottery, x) -> Fraction:
     """P(X <= x)."""
     x = rat(x)
-    return sum((p for o, p in as_distribution(lot).states if o <= x), Fraction(0))
+    return sum((p for o, p in lot.states if o <= x), Fraction(0))
 
 
 def survival(lot: Lottery, x) -> Fraction:
@@ -122,7 +121,7 @@ def quantile(lot: Lottery, q) -> Fraction:
     if q <= 0 or q > 1:
         raise DomainError(f"quantile level must satisfy 0 < q <= 1, got {q}")
     acc = Fraction(0)
-    for x, p in as_distribution(lot).states:
+    for x, p in lot.states:
         acc += p
         if acc >= q:
             return x
@@ -132,7 +131,7 @@ def quantile(lot: Lottery, q) -> Fraction:
 def canonical_distribution_fraction(lot: Lottery) -> Lottery:
     """Equal outcomes merged by comparing and adding the Fraction states."""
     merged: list[tuple[Fraction, Fraction]] = []
-    for x, p in as_distribution(lot).states:
+    for x, p in lot.states:
         if merged and merged[-1][0] == x:
             merged[-1] = (x, merged[-1][1] + p)
         else:
@@ -145,17 +144,16 @@ def canonical_distribution_fraction(lot: Lottery) -> Lottery:
 
 
 def mean(lot: Lottery) -> Fraction:
-    return sum((x * p for x, p in as_distribution(lot).states), Fraction(0))
+    return sum((x * p for x, p in lot.states), Fraction(0))
 
 
 def raw_moment(lot: Lottery, k: int) -> Fraction:
     """E[X^k]."""
-    return sum((p * x**k for x, p in as_distribution(lot).states), Fraction(0))
+    return sum((p * x**k for x, p in lot.states), Fraction(0))
 
 
 def primal_moment(lot: Lottery, k: int) -> Fraction:
     """Mean for k = 1, central moment E[(X - mu)^k] for k >= 2."""
-    lot = as_distribution(lot)
     if k == 1:
         return mean(lot)
     mu = mean(lot)
@@ -489,6 +487,15 @@ def block_entries_reference(delta: Fraction, gaps) -> tuple[tuple[int, Fraction]
 def good_and_bad(m: int, delta, gaps=None):
     """The good and the bad order-m block of amplitude delta > 0."""
     return make_block(m, delta, gaps), make_block(m, -delta, gaps)
+
+
+def equal_prob_reference(outcomes) -> Lottery:
+    """The ordinary Lottery of n equally likely ranked outcomes, each state
+    (x, 1/n) in Fractions through Lottery's own constructor: what the
+    conversion of an equal-probability lottery gave while the two were
+    separate types."""
+    p = Fraction(1, len(outcomes))
+    return Lottery(tuple((Fraction(x), p) for x in outcomes))
 
 
 def attach_reference(lot, first, second, pos_first: int, pos_second: int):

@@ -128,7 +128,7 @@ def test_criterion_2_dual_moment_preservation(seeded_pairs):
     start = time.perf_counter()
     for m in ORDERS:
         for pair in seeded_pairs[m]:
-            c, d = pair.c.to_lottery(), pair.d.to_lottery()
+            c, d = pair.c, pair.d
             for k in range(1, m):
                 assert dual_moment(c, k) == dual_moment(d, k)
             assert dual_sd_check(c, d, m).holds
@@ -187,9 +187,9 @@ def test_criterion_5_moment_table():
     base3 = EqualProbLottery((F(1), F(2), F(4)))
     base4 = EqualProbLottery((F(1), F(2), F(4), F(7)))
     pair3 = make_pair(base3, make_block(3, F(1, 6)), make_block(3, F(-1, 6)), 1, 2)
-    c3, d3 = pair3.c.to_lottery(), pair3.d.to_lottery()
+    c3, d3 = pair3.c, pair3.d
     pair4 = make_pair(base4, make_block(4, F(1, 4)), make_block(4, F(-1, 4)), 1, 2)
-    c4, d4 = pair4.c.to_lottery(), pair4.d.to_lottery()
+    c4, d4 = pair4.c, pair4.d
 
     # direct-expansion oracles first, then the library values they freeze
     for lot in (c3, d3, c4, d4):
@@ -246,8 +246,8 @@ def test_criterion_6_portfolio():
             w = dual_power_mixture({m + i: F(raw[i], total) for i in range(4) if raw[i]})
             assert portfolio_value(pp, menus[m], w) >= portfolio_value(pp, None, w)
 
-    plain = stocks[3].to_lottery()
-    supp = supplemented_prices(stocks[3], menus[3]).to_lottery()
+    plain = stocks[3]
+    supp = supplemented_prices(stocks[3], menus[3])
     kinked = TabulatedUtility(((F(0), F(0)), (F(2), F(2)), (F(8), F(5))))
     quadratic = QuadraticUtility(F(1, 20))
     assert eu_value(supp, kinked) > eu_value(plain, kinked)

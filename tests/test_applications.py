@@ -220,8 +220,8 @@ class TestPortfolioValue:
 
     def test_expected_utility_splits_on_the_order_three_menu(self):
         menu = build_menu(3, STOCK3)
-        plain = STOCK3.to_lottery()
-        supp = supplemented_prices(STOCK3, menu).to_lottery()
+        plain = STOCK3
+        supp = supplemented_prices(STOCK3, menu)
         concave_kinked = TabulatedUtility(((F(0), F(0)), (F(2), F(2)), (F(8), F(5))))
         assert eu_value(supp, concave_kinked) == 3
         assert eu_value(plain, concave_kinked) == F(23, 8)

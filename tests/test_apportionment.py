@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
@@ -21,6 +22,8 @@ from dualrisk import (
     EqualProbLottery,
     FormatError,
     Identity,
+    LinearUtility,
+    Lottery,
     NegativeOutcome,
     PairProvenance,
     Polynomial,
@@ -28,19 +31,27 @@ from dualrisk import (
     PrecedenceViolation,
     Prelec,
     Quadratic,
+    QuadraticUtility,
     RankViolation,
     Tabulated,
+    TabulatedUtility,
     attach,
+    canonical_distribution,
     dt_value,
     dual_moment,
     dual_power_mixture,
     dual_sd_check,
+    equal_prob_from_lottery,
+    eu_value,
+    format_lottery_text,
     make_block,
+    make_lottery,
     make_pair,
     make_parsimonious_pair,
     mean,
     preference_direction,
     primal_moment,
+    primal_sd_check,
     random_base,
     random_pair,
     rebuild_pair,
@@ -49,11 +60,13 @@ from dualrisk import (
 )
 from dualrisk.apportionment import ApportionmentPair, moved_state_gap
 
+from conftest import lotteries
 from oracles import (
     attach_reference,
     block_entries_reference,
     dt_value_mpmath,
     dual_moment_weights,
+    equal_prob_reference,
     good_and_bad,
     preference_direction_reference,
 )
@@ -88,8 +101,8 @@ class TestSqueeze:
         wide = ep(1, F(3, 2), 6, F(19, 2))
         assert squeeze(wide, 2, 4, F(1, 2)) == base
         for lt in (tight, wide):
-            assert mean(lt.to_lottery()) == mean(base.to_lottery())
-        var = lambda lt: primal_moment(lt.to_lottery(), 2)
+            assert mean(lt) == mean(base)
+        var = lambda lt: primal_moment(lt, 2)
         assert var(tight) < var(base) < var(wide)
 
     def test_negative_outcome_blocked(self):
@@ -250,6 +263,128 @@ class TestIntegerBuild:
             assert (pair.d._ints, pair.c._ints) == tuple(member._ints for member in members)
 
 
+# ---------------------------------------------------------------------------
+# one lottery type: an EqualProbLottery is the Lottery of its states
+
+STATE_OUTCOMES = st.builds(F, st.integers(0, 40), st.sampled_from((1, 2, 3, 5, 7, 12)))
+READ_FAMILIES = (Identity(), Quadratic(F(1, 3)), DualPower(3), Power(2), Power(F(1, 2)), TverskyKahneman(0.61))
+UTILITIES = (LinearUtility(), QuadraticUtility(F(1, 200)), TabulatedUtility(((F(0), F(0)), (F(2), F(3)), (F(60), F(5)))))
+
+
+def _drawn_member(data):
+    """(member, outcomes): an EqualProbLottery built directly, by attach on
+    a block_builds draw or by squeeze, and the outcomes it must have,
+    computed in Fractions; None when the build raises, after checking that
+    the Fraction reference raises the same error with the same message."""
+    route = data.draw(st.sampled_from(("direct", "attach", "squeeze")))
+    if route == "attach":
+        m, base, good_delta, good_gaps, bad_delta, bad_gaps, pos_first, pos_second = data.draw(block_builds())
+        blocks = [make_block(m, good_delta, good_gaps), make_block(m, -bad_delta, bad_gaps)]
+        if data.draw(st.booleans()):
+            blocks.reverse()
+        got = _result(attach, base, *blocks, pos_first, pos_second)
+        want = _result(attach_reference, base, *blocks, pos_first, pos_second)
+        if not isinstance(got, EqualProbLottery):
+            assert got == want
+            return None
+        return got, want[0]
+    outcomes = sorted(data.draw(st.lists(STATE_OUTCOMES, min_size=2 if route == "squeeze" else 1, max_size=9)))
+    if route == "direct":
+        return EqualProbLottery(outcomes), outcomes
+    n = len(outcomes)
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(i + 1, n))
+    x = data.draw(st.fractions(0, 12, max_denominator=6))
+    moved = list(outcomes)
+    moved[i - 1] += x
+    moved[j - 1] -= x
+    got = _result(squeeze, EqualProbLottery(outcomes), i, j, x)
+    if not isinstance(got, EqualProbLottery):
+        assert got == _result(equal_prob_reference, moved)
+        return None
+    return got, moved
+
+
+class TestOneLotteryType:
+    """An EqualProbLottery stores only its integer form, and every function
+    reads it as it reads the ordinary Lottery of the same equally likely
+    states (oracles.equal_prob_reference)."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_members_read_as_the_reference_lottery(self, data):
+        drawn = _drawn_member(data)
+        if drawn is None:
+            return
+        member, outcomes = drawn
+        assert isinstance(member, Lottery) and set(vars(member)) == {"_ints"}
+        ref = equal_prob_reference(outcomes)
+        assert member.states == ref.states and member.outcomes == ref.outcomes
+        assert all(type(x) is F for x in member.outcomes)
+        assert member._ints == ref._ints and len(member) == member.n == len(ref)
+        assert member == ref and ref == member and hash(member) == hash(ref)
+        assert format_lottery_text(member) == format_lottery_text(ref)
+        can, can_ref = canonical_distribution(member), canonical_distribution(ref)
+        assert (can.states, can._ints) == (can_ref.states, can_ref._ints)
+        for u in UTILITIES:
+            assert _result(eu_value, member, u) == _result(eu_value, ref, u)
+        for w in READ_FAMILIES:
+            assert _result(dt_value, member, w) == _result(dt_value, ref, w)
+        other = data.draw(lotteries())
+        for check, m in ((dual_sd_check, 2), (dual_sd_check, 3), (primal_sd_check, 2), (primal_sd_check, 3)):
+            assert check(member, other, m) == check(ref, other, m)
+            assert check(other, member, m) == check(other, ref, m)
+
+    def test_random_bases_store_only_their_integer_form(self):
+        rng = random.Random(5)
+        for m in (2, 3, 4, 5):
+            base = random_base(rng, m)
+            assert set(vars(base)) == {"_ints"}
+            assert base == equal_prob_reference(base.outcomes) and base._ints[1] in (1, 2)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 6).map(lambda k: F(k, 2)), st.integers(1, 3)), min_size=1, max_size=7),
+        st.sampled_from(("make", "constructor", "canonical")),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_prob_from_lottery_refuses_exactly_unequal_probabilities(self, drawn, route):
+        total = sum(w for _, w in drawn)
+        lot = make_lottery([(x, F(w, total)) for x, w in drawn])
+        if route == "constructor":
+            lot = Lottery(lot.states)
+        elif route == "canonical":
+            lot = canonical_distribution(lot)
+        if any(p != F(1, len(lot)) for p in lot.probabilities):
+            with pytest.raises(DomainError, match="^lottery does not have equal state probabilities$"):
+                equal_prob_from_lottery(lot)
+        else:
+            got = equal_prob_from_lottery(lot)
+            assert type(got) is EqualProbLottery and got == lot
+            assert got._ints == EqualProbLottery(lot.outcomes)._ints
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Lottery(((F(-1, 3), F(1, 2)), (F(1), F(1, 2)))), NegativeOutcome,
+             "outcome -1/3 at state 0 is negative"),
+            (lambda: Lottery(((F(2, 3), F(1, 2)), (F(1, 3), F(1, 2)))), RankViolation,
+             "outcomes must be non-decreasing; state 1 has 1/3 after 2/3"),
+            (lambda: EqualProbLottery((F(1, 2), F(-1, 3))), NegativeOutcome,
+             "outcome -1/3 at state 1 is negative"),
+            (lambda: EqualProbLottery((1, "7/3", "9/4", 3)), RankViolation,
+             "outcomes must be non-decreasing; state 2 has 9/4 after 7/3"),
+            (lambda: attach(ep(F(1, 3), 2, 3, 4), make_block(2, -1), make_block(2, 1), 1, 3), NegativeOutcome,
+             "outcome -2/3 at state 0 is negative"),
+            (lambda: attach(ep(F(1, 3), F(2, 3), 3, 10), make_block(2, F(1, 2)), make_block(2, F(-1, 2)), 1, 3),
+             RankViolation, "outcomes must be non-decreasing; state 1 has 2/3 after 5/6"),
+        ],
+        ids=["lottery-negative", "lottery-rank", "equal-negative", "equal-rank", "attach-negative", "attach-rank"],
+    )
+    def test_sign_and_rank_messages(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+
 class TestAttach:
     def test_third_order_good_first(self, base3):
         good, bad = good_and_bad(3, F(1, 6))
@@ -284,13 +419,13 @@ class TestMakePair:
         pair = make_pair(base, good, bad, 1, 2)
         assert pair.d == ep(F(5, 4), F(7, 4))
         assert pair.c == ep(F(3, 4), F(9, 4))
-        assert primal_moment(pair.c.to_lottery(), 2) == F(9, 16)
-        assert primal_moment(pair.d.to_lottery(), 2) == F(1, 16)
+        assert primal_moment(pair.c, 2) == F(9, 16)
+        assert primal_moment(pair.d, 2) == F(1, 16)
 
     def test_third_order_moment_table(self, base3):
         good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(base3, good, bad, 1, 2)
-        c, d = pair.c.to_lottery(), pair.d.to_lottery()
+        c, d = pair.c, pair.d
         assert mean(c) == mean(d) == F(7, 3)
         assert primal_moment(d, 2) == F(31, 18)
         assert primal_moment(c, 2) == F(27, 18)
@@ -299,14 +434,14 @@ class TestMakePair:
         # with consecutive integers the second-order effects cancel
         good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(ep(1, 2, 3), good, bad, 1, 2)
-        c, d = pair.c.to_lottery(), pair.d.to_lottery()
+        c, d = pair.c, pair.d
         assert primal_moment(c, 2) == primal_moment(d, 2)
         assert primal_moment(c, 3) != primal_moment(d, 3)
 
     def test_fourth_order_moment_table(self, base4):
         good, bad = good_and_bad(4, F(1, 4))
         pair = make_pair(base4, good, bad, 1, 2)
-        c, d = pair.c.to_lottery(), pair.d.to_lottery()
+        c, d = pair.c, pair.d
         assert mean(c) == mean(d) == F(7, 2)
         assert primal_moment(c, 2) == primal_moment(d, 2) == F(89, 16)
         assert primal_moment(c, 3) == F(63, 8)
@@ -327,7 +462,7 @@ class TestMakePair:
             span = good.span + 1
             pos = rng.randint(1, n - span - 1)
             pair = make_pair(base, good, bad, pos, pos + 1)
-            c, d = pair.c.to_lottery(), pair.d.to_lottery()
+            c, d = pair.c, pair.d
             for k in range(1, m):
                 assert dual_moment(c, k) == dual_moment(d, k)
             assert dual_sd_check(c, d, m).holds
@@ -437,9 +572,9 @@ class TestPreferenceDirection:
         pair = make_pair(base3, good, bad, 1, 2)
         for j in (3, 4, 5, 6):
             w = DualPower(j)
-            v_base = dt_value(base3.to_lottery(), w)
-            assert dt_value(pair.d.to_lottery(), w) >= v_base
-            assert v_base >= dt_value(pair.c.to_lottery(), w)
+            v_base = dt_value(base3, w)
+            assert dt_value(pair.d, w) >= v_base
+            assert v_base >= dt_value(pair.c, w)
 
 
     def test_float_families_sign_only_what_the_float_gap_resolves(self):
@@ -457,14 +592,14 @@ class TestPreferenceDirection:
             first = rng.randint(1, n - good.span - 1)
             pair = make_pair(base, good, bad, first, rng.randint(first + 1, n - good.span))
             for w in families:
-                gap = dt_value_mpmath(pair.d.to_lottery(), w) - dt_value_mpmath(pair.c.to_lottery(), w)
+                gap = dt_value_mpmath(pair.d, w) - dt_value_mpmath(pair.c, w)
                 assert preference_direction(pair, w) in (0, (gap > 0) - (gap < 0))
 
     def test_float_families_resolve_ordinary_gaps(self, base3):
         good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(base3, good, bad, 1, 2)
         for w in (TverskyKahneman(0.8), Prelec(0.65)):
-            gap = dt_value_mpmath(pair.d.to_lottery(), w) - dt_value_mpmath(pair.c.to_lottery(), w)
+            gap = dt_value_mpmath(pair.d, w) - dt_value_mpmath(pair.c, w)
             assert abs(gap) > 1e-6
             assert preference_direction(pair, w) == (gap > 0) - (gap < 0)
 

@@ -250,8 +250,8 @@ class TestPairgen:
         assert code == 0
         c, d = EXPECTED_PAIRS[(order, base, big_m)]
         prefix = f"order{order}"
-        assert (tmp_path / f"{prefix}_c.txt").read_text() == format_lottery_text(c.to_lottery())
-        assert (tmp_path / f"{prefix}_d.txt").read_text() == format_lottery_text(d.to_lottery())
+        assert (tmp_path / f"{prefix}_c.txt").read_text() == format_lottery_text(c)
+        assert (tmp_path / f"{prefix}_d.txt").read_text() == format_lottery_text(d)
         printed = capsys.readouterr().out.strip().splitlines()
         assert printed == [
             str(tmp_path / f"{prefix}_{tag}") for tag in ("c.txt", "d.txt", "provenance.json")
@@ -294,7 +294,7 @@ class TestPairgen:
             ["pairgen", "--order", "3", "--base", str(base), "--M", "6", "--outdir", str(tmp_path)]
         ) == 0
         expected = EXPECTED_PAIRS[("3", "1,2,4", "6")][1]
-        assert (tmp_path / "order3_d.txt").read_text() == format_lottery_text(expected.to_lottery())
+        assert (tmp_path / "order3_d.txt").read_text() == format_lottery_text(expected)
 
     def test_overlarge_amplitude_rejected(self, tmp_path, capsys):
         assert main(
@@ -310,7 +310,7 @@ class TestPairgen:
         prov = json.loads((tmp_path / "order3_provenance.json").read_text())
         assert prov["kind"] == "parsimonious"
         c_text = (tmp_path / "order3_c.txt").read_text()
-        assert c_text == format_lottery_text(EqualProbLottery(tuple(map(F, range(1, 6)))).to_lottery())
+        assert c_text == format_lottery_text(EqualProbLottery(tuple(map(F, range(1, 6)))))
 
     def test_base_required(self, capsys):
         assert main(["pairgen", "--order", "3"]) == 2

@@ -11,7 +11,6 @@ from dualrisk import (
     DomainError,
     DualPower,
     EqualProbLottery,
-    as_distribution,
     canonical_distribution,
     dt_value,
     dual_moment,
@@ -101,7 +100,7 @@ class TestDualCheck:
 
     def test_constructed_pair_holds(self, base3):
         pair = sec3_pair(3, (1, 2, 4), 6)
-        assert dual_sd_check(pair.c.to_lottery(), pair.d.to_lottery(), 3).holds
+        assert dual_sd_check(pair.c, pair.d, 3).holds
 
     def test_mean_condition_first(self):
         low = make_lottery([(1, 1)])
@@ -135,7 +134,7 @@ class TestPrimalCheck:
 
     def test_third_order_pair_fails_primal_both_ways(self):
         pair = sec3_pair(3, (1, 2, 4), 6)
-        c, d = pair.c.to_lottery(), pair.d.to_lottery()
+        c, d = pair.c, pair.d
         assert not primal_sd_check(c, d, 3).holds
         assert not primal_sd_check(d, c, 3).holds
 
@@ -163,7 +162,7 @@ class TestProperties:
                 other = squeeze(base, i, j, x)
             except Exception:
                 continue
-            a, b = base.to_lottery(), other.to_lottery()
+            a, b = base, other
             if rng.random() < 0.5:
                 a, b = b, a
             assert dual_sd_check(a, b, 2).holds == primal_sd_check(a, b, 2).holds
@@ -181,7 +180,7 @@ class TestProperties:
                 tightened = squeeze(base, i, j, room * F(rng.randint(1, 3), 4))
             except Exception:
                 continue
-            a, b = base.to_lottery(), tightened.to_lottery()
+            a, b = base, tightened
             assert dual_sd_check(a, b, 2).holds
             for m in (3, 4):
                 if all(dual_moment(a, k) <= dual_moment(b, k) for k in range(2, m)):
@@ -202,7 +201,7 @@ class TestProperties:
                 pair = make_pair(base, good, bad, 1, 2)
             except Exception:
                 continue
-            c, d = pair.c.to_lottery(), pair.d.to_lottery()
+            c, d = pair.c, pair.d
             assert all(dual_moment(c, k) == dual_moment(d, k) for k in range(1, m))
             assert dual_sd_check(c, d, m).holds
             for j in range(m, 7):
@@ -212,7 +211,7 @@ class TestProperties:
         pair = sec3_pair(3, (1, 2, 4), 6)
         cases = [
             (lottery_a, lottery_b, 3),
-            (pair.c.to_lottery(), pair.d.to_lottery(), 3),
+            (pair.c, pair.d, 3),
             (lottery_b, lottery_a, 2),
         ]
         for a, b, m in cases:
@@ -414,7 +413,7 @@ class TestOneJumpList:
             can = canonical_distribution(lot)
             assert can.states == tuple((F(x, xd), F(p, pd)) for x, p in zip(xs, ps))
             if len(xs) == len(lot._ints[0]):
-                assert can._ints == as_distribution(lot)._ints
+                assert can._ints == lot._ints
             else:
                 g = math.gcd(pd, *ps)
                 assert can._ints == (xs, xd, [p // g for p in ps], pd // g)

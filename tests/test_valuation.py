@@ -437,7 +437,7 @@ class TestDualMoments:
         assert w2[-1] == F(1, n * n)
 
     def test_weights_reproduce_dual_moment(self, base4):
-        lot = base4.to_lottery()
+        lot = base4
         for m in (2, 3, 4):
             weights = dual_moment_weights(4, m)
             assert dual_moment(lot, m) == sum(

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from unittest import mock
@@ -33,7 +34,7 @@ from dualrisk import (
     parse_weighting,
 )
 
-from dualrisk.weighting import float_form
+from dualrisk.weighting import _dual_power_ints, float_form
 
 from oracles import (
     dual_power_mixture_reference,
@@ -485,6 +486,10 @@ class TestDualPowerMixture:
         coeffs = dual_power_mixture(weights).coeffs
         assert coeffs == dual_power_mixture_reference(weights)
         assert all(type(c) is Fraction for c in coeffs)
+
+    def test_binomial_row_by_recurrence_equals_comb(self):
+        for m in (*range(1, 65), 1050):
+            assert _dual_power_ints(m) == [0] + [(-1) ** (i + 1) * math.comb(m, i) for i in range(1, m + 1)], m
 
     def test_zero_weight_drops_trailing_zeros(self):
         assert dual_power_mixture({3: 1, 5: 0}).coeffs == (0, 3, -3, 1)
