@@ -16,14 +16,15 @@ applies good and bad blocks with unit amplitude 1/M at adjacent
 positions, so only m consecutive states move, by alternating binomial
 increments.
 
-Blocks and members are built in integers, once. make_block runs the gap
-recursion on integer multiples of delta and hands the block its entries
-over delta's denominator (Block._ints); attach adds those to the base's
-integer outcomes over one common denominator, checks signs and ranking
-in ints, and gives the member its reduced integer form directly
-(lottery._equal_prob). A member is an EqualProbLottery, which stores only
-that form: it builds no Fraction until something reads its outcomes or
-states. Every pair builder goes through attach.
+Blocks, members and records hold integers only. make_block runs the gap
+recursion on integer multiples of delta, and a Block stores its order
+and its entries over delta's denominator (Block._ints). attach adds
+those to the base's integer outcomes over one common denominator, checks
+signs and ranking in ints, and gives the member its reduced integer
+form directly (lottery._equal_prob); squeeze is attach with two order-2
+blocks. A PairProvenance holds the base and the two blocks themselves,
+and its order and M are read off the blocks. Every pair is assembled
+from its record (_assemble, public as rebuild_pair), through attach.
 
 C and D have the same n equally likely ranked states and differ only
 where the blocks sit, so their value gap under an exact weighting is a
@@ -56,35 +57,42 @@ from .valuation import _survival_power, _value, dt_value, dual_moment
 from .weighting import WeightingSpec, is_exact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Block:
     """Signed increment vector on consecutive-state offsets.
 
     entries are (state_offset, increment) with offsets strictly
     increasing from 0. The sign of the offset-0 increment is the block's
-    polarity: positive for a good block, negative for a bad one.
+    polarity: positive for a good block, negative for a bad one. A block
+    stores its order and one integer form of its entries, _ints: ((offset,
+    numerator), ...), den, the increments over their lcm denominator;
+    entries is read off it when first asked for, and equality and hash
+    read it.
     """
 
     order: int
-    entries: tuple[tuple[int, Fraction], ...]
+    _ints: tuple[tuple[tuple[int, int], ...], int]
 
-    def __post_init__(self):
-        if not self.entries or self.entries[0][0] != 0 or self.entries[0][1] == 0:
+    def __init__(self, order: int, entries):
+        if not entries or entries[0][0] != 0 or entries[0][1] == 0:
             raise DomainError("a block needs a nonzero increment at offset 0: its sign is the polarity")
-        for (o1, _), (o2, _) in zip(self.entries, self.entries[1:]):
+        for (o1, _), (o2, _) in zip(entries, entries[1:]):
             if o2 <= o1:
                 raise DomainError("block offsets must be strictly increasing")
+        nums, den = _common_denominator([rat(v) for _, v in entries])
+        self.__dict__.update(order=order, _ints=(tuple(zip([o for o, _ in entries], nums)), den))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(order={self.order!r}, entries={self.entries!r})"
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, Fraction], ...]:
+        ints, den = self._ints
+        return tuple((o, Fraction(v, den)) for o, v in ints)
 
     @property
     def span(self) -> int:
-        return self.entries[-1][0]
-
-    @cached_property
-    def _ints(self) -> tuple[tuple[tuple[int, int], ...], int]:
-        """((offset, numerator), ...), den: the entries over their lcm
-        denominator; make_block sets it as it builds the entries."""
-        nums, den = _common_denominator([rat(v) for _, v in self.entries])
-        return tuple(zip([o for o, _ in self.entries], nums)), den
+        return self._ints[0][-1][0]
 
 
 def _gap(g) -> int:
@@ -130,9 +138,8 @@ def make_block(m: int, delta, gaps=None) -> Block:
         coeffs = [a - b for a, b in zip(coeffs + [0] * g, [0] * g + coeffs)]
     # coeffs[0] is 1, so the entries' lcm denominator is delta's
     p, q = delta.numerator, delta.denominator
-    ints = tuple((o, p * c) for o, c in enumerate(coeffs) if c)
-    block = Block(m, tuple((o, Fraction(v, q)) for o, v in ints))
-    block.__dict__["_ints"] = ints, q
+    block = object.__new__(Block)
+    block.__dict__.update(order=m, _ints=(tuple((o, p * c) for o, c in enumerate(coeffs) if c), q))
     return block
 
 
@@ -180,65 +187,93 @@ def squeeze(lot: EqualProbLottery, i: int, j: int, x) -> EqualProbLottery:
         raise DomainError(f"squeeze amount must be >= 0, got {x}")
     if not 1 <= i < j <= lot.n:
         raise DomainError(f"need states 1 <= i < j <= {lot.n}, got i={i}, j={j}")
-    outcomes = list(lot.outcomes)
-    outcomes[i - 1] += x
-    outcomes[j - 1] -= x
-    return EqualProbLottery(tuple(outcomes))
+    return attach(lot, make_block(2, x), make_block(2, -x), i, j) if x else lot
 
 
 @dataclass(frozen=True)
 class PairProvenance:
-    """Reproducible construction record; round-trips through JSON, which
-    also records n, the number of base outcomes."""
+    """Reproducible construction record: the base, the good and the bad
+    block, where they sit, and the seed. The blocks must share one order
+    and lead with a positive (good) and a negative (bad) increment; a
+    record that breaks either is a DomainError when it is made. Its JSON
+    also records the order, n (the number of base outcomes) and big_m,
+    all three read off the parts."""
 
     kind: str
-    order: int
-    base_outcomes: tuple[Fraction, ...]
+    base: EqualProbLottery
+    good: Block
+    bad: Block
     pos_first: int
     pos_second: int
-    good_entries: tuple[tuple[int, Fraction], ...]
-    bad_entries: tuple[tuple[int, Fraction], ...]
-    big_m: Fraction | None = None
     seed: int | None = None
 
-    def to_json(self) -> str:
-        payload = {
+    def __post_init__(self):
+        if self.good.order != self.bad.order:
+            raise DomainError(f"block orders differ: {self.good.order} vs {self.bad.order}")
+        if not self.good._ints[0][0][1] > 0 > self.bad._ints[0][0][1]:
+            raise DomainError("pass the good block first and the bad block second")
+
+    @property
+    def order(self) -> int:
+        return self.good.order
+
+    @property
+    def big_m(self) -> Fraction | None:
+        """M = 1 / the good block's lead increment for a parsimonious
+        record; None for any other."""
+        if self.kind != "parsimonious":
+            return None
+        ((_, lead), *_), den = self.good._ints
+        return Fraction(den, lead)
+
+    def _payload(self) -> dict:
+        """The record as to_json writes it: str, int, None and lists."""
+        return {
             "kind": self.kind,
             "order": self.order,
-            "n": len(self.base_outcomes),
-            "base_outcomes": [format_exact(x) for x in self.base_outcomes],
+            "n": self.base.n,
+            "base_outcomes": [format_exact(x) for x in self.base.outcomes],
             "pos_first": self.pos_first,
             "pos_second": self.pos_second,
-            "good_entries": [[o, format_exact(v)] for o, v in self.good_entries],
-            "bad_entries": [[o, format_exact(v)] for o, v in self.bad_entries],
+            "good_entries": [[o, format_exact(v)] for o, v in self.good.entries],
+            "bad_entries": [[o, format_exact(v)] for o, v in self.bad.entries],
             "big_m": None if self.big_m is None else format_exact(self.big_m),
             "seed": self.seed,
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self._payload(), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "PairProvenance":
+        """The record a JSON text holds. Malformed JSON or fields, and a
+        big_m other than the one the blocks give, are a FormatError; a base
+        or a block its constructor refuses, or a record whose blocks differ
+        in order or polarity, raises the constructor's own error."""
         try:
             raw = json.loads(text)
             kind, order, n = _kind(raw), _field(raw, "order", int), _field(raw, "n", int)
-            base = tuple(rat(x) for x in _field(raw, "base_outcomes", list))
-            if n != len(base):
-                raise FormatError(f"pair provenance field 'n' must be {len(base)}, the base size, got {n}")
-            return PairProvenance(
-                kind=kind,
-                order=order,
-                base_outcomes=base,
-                pos_first=_field(raw, "pos_first", int),
-                pos_second=_field(raw, "pos_second", int),
-                good_entries=_entries(raw, "good_entries"),
-                bad_entries=_entries(raw, "bad_entries"),
-                big_m=None if raw.get("big_m") is None else rat(raw["big_m"]),
-                seed=None if raw.get("seed") is None else _field(raw, "seed", int),
-            )
+            outcomes = [rat(x) for x in _field(raw, "base_outcomes", list)]
+            if n != len(outcomes):
+                raise FormatError(
+                    f"pair provenance field 'n' must be {len(outcomes)}, the base size, got {n}"
+                )
+            pos_first, pos_second = _field(raw, "pos_first", int), _field(raw, "pos_second", int)
+            good, bad = _entries(raw, "good_entries"), _entries(raw, "bad_entries")
+            big_m = None if raw.get("big_m") is None else rat(raw["big_m"])
+            seed = None if raw.get("seed") is None else _field(raw, "seed", int)
         except KeyError as exc:
             raise FormatError(f"pair provenance is missing key {exc}") from None
         except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise FormatError(f"malformed pair provenance: {exc}") from None
+        base = EqualProbLottery(outcomes)
+        prov = PairProvenance(kind, base, Block(order, good), Block(order, bad), pos_first, pos_second, seed)
+        if big_m is not None and big_m != prov.big_m:
+            want = "null" if prov.big_m is None else format_exact(prov.big_m)
+            raise FormatError(
+                f"pair provenance field 'big_m' must be {want}, as the blocks give, got {raw['big_m']!r}"
+            )
+        return prov
 
 
 def _field(raw: dict, key: str, kind: type):
@@ -328,26 +363,26 @@ def _validate_pair(pair: ApportionmentPair) -> None:
             )
 
 
-def _assemble(prov: PairProvenance, base: EqualProbLottery, good: Block, bad: Block) -> ApportionmentPair:
+def _assemble(prov: PairProvenance) -> ApportionmentPair:
     """The pair prov records, built from its base and blocks and validated.
 
     D attaches good at prov.pos_first and bad at prov.pos_second. C is the
     reverse, or the base itself for a parsimonious pair. Any other kind is
-    a DomainError, as is a good block that does not lead positive or a bad
-    one that does not lead negative.
+    a DomainError.
     """
     if prov.kind not in _KINDS:
         raise DomainError(f"pair provenance kind must be general or parsimonious, got {prov.kind!r}")
-    if not good.entries[0][1] > 0 > bad.entries[0][1]:
-        raise DomainError("pass the good block first and the bad block second")
-    d = attach(base, good, bad, prov.pos_first, prov.pos_second)
+    d = attach(prov.base, prov.good, prov.bad, prov.pos_first, prov.pos_second)
     if prov.kind == "parsimonious":
-        c = base
+        c = prov.base
     else:
-        c = attach(base, bad, good, prov.pos_first, prov.pos_second)
+        c = attach(prov.base, prov.bad, prov.good, prov.pos_first, prov.pos_second)
     pair = ApportionmentPair(c, d, prov)
     _validate_pair(pair)
     return pair
+
+
+rebuild_pair = _assemble  # reconstruct a pair from its provenance record
 
 
 def make_pair(
@@ -364,19 +399,7 @@ def make_pair(
     reverse. Both attach orders must be feasible. The blocks may have
     different amplitudes and gap structures but must share the order.
     """
-    if good.order != bad.order:
-        raise DomainError(f"block orders differ: {good.order} vs {bad.order}")
-    prov = PairProvenance(
-        kind="general",
-        order=good.order,
-        base_outcomes=base.outcomes,
-        pos_first=pos_first,
-        pos_second=pos_second,
-        good_entries=good.entries,
-        bad_entries=bad.entries,
-        seed=seed,
-    )
-    return _assemble(prov, base, good, bad)
+    return _assemble(PairProvenance("general", base, good, bad, pos_first, pos_second, seed))
 
 
 def make_parsimonious_pair(
@@ -406,26 +429,7 @@ def make_parsimonious_pair(
     if big_m <= 0:
         raise DomainError(f"need M > 0, got {big_m}")
     good, bad = make_block(m, 1 / big_m), make_block(m, -1 / big_m)
-    prov = PairProvenance(
-        kind="parsimonious",
-        order=m,
-        base_outcomes=base.outcomes,
-        pos_first=j + 1,
-        pos_second=j + 2,
-        good_entries=good.entries,
-        bad_entries=bad.entries,
-        big_m=big_m,
-        seed=seed,
-    )
-    return _assemble(prov, base, good, bad)
-
-
-def rebuild_pair(prov: PairProvenance) -> ApportionmentPair:
-    """Reconstruct a pair from its provenance record."""
-    base = EqualProbLottery(prov.base_outcomes)
-    good = Block(prov.order, prov.good_entries)
-    bad = Block(prov.order, prov.bad_entries)
-    return _assemble(prov, base, good, bad)
+    return _assemble(PairProvenance("parsimonious", base, good, bad, j + 1, j + 2, seed))
 
 
 def moved_state_gap(pair: ApportionmentPair, w: WeightingSpec) -> Fraction:

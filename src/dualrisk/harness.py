@@ -29,7 +29,6 @@ reported direction.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,7 +206,7 @@ def direct_check(pair: ApportionmentPair, rng: random.Random | None = None) -> t
                     "weighting": format_weighting(w),
                     "relation": relation,
                     "direction": got,
-                    "pair": json.loads(pair.provenance.to_json()),
+                    "pair": pair.provenance._payload(),
                 }
             )
     gap = dt_value(pair.d, probe) - dt_value(pair.c, probe)
@@ -219,7 +218,7 @@ def direct_check(pair: ApportionmentPair, rng: random.Random | None = None) -> t
                 "relation": "identity",
                 "gap": format_exact(gap),
                 "moved_state_gap": format_exact(moved),
-                "pair": json.loads(pair.provenance.to_json()),
+                "pair": pair.provenance._payload(),
             }
         )
     return tuple(failures)
@@ -315,7 +314,7 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
             "j": j,
             "gap": format_exact(gap),
             "direction": (gap > 0) - (gap < 0),
-            "pair": json.loads(pair.provenance.to_json()),
+            "pair": pair.provenance._payload(),
         }
     )
     if gap < 0 and gap == predicted and gap == survival_form:

@@ -6,20 +6,20 @@ summing to one. States with equal outcomes are kept distinct: the ranked
 state list is what squeeze and block operations act on, and questions
 about the distribution itself go through canonical_distribution.
 
-A Lottery also carries one integer form of its states, built at most
-once per object: the outcome numerators over their lcm denominator and
-the probability numerators over theirs. make_lottery and
-parse_lottery_text build it while they check the states, so the sign
-checks, the unit-mass check and the stable sort by outcome run in ints
-(and not again in the constructor); mean, raw_moment and primal_moment
-read it. _jumps reads the survival step function off it, the one form
-every dual quantity reads, and _support the merged support off that,
-for canonical_distribution and the primal CDF.
+A Lottery stores one form of its states, whichever constructor built
+it: the outcome numerators over their lcm denominator and the
+probability numerators over theirs, reduced (Lottery._ints). States,
+outcomes and probabilities are Fractions read off it when first asked
+for; equality and hash read the form itself. make_lottery and
+parse_lottery_text build it while they check the states, so the
+unit-mass check and the stable sort by outcome run in ints. _jumps reads
+the survival step function off it, the one form every dual quantity
+reads, and _support the merged support off that, for
+canonical_distribution and the primal CDF.
 
-An EqualProbLottery is a Lottery of n equally likely states that stores
-only this integer form; its outcomes and states are Fractions read off
-it when first asked for, so the block operations of the apportionment
-module build their members from ints alone (_equal_prob).
+An EqualProbLottery is a Lottery of n equally likely states, the carrier
+of the block operations, which build their members from ints alone
+(_equal_prob).
 """
 
 from __future__ import annotations
@@ -42,62 +42,41 @@ from .errors import (
 from .rationals import _common_denominator, format_exact, rat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Lottery:
-    """Ranked finite lottery; built directly, the states must come ranked."""
+    """Ranked finite lottery; built directly, the states must come ranked.
+    It stores only its reduced integer form, and equality and hash read
+    it: two lotteries are equal exactly when their ranked states are,
+    whatever their class."""
 
-    states: tuple[tuple[Fraction, Fraction], ...]
+    _ints: tuple[list[int], int, list[int], int]  # (xs, xd, ps, pd): state i is (xs[i]/xd, ps[i]/pd)
 
-    def __post_init__(self):
-        xs, xd, ps, pd = self._ints
+    def __init__(self, states):
+        xs, xd = _common_denominator([x for x, _ in states])
+        ps, pd = _common_denominator([p for _, p in states])
         _check_ranked(xs, xd)
         if sum(ps) != pd:
             raise NonUnitMass(f"probabilities sum to {Fraction(sum(ps), pd)}, not 1")
         if min(ps) <= 0:
-            raise NonPositiveProbability(f"probability {min(self.probabilities)} is not positive")
+            raise NonPositiveProbability(f"probability {Fraction(min(ps), pd)} is not positive")
+        self.__dict__["_ints"] = xs, xd, ps, pd
 
     @classmethod
-    def _trusted(cls, ints, **fields):
-        """A cls lottery with integer form ints and fields, as the caller checked them."""
+    def _trusted(cls, ints):
+        """A cls lottery with integer form ints, as the caller checked and reduced them."""
         lot = object.__new__(cls)
-        lot.__dict__.update(_ints=ints, **fields)
+        lot.__dict__["_ints"] = ints
         return lot
 
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(states={self.states!r})"
+
     def __eq__(self, other):
-        """Lotteries are equal when their ranked states are, whatever their class."""
-        return self.states == other.states if isinstance(other, Lottery) else NotImplemented
+        return self._ints == other._ints if isinstance(other, Lottery) else NotImplemented
 
-    @property
-    def outcomes(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.states)
-
-    @property
-    def probabilities(self) -> tuple[Fraction, ...]:
-        return tuple(p for _, p in self.states)
-
-    def __len__(self) -> int:
-        return len(self._ints[0])
-
-    @cached_property
-    def _ints(self) -> tuple[list[int], int, list[int], int]:
-        """(xs, xd, ps, pd): state i has outcome xs[i]/xd and probability ps[i]/pd."""
-        xs, xd = _common_denominator([x for x, _ in self.states])
-        ps, pd = _common_denominator([p for _, p in self.states])
-        return xs, xd, ps, pd
-
-
-@dataclass(frozen=True, init=False, eq=False)
-class EqualProbLottery(Lottery):
-    """n equally likely ranked states; the carrier for block operations. It
-    stores only its integer form (xs, xd, [1] * n, n), xs over xd reduced;
-    outcomes and states are read off it when first asked for."""
-
-    def __init__(self, outcomes):
-        xs, xd = _common_denominator([rat(x) for x in outcomes])
-        if not xs:
-            raise DomainError("an equal-probability lottery needs at least one outcome")
-        _check_ranked(xs, xd)
-        self.__dict__["_ints"] = xs, xd, [1] * len(xs), len(xs)
+    def __hash__(self) -> int:
+        xs, xd, ps, pd = self._ints
+        return hash((tuple(xs), xd, tuple(ps), pd))
 
     @cached_property
     def outcomes(self) -> tuple[Fraction, ...]:
@@ -105,9 +84,29 @@ class EqualProbLottery(Lottery):
         return tuple(Fraction(a, xd) for a in xs)
 
     @cached_property
+    def probabilities(self) -> tuple[Fraction, ...]:
+        ps, pd = self._ints[2:]
+        return tuple(Fraction(p, pd) for p in ps)
+
+    @cached_property
     def states(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        p = Fraction(1, len(self))
-        return tuple((x, p) for x in self.outcomes)
+        return tuple(zip(self.outcomes, self.probabilities))
+
+    def __len__(self) -> int:
+        return len(self._ints[0])
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class EqualProbLottery(Lottery):
+    """n equally likely ranked states; the carrier for block operations. Its
+    integer form is (xs, xd, [1] * n, n), xs over xd reduced."""
+
+    def __init__(self, outcomes):
+        xs, xd = _common_denominator([rat(x) for x in outcomes])
+        if not xs:
+            raise DomainError("an equal-probability lottery needs at least one outcome")
+        _check_ranked(xs, xd)
+        self.__dict__["_ints"] = xs, xd, [1] * len(xs), len(xs)
 
     @property
     def n(self) -> int:
@@ -147,9 +146,7 @@ def _ranked(states: list[tuple[Fraction, Fraction]]) -> Lottery:
     if total != pd:
         raise NonUnitMass(f"probabilities sum to {Fraction(total, pd)}, not 1")
     order = sorted(range(len(states)), key=xs.__getitem__)
-    return Lottery._trusted(
-        ([xs[i] for i in order], xd, [ps[i] for i in order], pd), states=tuple(states[i] for i in order)
-    )
+    return Lottery._trusted(([xs[i] for i in order], xd, [ps[i] for i in order], pd))
 
 
 def make_lottery(pairs) -> Lottery:
@@ -213,9 +210,7 @@ def canonical_distribution(lot: Lottery) -> Lottery:
     if len(xs) == len(lot):
         return lot
     g = gcd(pd, *ps)
-    ps, pd = [p // g for p in ps], pd // g
-    states = tuple((Fraction(x, xd), Fraction(p, pd)) for x, p in zip(xs, ps))
-    return Lottery._trusted((xs, xd, ps, pd), states=states)
+    return Lottery._trusted((xs, xd, [p // g for p in ps], pd // g))
 
 
 def mean(lot: Lottery) -> Fraction:

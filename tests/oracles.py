@@ -38,7 +38,8 @@ call by call, each float formula written out at the point, where the
 library builds one float form per weighting (weighting.float_form), and
 the self-protection solver evaluates every point through closed forms
 written out over those calls where the library folds its term tables
-into a float form once per solve.
+into a float form once per solve. A random base is drawn from the same
+stream and summed in Fractions, where the library adds integer halves.
 
 One section is not independent on purpose: spline, iterated_quantile
 and iterated_cdf wrap the library's integer splines
@@ -128,15 +129,20 @@ def quantile(lot: Lottery, q) -> Fraction:
     raise AssertionError("unreachable: probabilities sum to one")
 
 
-def canonical_distribution_fraction(lot: Lottery) -> Lottery:
-    """Equal outcomes merged by comparing and adding the Fraction states."""
+def canonical_states_reference(states) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Ranked states with equal outcomes merged by comparing and adding Fractions."""
     merged: list[tuple[Fraction, Fraction]] = []
-    for x, p in lot.states:
+    for x, p in states:
         if merged and merged[-1][0] == x:
             merged[-1] = (x, merged[-1][1] + p)
         else:
             merged.append((x, p))
-    return Lottery(tuple(merged))
+    return tuple(merged)
+
+
+def canonical_distribution_fraction(lot: Lottery) -> Lottery:
+    """Equal outcomes merged by comparing and adding the Fraction states."""
+    return Lottery(canonical_states_reference(lot.states))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +502,17 @@ def equal_prob_reference(outcomes) -> Lottery:
     separate types."""
     p = Fraction(1, len(outcomes))
     return Lottery(tuple((Fraction(x), p) for x in outcomes))
+
+
+def random_base_reference(rng, m: int) -> tuple[Fraction, ...]:
+    """The outcomes random_base(rng, m) draws, added up in Fractions from
+    the same stream: the first in 1..4, each next one 1 to 4 above the
+    last in steps of 1/2."""
+    n = rng.randint(m, m + 6)
+    outcomes = [Fraction(rng.randint(1, 4))]
+    for _ in range(n - 1):
+        outcomes.append(outcomes[-1] + Fraction(rng.randint(2, 8), 2))
+    return tuple(outcomes)
 
 
 def attach_reference(lot, first, second, pos_first: int, pos_second: int):

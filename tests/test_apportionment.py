@@ -490,15 +490,7 @@ class TestMakePair:
         corrupt = Block(3, ((0, F(-1, 6)), (1, F(1, 7))))
         with pytest.raises(ConstructionInvariantError, match="dual moment 2 differs"):
             make_pair(base3, good, corrupt, 1, 2)
-        prov = PairProvenance(
-            kind="general",
-            order=3,
-            base_outcomes=base3.outcomes,
-            pos_first=1,
-            pos_second=2,
-            good_entries=good.entries,
-            bad_entries=corrupt.entries,
-        )
+        prov = PairProvenance(kind="general", base=base3, good=good, bad=corrupt, pos_first=1, pos_second=2)
         with pytest.raises(ConstructionInvariantError, match="dual moment 2 differs"):
             rebuild_pair(PairProvenance.from_json(prov.to_json()))
 
@@ -673,9 +665,8 @@ class TestProvenance:
             pair = make_pair(base3, *good_and_bad(3, F(1, 6)), 1, 2)
         payload = json.loads(pair.provenance.to_json())
         payload["good_entries"], payload["bad_entries"] = payload["bad_entries"], payload["good_entries"]
-        prov = PairProvenance.from_json(json.dumps(payload))
         with pytest.raises(DomainError, match="good block first"):
-            rebuild_pair(prov)
+            rebuild_pair(PairProvenance.from_json(json.dumps(payload)))
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_n_other_than_the_base_size_is_a_format_error(self, base3, n):
@@ -690,6 +681,115 @@ class TestProvenance:
         assert rebuilt.c == pair.c
         assert rebuilt.d == pair.d
         assert rebuilt.provenance.seed == 5
+
+
+class TestBlockStoredForm:
+    """A block keeps its order and integer form only; entries is the
+    Fraction recursion of tests/oracles.py, and equality and hash are
+    those of (order, entries)."""
+
+    # (m, delta, gaps) from a small space, so that two draws often agree
+    BLOCK_SPECS = st.integers(2, 4).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.builds(F, st.sampled_from((-2, -1, 1, 2)), st.sampled_from((1, 3, 4))),
+            st.lists(st.sampled_from((1, 2)), min_size=m - 2, max_size=m - 2).map(tuple),
+        )
+    )
+
+    @given(BLOCK_SPECS, BLOCK_SPECS)
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_store_only_order_and_integer_form(self, spec, other):
+        built = []
+        for m, delta, gaps in (spec, other):
+            ref = block_entries_reference(delta, gaps)
+            for block in (make_block(m, delta, gaps), Block(m, ref)):
+                assert set(vars(block)) == {"order", "_ints"}
+                assert block.entries == ref and all(type(v) is F for _, v in block.entries)
+                assert block.order == m and block.span == ref[-1][0] == sum(gaps)
+                built.append((block, (m, ref)))
+        for a, ref_a in built:
+            for b, ref_b in built:
+                assert (a == b) is (ref_a == ref_b)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    def test_blocks_stay_immutable(self):
+        block = make_block(3, F(1, 4))
+        with pytest.raises(AttributeError, match="cannot assign to field 'order'"):
+            block.order = 4
+        assert repr(block) == "Block(order=3, entries=((0, Fraction(1, 4)), (1, Fraction(-1, 4))))"
+
+
+def _recorded_pair(kind, rng, m):
+    """An order-m pair of the given kind on a random base: make_pair with
+    amplitude 1/64 at states 1 and 2, make_parsimonious_pair, or random_pair."""
+    if kind == "random":
+        return random_pair(rng, m)
+    base = random_base(rng, m)
+    if kind == "parsimonious":
+        j = rng.randint(0, base.n - m)
+        big_m = 2 ** (m + 1) * rng.randint(1, 4)
+        return make_parsimonious_pair(base.outcomes, j, m, big_m, seed=rng.randint(0, 99))
+    return make_pair(base, *good_and_bad(m, F(1, 64)), 1, 2)
+
+
+class TestRecordHoldsItsParts:
+    """A PairProvenance holds the base and the blocks; its JSON round-trips
+    byte for byte and rebuilds the same pair."""
+
+    @given(st.sampled_from(("general", "parsimonious", "random")), st.integers(0, 2**32), st.integers(2, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_records_round_trip(self, kind, seed, m):
+        pair = _recorded_pair(kind, random.Random(seed), m)
+        prov = pair.provenance
+        assert set(vars(prov)) == {"kind", "base", "good", "bad", "pos_first", "pos_second", "seed"}
+        assert prov.base is pair.c if kind == "parsimonious" else prov.base.n == pair.c.n
+        text = prov.to_json()
+        back = PairProvenance.from_json(text)
+        assert back == prov and back.to_json() == text
+        assert back._payload() == json.loads(text)
+        assert rebuild_pair(back) == pair
+        assert back.order == m and (back.big_m is None) is (kind != "parsimonious")
+
+    @pytest.mark.parametrize(
+        "kind, key, value, error, match",
+        [
+            ("general", "base_outcomes", ["3", "1", "2", "4", "7"], RankViolation,
+             "^outcomes must be non-decreasing; state 1 has 1 after 3$"),
+            ("parsimonious", "base_outcomes", ["-1", "2", "4", "7", "9"], NegativeOutcome,
+             "^outcome -1 at state 0 is negative$"),
+            ("general", "good_entries", [[0, "0"], [1, "1/8"]], DomainError,
+             "^a block needs a nonzero increment at offset 0: its sign is the polarity$"),
+            ("parsimonious", "bad_entries", [[0, "-1/16"], [0, "1/16"]], DomainError,
+             "^block offsets must be strictly increasing$"),
+            ("parsimonious", "big_m", "17", FormatError,
+             "^pair provenance field 'big_m' must be 16, as the blocks give, got '17'$"),
+            ("general", "big_m", "16", FormatError,
+             "^pair provenance field 'big_m' must be null, as the blocks give, got '16'$"),
+        ],
+    )
+    def test_typed_errors_surface_at_from_json(self, kind, key, value, error, match):
+        if kind == "general":
+            pair = make_pair(ep(1, 2, 4, 7, 9), *good_and_bad(3, F(1, 8)), 1, 2)
+        else:
+            pair = make_parsimonious_pair((1, 2, 4, 7, 9), 0, 3, 16)
+        payload = json.loads(pair.provenance.to_json())
+        payload[key] = value
+        with pytest.raises(error, match=match) as raised:
+            PairProvenance.from_json(json.dumps(payload))
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("absent", [False, True])
+    def test_a_null_or_absent_big_m_is_derived(self, absent):
+        pair = make_parsimonious_pair((1, 2, 4, 7), 0, 3, 16)
+        payload = json.loads(pair.provenance.to_json())
+        if absent:
+            del payload["big_m"]
+        else:
+            payload["big_m"] = None
+        back = PairProvenance.from_json(json.dumps(payload))
+        assert back == pair.provenance and back.big_m == 16
 
 
 @st.composite

@@ -2,9 +2,12 @@
 
 Lottery files built from awkward tokens go through the CLI in process
 (eval, dominance, pairgen --base FILE and pairgen --base with a comma
-list): every run exits 0, 1 or 2 with no traceback, a run whose command
-raises an InputValidationError exits 2 with an "error: " line, and no
-other exception escapes. Mutated provenance JSON goes through
+list), and so do weighting specs (eval --weighting) and self-protection
+problem files (selfprotect) built from the same tokens, known and
+unknown keys and stray separators: every run exits 0, 1 or 2 with no
+traceback, a run whose command raises an InputValidationError exits 2
+with an "error: " line, and no other exception escapes. Mutated
+provenance JSON goes through
 PairProvenance.from_json and rebuild_pair, which may raise only an
 InputValidationError or the ConstructionInvariantError of the pair
 validator. The example counts keep both under a few seconds.
@@ -18,6 +21,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,6 +111,88 @@ def test_pairgen_base_file_with_unequal_probabilities_exits_2(tmp_path):
     path.write_text("1 1/3\n2 2/3\n", encoding="utf-8")
     code, err = _run(["pairgen", "--order", "2", f"--base={path}", "--outdir", str(tmp_path / "out")])
     assert code == 2 and err == "error: lottery does not have equal state probabilities\n"
+
+
+# family -> its keys, as weighting specs and problem files spell them
+WEIGHTING_KEYS = {
+    "identity": (), "quadratic": ("beta",), "power": ("k",), "dualpower": ("m",), "tk": ("gamma",),
+    "prelec": ("a", "b"), "tabulated": ("knots",), "poly": ("coeffs",), "bogus": ("x",), "": (),
+}
+EFFORT_KEYS = {
+    "linear": ("p0", "k", "p_min", "p_max"), "exponential": ("p0", "k"), "powerlaw": ("p0", "c", "gamma"),
+    "bogus": ("x",),
+}
+SEPARATORS = (",", ";", ":", "", " ")
+
+
+SPEC_TOKENS = AWKWARD + ("12", "0.61", "1.1", "2000", "1e5")
+
+
+@st.composite
+def specs(draw, families):
+    """family:key=value,... with each of the family's keys kept, dropped,
+    renamed to an unknown key or repeated, awkward values (now and then
+    lists of them, joined by any separator), a stray chunk now and then,
+    and separators out of place."""
+    family = draw(st.sampled_from(sorted(families)))
+    chunks = []
+    for key in families[family] + ("zz",) * (draw(st.integers(0, 5)) == 0):
+        size = draw(st.sampled_from((1, 1, 1, 4)))
+        tokens = draw(st.lists(st.sampled_from(SPEC_TOKENS), min_size=1, max_size=size))
+        chunk = f"{key}={draw(st.sampled_from(SEPARATORS)).join(tokens)}"
+        action = draw(st.sampled_from(("keep",) * 5 + ("drop", "rename", "repeat")))
+        chunks += {"keep": [chunk], "drop": [], "rename": ["zz" + chunk], "repeat": [chunk, chunk]}[action]
+    if draw(st.integers(0, 5)) == 0:
+        chunks.insert(draw(st.integers(0, len(chunks))), draw(st.sampled_from(SPEC_TOKENS + SEPARATORS)))
+    args = draw(st.sampled_from((",", ",", ",", ";", ":"))).join(chunks)
+    return family + (draw(st.sampled_from((":", ":", ":", ";", ""))) + args if args else "")
+
+
+SP_LINES = {
+    "wealth": "4", "loss": "1", "epsilon": "1/8", "effort": "linear: p0=1/2, k=1/2", "bounds": "0:1/2",
+    "weighting": "dualpower:m=3",
+}
+
+
+@st.composite
+def problem_texts(draw):
+    """A problem file: the keys of a valid one, each kept, dropped,
+    repeated or given an awkward value, an effort spec or a weighting spec,
+    with now and then an unknown key or a line without "="."""
+    lines = []
+    for key, value in SP_LINES.items():
+        action = draw(st.sampled_from(("keep", "keep", "keep", "drop", "awkward", "spec", "repeat")))
+        if action == "drop":
+            continue
+        if action == "awkward":
+            tokens = draw(st.lists(st.sampled_from(SPEC_TOKENS), max_size=2))
+            value = draw(st.sampled_from(SEPARATORS)).join(tokens)
+        elif action == "spec" and key in ("effort", "weighting"):
+            value = draw(specs(EFFORT_KEYS if key == "effort" else WEIGHTING_KEYS))
+        lines += [f"{key} = {value}"] * (2 if action == "repeat" else 1)
+    if draw(st.integers(0, 4)) == 0:
+        stray = draw(st.sampled_from(("zz = 1", "wealth 4", "= 1", ";", ":")))
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    return "\n".join(lines) + "\n"
+
+
+@given(specs(WEIGHTING_KEYS), st.sampled_from(("1 1\n", "0 1/3\n1/2 1/3\n7 1/3\n")))
+@settings(max_examples=200, deadline=None)
+def test_cli_on_generated_weighting_specs(spec, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "a.txt")
+        path.write_text(text, encoding="utf-8")
+        _run(["eval", str(path), "--weighting", spec])
+
+
+@given(problem_texts())
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:value not concave on the effort grid")
+def test_cli_on_generated_problem_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "p.cfg")
+        path.write_text(text, encoding="utf-8")
+        _run(["selfprotect", str(path)])
 
 
 def _provenances() -> list[dict]:

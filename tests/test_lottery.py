@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,17 +19,20 @@ from dualrisk import (
     canonical_distribution,
     equal_prob_from_lottery,
     format_lottery_text,
+    make_block,
     make_lottery,
     mean,
     Polynomial,
     Power,
     Quadratic,
     RankViolation,
+    attach,
     dt_value,
     dual_moment,
     dual_power_mixture,
     parse_lottery_text,
     primal_moment,
+    random_base,
     raw_moment,
 )
 from dualrisk.rationals import _common_denominator
@@ -368,3 +372,92 @@ class TestParseEquivalence:
         xs, xd, ps, pd = lot._ints
         assert [Fraction(a, xd) for a in xs] == list(lot.outcomes)
         assert [Fraction(p, pd) for p in ps] == list(lot.probabilities)
+
+
+# ---------------------------------------------------------------------------
+# one stored form: whichever constructor built a lottery, it keeps only its
+# integer form, and its views, equality and hash are those of its states
+
+OUTCOME_POOL = st.builds(F, st.integers(0, 30), st.sampled_from((1, 2, 3, 5, 7, 12)))
+
+
+@st.composite
+def raw_states(draw):
+    """Unsorted (outcome, probability) pairs: outcomes from a pool of at
+    most four, often holding 0, so states tie; mixed denominators; equal
+    probabilities half of the time."""
+    pool = draw(st.lists(OUTCOME_POOL, min_size=1, max_size=3)) + [F(0)] * draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    outcomes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    weights = [1] * n if draw(st.booleans()) else draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    return [(x, F(w, sum(weights))) for x, w in zip(outcomes, weights)]
+
+
+def _built(raw):
+    """(lottery, reference states) for each constructor that takes the
+    states raw; the references are Fraction tuples, stably sorted by
+    outcome (and merged for canonical_distribution)."""
+    ref = tuple(sorted(raw, key=lambda s: s[0]))
+    built = [
+        (Lottery(ref), ref),
+        (make_lottery(raw), ref),
+        (parse_lottery_text("".join(f"{x} {p}\n" for x, p in raw)), ref),
+        (canonical_distribution(make_lottery(raw)), oracles.canonical_states_reference(ref)),
+    ]
+    if all(p == raw[0][1] for _, p in raw):
+        outcomes = tuple(x for x, _ in ref)
+        built += [(EqualProbLottery(outcomes), ref), (equal_prob_from_lottery(make_lottery(raw)), ref)]
+        if len(ref) > 1:  # the lowest state down and the top one up by 1/60, in Fractions
+            low, top = make_block(2, F(-1, 60)), make_block(2, F(1, 60))
+            try:
+                moved = oracles.attach_reference(EqualProbLottery(outcomes), low, top, 1, len(ref))[0]
+            except NegativeOutcome:
+                pass
+            else:
+                member = attach(EqualProbLottery(outcomes), low, top, 1, len(ref))
+                built.append((member, tuple((x, raw[0][1]) for x in moved)))
+    return built
+
+
+def _check_stored_form(lot, ref):
+    """lot holds only _ints until a view is read; the views are the
+    reference's Fractions, and the text format reads back to an equal
+    lottery with the same hash."""
+    assert set(vars(lot)) == {"_ints"}
+    assert lot.states == ref and len(lot) == len(ref)
+    assert lot.outcomes == tuple(x for x, _ in ref) and lot.probabilities == tuple(p for _, p in ref)
+    assert all(type(v) is F for state in lot.states for v in state)
+    back = parse_lottery_text(format_lottery_text(lot))
+    assert set(vars(back)) == {"_ints"}
+    assert back == lot and hash(back) == hash(lot) and back.states == ref
+
+
+class TestOneStoredForm:
+    @given(raw_states(), raw_states())
+    @settings(max_examples=150, deadline=None)
+    def test_every_constructor_stores_the_integer_form_of_its_states(self, raw, other):
+        built = _built(raw) + _built(other)
+        for lot, ref in built:
+            _check_stored_form(lot, ref)
+        for a, ref_a in built:
+            for b, ref_b in built:
+                assert (a == b) is (ref_a == ref_b)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    @given(st.integers(0, 2**32), st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_random_bases_read_as_their_fraction_draw(self, seed, m):
+        base = random_base(random.Random(seed), m)
+        outcomes = oracles.random_base_reference(random.Random(seed), m)
+        _check_stored_form(base, tuple((x, F(1, len(outcomes))) for x in outcomes))
+        assert base == EqualProbLottery(outcomes) and hash(base) == hash(EqualProbLottery(outcomes))
+
+    def test_lotteries_stay_immutable(self):
+        lot = make_lottery([(1, F(1, 2)), (3, F(1, 2))])
+        for target in (lot, EqualProbLottery((1, 3))):
+            with pytest.raises(AttributeError, match="cannot assign to field 'states'"):
+                target.states = ()
+            with pytest.raises(AttributeError, match="cannot delete field '_ints'"):
+                del target._ints
+        assert repr(lot) == "Lottery(states=((Fraction(1, 1), Fraction(1, 2)), (Fraction(3, 1), Fraction(1, 2))))"
