@@ -12,12 +12,20 @@ Rationals print as p/q next to a 12-significant-digit decimal; CSV cells
 hold the p/q form unquoted. Exit codes: 0 success, 1 verification or
 dominance-gate failure, 2 usage/parse/validation errors. The default
 output directory comes from DUALRISK_OUTDIR when set.
+
+Importing this module runs only dualrisk.errors. Every computation
+module is bound below as a deferred module: the module object itself,
+whose body runs on the first attribute access. So a command loads only
+the modules it calls (``--help`` none of them, ``eval`` no dominance,
+pair or application code), and calls go through the module attribute
+(``lottery.parse_lottery_text``), which a caller may replace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -27,22 +35,31 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-from . import applications, harness
-from .apportionment import make_block, make_pair, make_parsimonious_pair
-from .dominance import dual_sd_check, primal_sd_check
 from .errors import DomainError, DualRiskError, FormatError, InputValidationError
-from .lottery import (
-    EqualProbLottery,
-    canonical_distribution,
-    equal_prob_from_lottery,
-    format_lottery_text,
-    make_lottery,
-    mean,
-    parse_lottery_text,
-)
-from .rationals import _decimal, format_exact, parse_rational
-from .valuation import QuadraticUtility, dt_value, dual_moment, eu_value, primal_moment
-from .weighting import DualPower, Identity, Polynomial, Quadratic, eval_h_prime, parse_weighting
+
+
+def _deferred(name: str):
+    """The module dualrisk.<name>, whose body runs on its first attribute
+    access; a module already imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    return sys.modules[fullname]
+
+
+# Nothing at module level may read an attribute of these: that would run
+# the module's body at import.
+applications = _deferred("applications")
+apportionment = _deferred("apportionment")
+dominance = _deferred("dominance")
+harness = _deferred("harness")
+lottery = _deferred("lottery")
+rationals = _deferred("rationals")
+valuation = _deferred("valuation")
+weighting = _deferred("weighting")
 
 
 def _outdir(args) -> str:
@@ -52,8 +69,12 @@ def _outdir(args) -> str:
 def _cell(value) -> str:
     """Exact cell text: p/q for rationals, 12 significant digits for floats."""
     if isinstance(value, (int, float, Fraction)):
-        return format_exact(value)
+        return rationals.format_exact(value)
     return str(value)
+
+
+def _joined(values) -> str:
+    return " ".join(map(rationals.format_exact, values))
 
 
 def _emit_rows(header: tuple[str, ...], rows: list[tuple], fmt: str, out=None) -> None:
@@ -90,7 +111,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_lottery(path: str):
-    return parse_lottery_text(_read_text(path), source=path)
+    return lottery.parse_lottery_text(_read_text(path), source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +120,17 @@ def _load_lottery(path: str):
 
 def cmd_eval(args) -> int:
     lot = _load_lottery(args.lottery)
-    w = parse_weighting(args.weighting)
-    value = dt_value(lot, w)
-    mu = mean(lot)
-    rows: list[tuple] = [("value", _cell(value), _decimal(value)), ("mean", _cell(mu), _decimal(mu))]
+    w = weighting.parse_weighting(args.weighting)
+    value = valuation.dt_value(lot, w)
+    mu = lottery.mean(lot)
+    decimal = rationals._decimal
+    rows: list[tuple] = [("value", _cell(value), decimal(value)), ("mean", _cell(mu), decimal(mu))]
     for m in range(1, 5):
-        dm = dual_moment(lot, m)
-        rows.append((f"dual_moment_{m}", _cell(dm), _decimal(dm)))
+        dm = valuation.dual_moment(lot, m)
+        rows.append((f"dual_moment_{m}", _cell(dm), decimal(dm)))
     for k in range(2, 5):
-        cm = primal_moment(lot, k)
-        rows.append((f"central_moment_{k}", _cell(cm), _decimal(cm)))
+        cm = valuation.primal_moment(lot, k)
+        rows.append((f"central_moment_{k}", _cell(cm), decimal(cm)))
     _emit_rows(("quantity", "exact", "decimal"), rows, args.format)
     return 0
 
@@ -123,9 +145,9 @@ def cmd_dominance(args) -> int:
     if args.kind == "dual":
         if args.ekern:
             raise DomainError("--ekern applies to primal checks only")
-        report = dual_sd_check(a, b, args.degree)
+        report = dominance.dual_sd_check(a, b, args.degree)
     else:
-        report = primal_sd_check(a, b, args.degree, ekern=args.ekern)
+        report = dominance.primal_sd_check(a, b, args.degree, ekern=args.ekern)
     rows = [
         ("kind", report.kind),
         ("degree", str(report.degree)),
@@ -141,11 +163,18 @@ def cmd_dominance(args) -> int:
 # pairgen
 
 
-def _resolve_base(args, m: int) -> EqualProbLottery:
+def _delta_pair(base, m: int, big_m: int, seed=None):
+    """The general pair with blocks of amplitude ±1/M at positions 1 and 2."""
+    delta = Fraction(1, big_m)
+    block = apportionment.make_block
+    return apportionment.make_pair(base, block(m, delta), block(m, -delta), 1, 2, seed=seed)
+
+
+def _resolve_base(args, m: int) -> lottery.EqualProbLottery:
     if args.base is not None:
         if os.path.exists(args.base):
-            return equal_prob_from_lottery(_load_lottery(args.base))
-        return EqualProbLottery(tuple(parse_rational(tok) for tok in args.base.split(",")))
+            return lottery.equal_prob_from_lottery(_load_lottery(args.base))
+        return lottery.EqualProbLottery(tuple(rationals.parse_rational(tok) for tok in args.base.split(",")))
     if args.random:
         import random
 
@@ -163,18 +192,17 @@ def cmd_pairgen(args) -> int:
     seed = args.seed if args.random else None
     if args.parsimonious:
         j = args.j if args.j is not None else 0
-        pair = make_parsimonious_pair(base.outcomes, j, m, big_m, seed=seed)
+        pair = apportionment.make_parsimonious_pair(base.outcomes, j, m, big_m, seed=seed)
     else:
         if args.j is not None:
             raise DomainError("--j positions the parsimonious bold block; add --parsimonious")
-        delta = Fraction(1, big_m)
-        pair = make_pair(base, make_block(m, delta), make_block(m, -delta), 1, 2, seed=seed)
+        pair = _delta_pair(base, m, big_m, seed)
     prefix = args.prefix or f"order{m}"
     outdir = _outdir(args)
     written = []
     for tag, member in (("c", pair.c), ("d", pair.d)):
         path = os.path.join(outdir, f"{prefix}_{tag}.txt")
-        _write_text(path, format_lottery_text(member))
+        _write_text(path, lottery.format_lottery_text(member))
         written.append(path)
     prov_path = os.path.join(outdir, f"{prefix}_provenance.json")
     _write_text(prov_path, pair.provenance.to_json() + "\n")
@@ -219,21 +247,22 @@ def cmd_verify(args) -> int:
 
 
 def _sec22_rows() -> list[tuple]:
-    a = make_lottery([(0, Fraction(1, 6)), (3, Fraction(5, 6))])
-    b = make_lottery([(1, Fraction(1, 6)), (2, Fraction(1, 2)), (4, Fraction(1, 3))])
+    a = lottery.make_lottery([(0, Fraction(1, 6)), (3, Fraction(5, 6))])
+    b = lottery.make_lottery([(1, Fraction(1, 6)), (2, Fraction(1, 2)), (4, Fraction(1, 3))])
     rows: list[tuple] = [
         ("outcomes", "0 3", "1 2 4", ""),
         ("probabilities", "1/6 5/6", "1/6 1/2 1/3", ""),
-        ("mean", _cell(mean(a)), _cell(mean(b)), ""),
-        ("variance", _cell(primal_moment(a, 2)), _cell(primal_moment(b, 2)), ""),
-        ("dual_moment_2", _cell(dual_moment(a, 2)), _cell(dual_moment(b, 2)), ""),
+        ("mean", _cell(lottery.mean(a)), _cell(lottery.mean(b)), ""),
+        ("variance", _cell(valuation.primal_moment(a, 2)), _cell(valuation.primal_moment(b, 2)), ""),
+        ("dual_moment_2", _cell(valuation.dual_moment(a, 2)), _cell(valuation.dual_moment(b, 2)), ""),
     ]
-    u = QuadraticUtility(Fraction(1, 8))
-    rows.append(("eu_quadratic_c_1/8", _cell(eu_value(a, u)), _cell(eu_value(b, u)), ""))
+    u = valuation.QuadraticUtility(Fraction(1, 8))
+    eu_a, eu_b = valuation.eu_value(a, u), valuation.eu_value(b, u)
+    rows.append(("eu_quadratic_c_1/8", _cell(eu_a), _cell(eu_b), ""))
     for beta in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-        w = Quadratic(beta)
-        va, vb = dt_value(a, w), dt_value(b, w)
-        rows.append((f"value_quadratic_beta_{format_exact(beta)}", _cell(va), _cell(vb), _cell(va - vb)))
+        w = weighting.Quadratic(beta)
+        va, vb = valuation.dt_value(a, w), valuation.dt_value(b, w)
+        rows.append((f"value_quadratic_beta_{_cell(beta)}", _cell(va), _cell(vb), _cell(va - vb)))
     return rows
 
 
@@ -243,60 +272,57 @@ _SEC3_CASES = ((2, (1, 2), 4), (3, (1, 2, 4), 6), (4, (1, 2, 4, 7), 4))
 def _sec3_rows() -> list[tuple]:
     rows: list[tuple] = []
     for m, outcomes, big_m in _SEC3_CASES:
-        base = EqualProbLottery(tuple(Fraction(x) for x in outcomes))
-        delta = Fraction(1, big_m)
-        pair = make_pair(base, make_block(m, delta), make_block(m, -delta), 1, 2)
+        base = lottery.EqualProbLottery(outcomes)
+        pair = _delta_pair(base, m, big_m)
         c, d = pair.c, pair.d
 
         def put(name, fc, fd):
             rows.append((str(m), name, _cell(fc), _cell(fd)))
 
-        rows.append((str(m), "base_outcomes", " ".join(map(format_exact, base.outcomes)), ""))
+        rows.append((str(m), "base_outcomes", _joined(base.outcomes), ""))
         rows.append((str(m), "M", str(big_m), ""))
-        put("outcomes", " ".join(map(format_exact, c.outcomes)), " ".join(map(format_exact, d.outcomes)))
-        put("mean", mean(c), mean(d))
-        put("variance", primal_moment(c, 2), primal_moment(d, 2))
+        put("outcomes", _joined(c.outcomes), _joined(d.outcomes))
+        put("mean", lottery.mean(c), lottery.mean(d))
+        put("variance", valuation.primal_moment(c, 2), valuation.primal_moment(d, 2))
         if m >= 3:
-            put("central_moment_3", primal_moment(c, 3), primal_moment(d, 3))
-            put("dual_moment_2", dual_moment(c, 2), dual_moment(d, 2))
+            put("central_moment_3", valuation.primal_moment(c, 3), valuation.primal_moment(d, 3))
+            put("dual_moment_2", valuation.dual_moment(c, 2), valuation.dual_moment(d, 2))
         if m >= 4:
-            put("central_moment_4", primal_moment(c, 4), primal_moment(d, 4))
-            put("dual_moment_3", dual_moment(c, 3), dual_moment(d, 3))
+            put("central_moment_4", valuation.primal_moment(c, 4), valuation.primal_moment(d, 4))
+            put("dual_moment_3", valuation.dual_moment(c, 3), valuation.dual_moment(d, 3))
     return rows
 
 
-_SEC4_STOCKS = {
-    2: EqualProbLottery((Fraction(1), Fraction(3))),
-    3: EqualProbLottery((Fraction(1), Fraction(3), Fraction(5), Fraction(7))),
-    4: EqualProbLottery(tuple(Fraction(x) for x in range(1, 16, 2))),
-}
+# order -> the stock's equally likely outcomes
+_SEC4_STOCKS = {2: (1, 3), 3: (1, 3, 5, 7), 4: tuple(range(1, 16, 2))}
 
 
 def _sec4_rows() -> list[tuple]:
     rows: list[tuple] = []
-    for m, stock in _SEC4_STOCKS.items():
+    for m, outcomes in _SEC4_STOCKS.items():
+        stock = lottery.EqualProbLottery(outcomes)
         menu = applications.build_menu(m, stock)
         prices = applications.supplemented_prices(stock, menu)
-        s0 = mean(stock)
+        s0 = lottery.mean(stock)
         pp = applications.PortfolioProblem(Fraction(1), Fraction(0), s0, stock)
-        w = DualPower(m)
+        w = weighting.DualPower(m)
         v_plain = applications.portfolio_value(pp, None, w)
         v_supp = applications.portfolio_value(pp, menu, w)
 
         def put(name, value):
             rows.append((str(m), name, _cell(value)))
 
-        put("stock", " ".join(map(format_exact, stock.outcomes)))
-        put("payoffs", " ".join(format_exact(menu.payoff(s)) for s in stock.outcomes))
+        put("stock", _joined(stock.outcomes))
+        put("payoffs", _joined(menu.payoff(s) for s in stock.outcomes))
         put("premium", menu.premium(stock))
-        put("portfolio_states", " ".join(map(format_exact, prices.outcomes)))
-        support = canonical_distribution(prices)
-        put("portfolio_support", " ".join(format_exact(x) for x, _ in support.states))
+        put("portfolio_states", _joined(prices.outcomes))
+        support = lottery.canonical_distribution(prices)
+        put("portfolio_support", _joined(x for x, _ in support.states))
         put("s0", s0)
         put(f"value_plain_dualpower_{m}", v_plain)
         put(f"value_supplemented_dualpower_{m}", v_supp)
         put("value_gain", v_supp - v_plain)
-        put("dominance_holds", "true" if dual_sd_check(stock, prices, m) else "false")
+        put("dominance_holds", "true" if dominance.dual_sd_check(stock, prices, m) else "false")
     return rows
 
 
@@ -304,7 +330,7 @@ def _sec5_rows() -> list[tuple]:
     rows: list[tuple] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        w = DualPower(3)
+        w = weighting.DualPower(3)
         model = applications.calibrate_power_law(Fraction(4, 5), Fraction(1, 2), w, Fraction(1))
         sp = applications.SelfProtectionProblem(
             Fraction(4), Fraction(1), Fraction(1, 8), model, (Fraction(0), Fraction(1, 5))
@@ -319,13 +345,13 @@ def _sec5_rows() -> list[tuple]:
         put("calibrated_powerlaw", "e_without_background", rep.e_without)
         put("calibrated_powerlaw", "direction", rep.direction)
         put("calibrated_powerlaw", "p_at_opt", rep.p_at_opt)
-        put("calibrated_powerlaw", "h_prime_1/4", eval_h_prime(w, Fraction(1, 4)))
-        put("calibrated_powerlaw", "h_prime_1/2", eval_h_prime(w, Fraction(1, 2)))
-        put("calibrated_powerlaw", "h_prime_3/4", eval_h_prime(w, Fraction(3, 4)))
+        put("calibrated_powerlaw", "h_prime_1/4", weighting.eval_h_prime(w, Fraction(1, 4)))
+        put("calibrated_powerlaw", "h_prime_1/2", weighting.eval_h_prime(w, Fraction(1, 2)))
+        put("calibrated_powerlaw", "h_prime_3/4", weighting.eval_h_prime(w, Fraction(3, 4)))
         put("calibrated_powerlaw", "shift_at_half", rep.shift_at_half)
         put("calibrated_powerlaw", "shift_at_opt", rep.shift_at_opt)
 
-        wrev = Polynomial((Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1, 2)))
+        wrev = weighting.Polynomial((Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1, 2)))
         exp_model = applications.calibrate_exponential(Fraction(3, 5), wrev, Fraction(1))
         sprev = applications.SelfProtectionProblem(
             Fraction(4), Fraction(1), Fraction(1, 8), exp_model, (Fraction(0), Fraction(1))
@@ -341,7 +367,7 @@ def _sec5_rows() -> list[tuple]:
         spi = applications.SelfProtectionProblem(
             Fraction(4), Fraction(1), Fraction(0), exp2, (Fraction(0), Fraction(1))
         )
-        soli = applications.sp_solve(spi, Identity())
+        soli = applications.sp_solve(spi, weighting.Identity())
         closed = math.log(float(exp2.p0) * float(exp2.k)) / float(exp2.k)
         put("identity_exponential", "e_star", soli.e_star)
         put("identity_exponential", "closed_form", closed)
@@ -353,7 +379,7 @@ def _sec5_rows() -> list[tuple]:
         spk = applications.SelfProtectionProblem(
             Fraction(4), Fraction(1), Fraction(0), kink, (Fraction(0), Fraction(1, 2))
         )
-        solk = applications.sp_solve(spk, Identity())
+        solk = applications.sp_solve(spk, weighting.Identity())
         put("linear_kink", "e_star", solk.e_star)
         put("linear_kink", "kink_point", Fraction(7, 20))
     return rows

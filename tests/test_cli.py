@@ -592,8 +592,8 @@ class TestRepeatedInProcessCalls:
         assert capsys.readouterr().out == expected
 
 
-def test_cli_import_leaves_numpy_out():
-    code = "import sys, dualrisk.cli; print('numpy' in sys.modules)"
+def _fresh(code: str) -> str:
+    """Standard output of code run in a new interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -603,4 +603,44 @@ def test_cli_import_leaves_numpy_out():
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+# the dualrisk modules whose bodies have run: a deferred module keeps its
+# lazy subclass of ModuleType until then
+EXECUTED = """
+import json, sys, types
+
+def executed():
+    ours = (n for n, m in sys.modules.items() if n.split(".")[0] == "dualrisk" and type(m) is types.ModuleType)
+    return sorted(ours)
+"""
+
+
+def test_cli_import_leaves_numpy_out():
+    # every module runs first: importing the CLI alone runs none of them
+    code = EXECUTED + """
+import dualrisk.cli
+from dualrisk import *
+assert executed() == sorted(["dualrisk", *(f"dualrisk.{m}" for m in dualrisk._EXPORTS)]), executed()
+print(json.dumps(sorted({"numpy", "hypothesis", "mpmath", "oracles"} & set(sys.modules))))
+"""
+    assert json.loads(_fresh(code)) == []
+
+
+def test_cli_runs_only_the_modules_a_command_uses(tmp_path):
+    path = tmp_path / "a.lot"
+    path.write_text("1 1/3\n5/2 2/3\n", encoding="utf-8")
+    code = EXECUTED + f"""
+import contextlib, io
+import dualrisk.cli
+print(json.dumps(executed()))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert dualrisk.cli.main(["eval", {str(path)!r}, "--weighting", "dualpower:m=2"]) == 0
+print(json.dumps(executed()))
+"""
+    at_import, after_eval = map(json.loads, _fresh(code).splitlines())
+    assert at_import == ["dualrisk", "dualrisk.cli", "dualrisk.errors"]
+    assert "dualrisk.valuation" in after_eval
+    unused = {f"dualrisk.{m}" for m in ("applications", "harness", "apportionment", "dominance")}
+    assert unused.isdisjoint(after_eval)

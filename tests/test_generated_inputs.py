@@ -16,10 +16,13 @@ validator. The example counts keep both under a few seconds.
 import contextlib
 import io
 import json
+import os
 import random
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +179,9 @@ def problem_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+SP_LINES_TEXT = "".join(f"{key} = {value}\n" for key, value in SP_LINES.items())
+
+
 @given(specs(WEIGHTING_KEYS), st.sampled_from(("1 1\n", "0 1/3\n1/2 1/3\n7 1/3\n")))
 @settings(max_examples=200, deadline=None)
 def test_cli_on_generated_weighting_specs(spec, text):
@@ -255,3 +261,91 @@ def test_mutated_provenance_raises_only_typed_errors(text):
         rebuild_pair(PairProvenance.from_json(text))
     except (InputValidationError, ConstructionInvariantError):
         pass
+
+
+def _small(token: str) -> bool:
+    """Not an int that argparse would read as a large count or order."""
+    try:
+        return abs(int(token)) <= 8
+    except ValueError:
+        return True
+
+
+# files in the run's directory: good and bad lotteries, a problem file, a
+# missing path and a directory
+FILES = {
+    "a.lot": "1 1/3\n5/2 2/3\n", "b.lot": "1 1/2\n2 1/2\n", "bad.lot": "1 1/2\nx\n", "sp.cfg": SP_LINES_TEXT,
+}
+PATHS = (*FILES, "missing.lot", ".")
+STRAYS = tuple(filter(_small, AWKWARD)) + ("--", "-", "-h", "--bogus", "=", "", " ", "--format", "help")
+SMALL = ("-1", "0", "1", "2", "3", "5")
+# flag -> values argparse accepts (None: a switch); ints stay small, so
+# every run is short
+FLAGS = {
+    "eval": {"--weighting": WEIGHTINGS + ("bogus", "dualpower:m=x"), "--format": ("csv", "table")},
+    "dominance": {
+        "--degree": SMALL, "--kind": ("primal", "dual"), "--ekern": None, "--format": ("csv", "table"),
+    },
+    "pairgen": {
+        "--order": SMALL, "--base": PATHS + ("1,2,4", "1,2,4,7", "2,1", "1,,2", "1/2,1e400"),
+        "--random": None, "--n": SMALL, "--M": SMALL + (str(2**70),), "--seed": SMALL + (str(2**70),),
+        "--parsimonious": None, "--j": SMALL, "--prefix": ("p", "x/y", "1/0"), "--outdir": ("o", "a.lot"),
+    },
+    "verify": {"--theorem": ("1", "2", "3", "4", "5", "6"), "--seed": SMALL, "--outdir": ("o", "a.lot")},
+    "paper-repro": {"--outdir": ("o", "a.lot")},
+    "selfprotect": {"--format": ("csv", "table")},
+}
+# command -> the flags it needs
+REQUIRED = {"dominance": ("--degree",), "pairgen": ("--order", "--base"), "verify": ("--theorem",)}
+# command -> the files its path arguments name when they are right
+POSITIONALS = {"eval": ("a.lot",), "dominance": ("a.lot", "b.lot"), "selfprotect": ("sp.cfg",)}
+
+
+@st.composite
+def argvs(draw):
+    """A command line: a subcommand (now and then a wrong one, or none),
+    mostly its number of path arguments and mostly the right files, mostly
+    the flags it needs, and some other flags, each with a value, an
+    awkward value, no value or as --flag=value, and now and then stray
+    tokens anywhere. verify always ends with a small --trials."""
+    command = draw(st.sampled_from((*FLAGS, *FLAGS, "", "evl", "--help")))
+    flags, right = FLAGS.get(command, {}), POSITIONALS.get(command, ())
+    count = max(0, len(right) + draw(st.sampled_from((0, 0, 0, 0, -1, 1))))
+    argv = [draw(st.sampled_from(right * 4 + PATHS)) for _ in range(count)]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)) if flags else []
+    for flag in REQUIRED.get(command, ()):
+        if flag not in chosen and draw(st.sampled_from((True,) * 7 + (False,))):
+            chosen.insert(0, flag)
+    for flag in chosen:
+        values, form = flags[flag], draw(st.sampled_from(("pair",) * 12 + ("awkward", "bare", "equals")))
+        value = draw(st.sampled_from(values if form != "awkward" else STRAYS)) if values else None
+        if value is None or form == "bare":
+            argv.append(flag)
+        else:
+            argv += [f"{flag}={value}"] if form == "equals" else [flag, value]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 0, 1, 2)))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAYS)))
+    if command == "verify":
+        argv += ["--trials", draw(st.sampled_from(("-1", "0", "1", "3", "x")))]
+    return [command, *argv] if command else argv
+
+
+@given(argvs())
+@settings(max_examples=400, deadline=None)
+@pytest.mark.filterwarnings("ignore:value not concave on the effort grid")
+def test_cli_on_generated_argv(argv):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("DUALRISK_OUTDIR", None)
+        for name, text in FILES.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        here = os.getcwd()
+        os.chdir(tmp)  # relative paths and default outputs stay in the run's directory
+        try:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, code, err.getvalue())
+    if code == 2:
+        assert re.search(r"^(dualrisk[\w -]*: )?error: ", err.getvalue(), re.M), (argv, err.getvalue())
