@@ -55,8 +55,8 @@ _EXPORTS = {
     "polyops": (),
     "rationals": ("format_exact", "parse_rational", "rat"),
     "valuation": (
-        "LinearUtility", "PowerIntUtility", "QuadraticUtility", "TabulatedUtility",
-        "dt_value", "dual_moment", "eu_value", "eval_utility", "primal_moment", "raw_moment",
+        "LinearUtility", "QuadraticUtility", "TabulatedUtility", "dt_value", "dual_moment",
+        "eu_value", "primal_moment", "raw_moment",
     ),
     "weighting": (
         "DualPower", "Identity", "Polynomial", "Power", "Prelec", "Quadratic",

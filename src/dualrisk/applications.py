@@ -19,7 +19,6 @@ direction dictated by the third derivative of the weighting function.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
@@ -589,8 +588,8 @@ def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec) -> SPSolution:
     """Maximize effort value: bracketing grid scan, then golden-section.
 
     The value is assumed concave in effort; that assumption is checked
-    on the scan grid and a violation triggers a warning while the
-    returned point is still the refined global grid maximum. A bound
+    on the scan grid and reported as diagnostics.concave_on_grid, and a
+    violation still returns the refined global grid maximum. A bound
     whose value is at least the refined point's is returned as the bound
     itself. Every evaluation reads the closed forms of sp_value and
     sp_foc_lhs as _float_forms builds them once for this solve, equal to
@@ -605,8 +604,6 @@ def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec) -> SPSolution:
     concave = all(
         vs[i + 1] - vs[i] <= vs[i] - vs[i - 1] + 1e-9 * scale for i in range(1, _GRID_COUNT)
     )
-    if not concave:
-        warnings.warn("value not concave on the effort grid; returning the global grid maximum")
     best = max(range(_GRID_COUNT + 1), key=lambda i: vs[i])
     a = es[best - 1] if best > 0 else es[0]
     b = es[best + 1] if best < _GRID_COUNT else es[_GRID_COUNT]

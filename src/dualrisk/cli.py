@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -328,60 +327,58 @@ def _sec4_rows() -> list[tuple]:
 
 def _sec5_rows() -> list[tuple]:
     rows: list[tuple] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        w = weighting.DualPower(3)
-        model = applications.calibrate_power_law(Fraction(4, 5), Fraction(1, 2), w, Fraction(1))
-        sp = applications.SelfProtectionProblem(
-            Fraction(4), Fraction(1), Fraction(1, 8), model, (Fraction(0), Fraction(1, 5))
-        )
-        rep = applications.sp_background_effect(sp, w)
+    w = weighting.DualPower(3)
+    model = applications.calibrate_power_law(Fraction(4, 5), Fraction(1, 2), w, Fraction(1))
+    sp = applications.SelfProtectionProblem(
+        Fraction(4), Fraction(1), Fraction(1, 8), model, (Fraction(0), Fraction(1, 5))
+    )
+    rep = applications.sp_background_effect(sp, w)
 
-        def put(instance, name, value):
-            rows.append((instance, name, _cell(value)))
+    def put(instance, name, value):
+        rows.append((instance, name, _cell(value)))
 
-        put("calibrated_powerlaw", "effort_model", applications.format_effort(model))
-        put("calibrated_powerlaw", "e_with_background", rep.e_with)
-        put("calibrated_powerlaw", "e_without_background", rep.e_without)
-        put("calibrated_powerlaw", "direction", rep.direction)
-        put("calibrated_powerlaw", "p_at_opt", rep.p_at_opt)
-        put("calibrated_powerlaw", "h_prime_1/4", weighting.eval_h_prime(w, Fraction(1, 4)))
-        put("calibrated_powerlaw", "h_prime_1/2", weighting.eval_h_prime(w, Fraction(1, 2)))
-        put("calibrated_powerlaw", "h_prime_3/4", weighting.eval_h_prime(w, Fraction(3, 4)))
-        put("calibrated_powerlaw", "shift_at_half", rep.shift_at_half)
-        put("calibrated_powerlaw", "shift_at_opt", rep.shift_at_opt)
+    put("calibrated_powerlaw", "effort_model", applications.format_effort(model))
+    put("calibrated_powerlaw", "e_with_background", rep.e_with)
+    put("calibrated_powerlaw", "e_without_background", rep.e_without)
+    put("calibrated_powerlaw", "direction", rep.direction)
+    put("calibrated_powerlaw", "p_at_opt", rep.p_at_opt)
+    put("calibrated_powerlaw", "h_prime_1/4", weighting.eval_h_prime(w, Fraction(1, 4)))
+    put("calibrated_powerlaw", "h_prime_1/2", weighting.eval_h_prime(w, Fraction(1, 2)))
+    put("calibrated_powerlaw", "h_prime_3/4", weighting.eval_h_prime(w, Fraction(3, 4)))
+    put("calibrated_powerlaw", "shift_at_half", rep.shift_at_half)
+    put("calibrated_powerlaw", "shift_at_opt", rep.shift_at_opt)
 
-        wrev = weighting.Polynomial((Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1, 2)))
-        exp_model = applications.calibrate_exponential(Fraction(3, 5), wrev, Fraction(1))
-        sprev = applications.SelfProtectionProblem(
-            Fraction(4), Fraction(1), Fraction(1, 8), exp_model, (Fraction(0), Fraction(1))
-        )
-        reprev = applications.sp_background_effect(sprev, wrev)
-        put("reverse_cubic", "effort_model", applications.format_effort(exp_model))
-        put("reverse_cubic", "e_with_background", reprev.e_with)
-        put("reverse_cubic", "e_without_background", reprev.e_without)
-        put("reverse_cubic", "direction", reprev.direction)
-        put("reverse_cubic", "shift_at_half", reprev.shift_at_half)
+    wrev = weighting.Polynomial((Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1, 2)))
+    exp_model = applications.calibrate_exponential(Fraction(3, 5), wrev, Fraction(1))
+    sprev = applications.SelfProtectionProblem(
+        Fraction(4), Fraction(1), Fraction(1, 8), exp_model, (Fraction(0), Fraction(1))
+    )
+    reprev = applications.sp_background_effect(sprev, wrev)
+    put("reverse_cubic", "effort_model", applications.format_effort(exp_model))
+    put("reverse_cubic", "e_with_background", reprev.e_with)
+    put("reverse_cubic", "e_without_background", reprev.e_without)
+    put("reverse_cubic", "direction", reprev.direction)
+    put("reverse_cubic", "shift_at_half", reprev.shift_at_half)
 
-        exp2 = applications.ExponentialEffort(Fraction(3, 5), Fraction(2))
-        spi = applications.SelfProtectionProblem(
-            Fraction(4), Fraction(1), Fraction(0), exp2, (Fraction(0), Fraction(1))
-        )
-        soli = applications.sp_solve(spi, weighting.Identity())
-        closed = math.log(float(exp2.p0) * float(exp2.k)) / float(exp2.k)
-        put("identity_exponential", "e_star", soli.e_star)
-        put("identity_exponential", "closed_form", closed)
-        put("identity_exponential", "abs_gap", abs(soli.e_star - closed))
+    exp2 = applications.ExponentialEffort(Fraction(3, 5), Fraction(2))
+    spi = applications.SelfProtectionProblem(
+        Fraction(4), Fraction(1), Fraction(0), exp2, (Fraction(0), Fraction(1))
+    )
+    soli = applications.sp_solve(spi, weighting.Identity())
+    closed = math.log(float(exp2.p0) * float(exp2.k)) / float(exp2.k)
+    put("identity_exponential", "e_star", soli.e_star)
+    put("identity_exponential", "closed_form", closed)
+    put("identity_exponential", "abs_gap", abs(soli.e_star - closed))
 
-        kink = applications.LinearEffort(
-            Fraction(4, 5), Fraction(2), p_min=Fraction(1, 10), p_max=Fraction(99, 100)
-        )
-        spk = applications.SelfProtectionProblem(
-            Fraction(4), Fraction(1), Fraction(0), kink, (Fraction(0), Fraction(1, 2))
-        )
-        solk = applications.sp_solve(spk, weighting.Identity())
-        put("linear_kink", "e_star", solk.e_star)
-        put("linear_kink", "kink_point", Fraction(7, 20))
+    kink = applications.LinearEffort(
+        Fraction(4, 5), Fraction(2), p_min=Fraction(1, 10), p_max=Fraction(99, 100)
+    )
+    spk = applications.SelfProtectionProblem(
+        Fraction(4), Fraction(1), Fraction(0), kink, (Fraction(0), Fraction(1, 2))
+    )
+    solk = applications.sp_solve(spk, weighting.Identity())
+    put("linear_kink", "e_star", solk.e_star)
+    put("linear_kink", "kink_point", Fraction(7, 20))
     return rows
 
 

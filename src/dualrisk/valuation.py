@@ -24,16 +24,21 @@ apportionment module. DualPower(m) and the dual moments sum
 (d - c)^m per step; the other exact families use V = x_max -
 sum_i h(F_i) (x_i - x_{i-1}): integer Power sums c^k, Identity, Quadratic
 and Polynomial run Horner on the numerators of h's coefficients over
-their common denominator, and Tabulated walks a segment pointer forward
-as c rises, over its knots scaled to integers by the lcm of the segment
-widths. Each builds one Fraction at the end. An exact order m with
-m * bitlength(d) above 2^20, about the size of its powers, is a
-DomainError. The float families (TverskyKahneman, Prelec, fractional
-Power) read the same counts through the weighting's float form, with
-the level c/d and the step as int true divisions, which are the
-correctly rounded floats of the rationals;
-an outcome beyond the float range is a DomainError. The raw and central
+their common denominator, and Tabulated runs the one piecewise-linear
+sweep (_pl_sweep): a segment pointer that walks forward as c rises, over
+the knots scaled to integers by the lcm of the segment widths. Each
+builds one Fraction at the end. An exact order m with m * bitlength(d)
+above 2^20, about the size of its powers, is a DomainError. The float
+families (TverskyKahneman, Prelec, fractional Power) read the same
+counts through the weighting's float form, with the level c/d and the
+step as int true divisions, which are the correctly rounded floats of
+the rationals; an outcome beyond the float range is a DomainError. The raw and central
 moments are single integer sums over the lottery's integer form.
+
+Expected utility reads the same integer form: the mean for
+LinearUtility, mean - c E[X^2] as integer sums for QuadraticUtility,
+and for TabulatedUtility the same piecewise-linear sweep, over the
+outcomes weighted by their probabilities.
 """
 
 from __future__ import annotations
@@ -81,17 +86,6 @@ class QuadraticUtility:
 
 
 @dataclass(frozen=True)
-class PowerIntUtility:
-    """u(x) = x^k on non-negative outcomes, integer k >= 1."""
-
-    k: int
-
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise DomainError(f"power utility exponent must be an integer >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
 class TabulatedUtility:
     """Piecewise-linear utility through (x, u) knots; x increasing, u non-decreasing."""
 
@@ -109,40 +103,64 @@ class TabulatedUtility:
                 raise NonMonotoneUtility(f"utility decreases between x={x0} and x={x1}")
 
 
-UtilityFunction = LinearUtility | QuadraticUtility | PowerIntUtility | TabulatedUtility
-
-
-def eval_utility(u: UtilityFunction, x: Fraction) -> Fraction:
-    match u:
-        case LinearUtility():
-            return x
-        case QuadraticUtility(c=c):
-            return x - c * x * x
-        case PowerIntUtility(k=k):
-            return x**k
-        case TabulatedUtility(knots=knots):
-            if x < knots[0][0] or x > knots[-1][0]:
-                raise DomainError(f"outcome {x} outside tabulated utility span")
-            for (x0, u0), (x1, u1) in zip(knots, knots[1:]):
-                if x <= x1:
-                    return u0 + (u1 - u0) * (x - x0) / (x1 - x0)
-    raise DomainError(f"unknown utility family {type(u).__name__}")
-
-
-def _check_monotone_on(u: UtilityFunction, lot: Lottery) -> None:
-    if isinstance(u, QuadraticUtility) and u.c > 0:
-        top = Fraction(lot._ints[0][-1], lot._ints[1])
-        if 2 * u.c * top > 1:
-            raise NonMonotoneUtility(
-                f"quadratic utility with c={u.c} decreases beyond x={1 / (2 * u.c)}, "
-                f"but the lottery reaches {top}"
-            )
+UtilityFunction = LinearUtility | QuadraticUtility | TabulatedUtility
 
 
 def eu_value(lot: Lottery, u: UtilityFunction) -> Fraction:
-    """Expected utility sum p_i u(x_i); utility must be non-decreasing on the support."""
-    _check_monotone_on(u, lot)
-    return sum((p * eval_utility(u, x) for x, p in lot.states), Fraction(0))
+    """Expected utility sum_i p_i u(x_i); utility must be non-decreasing on the support.
+
+    Over the integer form (outcomes x_i / xd, probabilities p_i / pd):
+    the mean for LinearUtility, mean - c E[X^2] as integer sums for
+    QuadraticUtility, and the piecewise-linear sweep for TabulatedUtility.
+    """
+    xs, xd, ps, pd = lot._ints
+    match u:
+        case LinearUtility():
+            return mean(lot)
+        case QuadraticUtility(c=c):
+            if 2 * c * xs[-1] > xd:
+                raise NonMonotoneUtility(
+                    f"quadratic utility with c={c} decreases beyond x={1 / (2 * c)}, "
+                    f"but the lottery reaches {Fraction(xs[-1], xd)}"
+                )
+            s1 = xd * sum(map(mul, xs, ps))
+            s2 = sum(p * x * x for x, p in zip(xs, ps))
+            return Fraction(c.denominator * s1 - c.numerator * s2, c.denominator * pd * xd * xd)
+        case TabulatedUtility(knots=knots):
+            lo, hi = knots[0][0] * xd, knots[-1][0] * xd
+            outside = next((x for x in xs if not lo <= x <= hi), None)
+            if outside is not None:
+                raise DomainError(f"outcome {Fraction(outside, xd)} outside tabulated utility span")
+            acc, den = _pl_sweep(zip(xs, ps), xd, knots)
+            return Fraction(acc, den * pd)
+    raise DomainError(f"unknown utility family {type(u).__name__}")
+
+
+def _pl_sweep(points, den: int, knots) -> tuple[int, int]:
+    """(acc, scale) with sum_i w_i f(x_i / den) = acc / scale, for f
+    piecewise linear through knots and (x_i, w_i) in points, the x_i
+    non-negative, non-decreasing and within the knots' span.
+
+    With knot abscissae P_j/pd, values V_j/vd and L the lcm of the segment
+    widths, on segment j (width g = P_j - P_{j-1}, rise r = V_j - V_{j-1})
+    vd L den f(x/den) = (L/g) (den (V_{j-1} g - r P_{j-1}) + r pd x).
+    The points rise, so the segment pointer only moves forward.
+    """
+    ps, pd = _common_denominator([p for p, _ in knots])
+    vs, vd = _common_denominator([v for _, v in knots])
+    width = lcm(*map(sub, ps[1:], ps))
+    acc, j, right = 0, 1, -1
+    for x, w in points:
+        xp = x * pd
+        if xp > right:  # past segment j: the first knot at or right of x/den closes it
+            while ps[j] * den < xp:
+                j += 1
+            right = ps[j] * den
+            g, r = ps[j] - ps[j - 1], vs[j] - vs[j - 1]
+            base = width // g * den * (vs[j - 1] * g - r * ps[j - 1])
+            slope = width // g * r * pd
+        acc += (base + slope * x) * w
+    return acc, vd * width * den
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +190,9 @@ def _value(w: WeightingSpec, jumps, d: int, xd: int, top: int):
             return _cdf_power(jumps, k.numerator, d, xd, top)
         case Identity() | Quadratic() | Polynomial():
             return _cdf_poly(jumps, *w._ints, d, xd, top)
-        case Tabulated(knots=knots):
-            return _cdf_tabulated(jumps, knots, d, xd, top)
+        case Tabulated(knots=knots):  # x_max - sum_i h(F_i) step_i
+            acc, den = _pl_sweep(jumps, d, knots)
+            return Fraction(den * top - acc, den * xd)
         case TverskyKahneman() | Prelec() | Power():
             return _float_sweep(jumps, w, d, xd)
     raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
@@ -206,32 +225,6 @@ def _cdf_poly(jumps, hs: list[int], scale: int, d: int, xd: int, top: int) -> Fr
             v = v * c + k
         acc += v * step
     den = scale * d**deg
-    return Fraction(den * top - acc, den * xd)
-
-
-def _cdf_tabulated(jumps, knots, d: int, xd: int, top: int) -> Fraction:
-    """x_max - sum_i h(F_i) step_i for piecewise-linear h, in ints.
-
-    With knot abscissae P_j/pd, values V_j/vd and L the lcm of the segment
-    widths, on segment j (width g = P_j - P_{j-1}, rise r = V_j - V_{j-1})
-    vd L d h(c/d) = (L/g) (d (V_{j-1} g - r P_{j-1}) + r pd c).
-    The CDF counts rise, so the segment pointer only moves forward.
-    """
-    ps, pd = _common_denominator([p for p, _ in knots])
-    vs, vd = _common_denominator([v for _, v in knots])
-    width = lcm(*map(sub, ps[1:], ps))
-    acc, j, right = 0, 1, -1
-    for c, step in jumps:
-        cp = c * pd
-        if cp > right:  # past segment j: the first knot at or right of c/d closes it
-            while ps[j] * d < cp:
-                j += 1
-            right = ps[j] * d
-            g, r = ps[j] - ps[j - 1], vs[j] - vs[j - 1]
-            base = width // g * d * (vs[j - 1] * g - r * ps[j - 1])
-            slope = width // g * r * pd
-        acc += (base + slope * c) * step
-    den = vd * width * d
     return Fraction(den * top - acc, den * xd)
 
 

@@ -118,6 +118,8 @@ class TverskyKahneman:
     def __post_init__(self):
         g = float(self.gamma)
         object.__setattr__(self, "gamma", g)
+        if not math.isfinite(g):
+            raise DomainError(f"tk gamma must be finite, got {g}")
         if g <= 0:
             raise DomainError(f"tk gamma must be positive, got {g}")
         _grid_monotone_check(self, f"tk gamma={g}")
@@ -134,6 +136,8 @@ class Prelec:
         a, b = float(self.a), float(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"prelec parameters must be finite, got a={a}, b={b}")
         if a <= 0 or b <= 0:
             raise DomainError(f"prelec parameters must be positive, got a={a}, b={b}")
 

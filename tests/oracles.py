@@ -9,10 +9,11 @@ sweeps integer CDF counts), the dual moment is a Fraction loop over the
 survival function or, on ranked equally likely states, a sum with
 closed-form per-state weights, the CDF and quantile walk the states one
 by one, ties merge by comparing and adding Fraction states (where the
-library reads the merged support off the jump list), the mean, raw and central moments are
-Fraction sums over the states (where the library sums the lottery's
-integer form), the lottery parser reads every literal with rat and
-checks mass, signs and order in Fractions, the iterated quantile and CDF
+library reads the merged support off the jump list), the mean, raw and
+central moments and the expected utility are Fraction sums over the
+states (where the library sums the lottery's integer form), the lottery
+parser reads every literal with rat and checks mass, signs and order in
+Fractions, the iterated quantile and CDF
 are chains of Fraction antiderivatives of step functions built from one
 quantile() or cdf() call per piece (where the library sums truncated
 powers in ints), the dominance checks certify every piece of the
@@ -53,7 +54,6 @@ step lists off one jump list (lottery._jumps).
 import bisect
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -72,8 +72,10 @@ from dualrisk import (
     FormatError,
     Identity,
     LinearEffort,
+    LinearUtility,
     Lottery,
     NegativeOutcome,
+    NonMonotoneUtility,
     NonUnitMass,
     Polynomial,
     Power,
@@ -81,6 +83,7 @@ from dualrisk import (
     Prelec,
     PrecedenceViolation,
     Quadratic,
+    QuadraticUtility,
     RankViolation,
     SignCertificate,
     SignClass,
@@ -88,6 +91,7 @@ from dualrisk import (
     SPDiagnostics,
     SPSolution,
     Tabulated,
+    TabulatedUtility,
     TverskyKahneman,
     dt_value,
     eval_h,
@@ -561,6 +565,34 @@ def interp_linear_scan(knots, p: Fraction) -> Fraction:
         if p <= p1:
             return v0 + (v1 - v0) * (p - p0) / (p1 - p0)
     return knots[-1][1]
+
+
+def eu_value_reference(lot: Lottery, u) -> Fraction:
+    """Expected utility as a Fraction sum over the states, u evaluated
+    state by state (a tabulated utility by a segment scan); the same
+    errors and messages as eu_value."""
+    if isinstance(u, QuadraticUtility) and u.c > 0:
+        top = lot.outcomes[-1]
+        if 2 * u.c * top > 1:
+            raise NonMonotoneUtility(
+                f"quadratic utility with c={u.c} decreases beyond x={1 / (2 * u.c)}, "
+                f"but the lottery reaches {top}"
+            )
+    total = Fraction(0)
+    for x, p in lot.states:
+        match u:
+            case LinearUtility():
+                value = x
+            case QuadraticUtility(c=c):
+                value = x - c * x * x
+            case TabulatedUtility(knots=knots):
+                if x < knots[0][0] or x > knots[-1][0]:
+                    raise DomainError(f"outcome {x} outside tabulated utility span")
+                value = interp_linear_scan(knots, x)
+            case _:
+                raise DomainError(f"unknown utility family {type(u).__name__}")
+        total += p * value
+    return total
 
 
 def dt_value_cdf_form(lot: Lottery, w):
@@ -1116,8 +1148,6 @@ def sp_solve_reference(sp, w) -> SPSolution:
     vs = [value(e) for e in es]
     scale = max(1.0, max(abs(v) for v in vs))
     concave = all(vs[i + 1] - vs[i] <= vs[i] - vs[i - 1] + 1e-9 * scale for i in range(1, grid))
-    if not concave:
-        warnings.warn("value not concave on the effort grid; returning the global grid maximum")
     best = max(range(grid + 1), key=lambda i: vs[i])
     a, b = es[max(best - 1, 0)], es[min(best + 1, grid)]
     e_star = _golden_max_reference(value, a, b)

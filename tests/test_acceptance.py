@@ -9,7 +9,6 @@ import io
 import itertools
 import random
 import time
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -276,9 +275,7 @@ def test_criterion_7_self_protection():
     model = calibrate_power_law(F(4, 5), F(1, 2), w3, 1)
     assert model.c == F(1024, 75)
     sp = SelfProtectionProblem(4, 1, F(1, 8), model, (0, F(1, 5)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = sp_background_effect(sp, w3)
+    report = sp_background_effect(sp, w3)
     assert report.direction == "more"
     assert report.e_with > report.e_without
     assert abs(report.p_at_opt - 0.5) < 1e-6
@@ -296,9 +293,7 @@ def test_criterion_7_self_protection():
     exp_model = calibrate_exponential(F(3, 5), reverse_cubic, 1)
     assert exp_model.k == F(16, 9)
     sp_rev = SelfProtectionProblem(4, 1, F(1, 8), exp_model, (0, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report_rev = sp_background_effect(sp_rev, reverse_cubic)
+    report_rev = sp_background_effect(sp_rev, reverse_cubic)
     assert report_rev.direction == "less"
     assert report_rev.shift_at_half == F(3, 16)
 

@@ -5,7 +5,6 @@ import math
 import random
 import re
 import sys
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -413,11 +412,11 @@ class TestSpSolve:
     def test_takes_no_search_knobs(self):
         assert list(inspect.signature(sp_solve).parameters) == ["sp", "w"]
 
-    def test_nonconcave_grid_warns_but_still_maximizes(self):
+    def test_nonconcave_grid_is_reported_and_still_maximizes(self):
         pl = calibrate_power_law(F(4, 5), F(1, 2), DualPower(3), 1)
         sp = SelfProtectionProblem(4, 1, 0, pl, (0, F(1, 5)))
-        with pytest.warns(UserWarning, match="not concave"):
-            sol = sp_solve(sp, DualPower(3))
+        sol = sp_solve(sp, DualPower(3))
+        assert sol.diagnostics.concave_on_grid is False
         grid = [sp_value(sp, 0.2 * i / 400, DualPower(3)) for i in range(401)]
         assert sol.value >= max(grid) - 1e-9
 
@@ -485,17 +484,15 @@ weighting = dualpower:m=2
 
 class TestBoundOptimum:
     def test_lower_bound_is_returned_exactly(self):
-        with pytest.warns(UserWarning, match="not concave"):
-            sol = sp_solve(CONVEX, DualPower(2))
+        sol = sp_solve(CONVEX, DualPower(2))
+        assert sol.diagnostics.concave_on_grid is False
         assert sol.e_star == 0.0
         assert sol.diagnostics.at_bound == "lower"
         assert sol.value == sp_value(CONVEX, F(0), DualPower(2)) == F(13, 4)
         assert sol.diagnostics.p_at_opt == 0.5
 
     def test_two_bound_optima_have_no_direction(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = sp_background_effect(replace(CONVEX, epsilon=F(1, 8)), DualPower(2))
+        rep = sp_background_effect(replace(CONVEX, epsilon=F(1, 8)), DualPower(2))
         assert rep.e_with == rep.e_without == 0.0
         assert rep.direction == "none"
         assert rep.shift_at_opt == 0.0
@@ -504,9 +501,7 @@ class TestBoundOptimum:
     def test_cli_prints_the_bound(self, tmp_path, capsys, epsilon):
         cfg = tmp_path / "convex.cfg"
         cfg.write_text(CONVEX_CONFIG.format(epsilon=epsilon))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["selfprotect", str(cfg)]) == 0
+        assert main(["selfprotect", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert re.search(r"^e_star +0$", out, re.M)
         assert re.search(r"^at_bound +lower$", out, re.M)
@@ -521,12 +516,10 @@ class TestAgainstReferenceSolver:
     the closed forms over h and h' computed call by call."""
 
     def _check(self, sp, w, background):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if background:
-                assert sp_background_effect(sp, w) == sp_background_effect_reference(sp, w)
-            else:
-                assert sp_solve(sp, w) == sp_solve_reference(sp, w)
+        if background:
+            assert sp_background_effect(sp, w) == sp_background_effect_reference(sp, w)
+        else:
+            assert sp_solve(sp, w) == sp_solve_reference(sp, w)
 
     def test_calibrated_power_law(self):
         pl = calibrate_power_law(F(4, 5), F(1, 2), DualPower(3), 1)
@@ -563,9 +556,7 @@ class TestSolveStaysOnFloats:
                 applications, name, lambda *args, real=real: calls.append(args) or real(*args)
             )
         sp = SelfProtectionProblem(4, 1, epsilon, KINKED, (0, F(1, 2)))  # linear_kink at epsilon 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            solution = sp_solve(sp, w)
+        solution = sp_solve(sp, w)
         assert calls == []
         assert solution == sp_solve_reference(sp, w)
 
@@ -574,9 +565,7 @@ class TestBackgroundEffect:
     def test_dual_prudent_works_more(self):
         pl = calibrate_power_law(F(4, 5), F(1, 2), DualPower(3), 1)
         sp = SelfProtectionProblem(4, 1, F(1, 8), pl, (0, F(1, 5)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = sp_background_effect(sp, DualPower(3))
+        rep = sp_background_effect(sp, DualPower(3))
         assert rep.direction == "more"
         assert abs(rep.e_without - 117 / 1024) < 1e-9
         assert abs(rep.p_at_opt - 0.5) < 1e-6
@@ -589,9 +578,7 @@ class TestBackgroundEffect:
         ex = calibrate_exponential(F(3, 5), REVERSE_CUBIC, 1)
         assert ex.k == F(16, 9)
         sp = SelfProtectionProblem(4, 1, F(1, 8), ex, (0, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = sp_background_effect(sp, REVERSE_CUBIC)
+        rep = sp_background_effect(sp, REVERSE_CUBIC)
         assert rep.direction == "less"
         assert rep.shift_at_half == F(3, 16)
 

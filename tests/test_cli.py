@@ -436,7 +436,6 @@ class TestPaperRepro:
         assert (tmp_path / "sec22.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:value not concave")
 class TestSelfProtect:
     def test_solves_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "prob.cfg"

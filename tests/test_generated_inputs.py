@@ -193,7 +193,6 @@ def test_cli_on_generated_weighting_specs(spec, text):
 
 @given(problem_texts())
 @settings(max_examples=150, deadline=None)
-@pytest.mark.filterwarnings("ignore:value not concave on the effort grid")
 def test_cli_on_generated_problem_files(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "p.cfg")
@@ -332,7 +331,6 @@ def argvs(draw):
 
 @given(argvs())
 @settings(max_examples=400, deadline=None)
-@pytest.mark.filterwarnings("ignore:value not concave on the effort grid")
 def test_cli_on_generated_argv(argv):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
         os.environ.pop("DUALRISK_OUTDIR", None)

@@ -10,10 +10,8 @@ Regenerate the golden file with
 
 import contextlib
 import io
-import re
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 from dualrisk.cli import main
@@ -51,18 +49,10 @@ weighting = {weighting}
 """
 
 
-def _show(message, category, filename, lineno, file=None, line=None):
-    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-
 def _run(path: str) -> tuple[int, str, str]:
-    """main(["selfprotect", path]) with stdout and stderr captured, each
-    warning written to stderr as a fresh interpreter would: when it is
-    raised, once per source line."""
+    """main(["selfprotect", path]) with stdout and stderr captured."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("default")
-        warnings.showwarning = _show
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(["selfprotect", path])
     return status, out.getvalue(), err.getvalue()
 
@@ -76,8 +66,6 @@ def sweep_text() -> str:
                 for epsilon in EPSILONS:
                     Path(path).write_text(CONFIG.format(epsilon=epsilon, effort=effort, weighting=weighting))
                     status, out, err = _run(path)
-                    # the warning's source line moves with the file
-                    err = re.sub(r"\S*applications\.py:\d+", "applications.py:<line>", err)
                     err = err.replace(path, "<config>")
                     blocks.append(
                         f"## weighting = {weighting}; effort = {effort}; epsilon = {epsilon}\n"

@@ -1,11 +1,12 @@
-"""The public surface is what README documents and what the package uses.
+"""The public surface is what the paper's claims need, and README maps it.
 
-Every name in dualrisk.__all__ must appear in README.md as a word, or be
-referenced in code (loaded, read as an attribute or imported) by a module
-of the package other than __init__. A name that only the tests call
-belongs in tests/oracles.py. The package resolves its names on first
-access from one map of module -> exported names; the checks that need a
-package with nothing resolved yet run in a fresh interpreter.
+README.md has a claim map: one table row per paper claim or documented
+workflow, each listing the exported names that serve it. Every name in
+dualrisk.__all__ must sit in exactly one row, and every row may list
+only exported names. A name that only the tests call belongs in
+tests/oracles.py. The package resolves its names on first access from
+one map of module -> exported names; the checks that need a package
+with nothing resolved yet run in a fresh interpreter.
 """
 
 import ast
@@ -25,30 +26,36 @@ PACKAGE = Path(dualrisk.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _referenced_names() -> set[str]:
-    names = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-    return names
+def _claim_map(readme: str) -> dict[str, list[str]]:
+    """The claim map's rows: claim -> the backquoted names of its last cell."""
+    section = readme.split("\n## Claim map\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("|")]
+    return {claim.strip(): re.findall(r"`([^`]+)`", names) for claim, names in rows[2:]}
 
 
-def test_every_export_is_documented_or_used():
-    readme = README.read_text(encoding="utf-8")
-    used = _referenced_names()
-    stray = [
-        name
-        for name in dualrisk.__all__
-        if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
+def _map_faults(rows: dict[str, list[str]], exported) -> list[str]:
+    """Every way rows and the exported names fail to match one to one."""
+    exported = set(exported)
+    homes = {name: [claim for claim, names in rows.items() if name in names] for name in exported}
+    faults = [f"{name}: in {len(claims)} rows" for name, claims in sorted(homes.items()) if len(claims) != 1]
+    for claim, names in rows.items():
+        faults += [f"{claim!r} lists {name}, which is not exported" for name in names if name not in exported]
+    return faults
+
+
+def test_every_export_is_in_exactly_one_claim_map_row():
+    rows = _claim_map(README.read_text(encoding="utf-8"))
+    assert len(rows) >= 10
+    assert _map_faults(rows, dualrisk.__all__) == []
+
+
+def test_a_claim_map_that_misses_repeats_or_invents_a_name_is_caught():
+    rows = {"lotteries": ["Lottery", "mean"], "moments": ["mean", "ghost"]}
+    assert _map_faults(rows, ["Lottery", "mean", "rat"]) == [
+        "mean: in 2 rows",
+        "rat: in 0 rows",
+        "'moments' lists ghost, which is not exported",
     ]
-    assert stray == []
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from dualrisk import (
     DomainError,
     DualPower,
+    DualRiskError,
     EqualProbLottery,
     Identity,
     LinearUtility,
@@ -48,6 +49,7 @@ from oracles import (
     dual_moment_mc_oracle,
     dual_moment_survival,
     dual_moment_weights,
+    eu_value_reference,
 )
 
 F = Fraction
@@ -363,13 +365,71 @@ class TestEuValue:
 
     def test_rejects_decreasing_utility(self, lottery_b):
         # u(x) = x - x^2/2 turns down inside the support of B
-        with pytest.raises(NonMonotoneUtility):
+        with pytest.raises(NonMonotoneUtility) as exc:
             eu_value(lottery_b, QuadraticUtility(F(1, 2)))
+        assert type(exc.value) is NonMonotoneUtility
+        assert str(exc.value) == "quadratic utility with c=1/2 decreases beyond x=1, but the lottery reaches 4"
+        with pytest.raises(NonMonotoneUtility) as exc:
+            TabulatedUtility(((F(0), F(1)), (F(2), F(1, 2))))
+        assert type(exc.value) is NonMonotoneUtility
+        assert str(exc.value) == "utility decreases between x=0 and x=2"
 
     def test_tabulated_interpolates(self):
         u = TabulatedUtility(((F(0), F(0)), (F(2), F(2)), (F(8), F(5))))
         lot = make_lottery([(1, F(1, 2)), (5, F(1, 2))])
         assert eu_value(lot, u) == (F(1) + F(2) + F(3, 2)) / 2
+
+    @pytest.mark.parametrize(
+        "states, outside",
+        [
+            ([(0, F(1, 2)), (5, F(1, 2))], "0"),
+            ([(2, F(1, 4)), (17, F(1, 4)), (9, F(1, 4)), (F(19, 2), F(1, 4))], "9"),
+        ],
+    )
+    def test_outcome_outside_the_tabulated_span(self, states, outside):
+        u = TabulatedUtility(((F(1), F(0)), (F(8), F(5))))
+        with pytest.raises(DomainError) as exc:
+            eu_value(make_lottery(states), u)
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == f"outcome {outside} outside tabulated utility span"
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_state_by_state_sum(self, data):
+        lot = data.draw(
+            st.one_of(lotteries(max_outcome=24), tied_lotteries(), equal_prob_lotteries()), label="lottery"
+        )
+        u = data.draw(utilities(lot.outcomes[-1]), label="utility")
+        assert _eu_result(eu_value, lot, u) == _eu_result(eu_value_reference, lot, u)
+
+
+@st.composite
+def utilities(draw, top):
+    """Linear, quadratic non-decreasing up to top (or, now and then, past
+    it), and tabulated utilities whose span mostly covers [0, top]."""
+    kind = draw(st.sampled_from(["linear", "quadratic", "tabulated"]))
+    if kind == "linear":
+        return LinearUtility()
+    if kind == "quadratic":
+        t = draw(st.one_of(rational(-1, 1), rational(1, F(5, 4))))
+        return QuadraticUtility(t / (2 * top) if top else t)
+    lo = draw(st.one_of(st.just(F(0)), rational(-4, 2)))
+    hi = top + draw(st.one_of(st.just(F(0)), rational(-2, 4)))
+    if hi <= lo:
+        hi = lo + 1
+    inner = draw(st.lists(rational(0, 1), max_size=5))
+    xs = sorted({lo, hi, *(lo + (hi - lo) * t for t in inner)})
+    u0 = draw(rational(-4, 4))
+    rises = draw(st.lists(rational(0, 5), min_size=len(xs) - 1, max_size=len(xs) - 1))
+    return TabulatedUtility(tuple(zip(xs, itertools.accumulate(rises, initial=u0))))
+
+
+def _eu_result(f, lot, u):
+    """f(lot, u), or the class and message of the error it raises."""
+    try:
+        return f(lot, u)
+    except DualRiskError as exc:
+        return type(exc), str(exc)
 
 
 class TestPrimalMoments:

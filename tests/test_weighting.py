@@ -460,6 +460,20 @@ class TestConstruction:
         with pytest.raises(InputValidationError):
             Polynomial((F(0), F(4), F(-9), F(6)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (TverskyKahneman, "tk gamma must be finite"),
+            (Prelec, "prelec parameters must be finite"),
+            (lambda x: Prelec(1.0, x), "prelec parameters must be finite"),
+        ],
+        ids=["tk-gamma", "prelec-a", "prelec-b"],
+    )
+    def test_float_family_parameters_must_be_finite(self, make, message, bad):
+        with pytest.raises(DomainError, match=message):
+            make(bad)
+
     def test_dual_power_mixture(self):
         w = dual_power_mixture({2: F(1, 2), 4: F(1, 2)})
         assert isinstance(w, Polynomial)
