@@ -29,9 +29,11 @@ from its record (_assemble, public as rebuild_pair), through attach.
 C and D have the same n equally likely ranked states and differ only
 where the blocks sit, so their value gap under an exact weighting is a
 short integer sum over those moved states: the difference of their jump
-lists, valued by dt_value's kernels (moved_state_gap). That is how
-preference_direction ranks a pair under the exact families, and how
-_validate_pair checks its first m-1 dual moments agree.
+lists, valued by dt_value's integer-ratio kernel as (num, den) with
+den > 0 (moved_state_gap makes it a Fraction). preference_direction
+ranks a pair under the exact families by the sign of num, and
+_validate_pair checks its first m-1 dual moments agree by testing each
+num for 0; neither builds a Fraction.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import (
 )
 from .lottery import EqualProbLottery, _equal_prob
 from .rationals import _common_denominator, format_exact, rat
-from .valuation import _survival_power, _value, dt_value, dual_moment
+from .valuation import _ratio, _survival_power, _value, dt_value, dual_moment
 from .weighting import WeightingSpec, is_exact
 
 
@@ -351,12 +353,13 @@ class ApportionmentPair:
 
 
 def _validate_pair(pair: ApportionmentPair) -> None:
-    """Raise unless the members' dual moments 1..m-1 agree. Each gap is read
-    off the pair's gap jump list (_survival_power, as moved_state_gap reads
-    it); only a failure sweeps the members, to word its error."""
+    """Raise unless the members' dual moments 1..m-1 agree. Each gap's
+    integer numerator is read off the pair's gap jump list
+    (_survival_power, as moved_state_gap reads it) and tested for 0; only
+    a failure sweeps the members, to word its error."""
     jumps, n, den, _ = pair._gap_jumps
     for k in range(1, pair.order):
-        if _survival_power(jumps, k, n, den):
+        if _survival_power(jumps, k, n, den)[0]:
             mc, md = dual_moment(pair.c, k), dual_moment(pair.d, k)
             raise ConstructionInvariantError(
                 f"dual moment {k} differs between pair members: {mc} vs {md}"
@@ -448,15 +451,16 @@ def moved_state_gap(pair: ApportionmentPair, w: WeightingSpec) -> Fraction:
 def preference_direction(pair: ApportionmentPair, w: WeightingSpec) -> int:
     """Sign of value(D) - value(C) under weighting w: +1, 0, or -1.
 
-    Exact for exact weighting families, which read only the moved states
-    (moved_state_gap). For float families 0 is the answer whenever the
-    float gap cannot be resolved: each float value sums n rounded terms
-    bounded by the largest outcome, so a gap within 4 n eps times that
-    outcome may carry either sign.
+    Exact for exact weighting families, which read only the moved states:
+    the sign of the integer numerator of moved_state_gap's ratio, whose
+    denominator is positive, with no Fraction built. For float families 0
+    is the answer whenever the float gap cannot be resolved: each float
+    value sums n rounded terms bounded by the largest outcome, so a gap
+    within 4 n eps times that outcome may carry either sign.
     """
     if is_exact(w):
-        gap = moved_state_gap(pair, w)
-        return (gap > 0) - (gap < 0)
+        num = _ratio(w, *pair._gap_jumps)[0]
+        return (num > 0) - (num < 0)
     diff = dt_value(pair.d, w) - dt_value(pair.c, w)
     top = max(Fraction(m._ints[0][-1], m._ints[1]) for m in (pair.c, pair.d))
     bound = 4 * pair.c.n * sys.float_info.epsilon * float(top)

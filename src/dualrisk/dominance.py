@@ -14,9 +14,10 @@ J (t - c)_+^(m-1) / (m-1)! to the (m-1)-fold integral. Both read the
 lottery's jump list (lottery._jumps), as dt_value does: the quantile
 spline as it is (CDF counts as knots, outcome steps as jumps), the CDF
 spline its support (lottery._support: outcomes as knots, probability
-counts as jumps). The dual gates are its survival power sums. Two
-lotteries meet over one knot denominator L and one jump denominator D
-by integer multiplication, and the difference spline is built from the
+counts as jumps). The dual gates are its survival power sums, each an
+integer ratio with a positive denominator, compared by cross-multiplying.
+Two lotteries meet over one knot denominator L and one jump denominator
+D by integer multiplication, and the difference spline is built from the
 joined list, one integer polynomial per piece of the union of both
 grids (piecewise.spline_pieces). A piece is accepted when its Taylor or
 Bernstein coefficients are all >= 0 (polyops.bernstein_nonneg); every
@@ -120,8 +121,9 @@ def dual_sd_check(a: Lottery, b: Lottery, m: int) -> DominanceReport:
     """
     _check_degree(m)
     (ja, da, xa, _), (jb, db, xb, _) = _jumps(a), _jumps(b)
-    for k in range(1, m):
-        if _survival_power(ja, k, da, xa) > _survival_power(jb, k, db, xb):
+    for k in range(1, m):  # each sum is (num, den) with den > 0: cross-multiply
+        (sa, ea), (sb, eb) = _survival_power(ja, k, da, xa), _survival_power(jb, k, db, xb)
+        if sa * eb > sb * ea:
             return DominanceReport("dual", m, "mean" if k == 1 else f"dual_moment_{k}")
     knots, jumps, big_l, _ = _gap((ja, da, xa), (jb, db, xb))
     ok, witness = _pointwise_leq(knots, jumps, big_l, big_l, m)

@@ -26,14 +26,20 @@ sum_i h(F_i) (x_i - x_{i-1}): integer Power sums c^k, Identity, Quadratic
 and Polynomial run Horner on the numerators of h's coefficients over
 their common denominator, and Tabulated runs the one piecewise-linear
 sweep (_pl_sweep): a segment pointer that walks forward as c rises, over
-the knots scaled to integers by the lcm of the segment widths. Each
-builds one Fraction at the end. An exact order m with m * bitlength(d)
-above 2^20, about the size of its powers, is a DomainError. The float
-families (TverskyKahneman, Prelec, fractional Power) read the same
-counts through the weighting's float form, with the level c/d and the
-step as int true divisions, which are the correctly rounded floats of
-the rationals; an outcome beyond the float range is a DomainError. The raw and central
-moments are single integer sums over the lottery's integer form.
+the knots scaled to integers by the lcm of the segment widths. These
+kernels build no Fraction: the one integer-ratio kernel (_ratio) returns
+each exact family's value as (num, den) with den > 0. The Fraction is
+built only at the three public boundaries, dt_value, dual_moment and
+apportionment.moved_state_gap; a sign is read off num alone
+(apportionment.preference_direction, the pair check), and the dominance
+gates compare two ratios by cross-multiplying. An exact order m with
+m * bitlength(d) above 2^20, about the size of its powers, is a
+DomainError. The float families (TverskyKahneman, Prelec, fractional
+Power) read the same counts through the weighting's float form, with
+the level c/d and the step as int true divisions, which are the
+correctly rounded floats of the rationals; an outcome beyond the float
+range is a DomainError. The raw and central moments are single integer
+sums over the lottery's integer form.
 
 Expected utility reads the same integer form: the mean for
 LinearUtility, mean - c E[X^2] as integer sums for QuadraticUtility,
@@ -177,11 +183,21 @@ def dt_value(lot: Lottery, w: WeightingSpec):
 
 
 def _value(w: WeightingSpec, jumps, d: int, xd: int, top: int):
-    """The survival sum of a jump list (as lottery._jumps returns it) under w.
+    """The survival sum of a jump list under w: _ratio's value, as a Fraction
+    for the exact families."""
+    r = _ratio(w, jumps, d, xd, top)
+    return Fraction(*r) if type(r) is tuple else r
+
+
+def _ratio(w: WeightingSpec, jumps, d: int, xd: int, top: int):
+    """The survival sum of a jump list (as lottery._jumps returns it) under
+    w: (num, den) with den > 0 for the exact families, a float for the
+    others.
 
     Every family is linear in the steps and top, so the difference of two
     jump lists over the same CDF counts values to the difference of their
-    values: apportionment.moved_state_gap reads a pair's gap this way.
+    values: apportionment.moved_state_gap reads a pair's gap this way, and
+    preference_direction the sign of num.
     """
     match w:
         case DualPower(m=m):
@@ -192,26 +208,27 @@ def _value(w: WeightingSpec, jumps, d: int, xd: int, top: int):
             return _cdf_poly(jumps, *w._ints, d, xd, top)
         case Tabulated(knots=knots):  # x_max - sum_i h(F_i) step_i
             acc, den = _pl_sweep(jumps, d, knots)
-            return Fraction(den * top - acc, den * xd)
+            return den * top - acc, den * xd
         case TverskyKahneman() | Prelec() | Power():
             return _float_sweep(jumps, w, d, xd)
     raise UnsupportedFamily(f"unknown weighting family {type(w).__name__}")
 
 
-def _survival_power(jumps, m: int, d: int, xd: int) -> Fraction:
-    """sum_i S_i^m step_i for hbar(s) = s^m (DualPower(m), the m-th dual moment)."""
+def _survival_power(jumps, m: int, d: int, xd: int) -> tuple[int, int]:
+    """sum_i S_i^m step_i for hbar(s) = s^m (DualPower(m), the m-th dual
+    moment), as (num, den)."""
     _check_power(m, d.bit_length())
-    return Fraction(sum((d - c) ** m * step for c, step in jumps), d**m * xd)
+    return sum((d - c) ** m * step for c, step in jumps), d**m * xd
 
 
-def _cdf_power(jumps, k: int, d: int, xd: int, top: int) -> Fraction:
+def _cdf_power(jumps, k: int, d: int, xd: int, top: int) -> tuple[int, int]:
     """top - sum_i F_i^k step_i for h(p) = p^k: V = x_max - sum_i h(F_i) step_i."""
     _check_power(k, d.bit_length())
     dk = d**k
-    return Fraction(dk * top - sum(c**k * step for c, step in jumps), dk * xd)
+    return dk * top - sum(c**k * step for c, step in jumps), dk * xd
 
 
-def _cdf_poly(jumps, hs: list[int], scale: int, d: int, xd: int, top: int) -> Fraction:
+def _cdf_poly(jumps, hs: list[int], scale: int, d: int, xd: int, top: int) -> tuple[int, int]:
     """x_max - sum_i h(F_i) step_i for h = sum_i hs_i p^i / scale.
 
     scale d^deg h(c/d) = sum_i hs_i d^(deg-i) c^i, by Horner at each CDF count c.
@@ -225,7 +242,7 @@ def _cdf_poly(jumps, hs: list[int], scale: int, d: int, xd: int, top: int) -> Fr
             v = v * c + k
         acc += v * step
     den = scale * d**deg
-    return Fraction(den * top - acc, den * xd)
+    return den * top - acc, den * xd
 
 
 def _float_sweep(jumps, w: WeightingSpec, d: int, xd: int) -> float:
@@ -280,4 +297,4 @@ def dual_moment(lot: Lottery, m: int) -> Fraction:
     if m < 1:
         raise DomainError(f"dual moment order must be >= 1, got {m}")
     jumps, d, xd, _ = _jumps(lot)
-    return _survival_power(jumps, m, d, xd)
+    return Fraction(*_survival_power(jumps, m, d, xd))

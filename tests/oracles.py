@@ -708,14 +708,25 @@ def pointwise_leq_chain(f: PiecewisePoly, g: PiecewisePoly):
     return True, None
 
 
+def dual_gates_reference(a: Lottery, b: Lottery, m: int) -> str | None:
+    """The first of the degree-m dual gates that b fails against a, by
+    comparing Fractions: "mean", or "dual_moment_k" for the first k in
+    2..m-1 where a's survival-loop dual moment is above b's; None when
+    every gate passes."""
+    if m >= 2 and mean(a) > mean(b):
+        return "mean"
+    for k in range(2, m):
+        if dual_moment_survival(a, k) > dual_moment_survival(b, k):
+            return f"dual_moment_{k}"
+    return None
+
+
 def dual_sd_rebuild(a: Lottery, b: Lottery, m: int):
     """(holds, failed_condition, witness) of m-th degree dual dominance of b
     over a, with the iterated quantiles from the antiderivative chain."""
-    if m >= 2 and mean(a) > mean(b):
-        return False, "mean", None
-    for k in range(2, m):
-        if dual_moment_survival(a, k) > dual_moment_survival(b, k):
-            return False, f"dual_moment_{k}", None
+    gate = dual_gates_reference(a, b, m)
+    if gate is not None:
+        return False, gate, None
     ok, witness = pointwise_leq_chain(iterated_quantile_per_piece(a, m), iterated_quantile_per_piece(b, m))
     return (True, None, None) if ok else (False, "iterated_quantile", witness)
 

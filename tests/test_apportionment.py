@@ -853,6 +853,14 @@ EXACT_WEIGHTINGS = st.one_of(
     monotone_polynomials(),
     tabulated(),
 )
+SIGN_WEIGHTINGS = st.one_of(
+    st.integers(1, 8).map(DualPower),
+    st.integers(1, 9).map(Power),
+    st.fractions(0, 1, max_denominator=12).map(Quadratic),
+    mixtures(),
+    monotone_polynomials(),
+    tabulated(),
+)
 FLOAT_WEIGHTINGS = st.one_of(
     st.floats(0.3, 2.0).map(TverskyKahneman),
     st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)).map(lambda ab: Prelec(*ab)),
@@ -861,8 +869,9 @@ FLOAT_WEIGHTINGS = st.one_of(
 
 
 class TestMovedStates:
-    """preference_direction reads an exact family's gap from the moved
-    states alone; the oracle values both members in full with dt_value."""
+    """preference_direction reads an exact family's sign from the integer
+    numerator of the moved-state gap alone; the oracle values both members
+    in full with dt_value and signs the Fraction gap."""
 
     @settings(max_examples=300, deadline=None)
     @given(pairs(), EXACT_WEIGHTINGS)
@@ -874,6 +883,16 @@ class TestMovedStates:
     @given(pairs(), FLOAT_WEIGHTINGS)
     def test_float_families_keep_the_band(self, pair, w):
         assert preference_direction(pair, w) == preference_direction_reference(pair, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32), SIGN_WEIGHTINGS)
+    def test_sign_from_the_numerator_matches_the_fraction_gap(self, m, seed, w):
+        # every exact family reads its sign off the integer numerator of the
+        # moved-state gap; DualPower(j < m) and Identity are the ties
+        pair = random_pair(random.Random(seed), m)
+        for v in (w, Identity(), *map(DualPower, range(1, 9))):
+            assert preference_direction(pair, v) == preference_direction_reference(pair, v)
+        assert {preference_direction(pair, v) for v in (Identity(), *map(DualPower, range(1, m)))} == {0}
 
     def test_moved_states_are_the_differing_states(self):
         pair = make_pair(ep(1, 2, 4, 7), *good_and_bad(3, F(1, 6)), 1, 2)

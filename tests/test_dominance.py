@@ -20,6 +20,7 @@ from dualrisk import (
     mean,
     parse_lottery_text,
     primal_sd_check,
+    random_pair,
     squeeze,
 )
 from dualrisk.dominance import MAX_DEGREE
@@ -32,6 +33,7 @@ from oracles import (
     cdf_steps,
     degree,
     difference,
+    dual_gates_reference,
     dual_sd_rebuild,
     good_and_bad,
     iterated_cdf,
@@ -120,6 +122,37 @@ class TestDualCheck:
         fa = iterated_quantile(a, 2)
         fb = iterated_quantile(b, 2)
         assert fa(report.witness) < fb(report.witness)
+
+
+@st.composite
+def gate_pairs(draw):
+    """(a, b) whose dual moments agree up to some order or differ from the
+    first: the members of a random order-2..8 pair (moments 1..m-1 equal,
+    over one denominator), a lottery and the point mass at its mean (equal
+    means over different denominators), or two unrelated lotteries."""
+    kind = draw(st.sampled_from(("pair", "point mass", "unrelated")))
+    if kind == "pair":
+        pair = random_pair(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(2, 8)))
+        return pair.c, pair.d
+    a = draw(any_lottery)
+    return (a, make_lottery([(mean(a), 1)])) if kind == "point mass" else (a, draw(any_lottery))
+
+
+class TestDualGates:
+    """The mean and dual-moment gates cross-multiply two integer survival
+    sums; the oracle compares the two moments as Fractions."""
+
+    @given(gate_pairs(), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_failed_gate_matches_the_fraction_comparison(self, pair, m):
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            report = dual_sd_check(x, y, m)
+            gate = dual_gates_reference(x, y, m)
+            if gate is None:
+                assert report.failed_condition in (None, "iterated_quantile")
+            else:
+                assert (report.failed_condition, report.witness) == (gate, None)
 
 
 class TestPrimalCheck:

@@ -175,6 +175,36 @@ class TestRandomSources:
             digest.update(format_lottery_text(pair.d).encode())
         assert digest.hexdigest() == self.STREAM_DIGESTS[seed, m]
 
+    # sha256 over the direction of every member of the seeded battery, and the
+    # probe's moved-state gap, for 50 pairs per order drawn as
+    # run_direct_trials draws them at seed 7; recorded from the build that
+    # read each sign off a Fraction gap: the integer kernels may not move
+    # one sign
+    DIRECTION_DIGESTS = {
+        2: "8bc2c89e7d7ced7294027637437bf41a8d5416b81f0148474c2d39378c4b7b6e",
+        3: "8e003ae2840fba8ad729e10cfddb18411c920b1313cdd098d7f823459dec0e4d",
+        4: "75b8d49f0733b78a51851d2f51e52a67478eddd0b88ba66d838e0ce7651245ac",
+        5: "ead1e0364fcc170899af3f2b77a0df39947a40cffb910fb831395aeac7b83d29",
+        6: "6bc041f6d4b71e46de9a6b773c81951c9014deb4dda2900c082364ab7c3417aa",
+        7: "3a2e4f5412b2d5a395783e6aaf8c317058854c18a7b853e4423d04b89410373c",
+        8: "ec5529ae97ebaf3d8ffdc573565f312ec5189729e8af4874c2d371b4c258948b",
+    }
+
+    @pytest.mark.parametrize("m", sorted(DIRECTION_DIGESTS))
+    def test_direct_check_directions_are_pinned(self, m):
+        rng = random.Random(7 * 1000003 + m)
+        digest = hashlib.sha256()
+        for _ in range(50):
+            pair = random_pair(rng, m)
+            twin = random.Random()
+            twin.setstate(rng.getstate())
+            battery, probe = harness_module._battery(m, twin)
+            assert direct_check(pair, rng) == ()
+            directions = [preference_direction(pair, w) for w, _ in battery]
+            gap = apportionment_module.moved_state_gap(pair, probe)
+            digest.update(f"{directions} {gap}\n".encode())
+        assert digest.hexdigest() == self.DIRECTION_DIGESTS[m]
+
     def test_random_mixed_tabulated_certificate(self):
         rng = random.Random(3)
         for m in (3, 4):
