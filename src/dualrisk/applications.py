@@ -646,15 +646,28 @@ def sp_solve(sp: SelfProtectionProblem, w: WeightingSpec) -> SPSolution:
 @dataclass(frozen=True)
 class BackgroundEffectReport:
     solution: SPSolution  # the problem as given, background risk included
-    e_without: float
-    direction: str
-    p_at_opt: float
+    without: SPSolution  # the same problem with epsilon = 0
     shift_at_half: object
     shift_at_opt: float
 
     @property
     def e_with(self) -> float:
         return self.solution.e_star
+
+    @property
+    def e_without(self) -> float:
+        return self.without.e_star
+
+    @property
+    def p_at_opt(self) -> float:
+        return self.without.diagnostics.p_at_opt
+
+    @property
+    def direction(self) -> str:
+        """How the background risk moves the optimal effort."""
+        gap = self.e_with - self.e_without
+        tol = 1e-9 * max(1.0, abs(self.e_without))
+        return "more" if gap > tol else "less" if gap < -tol else "none"
 
 
 def sp_background_effect(sp: SelfProtectionProblem, w: WeightingSpec) -> BackgroundEffectReport:
@@ -666,17 +679,11 @@ def sp_background_effect(sp: SelfProtectionProblem, w: WeightingSpec) -> Backgro
     """
     with_bg = sp_solve(sp, w)
     without = sp_solve(replace(sp, epsilon=Fraction(0)), w)
-    gap = with_bg.e_star - without.e_star
-    tol = 1e-9 * max(1.0, abs(without.e_star))
-    direction = "more" if gap > tol else "less" if gap < -tol else "none"
-    p_opt = without.diagnostics.p_at_opt
     return BackgroundEffectReport(
         solution=with_bg,
-        e_without=without.e_star,
-        direction=direction,
-        p_at_opt=p_opt,
+        without=without,
         shift_at_half=background_shift_expression(w, Fraction(1, 2)),
-        shift_at_opt=float(background_shift_expression(w, p_opt)),
+        shift_at_opt=float(background_shift_expression(w, without.diagnostics.p_at_opt)),
     )
 
 

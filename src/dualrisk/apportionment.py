@@ -23,8 +23,9 @@ those to the base's integer outcomes over one common denominator, checks
 signs and ranking in ints, and gives the member its reduced integer
 form directly (lottery._equal_prob); squeeze is attach with two order-2
 blocks. A PairProvenance holds the base and the two blocks themselves,
-and its order and M are read off the blocks. Every pair is assembled
-from its record (_assemble, public as rebuild_pair), through attach.
+and its order and M are read off the blocks. A pair stores only its
+record: its members are built from it through attach when first read,
+D before C, and rebuild_pair builds both and validates the pair.
 
 C and D have the same n equally likely ranked states and differ only
 where the blocks sit, so their value gap under an exact weighting is a
@@ -55,7 +56,7 @@ from .errors import (
 )
 from .lottery import EqualProbLottery, _equal_prob
 from .rationals import _common_denominator, format_exact, rat
-from .valuation import _ratio, _survival_power, _value, dt_value, dual_moment
+from .valuation import _ratio, _survival_power, _value, dual_moment
 from .weighting import WeightingSpec, is_exact
 
 
@@ -195,11 +196,12 @@ def squeeze(lot: EqualProbLottery, i: int, j: int, x) -> EqualProbLottery:
 @dataclass(frozen=True)
 class PairProvenance:
     """Reproducible construction record: the base, the good and the bad
-    block, where they sit, and the seed. The blocks must share one order
-    and lead with a positive (good) and a negative (bad) increment; a
-    record that breaks either is a DomainError when it is made. Its JSON
-    also records the order, n (the number of base outcomes) and big_m,
-    all three read off the parts."""
+    block, where they sit, and the seed. The kind is "general" or
+    "parsimonious", and the blocks must share one order and lead with a
+    positive (good) and a negative (bad) increment; a record that breaks
+    any of these is a DomainError when it is made. Its JSON also records
+    the order, n (the number of base outcomes) and big_m, all three read
+    off the parts."""
 
     kind: str
     base: EqualProbLottery
@@ -210,6 +212,8 @@ class PairProvenance:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise DomainError(f"pair provenance kind must be general or parsimonious, got {self.kind!r}")
         if self.good.order != self.bad.order:
             raise DomainError(f"block orders differ: {self.good.order} vs {self.bad.order}")
         if not self.good._ints[0][0][1] > 0 > self.bad._ints[0][0][1]:
@@ -308,15 +312,25 @@ def _entries(raw: dict, key: str) -> tuple[tuple[int, Fraction], ...]:
 class ApportionmentPair:
     """Lottery pair (C, D) differing only in where good and bad sit.
 
-    D carries the good block at the earlier (lower-outcome) states, C the
-    bad one. Their first order-1 .. order-(m-1) dual moments agree
-    exactly, so the preference between them isolates the m-th derivative
-    of the weighting function.
+    The pair stores its record alone. D, with the good block at the
+    earlier (lower-outcome) states, and C, with the bad one there or the
+    base itself for a parsimonious record, are built from it when first
+    read. Their first order-1 .. order-(m-1) dual moments agree exactly,
+    so the preference between them isolates the m-th derivative of the
+    weighting function.
     """
 
-    c: EqualProbLottery
-    d: EqualProbLottery
     provenance: PairProvenance
+
+    @cached_property
+    def d(self) -> EqualProbLottery:
+        p = self.provenance
+        return attach(p.base, p.good, p.bad, p.pos_first, p.pos_second)
+
+    @cached_property
+    def c(self) -> EqualProbLottery:
+        p = self.provenance
+        return attach(p.base, p.bad, p.good, p.pos_first, p.pos_second) if p.kind == "general" else p.base
 
     @property
     def order(self) -> int:
@@ -326,11 +340,10 @@ class ApportionmentPair:
     def moved_states(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """((i, delta_i), ...), den: the 1-based states i where D and C
         differ, with d_i - c_i = delta_i / den, den the lcm of the two
-        members' outcome denominators."""
-        if self.c.n != self.d.n:
-            raise ConstructionInvariantError("pair members have different state counts")
-        cs, cd = self.c._ints[:2]
+        members' outcome denominators. D is read first, so a record that
+        both attach orders refuse raises D's error."""
         ds, dd = self.d._ints[:2]
+        cs, cd = self.c._ints[:2]
         den = lcm(cd, dd)
         fc, fd = den // cd, den // dd
         moved = tuple((i, b * fd - a * fc) for i, (a, b) in enumerate(zip(cs, ds), 1) if b * fd != a * fc)
@@ -366,26 +379,12 @@ def _validate_pair(pair: ApportionmentPair) -> None:
             )
 
 
-def _assemble(prov: PairProvenance) -> ApportionmentPair:
-    """The pair prov records, built from its base and blocks and validated.
-
-    D attaches good at prov.pos_first and bad at prov.pos_second. C is the
-    reverse, or the base itself for a parsimonious pair. Any other kind is
-    a DomainError.
-    """
-    if prov.kind not in _KINDS:
-        raise DomainError(f"pair provenance kind must be general or parsimonious, got {prov.kind!r}")
-    d = attach(prov.base, prov.good, prov.bad, prov.pos_first, prov.pos_second)
-    if prov.kind == "parsimonious":
-        c = prov.base
-    else:
-        c = attach(prov.base, prov.bad, prov.good, prov.pos_first, prov.pos_second)
-    pair = ApportionmentPair(c, d, prov)
+def rebuild_pair(prov: PairProvenance) -> ApportionmentPair:
+    """The pair prov records, with both members built (D first) and its
+    first m-1 dual moments checked equal."""
+    pair = ApportionmentPair(prov)
     _validate_pair(pair)
     return pair
-
-
-rebuild_pair = _assemble  # reconstruct a pair from its provenance record
 
 
 def make_pair(
@@ -402,7 +401,7 @@ def make_pair(
     reverse. Both attach orders must be feasible. The blocks may have
     different amplitudes and gap structures but must share the order.
     """
-    return _assemble(PairProvenance("general", base, good, bad, pos_first, pos_second, seed))
+    return rebuild_pair(PairProvenance("general", base, good, bad, pos_first, pos_second, seed))
 
 
 def make_parsimonious_pair(
@@ -432,7 +431,7 @@ def make_parsimonious_pair(
     if big_m <= 0:
         raise DomainError(f"need M > 0, got {big_m}")
     good, bad = make_block(m, 1 / big_m), make_block(m, -1 / big_m)
-    return _assemble(PairProvenance("parsimonious", base, good, bad, j + 1, j + 2, seed))
+    return rebuild_pair(PairProvenance("parsimonious", base, good, bad, j + 1, j + 2, seed))
 
 
 def moved_state_gap(pair: ApportionmentPair, w: WeightingSpec) -> Fraction:
@@ -451,17 +450,19 @@ def moved_state_gap(pair: ApportionmentPair, w: WeightingSpec) -> Fraction:
 def preference_direction(pair: ApportionmentPair, w: WeightingSpec) -> int:
     """Sign of value(D) - value(C) under weighting w: +1, 0, or -1.
 
-    Exact for exact weighting families, which read only the moved states:
-    the sign of the integer numerator of moved_state_gap's ratio, whose
-    denominator is positive, with no Fraction built. For float families 0
-    is the answer whenever the float gap cannot be resolved: each float
-    value sums n rounded terms bounded by the largest outcome, so a gap
-    within 4 n eps times that outcome may carry either sign.
+    Every family reads only the moved states, through dt_value's kernel
+    on the pair's gap jump list. An exact family is signed by the integer
+    numerator, whose denominator is positive. A float family's sum has at
+    most n terms of total magnitude at most twice the largest outcome, as
+    for two full sweeps, so a gap within 4 n eps times that outcome may
+    carry either sign and gives 0.
     """
+    gap = _ratio(w, *pair._gap_jumps)
     if is_exact(w):
-        num = _ratio(w, *pair._gap_jumps)[0]
-        return (num > 0) - (num < 0)
-    diff = dt_value(pair.d, w) - dt_value(pair.c, w)
+        return (gap[0] > 0) - (gap[0] < 0)
     top = max(Fraction(m._ints[0][-1], m._ints[1]) for m in (pair.c, pair.d))
-    bound = 4 * pair.c.n * sys.float_info.epsilon * float(top)
-    return (diff > bound) - (diff < -bound)
+    try:
+        bound = 4 * pair.c.n * sys.float_info.epsilon * float(top)
+    except OverflowError:  # as dt_value, which sweeps every outcome in floats
+        raise DomainError(f"{type(w).__name__} values need outcomes within the float range") from None
+    return (gap > bound) - (gap < -bound)

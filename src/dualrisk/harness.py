@@ -8,23 +8,26 @@ m-th derivative vanishes. The converse statements say: a weighting
 function whose m-th equidistant-difference certificate is Mixed admits
 a parsimonious pair ranked strictly against the direct direction.
 
+run_trials reads from THEOREMS which draw and which check a statement's
+trials make, and a report's kind is read from the same table.
+
 Direct runs fuzz random bases, block amplitudes, gap specs, and
 positions, then sweep a battery of right-sign, flipped-sign, and
-zero-derivative weighting functions. Each member ranks the pair from the
-few states where C and D differ (apportionment.moved_state_gap), never
-valuing either member in full. The seeded DualPower mixture is valued in
-full once per pair as well: its dt_value gap must equal its moved-state
-gap exactly, and a mismatch is a failure record with relation
-"identity" that carries both gaps and the pair's provenance. Converse
-runs generate piecewise linear weighting functions with certified mixed
-differences, evaluate h once on the grid 1/G, and read both the
-certificate and the witness from that list. The witness search walks
-the divisors n of G in ascending order, then the window starts j/n,
-reading each 1/n window as every (G/n)-th grid value, until a violating
-pair is exhibited, so the pair has the fewest states any aligned window
-allows; the pair's value gap is checked exactly against the window and
-against the same window of hbar, evaluated afresh, and its sign is the
-reported direction.
+zero-derivative weighting functions, one of them a DualPower mixture
+drawn from the run's rng. Each member ranks the pair from the few states
+where C and D differ (apportionment.moved_state_gap), never valuing
+either member in full. The mixture is valued in full once per pair as
+well: its dt_value gap must equal its moved-state gap exactly, and a
+mismatch is a failure record with relation "identity" that carries both
+gaps and the pair's provenance. Converse runs generate piecewise linear
+weighting functions with certified mixed differences, evaluate h once
+on the grid 1/G, and read both the certificate and the witness from that
+list. The witness search walks the divisors n of G in ascending order,
+then the window starts j/n, reading each 1/n window as every (G/n)-th
+grid value, until a violating pair is exhibited, so the pair has the
+fewest states any aligned window allows; the pair's value gap is checked
+exactly against the window and against the same window of hbar,
+evaluated afresh, and its sign is the reported direction.
 """
 
 from __future__ import annotations
@@ -75,10 +78,13 @@ THEOREMS = {
 @dataclass(frozen=True)
 class HarnessReport:
     theorem: int
-    kind: str
     order: int
     trials: int
     failures: tuple[dict, ...]
+
+    @property
+    def kind(self) -> str:
+        return THEOREMS[self.theorem][0]
 
     @property
     def passed(self) -> bool:
@@ -98,24 +104,21 @@ def _odd_flip(m: int, c: Fraction) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def direct_battery(m: int, rng: random.Random | None = None):
+def direct_battery(m: int, rng: random.Random):
     """Weighting functions paired with the relation the order-m statement predicts.
 
     Relations: "ge" (pair direction >= 0), "le" (<= 0), "eq" (exactly 0).
-    With an rng, a seeded mixture of two DualPowers of orders m..8 (m and
-    m + 1 from order 8 on) follows the DualPower entries.
+    A mixture of two DualPowers of orders m..8 (m and m + 1 from order 8
+    on), drawn from rng, follows the DualPower entries.
     """
     return _battery(m, rng)[0]
 
 
-def _battery(m: int, rng: random.Random | None):
-    """(direct_battery(m, rng), probe): the probe is the seeded mixture,
-    or DualPower(m) without an rng."""
+def _battery(m: int, rng: random.Random):
+    """(direct_battery(m, rng), probe): the probe is the drawn mixture."""
     if m < 2:
         raise DomainError(f"statements start at order 2, got {m}")
     head, tail = _fixed_battery(m)
-    if rng is None:
-        return [*head, *tail], DualPower(m)
     ks = rng.sample(range(m, max(9, m + 2)), 2)
     raw = {k: Fraction(rng.randint(1, 4)) for k in ks}
     total = sum(raw.values())
@@ -185,15 +188,15 @@ def random_pair(rng: random.Random, m: int) -> ApportionmentPair:
     raise DualRiskError("pair sampling failed to find a fitting configuration")
 
 
-def direct_check(pair: ApportionmentPair, rng: random.Random | None = None) -> tuple[dict, ...]:
+def direct_check(pair: ApportionmentPair, rng: random.Random) -> tuple[dict, ...]:
     """Sweep the order-m battery over one pair; return replay records of
     violations as a tuple, () when the pair passes (as HarnessReport.failures).
 
     The battery's exact members are ranked from the pair's moved states
-    (apportionment.moved_state_gap). One member, the seeded mixture (or
-    DualPower(m) without an rng), is also valued in full: its dt_value
-    gap must equal its moved-state gap, and a mismatch is an "identity"
-    record carrying both gaps.
+    (apportionment.moved_state_gap). One member, the mixture drawn from
+    rng, is also valued in full: its dt_value gap must equal its
+    moved-state gap, and a mismatch is an "identity" record carrying both
+    gaps.
     """
     battery, probe = _battery(pair.order, rng)
     failures = []
@@ -222,17 +225,6 @@ def direct_check(pair: ApportionmentPair, rng: random.Random | None = None) -> t
             }
         )
     return tuple(failures)
-
-
-def run_direct_trials(theorem: int, m: int, trials: int, seed: int) -> HarnessReport:
-    rng = random.Random(seed * 1000003 + m)
-    failures: list[dict] = []
-    for trial in range(trials):
-        pair = random_pair(rng, m)
-        for record in direct_check(pair, rng):
-            record["trial"] = trial
-            failures.append(record)
-    return HarnessReport(theorem, "direct", m, trials, tuple(failures))
 
 
 _MIXED_TRIES = 500  # draws random_mixed_tabulated makes before it gives up
@@ -325,23 +317,26 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
     return record
 
 
-def run_converse_trials(theorem: int, m: int, trials: int, seed: int) -> HarnessReport:
+def run_trials(theorem: int, m: int, trials: int, seed: int) -> HarnessReport:
+    """trials draws of statement theorem at order m from one seeded rng, each
+    drawn and checked as THEOREMS says; failure records carry their trial."""
+    direct = THEOREMS[theorem][0] == "direct"
     rng = random.Random(seed * 1000003 + m)
     failures: list[dict] = []
     for trial in range(trials):
-        w = random_mixed_tabulated(rng, m)
-        record = converse_check(w, m)
-        if record["status"] != "violation":
+        if direct:
+            records = direct_check(random_pair(rng, m), rng)
+        else:
+            record = converse_check(random_mixed_tabulated(rng, m), m)
+            records = () if record["status"] == "violation" else (record,)
+        for record in records:
             record["trial"] = trial
             failures.append(record)
-    return HarnessReport(theorem, "converse", m, trials, tuple(failures))
+    return HarnessReport(theorem, m, trials, tuple(failures))
 
 
 def run_theorem(theorem: int, trials: int, seed: int) -> list[HarnessReport]:
     """Run one numbered statement across its orders; one report per order."""
     if theorem not in THEOREMS:
         raise DomainError(f"statements are numbered 1..6, got {theorem}")
-    kind, orders = THEOREMS[theorem]
-    if kind == "direct":
-        return [run_direct_trials(theorem, m, trials, seed) for m in orders]
-    return [run_converse_trials(theorem, m, trials, seed) for m in orders]
+    return [run_trials(theorem, m, trials, seed) for m in THEOREMS[theorem][1]]

@@ -438,22 +438,18 @@ class SignWitness:
 
 @dataclass(frozen=True)
 class SignCertificate:
-    kind: SignClass
+    """The first witness of each sign that a scan found, None for a sign
+    it did not find; kind is read off which of the two are present."""
+
     order: int
     positive: SignWitness | None = None
     negative: SignWitness | None = None
 
-
-def _classify(order, pos, neg) -> SignCertificate:
-    if pos and neg:
-        kind = SignClass.MIXED
-    elif pos:
-        kind = SignClass.NON_NEGATIVE
-    elif neg:
-        kind = SignClass.NON_POSITIVE
-    else:
-        kind = SignClass.ZERO
-    return SignCertificate(kind=kind, order=order, positive=pos, negative=neg)
+    @property
+    def kind(self) -> SignClass:
+        if self.positive is None:
+            return SignClass.ZERO if self.negative is None else SignClass.NON_POSITIVE
+        return SignClass.NON_NEGATIVE if self.negative is None else SignClass.MIXED
 
 
 def difference_grid(w: WeightingSpec, m: int, grid_count: int) -> list:
@@ -494,7 +490,7 @@ def difference_sign(values: list, m: int) -> SignCertificate:
             neg = SignWitness(Fraction(i, grid_count), Fraction(1, grid_count), d)
         if pos and neg:
             break
-    return _classify(m, pos, neg)
+    return SignCertificate(m, pos, neg)
 
 
 def finite_difference_sign(w: WeightingSpec, m: int, grid_count: int = 256) -> SignCertificate:
@@ -536,7 +532,7 @@ def analytic_derivative_sign(w: WeightingSpec, m: int) -> SignCertificate:
     has_pos, has_neg, pw, nw = polyops.sign_profile(d, Fraction(0), Fraction(1))
     pos = SignWitness(pw, None, polyops.peval(d, pw)) if has_pos else None
     neg = SignWitness(nw, None, polyops.peval(d, nw)) if has_neg else None
-    return _classify(m, pos, neg)
+    return SignCertificate(m, pos, neg)
 
 
 def _h_coeffs(w: WeightingSpec) -> list[Fraction] | None:

@@ -86,7 +86,6 @@ from dualrisk import (
     QuadraticUtility,
     RankViolation,
     SignCertificate,
-    SignClass,
     SignWitness,
     SPDiagnostics,
     SPSolution,
@@ -629,9 +628,12 @@ def dt_value_survival_loop(lot: Lottery, w):
 
 
 def dt_value_mpmath(lot: Lottery, w, dps: int = 60):
-    """Dual-theory value under a TverskyKahneman or Prelec weighting, in
-    mpmath at dps digits from the exact states (survival form)."""
+    """Dual-theory value under a TverskyKahneman, Prelec or Power weighting,
+    in mpmath at dps digits from the exact states (survival form)."""
     with mpmath.workdps(dps):
+
+        def mpq(x: Fraction):
+            return mpmath.mpf(x.numerator) / x.denominator
 
         def h(p):
             if p in (0, 1):
@@ -639,11 +641,10 @@ def dt_value_mpmath(lot: Lottery, w, dps: int = 60):
             if isinstance(w, TverskyKahneman):
                 g = mpmath.mpf(w.gamma)
                 return p**g / (p**g + (1 - p) ** g) ** (1 / g)
+            if isinstance(w, Power):
+                return p ** mpq(w.k)
             assert isinstance(w, Prelec)
             return mpmath.exp(-mpmath.mpf(w.b) * (-mpmath.log(p)) ** mpmath.mpf(w.a))
-
-        def mpq(x: Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
 
         acc, prev_x, surv = mpmath.mpf(0), Fraction(0), Fraction(1)
         for x, p in canonical_distribution_fraction(lot).states:
@@ -935,13 +936,7 @@ def finite_difference_sign_all_steps(w, m: int, grid_count: int) -> SignCertific
             neg = SignWitness(Fraction(i, grid_count), Fraction(j, grid_count), d)
         if pos and neg:
             break
-    kind = (
-        SignClass.MIXED if pos and neg
-        else SignClass.NON_NEGATIVE if pos
-        else SignClass.NON_POSITIVE if neg
-        else SignClass.ZERO
-    )
-    return SignCertificate(kind, m, pos, neg)
+    return SignCertificate(m, pos, neg)
 
 
 def aligned_windows_mixed(w, m: int, k: int) -> bool:
@@ -1179,17 +1174,19 @@ def sp_solve_reference(sp, w) -> SPSolution:
     return SPSolution(e_star, value(e_star), diag)
 
 
-def sp_background_effect_reference(sp, w) -> BackgroundEffectReport:
+def sp_background_effect_reference(sp, w) -> tuple[BackgroundEffectReport, str]:
+    """The background report from the reference solver, and the direction
+    its two efforts give: "more" or "less" past 1e-9 times the larger of 1
+    and |e_without|, "none" within it."""
     with_bg = sp_solve_reference(sp, w)
     without = sp_solve_reference(replace(sp, epsilon=Fraction(0)), w)
     gap = with_bg.e_star - without.e_star
     tol = 1e-9 * max(1.0, abs(without.e_star))
     p_opt = without.diagnostics.p_at_opt
-    return BackgroundEffectReport(
+    report = BackgroundEffectReport(
         solution=with_bg,
-        e_without=without.e_star,
-        direction="more" if gap > tol else "less" if gap < -tol else "none",
-        p_at_opt=p_opt,
+        without=without,
         shift_at_half=background_shift_reference(w, Fraction(1, 2)),
         shift_at_opt=float(background_shift_reference(w, p_opt)),
     )
+    return report, "more" if gap > tol else "less" if gap < -tol else "none"

@@ -517,7 +517,8 @@ class TestAgainstReferenceSolver:
 
     def _check(self, sp, w, background):
         if background:
-            assert sp_background_effect(sp, w) == sp_background_effect_reference(sp, w)
+            report = sp_background_effect(sp, w)
+            assert (report, report.direction) == sp_background_effect_reference(sp, w)
         else:
             assert sp_solve(sp, w) == sp_solve_reference(sp, w)
 

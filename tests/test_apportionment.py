@@ -58,7 +58,7 @@ from dualrisk import (
     squeeze,
     TverskyKahneman,
 )
-from dualrisk.apportionment import ApportionmentPair, moved_state_gap
+from dualrisk.apportionment import moved_state_gap
 
 from conftest import lotteries
 from oracles import (
@@ -169,8 +169,8 @@ class TestMakeBlocks:
         assert bad.entries == tuple((o, -v) for o, v in good.entries)
 
     def test_gap_spec_errors(self):
-        with pytest.raises(BadGapSpec):
-            make_block(4, 1, gaps=(1,))
+        with pytest.raises(BadGapSpec, match=r"^order 4 needs 2 gap entries, got 1$"):
+            make_block(4, 1, (1,))
         with pytest.raises(BadGapSpec):
             make_block(4, -1, gaps=(0, 1))
 
@@ -587,6 +587,25 @@ class TestPreferenceDirection:
                 gap = dt_value_mpmath(pair.d, w) - dt_value_mpmath(pair.c, w)
                 assert preference_direction(pair, w) in (0, (gap > 0) - (gap < 0))
 
+    @given(
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((TverskyKahneman(0.61), TverskyKahneman(0.8), Prelec(0.65), Power(F(1, 2)), Power(F(7, 3)))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_float_direction_has_the_true_sign(self, m, seed, w):
+        # the float gap is summed over the moved states alone; the band must
+        # still bound its rounding error
+        pair = random_pair(random.Random(seed), m)
+        gap = dt_value_mpmath(pair.d, w) - dt_value_mpmath(pair.c, w)
+        assert preference_direction(pair, w) in (0, (gap > 0) - (gap < 0))
+
+    def test_float_families_refuse_outcomes_beyond_the_float_range(self):
+        pair = make_pair(ep(*(10**309 + 4 * i for i in range(5))), *good_and_bad(3, F(1, 8)), 1, 2)
+        for w in (TverskyKahneman(0.8), Prelec(0.65), Power(F(1, 2))):
+            with pytest.raises(DomainError, match=f"^{type(w).__name__} values need outcomes within the float range$"):
+                preference_direction(pair, w)
+
     def test_float_families_resolve_ordinary_gaps(self, base3):
         good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(base3, good, bad, 1, 2)
@@ -652,10 +671,11 @@ class TestProvenance:
             PairProvenance.from_json(json.dumps(payload))
 
     def test_unknown_kind_built_in_code_is_a_domain_error(self):
-        # from_json refuses the kind; a record made in code reaches the assembler
-        prov = replace(make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16).provenance, kind="bogus")
+        # from_json refuses the kind with a FormatError; a record made in
+        # code refuses it when it is made
+        prov = make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16).provenance
         with pytest.raises(DomainError, match="got 'bogus'"):
-            rebuild_pair(prov)
+            replace(prov, kind="bogus")
 
     @pytest.mark.parametrize("parsimonious", [False, True])
     def test_swapped_entries_are_a_domain_error(self, base3, parsimonious):
@@ -900,12 +920,6 @@ class TestMovedStates:
         expected = [(i, d - c) for i, (c, d) in enumerate(zip(pair.c.outcomes, pair.d.outcomes), 1) if c != d]
         assert [(i, F(v, den)) for i, v in moved] == expected
         assert den == math.lcm(*(x.denominator for x in pair.c.outcomes + pair.d.outcomes))
-
-    def test_members_with_different_state_counts(self):
-        pair = make_pair(ep(1, 2, 4, 7), *good_and_bad(3, F(1, 6)), 1, 2)
-        by_hand = ApportionmentPair(pair.c, ep(*pair.d.outcomes, 9), pair.provenance)
-        with pytest.raises(ConstructionInvariantError, match="different state counts"):
-            preference_direction(by_hand, DualPower(3))
 
     # 2^19 passes the bound on one bit, but not on the 3 bits of n = 4
     @pytest.mark.parametrize("w", [DualPower(10**7), Power(10**7), DualPower(2**19), Power(2**19)])

@@ -348,7 +348,7 @@ class TestVerify:
 
         def fake_run(theorem, trials, seed):
             failure = {"weighting": "identity", "relation": "ge", "direction": -1, "trial": 0}
-            return [HarnessReport(theorem, "direct", 3, trials, (failure,))]
+            return [HarnessReport(theorem, 3, trials, (failure,))]
 
         monkeypatch.setattr(harness_module, "run_theorem", fake_run)
         code = main(
@@ -368,7 +368,7 @@ class TestVerify:
 
         def fake_run(theorem, trials, seed):
             failure = {"weighting": "identity", "relation": "ge", "direction": -1, "trial": 0}
-            return [HarnessReport(theorem, "direct", 3, trials, (failure,))]
+            return [HarnessReport(theorem, 3, trials, (failure,))]
 
         monkeypatch.setattr(harness_module, "run_theorem", fake_run)
         blocker = tmp_path / "file"

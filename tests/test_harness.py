@@ -1,6 +1,7 @@
 """Randomized statement checking: battery composition, determinism, replay records."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -24,6 +25,7 @@ from dualrisk import (
     finite_difference_sign,
     format_lottery_text,
     format_weighting,
+    make_parsimonious_pair,
     preference_direction,
     random_base,
     random_mixed_tabulated,
@@ -38,6 +40,7 @@ from dualrisk import (
 )
 from dualrisk import apportionment as apportionment_module
 from dualrisk import harness as harness_module
+from dualrisk import valuation as valuation_module
 from dualrisk.cli import main as cli_main
 from dualrisk.weighting import difference_grid
 
@@ -62,7 +65,7 @@ def _reference_window(knots, m: int, j: int, n: int) -> Fraction:
 class TestBattery:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_composition(self, m):
-        battery = direct_battery(m)
+        battery = direct_battery(m, random.Random(m))
         relations = [rel for _, rel in battery]
         assert relations.count("le") == 2
         assert (DualPower(m), "ge") in battery
@@ -71,14 +74,9 @@ class TestBattery:
         for j in range(1, m):
             assert (DualPower(j), "eq") in battery
 
-    def test_rng_adds_a_mixture(self):
-        plain = direct_battery(3)
-        seeded = direct_battery(3, random.Random(0))
-        assert len(seeded) == len(plain) + 1
-
     def test_order_one_rejected(self):
         with pytest.raises(DomainError):
-            direct_battery(1)
+            direct_battery(1, random.Random(0))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_mutating_a_battery_leaves_the_next_unchanged(self, m):
@@ -90,7 +88,6 @@ class TestBattery:
         again.append((Identity(), "le"))
         again[0] = (Identity(), "le")
         assert direct_battery(m, random.Random(1)) == expected
-        assert direct_battery(m) == [entry for i, entry in enumerate(expected) if i != 7 - m]
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_seeded_batteries_differ_only_in_the_mixture(self, m):
@@ -177,7 +174,7 @@ class TestRandomSources:
 
     # sha256 over the direction of every member of the seeded battery, and the
     # probe's moved-state gap, for 50 pairs per order drawn as
-    # run_direct_trials draws them at seed 7; recorded from the build that
+    # run_trials draws them at seed 7; recorded from the build that
     # read each sign off a Fraction gap: the integer kernels may not move
     # one sign
     DIRECTION_DIGESTS = {
@@ -332,21 +329,57 @@ class TestOneGrid:
         assert len(calls) == 257
 
 
+class TestExhaustiveSmallGrid:
+    """The equivalence on every weighting of a small universe: each
+    monotone Tabulated on the grid 1/6 with values in {0, 1/6, ..., 1}.
+    At each order m = 2..5, some aligned parsimonious pair at n in
+    {2, 3, 6}, n >= m, is ranked against the direct direction exactly
+    when the knot certificate has a wrong-sign witness (negative at odd
+    m, positive at even m), and every Mixed certificate yields a converse
+    violation on the same grid."""
+
+    def test_every_table_on_the_grid(self):
+        k = 6
+        pairs = {
+            m: [
+                make_parsimonious_pair(tuple(range(1, n + 1)), j, m, 2 ** (m + 1))
+                for n in (2, 3, 6)
+                if n >= m
+                for j in range(n - m + 1)
+            ]
+            for m in range(2, 6)
+        }
+        tables = [(0, *inner, k) for inner in itertools.combinations_with_replacement(range(k + 1), k - 1)]
+        assert len(tables) == math.comb(2 * k - 1, k - 1) == 462
+        rankings = mixed = 0
+        for values in tables:
+            w = Tabulated(tuple((F(i, k), F(v, k)) for i, v in enumerate(values)))
+            for m, ms_pairs in pairs.items():
+                cert = finite_difference_sign(w, m, k)
+                wrong = cert.negative if m % 2 else cert.positive
+                against = [preference_direction(pair, w) < 0 for pair in ms_pairs]
+                rankings += len(against)
+                assert any(against) == (wrong is not None), (values, m)
+                if cert.kind is SignClass.MIXED:
+                    mixed += 1
+                    assert converse_check(w, m, k)["status"] == "violation", (values, m)
+        assert (rankings, mixed) == (8316, 1662)
+
+
 class TestDirectCheckValuesOnlyTheProbe:
     """direct_check values one member, the probe, in full: two dt_value
     calls per pair. Every other member is ranked from the moved states."""
 
     @staticmethod
-    def _count_dt_value(monkeypatch) -> list:
+    def _count(monkeypatch, module, name: str) -> list:
         calls = []
-        for module in (harness_module, apportionment_module):
-            real = module.dt_value
-            monkeypatch.setattr(module, "dt_value", lambda *args, real=real: calls.append(args) or real(*args))
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
         return calls
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_two_dt_value_calls_per_pair(self, m, monkeypatch):
-        calls = self._count_dt_value(monkeypatch)
+        calls = self._count(monkeypatch, harness_module, "dt_value")
         rng = random.Random(m)
         for _ in range(5):
             pair = random_pair(rng, m)
@@ -356,12 +389,10 @@ class TestDirectCheckValuesOnlyTheProbe:
             calls.clear()
             assert direct_check(pair, rng) == ()
             assert calls == [(pair.d, mixture), (pair.c, mixture)]
-        calls.clear()
-        assert direct_check(pair) == ()
-        assert calls == [(pair.d, DualPower(m)), (pair.c, DualPower(m))]
 
     def test_exact_families_make_no_dt_value_call(self, monkeypatch):
-        calls = self._count_dt_value(monkeypatch)
+        # a full valuation (dt_value, dual_moment) reads a member's jump list
+        calls = self._count(monkeypatch, valuation_module, "_jumps")
         pair = random_pair(random.Random(3), 3)
         exact = [w for w, _ in direct_battery(3, random.Random(3))]
         exact += [Quadratic(F(1, 3)), Power(4), Tabulated(((F(0), F(0)), (F(1, 2), F(2, 3)), (F(1), F(1))))]
@@ -369,7 +400,7 @@ class TestDirectCheckValuesOnlyTheProbe:
             preference_direction(pair, w)
         assert calls == []
         preference_direction(pair, Prelec(0.65))
-        assert len(calls) == 2  # a float family keeps its two sweeps and its band
+        assert calls == []  # a float family is ranked from the moved states too
 
 
 def _broken_identity(monkeypatch):

@@ -374,6 +374,13 @@ class TestEuValue:
         assert type(exc.value) is NonMonotoneUtility
         assert str(exc.value) == "utility decreases between x=0 and x=2"
 
+    @pytest.mark.parametrize("x1", [F(2), F(1)], ids=["repeated", "falling"])
+    def test_tabulated_abscissae_must_increase(self, x1):
+        with pytest.raises(DomainError) as exc:
+            TabulatedUtility(((F(0), F(0)), (F(2), F(1)), (x1, F(2))))
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == f"knot abscissae must increase, got 2 then {x1}"
+
     def test_tabulated_interpolates(self):
         u = TabulatedUtility(((F(0), F(0)), (F(2), F(2)), (F(8), F(5))))
         lot = make_lottery([(1, F(1, 2)), (5, F(1, 2))])

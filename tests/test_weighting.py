@@ -18,7 +18,9 @@ from dualrisk import (
     Power,
     Prelec,
     Quadratic,
+    SignCertificate,
     SignClass,
+    SignWitness,
     Tabulated,
     TverskyKahneman,
     UnsupportedFamily,
@@ -152,6 +154,20 @@ class TestDerivative:
 
 
 class TestFiniteDifferenceSign:
+    @pytest.mark.parametrize(
+        "pos, neg, kind",
+        [
+            (False, False, SignClass.ZERO),
+            (True, False, SignClass.NON_NEGATIVE),
+            (False, True, SignClass.NON_POSITIVE),
+            (True, True, SignClass.MIXED),
+        ],
+    )
+    def test_kind_is_read_off_the_witnesses(self, pos, neg, kind):
+        up, down = SignWitness(F(0), F(1, 4), F(1)), SignWitness(F(1, 4), F(1, 4), F(-1))
+        cert = SignCertificate(3, up if pos else None, down if neg else None)
+        assert cert.kind is kind
+
     def test_quadratic_third_zero(self):
         cert = finite_difference_sign(Quadratic(F(2, 3)), 3, 64)
         assert cert.kind is SignClass.ZERO
@@ -446,6 +462,13 @@ class TestConstruction:
     def test_tabulated_needs_unit_endpoints(self):
         with pytest.raises(DomainError):
             Tabulated(((F(0), F(1, 10)), (F(1), F(1))))
+
+    @pytest.mark.parametrize("p1", [F(1, 2), F(1, 4)], ids=["repeated", "falling"])
+    def test_tabulated_abscissae_must_increase(self, p1):
+        with pytest.raises(DomainError) as exc:
+            Tabulated(((F(0), F(0)), (F(1, 2), F(1, 4)), (p1, F(1, 2)), (F(1), F(1))))
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == f"knot abscissae must increase, got 1/2 then {p1}"
 
     def test_tabulated_needs_monotone_values(self):
         with pytest.raises(DomainError):
