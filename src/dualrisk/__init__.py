@@ -31,13 +31,13 @@ _EXPORTS = {
         "sp_value", "supplemented_prices",
     ),
     "apportionment": (
-        "ApportionmentPair", "Block", "PairProvenance", "attach", "make_block", "make_pair",
-        "make_parsimonious_pair", "preference_direction", "rebuild_pair", "squeeze",
+        "ApportionmentPair", "Block", "attach", "make_block", "make_pair",
+        "make_parsimonious_pair", "preference_direction", "squeeze",
     ),
     "cli": (),
     "dominance": ("DominanceReport", "dual_sd_check", "primal_sd_check"),
     "errors": (
-        "BadGapSpec", "CaseBoundary", "ConstructionInvariantError", "DomainError",
+        "BadGapSpec", "CaseBoundary", "DomainError",
         "DominanceCheckFailed", "DualRiskError", "FormatError", "InputValidationError",
         "NegativeOutcome", "NonMonotoneUtility", "NonPositiveProbability", "NonUnitMass",
         "PrecedenceViolation", "RankViolation", "UnsupportedFamily",

@@ -22,19 +22,25 @@ and its entries over delta's denominator (Block._ints). attach adds
 those to the base's integer outcomes over one common denominator, checks
 signs and ranking in ints, and gives the member its reduced integer
 form directly (lottery._equal_prob); squeeze is attach with two order-2
-blocks. A PairProvenance holds the base and the two blocks themselves,
-and its order and M are read off the blocks. A pair stores only its
-record: its members are built from it through attach when first read,
-D before C, and rebuild_pair builds both and validates the pair.
+blocks. An ApportionmentPair is its construction record: the base and the
+two blocks themselves, with its order and M read off the blocks. Its
+members are built from the record through attach when the pair is made,
+D before C.
+
+Every Block is an order-m block when it is made: (1 - z)^(m-2) divides
+its polynomial sum v z^o in the state shift z. For a general pair
+D - C = (z^p1 - z^p2)(G - B), and for a parsimonious one, whose blocks
+cancel in degree m-2, D - C = z^p1 G + z^p2 B; either way (1 - z)^(m-1)
+divides it, which is the same as the members' dual moments 1..m-1
+agreeing. So no pair needs checking after it is built.
 
 C and D have the same n equally likely ranked states and differ only
 where the blocks sit, so their value gap under an exact weighting is a
 short integer sum over those moved states: the difference of their jump
 lists, valued by dt_value's integer-ratio kernel as (num, den) with
 den > 0 (moved_state_gap makes it a Fraction). preference_direction
-ranks a pair under the exact families by the sign of num, and
-_validate_pair checks its first m-1 dual moments agree by testing each
-num for 0; neither builds a Fraction.
+ranks a pair under the exact families by the sign of num, with no
+Fraction built.
 """
 
 from __future__ import annotations
@@ -47,16 +53,10 @@ from functools import cached_property
 from math import lcm
 from numbers import Rational
 
-from .errors import (
-    BadGapSpec,
-    ConstructionInvariantError,
-    DomainError,
-    FormatError,
-    PrecedenceViolation,
-)
+from .errors import BadGapSpec, DomainError, FormatError, PrecedenceViolation
 from .lottery import EqualProbLottery, _equal_prob
 from .rationals import _common_denominator, format_exact, rat
-from .valuation import _ratio, _survival_power, _value, dual_moment
+from .valuation import _ratio, _value
 from .weighting import WeightingSpec, is_exact
 
 
@@ -66,24 +66,39 @@ class Block:
 
     entries are (state_offset, increment) with offsets strictly
     increasing from 0. The sign of the offset-0 increment is the block's
-    polarity: positive for a good block, negative for a bad one. A block
-    stores its order and one integer form of its entries, _ints: ((offset,
-    numerator), ...), den, the increments over their lcm denominator;
-    entries is read off it when first asked for, and equality and hash
-    read it.
+    polarity: positive for a good block, negative for a bad one. An
+    order-m block keeps the lower moments fixed: its power sums
+    sum v*o^j vanish for j = 0..m-3, so (1 - z)^(m-2) divides sum v z^o.
+    The constructor refuses an order below 2 and entries that break this
+    with a DomainError; make_block's entries hold it by construction. A
+    block stores its order and one integer form of its entries, _ints:
+    ((offset, numerator), ...), den, the increments over their lcm
+    denominator; entries is read off it when first asked for, and
+    equality and hash read it.
     """
 
     order: int
     _ints: tuple[tuple[tuple[int, int], ...], int]
 
     def __init__(self, order: int, entries):
+        if order < 2:
+            raise DomainError(f"block order must be >= 2, got {order}")
         if not entries or entries[0][0] != 0 or entries[0][1] == 0:
             raise DomainError("a block needs a nonzero increment at offset 0: its sign is the polarity")
         for (o1, _), (o2, _) in zip(entries, entries[1:]):
             if o2 <= o1:
                 raise DomainError("block offsets must be strictly increasing")
         nums, den = _common_denominator([rat(v) for _, v in entries])
-        self.__dict__.update(order=order, _ints=(tuple(zip([o for o, _ in entries], nums)), den))
+        ints = tuple(zip([o for o, _ in entries], nums))
+        # a nonzero vector on k offsets has a nonzero power sum below
+        # degree k, so this loop ends by then whatever the order
+        for j in range(order - 2):
+            if total := _power_sum(ints, j):
+                raise DomainError(
+                    f"an order-{order} block needs power sums sum v*o^j of 0 below degree {order - 2}; "
+                    f"degree {j} gives {format_exact(Fraction(total, den))}"
+                )
+        self.__dict__.update(order=order, _ints=(ints, den))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(order={self.order!r}, entries={self.entries!r})"
@@ -96,6 +111,11 @@ class Block:
     @property
     def span(self) -> int:
         return self._ints[0][-1][0]
+
+
+def _power_sum(ints, j: int) -> int:
+    """sum v * o^j over a block's integer entries ((offset, v), ...)."""
+    return sum(v * o**j for o, v in ints)
 
 
 def _gap(g) -> int:
@@ -124,7 +144,8 @@ def make_block(m: int, delta, gaps=None) -> Block:
     coefficients c into c minus c shifted right by g, so they are those of
     the product of the factors (1 - z^g). The last one, at offset
     sum(gaps), is +-1, so that is the block's span. The entries are delta
-    times the nonzero coefficients.
+    times the nonzero coefficients. Each factor has the factor 1 - z, so
+    the block meets Block's power-sum rule and is built without the check.
     """
     if m < 2:
         raise DomainError(f"block order must be >= 2, got {m}")
@@ -194,14 +215,22 @@ def squeeze(lot: EqualProbLottery, i: int, j: int, x) -> EqualProbLottery:
 
 
 @dataclass(frozen=True)
-class PairProvenance:
-    """Reproducible construction record: the base, the good and the bad
-    block, where they sit, and the seed. The kind is "general" or
-    "parsimonious", and the blocks must share one order and lead with a
-    positive (good) and a negative (bad) increment; a record that breaks
-    any of these is a DomainError when it is made. Its JSON also records
-    the order, n (the number of base outcomes) and big_m, all three read
-    off the parts."""
+class ApportionmentPair:
+    """Lottery pair (C, D) differing only in where good and bad sit.
+
+    The pair is its reproducible construction record: the base, the good
+    and the bad block, where they sit, and the seed. The kind is "general"
+    or "parsimonious"; the blocks must share one order and lead with a
+    positive (good) and a negative (bad) increment, and a parsimonious
+    record's blocks must cancel in their power sums of degree m-2. D, with
+    the good block at the earlier (lower-outcome) states, and C, with the
+    bad one there or the base itself for a parsimonious record, are built
+    when the pair is made, D first; a record that breaks any of these
+    raises then. Their first order-1 .. order-(m-1) dual moments agree
+    exactly, so the preference between them isolates the m-th derivative
+    of the weighting function. Its JSON also records the order, n (the
+    number of base outcomes) and big_m, all three read off the parts.
+    """
 
     kind: str
     base: EqualProbLottery
@@ -218,6 +247,14 @@ class PairProvenance:
             raise DomainError(f"block orders differ: {self.good.order} vs {self.bad.order}")
         if not self.good._ints[0][0][1] > 0 > self.bad._ints[0][0][1]:
             raise DomainError("pass the good block first and the bad block second")
+        if self.kind == "parsimonious":
+            # C is the base, so D - C = z^p1 G + z^p2 B, which (1 - z)^(m-1)
+            # divides iff the blocks' power sums of degree m-2 cancel
+            k = self.order - 2
+            (gs, gd), (bs, bd) = self.good._ints, self.bad._ints
+            if _power_sum(gs, k) * bd + _power_sum(bs, k) * gd:
+                raise DomainError(f"a parsimonious pair's blocks must cancel in their power sums of degree {k}")
+        self.d, self.c  # build both members now, D first, so an attach error raises here
 
     @property
     def order(self) -> int:
@@ -226,122 +263,27 @@ class PairProvenance:
     @property
     def big_m(self) -> Fraction | None:
         """M = 1 / the good block's lead increment for a parsimonious
-        record; None for any other."""
+        pair; None for any other."""
         if self.kind != "parsimonious":
             return None
         ((_, lead), *_), den = self.good._ints
         return Fraction(den, lead)
 
-    def _payload(self) -> dict:
-        """The record as to_json writes it: str, int, None and lists."""
-        return {
-            "kind": self.kind,
-            "order": self.order,
-            "n": self.base.n,
-            "base_outcomes": [format_exact(x) for x in self.base.outcomes],
-            "pos_first": self.pos_first,
-            "pos_second": self.pos_second,
-            "good_entries": [[o, format_exact(v)] for o, v in self.good.entries],
-            "bad_entries": [[o, format_exact(v)] for o, v in self.bad.entries],
-            "big_m": None if self.big_m is None else format_exact(self.big_m),
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self._payload(), indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "PairProvenance":
-        """The record a JSON text holds. Malformed JSON or fields, and a
-        big_m other than the one the blocks give, are a FormatError; a base
-        or a block its constructor refuses, or a record whose blocks differ
-        in order or polarity, raises the constructor's own error."""
-        try:
-            raw = json.loads(text)
-            kind, order, n = _kind(raw), _field(raw, "order", int), _field(raw, "n", int)
-            outcomes = [rat(x) for x in _field(raw, "base_outcomes", list)]
-            if n != len(outcomes):
-                raise FormatError(
-                    f"pair provenance field 'n' must be {len(outcomes)}, the base size, got {n}"
-                )
-            pos_first, pos_second = _field(raw, "pos_first", int), _field(raw, "pos_second", int)
-            good, bad = _entries(raw, "good_entries"), _entries(raw, "bad_entries")
-            big_m = None if raw.get("big_m") is None else rat(raw["big_m"])
-            seed = None if raw.get("seed") is None else _field(raw, "seed", int)
-        except KeyError as exc:
-            raise FormatError(f"pair provenance is missing key {exc}") from None
-        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise FormatError(f"malformed pair provenance: {exc}") from None
-        base = EqualProbLottery(outcomes)
-        prov = PairProvenance(kind, base, Block(order, good), Block(order, bad), pos_first, pos_second, seed)
-        if big_m is not None and big_m != prov.big_m:
-            want = "null" if prov.big_m is None else format_exact(prov.big_m)
-            raise FormatError(
-                f"pair provenance field 'big_m' must be {want}, as the blocks give, got {raw['big_m']!r}"
-            )
-        return prov
-
-
-def _field(raw: dict, key: str, kind: type):
-    """raw[key] when it has JSON type kind; a JSON true or false is no int."""
-    value = raw[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise FormatError(f"pair provenance field {key!r} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-_KINDS = ("general", "parsimonious")
-
-
-def _kind(raw: dict) -> str:
-    """raw["kind"] when rebuild_pair knows it: "general" or "parsimonious"."""
-    kind = _field(raw, "kind", str)
-    if kind not in _KINDS:
-        raise FormatError(f"pair provenance field 'kind' must be general or parsimonious, got {kind!r}")
-    return kind
-
-
-def _entries(raw: dict, key: str) -> tuple[tuple[int, Fraction], ...]:
-    entries = _field(raw, key, list)
-    if not all(isinstance(e, list) and len(e) == 2 and type(e[0]) is int for e in entries):
-        raise FormatError(f"pair provenance field {key!r} must hold [offset, increment] pairs")
-    return tuple((o, rat(v)) for o, v in entries)
-
-
-@dataclass(frozen=True)
-class ApportionmentPair:
-    """Lottery pair (C, D) differing only in where good and bad sit.
-
-    The pair stores its record alone. D, with the good block at the
-    earlier (lower-outcome) states, and C, with the bad one there or the
-    base itself for a parsimonious record, are built from it when first
-    read. Their first order-1 .. order-(m-1) dual moments agree exactly,
-    so the preference between them isolates the m-th derivative of the
-    weighting function.
-    """
-
-    provenance: PairProvenance
-
     @cached_property
     def d(self) -> EqualProbLottery:
-        p = self.provenance
-        return attach(p.base, p.good, p.bad, p.pos_first, p.pos_second)
+        return attach(self.base, self.good, self.bad, self.pos_first, self.pos_second)
 
     @cached_property
     def c(self) -> EqualProbLottery:
-        p = self.provenance
-        return attach(p.base, p.bad, p.good, p.pos_first, p.pos_second) if p.kind == "general" else p.base
-
-    @property
-    def order(self) -> int:
-        return self.provenance.order
+        if self.kind == "parsimonious":
+            return self.base
+        return attach(self.base, self.bad, self.good, self.pos_first, self.pos_second)
 
     @cached_property
     def moved_states(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """((i, delta_i), ...), den: the 1-based states i where D and C
         differ, with d_i - c_i = delta_i / den, den the lcm of the two
-        members' outcome denominators. D is read first, so a record that
-        both attach orders refuse raises D's error."""
+        members' outcome denominators."""
         ds, dd = self.d._ints[:2]
         cs, cd = self.c._ints[:2]
         den = lcm(cd, dd)
@@ -364,27 +306,80 @@ class ApportionmentPair:
         top = -acc.pop(n, 0)
         return [(level, step) for level, step in sorted(acc.items()) if step], n, den, top
 
+    def _payload(self) -> dict:
+        """The record as to_json writes it: str, int, None and lists."""
+        return {
+            "kind": self.kind,
+            "order": self.order,
+            "n": self.base.n,
+            "base_outcomes": [format_exact(x) for x in self.base.outcomes],
+            "pos_first": self.pos_first,
+            "pos_second": self.pos_second,
+            "good_entries": [[o, format_exact(v)] for o, v in self.good.entries],
+            "bad_entries": [[o, format_exact(v)] for o, v in self.bad.entries],
+            "big_m": None if self.big_m is None else format_exact(self.big_m),
+            "seed": self.seed,
+        }
 
-def _validate_pair(pair: ApportionmentPair) -> None:
-    """Raise unless the members' dual moments 1..m-1 agree. Each gap's
-    integer numerator is read off the pair's gap jump list
-    (_survival_power, as moved_state_gap reads it) and tested for 0; only
-    a failure sweeps the members, to word its error."""
-    jumps, n, den, _ = pair._gap_jumps
-    for k in range(1, pair.order):
-        if _survival_power(jumps, k, n, den)[0]:
-            mc, md = dual_moment(pair.c, k), dual_moment(pair.d, k)
-            raise ConstructionInvariantError(
-                f"dual moment {k} differs between pair members: {mc} vs {md}"
+    def to_json(self) -> str:
+        return json.dumps(self._payload(), indent=2)
+
+    @staticmethod
+    def from_json(text: str) -> "ApportionmentPair":
+        """The pair a JSON record holds, members built. Malformed JSON or
+        fields, and a big_m other than the one the blocks give, are a
+        FormatError; a base, a block or a pair its constructor refuses
+        raises the constructor's own error."""
+        try:
+            raw = json.loads(text)
+            kind, order, n = _kind(raw), _field(raw, "order", int), _field(raw, "n", int)
+            outcomes = [rat(x) for x in _field(raw, "base_outcomes", list)]
+            if n != len(outcomes):
+                raise FormatError(
+                    f"pair provenance field 'n' must be {len(outcomes)}, the base size, got {n}"
+                )
+            pos_first, pos_second = _field(raw, "pos_first", int), _field(raw, "pos_second", int)
+            good, bad = _entries(raw, "good_entries"), _entries(raw, "bad_entries")
+            big_m = None if raw.get("big_m") is None else rat(raw["big_m"])
+            seed = None if raw.get("seed") is None else _field(raw, "seed", int)
+        except KeyError as exc:
+            raise FormatError(f"pair provenance is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise FormatError(f"malformed pair provenance: {exc}") from None
+        base = EqualProbLottery(outcomes)
+        pair = ApportionmentPair(kind, base, Block(order, good), Block(order, bad), pos_first, pos_second, seed)
+        if big_m is not None and big_m != pair.big_m:
+            want = "null" if pair.big_m is None else format_exact(pair.big_m)
+            raise FormatError(
+                f"pair provenance field 'big_m' must be {want}, as the blocks give, got {raw['big_m']!r}"
             )
+        return pair
 
 
-def rebuild_pair(prov: PairProvenance) -> ApportionmentPair:
-    """The pair prov records, with both members built (D first) and its
-    first m-1 dual moments checked equal."""
-    pair = ApportionmentPair(prov)
-    _validate_pair(pair)
-    return pair
+def _field(raw: dict, key: str, kind: type):
+    """raw[key] when it has JSON type kind; a JSON true or false is no int."""
+    value = raw[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise FormatError(f"pair provenance field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+_KINDS = ("general", "parsimonious")
+
+
+def _kind(raw: dict) -> str:
+    """raw["kind"] when it is a pair kind: "general" or "parsimonious"."""
+    kind = _field(raw, "kind", str)
+    if kind not in _KINDS:
+        raise FormatError(f"pair provenance field 'kind' must be general or parsimonious, got {kind!r}")
+    return kind
+
+
+def _entries(raw: dict, key: str) -> tuple[tuple[int, Fraction], ...]:
+    entries = _field(raw, key, list)
+    if not all(isinstance(e, list) and len(e) == 2 and type(e[0]) is int for e in entries):
+        raise FormatError(f"pair provenance field {key!r} must hold [offset, increment] pairs")
+    return tuple((o, rat(v)) for o, v in entries)
 
 
 def make_pair(
@@ -401,7 +396,7 @@ def make_pair(
     reverse. Both attach orders must be feasible. The blocks may have
     different amplitudes and gap structures but must share the order.
     """
-    return rebuild_pair(PairProvenance("general", base, good, bad, pos_first, pos_second, seed))
+    return ApportionmentPair("general", base, good, bad, pos_first, pos_second, seed)
 
 
 def make_parsimonious_pair(
@@ -431,7 +426,7 @@ def make_parsimonious_pair(
     if big_m <= 0:
         raise DomainError(f"need M > 0, got {big_m}")
     good, bad = make_block(m, 1 / big_m), make_block(m, -1 / big_m)
-    return rebuild_pair(PairProvenance("parsimonious", base, good, bad, j + 1, j + 2, seed))
+    return ApportionmentPair("parsimonious", base, good, bad, j + 1, j + 2, seed)
 
 
 def moved_state_gap(pair: ApportionmentPair, w: WeightingSpec) -> Fraction:

@@ -204,7 +204,7 @@ def cmd_pairgen(args) -> int:
         _write_text(path, lottery.format_lottery_text(member))
         written.append(path)
     prov_path = os.path.join(outdir, f"{prefix}_provenance.json")
-    _write_text(prov_path, pair.provenance.to_json() + "\n")
+    _write_text(prov_path, pair.to_json() + "\n")
     written.append(prov_path)
     for path in written:
         print(path)

@@ -60,14 +60,6 @@ class DominanceCheckFailed(DualRiskError):
     """A construction that must dominate its base failed the dominance check."""
 
 
-class ConstructionInvariantError(DualRiskError):
-    """An internally generated object violates a construction invariant.
-
-    This signals a bug in the generator, not bad user input; it aborts the
-    construction rather than returning a silently wrong pair.
-    """
-
-
 class FormatError(InputValidationError):
     """A text input (lottery file, weighting spec, config file) failed to parse."""
 

@@ -19,7 +19,8 @@ where C and D differ (apportionment.moved_state_gap), never valuing
 either member in full. The mixture is valued in full once per pair as
 well: its dt_value gap must equal its moved-state gap exactly, and a
 mismatch is a failure record with relation "identity" that carries both
-gaps and the pair's provenance. Converse runs generate piecewise linear
+gaps and the pair's construction record, which ApportionmentPair.from_json
+reads back into the pair. Converse runs generate piecewise linear
 weighting functions with certified mixed differences, evaluate h once
 on the grid 1/G, and read both the certificate and the witness from that
 list. The witness search walks the divisors n of G in ascending order,
@@ -209,7 +210,7 @@ def direct_check(pair: ApportionmentPair, rng: random.Random) -> tuple[dict, ...
                     "weighting": format_weighting(w),
                     "relation": relation,
                     "direction": got,
-                    "pair": pair.provenance._payload(),
+                    "pair": pair._payload(),
                 }
             )
     gap = dt_value(pair.d, probe) - dt_value(pair.c, probe)
@@ -221,7 +222,7 @@ def direct_check(pair: ApportionmentPair, rng: random.Random) -> tuple[dict, ...
                 "relation": "identity",
                 "gap": format_exact(gap),
                 "moved_state_gap": format_exact(moved),
-                "pair": pair.provenance._payload(),
+                "pair": pair._payload(),
             }
         )
     return tuple(failures)
@@ -306,7 +307,7 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
             "j": j,
             "gap": format_exact(gap),
             "direction": (gap > 0) - (gap < 0),
-            "pair": pair.provenance._payload(),
+            "pair": pair._payload(),
         }
     )
     if gap < 0 and gap == predicted and gap == survival_form:

@@ -4,18 +4,18 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualrisk import (
+    ApportionmentPair,
     BadGapSpec,
     Block,
-    ConstructionInvariantError,
     DomainError,
     DualPower,
     DualRiskError,
@@ -25,7 +25,6 @@ from dualrisk import (
     LinearUtility,
     Lottery,
     NegativeOutcome,
-    PairProvenance,
     Polynomial,
     Power,
     PrecedenceViolation,
@@ -43,6 +42,7 @@ from dualrisk import (
     dual_sd_check,
     equal_prob_from_lottery,
     eu_value,
+    format_exact,
     format_lottery_text,
     make_block,
     make_lottery,
@@ -54,7 +54,6 @@ from dualrisk import (
     primal_sd_check,
     random_base,
     random_pair,
-    rebuild_pair,
     squeeze,
     TverskyKahneman,
 )
@@ -186,6 +185,58 @@ class TestMakeBlocks:
         assert make_block(3, F(1, 3), gaps=(gap,)) == make_block(3, F(1, 3), gaps=(2,))
 
 
+def _times_one_minus_z(coeffs: list, k: int) -> list:
+    """The coefficients of coeffs(z) * (1 - z)^k."""
+    for _ in range(k):
+        coeffs = [a - b for a, b in zip([*coeffs, 0], [0, *coeffs])]
+    return coeffs
+
+
+class TestBlockRule:
+    """Block(m, entries) holds only an order-m block: (1 - z)^(m-2)
+    divides sum v z^o, that is, the power sums sum v*o^j vanish for
+    j = 0..m-3. make_block's trusted entries always do."""
+
+    @given(
+        st.integers(2, 8),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(lambda q: q[0] != 0),
+        st.integers(1, 12),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_multiples_of_the_factor_are_blocks_and_a_perturbed_one_is_not(self, m, q, den, data):
+        coeffs = [F(c, den) for c in _times_one_minus_z(q, m - 2)]
+        entries = tuple((o, v) for o, v in enumerate(coeffs) if v)
+        block = Block(m, entries)
+        assert block.order == m and block.entries == entries
+        assume(m > 2)  # order 2 asks nothing more of its entries
+        # eps z^o (1 - z)^k has power sums 0 below degree k and
+        # eps (-1)^k k! at k; k = 0 perturbs one entry, o >= 1 keeps the lead
+        k, o = data.draw(st.integers(0, m - 3)), data.draw(st.integers(1, len(coeffs)))
+        eps = data.draw(st.fractions(-3, 3, max_denominator=7).filter(bool))
+        bump = _times_one_minus_z([0] * o + [1], k)
+        moved = [a + eps * b for a, b in zip_longest(coeffs, bump, fillvalue=0)]
+        named = re.escape(format_exact(eps * (-1) ** k * math.factorial(k)))
+        with pytest.raises(DomainError, match=rf"^an order-{m} block needs .* below degree {m - 2}; degree {k} gives {named}$"):
+            Block(m, tuple((o, v) for o, v in enumerate(moved) if v))
+
+    @given(
+        st.integers(2, 8).flatmap(lambda m: st.lists(st.integers(1, 5), min_size=m - 2, max_size=m - 2)),
+        st.fractions(-4, 4, max_denominator=64).filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_made_block_passes_the_rule(self, gaps, delta):
+        m = len(gaps) + 2
+        block = make_block(m, delta, gaps)
+        again = Block(m, block.entries)
+        assert again == block and again._ints == block._ints
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_orders_below_two_are_refused(self, order):
+        with pytest.raises(DomainError, match=f"^block order must be >= 2, got {order}$"):
+            Block(order, ((0, F(1, 8)),))
+
+
 ODD_DENOMINATORS = (1, 3, 5, 7, 9, 15, 21, 27)
 
 
@@ -239,7 +290,7 @@ class TestIntegerBuild:
         assert good.entries == block_entries_reference(good_delta, good_gaps)
         assert bad.entries == tuple((o, -v) for o, v in block_entries_reference(bad_delta, bad_gaps))
         assert good.span == sum(good_gaps) and bad.span == sum(bad_gaps)
-        if hand_built:  # blocks as rebuild_pair makes them, with no integer form yet
+        if hand_built:  # blocks as from_json makes them, checked by Block
             good = Block(m, good.entries)
             bad = Block(m, bad.entries)
         for block in (good, bad):
@@ -483,16 +534,37 @@ class TestMakePair:
         with pytest.raises(DomainError, match="good block first"):
             make_pair(base4, bad, good, 1, 2)
 
+    def test_d_is_built_first_and_at_construction(self):
+        # D = (3, 0, 3) breaks the ranking and C = (-1, 4, 3) the sign:
+        # random_pair redraws on D's RankViolation, so D's error must win
+        good, bad = make_block(2, 2), make_block(2, -2)
+        with pytest.raises(RankViolation, match="^outcomes must be non-decreasing; state 1 has 0 after 3$"):
+            make_pair(ep(1, 2, 3), good, bad, 1, 2)
+
     def test_construction_validation_trips_on_corrupt_block(self, base3):
         # a hand-built bad block whose second entry does not mirror the
-        # good one shifts the second dual moment between the members
-        good = make_block(3, F(1, 6))
-        corrupt = Block(3, ((0, F(-1, 6)), (1, F(1, 7))))
-        with pytest.raises(ConstructionInvariantError, match="dual moment 2 differs"):
-            make_pair(base3, good, corrupt, 1, 2)
-        prov = PairProvenance(kind="general", base=base3, good=good, bad=corrupt, pos_first=1, pos_second=2)
-        with pytest.raises(ConstructionInvariantError, match="dual moment 2 differs"):
-            rebuild_pair(PairProvenance.from_json(prov.to_json()))
+        # first is no order-3 block: it would shift the second dual moment
+        # between the members, and Block refuses it where it is made
+        message = "^an order-3 block needs power sums sum v\\*o\\^j of 0 below degree 1; degree 0 gives -1/42$"
+        with pytest.raises(DomainError, match=message):
+            Block(3, ((0, F(-1, 6)), (1, F(1, 7))))
+        payload = json.loads(make_pair(base3, *good_and_bad(3, F(1, 6)), 1, 2).to_json())
+        payload["bad_entries"] = [[0, "-1/6"], [1, "1/7"]]
+        with pytest.raises(DomainError, match=message):
+            ApportionmentPair.from_json(json.dumps(payload))
+
+    def test_parts_that_are_no_blocks_are_refused_though_their_difference_is_one(self):
+        # G - B = (1 - z) / 4, so make_pair once built a pair from these two
+        # whose first two dual moments agree, though neither part is an
+        # order-3 block; two order-3 blocks with that difference still do
+        base = EqualProbLottery(range(10, 200, 10))
+        with pytest.raises(DomainError, match="degree 0 gives 1/8$"):
+            Block(3, ((0, F(1, 8)),))
+        with pytest.raises(DomainError, match="degree 0 gives 1/8$"):
+            Block(3, ((0, F(-1, 8)), (1, F(1, 4))))
+        good = Block(3, ((0, F(1, 8)), (1, F(-1, 8))))
+        pair = make_pair(base, good, Block(3, ((0, F(-1, 8)), (1, F(1, 8)))), 2, 5)
+        assert [dual_moment(pair.c, k) for k in (1, 2)] == [dual_moment(pair.d, k) for k in (1, 2)]
 
 
 def increments(m, big_m):
@@ -619,27 +691,27 @@ class TestProvenance:
     def test_json_round_trip(self, base3):
         good, bad = good_and_bad(3, F(1, 6))
         pair = make_pair(base3, good, bad, 1, 2, seed=77)
-        back = PairProvenance.from_json(pair.provenance.to_json())
-        assert back == pair.provenance
+        back = ApportionmentPair.from_json(pair.to_json())
+        assert back == pair
 
     def test_rebuild_general(self, base4):
         good, bad = good_and_bad(4, F(1, 4))
         pair = make_pair(base4, good, bad, 1, 2)
-        rebuilt = rebuild_pair(pair.provenance)
+        rebuilt = ApportionmentPair.from_json(pair.to_json())
         assert rebuilt.c == pair.c
         assert rebuilt.d == pair.d
 
     @pytest.mark.parametrize("text", ["{}", "not json", "[1]"])
     def test_malformed_json_is_a_format_error(self, text):
         with pytest.raises(FormatError):
-            PairProvenance.from_json(text)
+            ApportionmentPair.from_json(text)
 
     def test_missing_key_is_a_format_error(self, base3):
         good, bad = good_and_bad(3, F(1, 6))
-        payload = json.loads(make_pair(base3, good, bad, 1, 2).provenance.to_json())
+        payload = json.loads(make_pair(base3, good, bad, 1, 2).to_json())
         del payload["good_entries"]
         with pytest.raises(FormatError, match="good_entries"):
-            PairProvenance.from_json(json.dumps(payload))
+            ApportionmentPair.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -656,26 +728,26 @@ class TestProvenance:
     )
     def test_wrong_field_type_is_a_format_error(self, base3, key, value):
         good, bad = good_and_bad(3, F(1, 6))
-        payload = json.loads(make_pair(base3, good, bad, 1, 2, seed=77).provenance.to_json())
+        payload = json.loads(make_pair(base3, good, bad, 1, 2, seed=77).to_json())
         payload[key] = value
         with pytest.raises(FormatError, match=key):
-            PairProvenance.from_json(json.dumps(payload))
+            ApportionmentPair.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("kind", ["bogus", "Parsimonious", ""])
     def test_unknown_kind_is_a_format_error(self, kind):
         # read as a general pair, a parsimonious record would rebuild a C
         # that is not its base
-        payload = json.loads(make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16).provenance.to_json())
+        payload = json.loads(make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16).to_json())
         payload["kind"] = kind
         with pytest.raises(FormatError, match="'kind'"):
-            PairProvenance.from_json(json.dumps(payload))
+            ApportionmentPair.from_json(json.dumps(payload))
 
     def test_unknown_kind_built_in_code_is_a_domain_error(self):
         # from_json refuses the kind with a FormatError; a record made in
         # code refuses it when it is made
-        prov = make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16).provenance
+        pair = make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16)
         with pytest.raises(DomainError, match="got 'bogus'"):
-            replace(prov, kind="bogus")
+            replace(pair, kind="bogus")
 
     @pytest.mark.parametrize("parsimonious", [False, True])
     def test_swapped_entries_are_a_domain_error(self, base3, parsimonious):
@@ -683,24 +755,38 @@ class TestProvenance:
             pair = make_parsimonious_pair((1, 2, 3, 4), 0, 3, 16)
         else:
             pair = make_pair(base3, *good_and_bad(3, F(1, 6)), 1, 2)
-        payload = json.loads(pair.provenance.to_json())
+        payload = json.loads(pair.to_json())
         payload["good_entries"], payload["bad_entries"] = payload["bad_entries"], payload["good_entries"]
         with pytest.raises(DomainError, match="good block first"):
-            rebuild_pair(PairProvenance.from_json(json.dumps(payload)))
+            ApportionmentPair.from_json(json.dumps(payload))
+
+    def test_parsimonious_blocks_must_cancel_in_degree_m_minus_2(self):
+        # C is the base, so D - C = z^p1 G + z^p2 B keeps dual moments
+        # 1..m-1 only when the blocks' power sums of degree m - 2 cancel
+        payload = json.loads(make_parsimonious_pair((1, 2, 4, 7, 9), 0, 3, 16).to_json())
+        payload["bad_entries"] = [[0, "-1/8"], [1, "1/8"]]
+        with pytest.raises(DomainError, match="^a parsimonious pair's blocks must cancel in their power sums of degree 1$"):
+            ApportionmentPair.from_json(json.dumps(payload))
+        # gaps (1, 2) against (2, 1): different blocks, the same degree-2 sum
+        base = EqualProbLottery(tuple(range(1, 9)))
+        good, bad = make_block(4, F(1, 16), (1, 2)), make_block(4, F(-1, 16), (2, 1))
+        pair = ApportionmentPair("parsimonious", base, good, bad, 2, 3)
+        assert pair.c == base and pair.big_m == 16
+        assert [dual_moment(pair.d, k) for k in (1, 2, 3)] == [dual_moment(base, k) for k in (1, 2, 3)]
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_n_other_than_the_base_size_is_a_format_error(self, base3, n):
-        payload = json.loads(make_pair(base3, *good_and_bad(3, F(1, 6)), 1, 2).provenance.to_json())
+        payload = json.loads(make_pair(base3, *good_and_bad(3, F(1, 6)), 1, 2).to_json())
         payload["n"] = n
         with pytest.raises(FormatError, match="'n'"):
-            PairProvenance.from_json(json.dumps(payload))
+            ApportionmentPair.from_json(json.dumps(payload))
 
     def test_rebuild_parsimonious(self):
         pair = make_parsimonious_pair(tuple(range(1, 9)), 3, 4, 64, seed=5)
-        rebuilt = rebuild_pair(PairProvenance.from_json(pair.provenance.to_json()))
+        rebuilt = ApportionmentPair.from_json(pair.to_json())
         assert rebuilt.c == pair.c
         assert rebuilt.d == pair.d
-        assert rebuilt.provenance.seed == 5
+        assert rebuilt.seed == 5
 
 
 class TestBlockStoredForm:
@@ -755,21 +841,23 @@ def _recorded_pair(kind, rng, m):
 
 
 class TestRecordHoldsItsParts:
-    """A PairProvenance holds the base and the blocks; its JSON round-trips
-    byte for byte and rebuilds the same pair."""
+    """A pair is its record, the base and the blocks, with both members
+    built when it is made; its JSON round-trips byte for byte and rebuilds
+    the same pair."""
 
     @given(st.sampled_from(("general", "parsimonious", "random")), st.integers(0, 2**32), st.integers(2, 6))
     @settings(max_examples=120, deadline=None)
     def test_records_round_trip(self, kind, seed, m):
         pair = _recorded_pair(kind, random.Random(seed), m)
-        prov = pair.provenance
-        assert set(vars(prov)) == {"kind", "base", "good", "bad", "pos_first", "pos_second", "seed"}
-        assert prov.base is pair.c if kind == "parsimonious" else prov.base.n == pair.c.n
-        text = prov.to_json()
-        back = PairProvenance.from_json(text)
-        assert back == prov and back.to_json() == text
+        record = ["kind", "base", "good", "bad", "pos_first", "pos_second", "seed"]
+        assert [f.name for f in fields(pair)] == record
+        assert set(vars(pair)) == {*record, "d", "c"}
+        assert pair.base is pair.c if kind == "parsimonious" else pair.base.n == pair.c.n
+        text = pair.to_json()
+        back = ApportionmentPair.from_json(text)
+        assert back == pair and back.to_json() == text
         assert back._payload() == json.loads(text)
-        assert rebuild_pair(back) == pair
+        assert (back.d, back.c) == (pair.d, pair.c)
         assert back.order == m and (back.big_m is None) is (kind != "parsimonious")
 
     @pytest.mark.parametrize(
@@ -794,22 +882,22 @@ class TestRecordHoldsItsParts:
             pair = make_pair(ep(1, 2, 4, 7, 9), *good_and_bad(3, F(1, 8)), 1, 2)
         else:
             pair = make_parsimonious_pair((1, 2, 4, 7, 9), 0, 3, 16)
-        payload = json.loads(pair.provenance.to_json())
+        payload = json.loads(pair.to_json())
         payload[key] = value
         with pytest.raises(error, match=match) as raised:
-            PairProvenance.from_json(json.dumps(payload))
+            ApportionmentPair.from_json(json.dumps(payload))
         assert type(raised.value) is error
 
     @pytest.mark.parametrize("absent", [False, True])
     def test_a_null_or_absent_big_m_is_derived(self, absent):
         pair = make_parsimonious_pair((1, 2, 4, 7), 0, 3, 16)
-        payload = json.loads(pair.provenance.to_json())
+        payload = json.loads(pair.to_json())
         if absent:
             del payload["big_m"]
         else:
             payload["big_m"] = None
-        back = PairProvenance.from_json(json.dumps(payload))
-        assert back == pair.provenance and back.big_m == 16
+        back = ApportionmentPair.from_json(json.dumps(payload))
+        assert back == pair and back.big_m == 16
 
 
 @st.composite
@@ -833,7 +921,7 @@ def pairs(draw):
         except (NegativeOutcome, RankViolation):
             assume(False)
     if draw(st.booleans()):
-        pair = rebuild_pair(PairProvenance.from_json(pair.provenance.to_json()))
+        pair = ApportionmentPair.from_json(pair.to_json())
     return pair
 
 

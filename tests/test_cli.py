@@ -13,11 +13,10 @@ from pathlib import Path
 import pytest
 
 from dualrisk import (
+    ApportionmentPair,
     EqualProbLottery,
     HarnessReport,
-    PairProvenance,
     format_lottery_text,
-    rebuild_pair,
 )
 from dualrisk.cli import main
 from dualrisk.dominance import MAX_DEGREE
@@ -259,8 +258,7 @@ class TestPairgen:
 
     def test_provenance_rebuilds_the_pair(self, tmp_path):
         main(["pairgen", "--order", "3", "--base", "1,2,4", "--M", "6", "--outdir", str(tmp_path)])
-        prov = PairProvenance.from_json((tmp_path / "order3_provenance.json").read_text())
-        pair = rebuild_pair(prov)
+        pair = ApportionmentPair.from_json((tmp_path / "order3_provenance.json").read_text())
         assert pair.c == EXPECTED_PAIRS[("3", "1,2,4", "6")][0]
         assert pair.d == EXPECTED_PAIRS[("3", "1,2,4", "6")][1]
 

@@ -7,10 +7,9 @@ problem files (selfprotect) built from the same tokens, known and
 unknown keys and stray separators: every run exits 0, 1 or 2 with no
 traceback, a run whose command raises an InputValidationError exits 2
 with an "error: " line, and no other exception escapes. Mutated
-provenance JSON goes through
-PairProvenance.from_json and rebuild_pair, which may raise only an
-InputValidationError or the ConstructionInvariantError of the pair
-validator. The example counts keep both under a few seconds.
+provenance JSON goes through ApportionmentPair.from_json, which may
+raise only an InputValidationError. The example counts keep both under a
+few seconds.
 """
 
 import contextlib
@@ -29,16 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrisk import (
-    ConstructionInvariantError,
+    ApportionmentPair,
     DualRiskError,
     EqualProbLottery,
     InputValidationError,
-    PairProvenance,
     make_block,
     make_pair,
     make_parsimonious_pair,
     random_pair,
-    rebuild_pair,
 )
 from dualrisk.cli import _build_parser, main
 
@@ -207,7 +204,7 @@ def _provenances() -> list[dict]:
         make_parsimonious_pair((1, 2, 4, 7), 0, 3, 16),
         *(random_pair(random.Random(seed), m) for seed, m in ((1, 2), (2, 4), (3, 5))),
     ]
-    return [json.loads(pair.provenance.to_json()) for pair in pairs]
+    return [json.loads(pair.to_json()) for pair in pairs]
 
 
 PROVENANCES = _provenances()
@@ -257,8 +254,8 @@ def mutated_provenance(draw):
 @settings(max_examples=600, deadline=None)
 def test_mutated_provenance_raises_only_typed_errors(text):
     try:
-        rebuild_pair(PairProvenance.from_json(text))
-    except (InputValidationError, ConstructionInvariantError):
+        ApportionmentPair.from_json(text)
+    except InputValidationError:
         pass
 
 

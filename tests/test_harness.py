@@ -10,8 +10,10 @@ from fractions import Fraction
 import pytest
 
 from dualrisk import (
+    ApportionmentPair,
     DomainError,
     DualPower,
+    EqualProbLottery,
     Identity,
     Quadratic,
     SignClass,
@@ -25,14 +27,14 @@ from dualrisk import (
     finite_difference_sign,
     format_lottery_text,
     format_weighting,
+    make_block,
+    make_pair,
     make_parsimonious_pair,
     preference_direction,
     random_base,
     random_mixed_tabulated,
     random_pair,
-    rebuild_pair,
     run_theorem,
-    PairProvenance,
     Polynomial,
     Power,
     Prelec,
@@ -167,7 +169,7 @@ class TestRandomSources:
         digest = hashlib.sha256()
         for _ in range(50):
             pair = random_pair(rng, m)
-            digest.update(pair.provenance.to_json().encode())
+            digest.update(pair.to_json().encode())
             digest.update(format_lottery_text(pair.c).encode())
             digest.update(format_lottery_text(pair.d).encode())
         assert digest.hexdigest() == self.STREAM_DIGESTS[seed, m]
@@ -226,7 +228,7 @@ class TestConverse:
         record = converse_check(w, 3)
         assert record["status"] == "violation"
         assert record["direction"] == -1
-        pair = rebuild_pair(PairProvenance.from_json(json.dumps(record["pair"])))
+        pair = ApportionmentPair.from_json(json.dumps(record["pair"]))
         assert dt_value(pair.d, w) < dt_value(pair.c, w)
 
     def test_witness_search_finds_the_window(self):
@@ -253,7 +255,7 @@ class TestConverse:
                 for j in range(d - m + 1):
                     window = _reference_window(w.knots, m, j, d)
                     assert not ((window < 0) if m % 2 == 1 else (window > 0)), (d, j, window)
-            pair = rebuild_pair(PairProvenance.from_json(json.dumps(record["pair"])))
+            pair = ApportionmentPair.from_json(json.dumps(record["pair"]))
             assert record["direction"] == preference_direction(pair, w) == -1
 
     def test_witness_search_none_for_clean_weighting(self):
@@ -366,6 +368,40 @@ class TestExhaustiveSmallGrid:
         assert (rankings, mixed) == (8316, 1662)
 
 
+class TestGeneralPairSweep:
+    """Every general pair of a bounded space: three bases of n = m + 3
+    states (even 1..n, spreading with gaps 1, 2, 3, ..., clustered with
+    gaps 8, 1, 8, ...), gap specs in {1, 2}^(m-2) and amplitudes
+    {1, 4}/128 for each block, and every position pair where both attach
+    orders fit. Each pair keeps dual moments 1..m-1, as its blocks make it
+    do, and passes direct_check. Orders 7 and 8 run as a CI step, where
+    some draws break the ranking of the even and clustered bases."""
+
+    COUNTS = {2: 120, 3: 336, 4: 948, 5: 2568, 6: 6552}  # 10,524 pairs, none refused
+
+    @pytest.mark.parametrize("m", sorted(COUNTS))
+    def test_every_pair_of_the_space(self, m):
+        n = m + 3
+        bases = (
+            tuple(range(1, n + 1)),
+            tuple(itertools.accumulate(range(1, n), initial=1)),
+            tuple(itertools.accumulate((8, 1) * n, initial=1))[:n],
+        )
+        blocks = [(gaps, amp) for gaps in itertools.product((1, 2), repeat=m - 2) for amp in (1, 4)]
+        built = 0
+        for outcomes in bases:
+            base = EqualProbLottery(outcomes)
+            for (good_gaps, a), (bad_gaps, b) in itertools.product(blocks, repeat=2):
+                good, bad = make_block(m, F(a, 128), good_gaps), make_block(m, F(-b, 128), bad_gaps)
+                last = n - max(good.span, bad.span)
+                for pos_first, pos_second in itertools.combinations(range(1, last + 1), 2):
+                    pair = make_pair(base, good, bad, pos_first, pos_second)
+                    assert all(apportionment_module.moved_state_gap(pair, DualPower(j)) == 0 for j in range(1, m))
+                    assert direct_check(pair, random.Random(7)) == ()
+                    built += 1
+        assert built == self.COUNTS[m]
+
+
 class TestDirectCheckValuesOnlyTheProbe:
     """direct_check values one member, the probe, in full: two dt_value
     calls per pair. Every other member is ranked from the moved states."""
@@ -417,7 +453,7 @@ class TestIdentityFailure:
         assert record["relation"] == "identity"
         assert F(record["moved_state_gap"]) == F(record["gap"]) + F(1, 7)
         assert record["weighting"].startswith("poly:coeffs=")
-        assert rebuild_pair(PairProvenance.from_json(json.dumps(record["pair"]))) == pair
+        assert ApportionmentPair.from_json(json.dumps(record["pair"])) == pair
 
     def test_verify_exits_1_and_writes_the_record(self, monkeypatch, tmp_path, capsys):
         _broken_identity(monkeypatch)

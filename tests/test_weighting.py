@@ -12,6 +12,7 @@ from dualrisk import (
     DomainError,
     NonMonotoneUtility,
     DualPower,
+    EqualProbLottery,
     FormatError,
     Identity,
     Polynomial,
@@ -25,6 +26,7 @@ from dualrisk import (
     TverskyKahneman,
     UnsupportedFamily,
     analytic_derivative_sign,
+    dt_value,
     dual_power_mixture,
     eval_h,
     eval_h_prime,
@@ -377,6 +379,14 @@ class TestFloatOverflow:
         with pytest.raises(DomainError, match="divides by zero"):
             TverskyKahneman(gamma=gamma)
         assert TverskyKahneman(gamma=1000.0).gamma == 1000.0
+
+    def test_tk_construction_boundary(self):
+        # 0.5 ** 1075 underflows to 0, so the sum under the root at p = 0.5
+        # is 0; one step below, the weighting constructs and values lotteries
+        value = dt_value(EqualProbLottery(range(1, 9)), TverskyKahneman(gamma=1074))
+        assert 1 <= value <= 8
+        with pytest.raises(DomainError, match=r"^weighting tk:gamma=1075 divides by zero in floats at p = 0\.5$"):
+            TverskyKahneman(gamma=1075)
 
     def test_prelec_slope(self):
         with pytest.raises(DomainError, match="prelec:a=200"):
