@@ -69,20 +69,19 @@ class Block:
     polarity: positive for a good block, negative for a bad one. An
     order-m block keeps the lower moments fixed: its power sums
     sum v*o^j vanish for j = 0..m-3, so (1 - z)^(m-2) divides sum v z^o.
-    The constructor refuses an order below 2 and entries that break this
-    with a DomainError; make_block's entries hold it by construction. A
-    block stores its order and one integer form of its entries, _ints:
-    ((offset, numerator), ...), den, the increments over their lcm
-    denominator; entries is read off it when first asked for, and
-    equality and hash read it.
+    The constructor refuses an order that is not an int >= 2 and entries
+    that break this with a DomainError; make_block's entries hold it by
+    construction. A block stores its order and one integer form of its
+    entries, _ints: ((offset, numerator), ...), den, the increments over
+    their lcm denominator; entries is read off it when first asked for,
+    and equality and hash read it.
     """
 
     order: int
     _ints: tuple[tuple[tuple[int, int], ...], int]
 
     def __init__(self, order: int, entries):
-        if order < 2:
-            raise DomainError(f"block order must be >= 2, got {order}")
+        _check_block_order(order)
         if not entries or entries[0][0] != 0 or entries[0][1] == 0:
             raise DomainError("a block needs a nonzero increment at offset 0: its sign is the polarity")
         for (o1, _), (o2, _) in zip(entries, entries[1:]):
@@ -111,6 +110,13 @@ class Block:
     @property
     def span(self) -> int:
         return self._ints[0][-1][0]
+
+
+def _check_block_order(m) -> None:
+    if not isinstance(m, int):
+        raise DomainError(f"block order must be an integer, got {m!r}")
+    if m < 2:
+        raise DomainError(f"block order must be >= 2, got {m}")
 
 
 def _power_sum(ints, j: int) -> int:
@@ -147,8 +153,7 @@ def make_block(m: int, delta, gaps=None) -> Block:
     times the nonzero coefficients. Each factor has the factor 1 - z, so
     the block meets Block's power-sum rule and is built without the check.
     """
-    if m < 2:
-        raise DomainError(f"block order must be >= 2, got {m}")
+    _check_block_order(m)
     delta = rat(delta)
     if delta.numerator == 0:
         raise DomainError("block amplitude must be nonzero, got 0")

@@ -11,8 +11,10 @@ it: the outcome numerators over their lcm denominator and the
 probability numerators over theirs, reduced (Lottery._ints). States,
 outcomes and probabilities are Fractions read off it when first asked
 for; equality and hash read the form itself. make_lottery and
-parse_lottery_text build it while they check the states, so the
-unit-mass check and the stable sort by outcome run in ints. _jumps reads
+parse_lottery_text build it while they check the states, through one
+integer tail (_ranked), so the unit-mass check and the stable sort by
+outcome run in ints; the parser reads plain ASCII literals p and p/q
+straight into ints and makes no Fraction for them. _jumps reads
 the survival step function off it, the one form every dual quantity
 reads, and _support the merged support off that, for
 canonical_distribution and the primal CDF.
@@ -24,11 +26,12 @@ of the block operations, which build their members from ints alone
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress
-from math import gcd
+from math import gcd, lcm
 from operator import le, mul, sub
 
 from .errors import (
@@ -129,23 +132,35 @@ def _equal_prob(xs: list[int], xd: int) -> EqualProbLottery:
     """The EqualProbLottery of the outcomes xs[i]/xd (xd > 0), checked as the
     constructor checks them, with their reduced form as its _ints."""
     _check_ranked(xs, xd)
-    g = gcd(xd, *xs)
-    if g > 1:
-        xs, xd = [a // g for a in xs], xd // g
+    xs, xd = _reduced(xs, xd)
     return EqualProbLottery._trusted((xs, xd, [1] * len(xs), len(xs)))
 
 
-def _ranked(states: list[tuple[Fraction, Fraction]]) -> Lottery:
-    """The Lottery of sign-checked (outcome, probability) states, with its
-    integer form: the unit-mass check and the stable sort by outcome in ints."""
+def _reduced(nums: Sequence[int], d: int) -> tuple[Sequence[int], int]:
+    """The numerators nums over d (d > 0) divided by gcd(d, *nums)."""
+    g = gcd(d, *nums)
+    return ([a // g for a in nums], d // g) if g > 1 else (nums, d)
+
+
+def _ranked(states: list[tuple[int, int, int, int]]) -> Lottery:
+    """The Lottery of sign-checked states (x, xd, p, pd): outcome x/xd with
+    probability p/pd, positive denominators, either fraction unreduced.
+
+    Each column goes over the lcm of its denominators and is reduced once,
+    by the gcd of that lcm and its numerators: the form _common_denominator
+    gives for the reduced Fractions. The unit-mass check and the stable
+    sort by outcome then run in ints.
+    """
     if not states:
         raise NonUnitMass("a lottery needs at least one state")
-    xs, xd = _common_denominator([x for x, _ in states])
-    ps, pd = _common_denominator([p for _, p in states])
+    xs, xds, ps, pds = zip(*states)
+    xd, pd = lcm(*xds), lcm(*pds)
+    xs, xd = _reduced([x * (xd // q) for x, q in zip(xs, xds)] if xd > 1 else xs, xd)
+    ps, pd = _reduced([p * (pd // q) for p, q in zip(ps, pds)] if pd > 1 else ps, pd)
     total = sum(ps)
     if total != pd:
         raise NonUnitMass(f"probabilities sum to {Fraction(total, pd)}, not 1")
-    order = sorted(range(len(states)), key=xs.__getitem__)
+    order = sorted(range(len(xs)), key=xs.__getitem__)
     return Lottery._trusted(([xs[i] for i in order], xd, [ps[i] for i in order], pd))
 
 
@@ -163,7 +178,7 @@ def make_lottery(pairs) -> Lottery:
             raise NegativeOutcome(f"outcome {x} is negative")
         if p.numerator <= 0:
             raise NonPositiveProbability(f"probability {p} for outcome {x} is not positive")
-        states.append((x, p))
+        states.append((x.numerator, x.denominator, p.numerator, p.denominator))
     return _ranked(states)
 
 
@@ -209,8 +224,8 @@ def canonical_distribution(lot: Lottery) -> Lottery:
     xs, ps = _support(jumps, pd)
     if len(xs) == len(lot):
         return lot
-    g = gcd(pd, *ps)
-    return Lottery._trusted((xs, xd, [p // g for p in ps], pd // g))
+    ps, pd = _reduced(ps, pd)
+    return Lottery._trusted((xs, xd, ps, pd))
 
 
 def mean(lot: Lottery) -> Fraction:
@@ -218,18 +233,21 @@ def mean(lot: Lottery) -> Fraction:
     return Fraction(sum(map(mul, xs, ps)), pd * xd)
 
 
-def _literal(token: str) -> Fraction:
-    """rat(token); plain ASCII digit literals p and p/q (q != 0) go straight to ints."""
+def _literal(token: str) -> tuple[int, int]:
+    """(num, den), den > 0 and not always reduced, with num/den = rat(token).
+    Plain ASCII digit literals p and p/q (q != 0) are read straight into
+    ints; every other spelling goes through rat."""
     num, slash, den = token.partition("/")
     try:
         if num.isascii() and num.isdigit():
             if not slash:
-                return Fraction(int(num))
+                return int(num), 1
             if den.isascii() and den.isdigit() and (q := int(den)):
-                return Fraction(int(num), q)
+                return int(num), q
     except ValueError:  # past the int string-conversion limit: rat decides
         pass
-    return rat(token)
+    value = rat(token)
+    return value.numerator, value.denominator
 
 
 def parse_lottery_text(text: str, source: str | None = None) -> Lottery:
@@ -252,14 +270,14 @@ def parse_lottery_text(text: str, source: str | None = None) -> Lottery:
                 source=source,
             )
         try:
-            x, p = _literal(fields[0]), _literal(fields[1])
+            (x, xd), (p, pd) = _literal(fields[0]), _literal(fields[1])
         except FormatError as exc:
             raise FormatError(str(exc), line=lineno, source=source) from None
-        if x.numerator < 0:
-            raise FormatError(f"outcome {x} is negative", line=lineno, source=source)
-        if p.numerator <= 0:
-            raise FormatError(f"probability {p} is not positive", line=lineno, source=source)
-        states.append((x, p))
+        if x < 0:
+            raise FormatError(f"outcome {Fraction(x, xd)} is negative", line=lineno, source=source)
+        if p <= 0:
+            raise FormatError(f"probability {Fraction(p, pd)} is not positive", line=lineno, source=source)
+        states.append((x, xd, p, pd))
     if not states:
         raise FormatError("no states found", source=source)
     return _ranked(states)

@@ -233,15 +233,17 @@ def _cdf_poly(jumps, hs: list[int], scale: int, d: int, xd: int, top: int) -> tu
 
     scale d^deg h(c/d) = sum_i hs_i d^(deg-i) c^i, by Horner at each CDF count c.
     """
-    deg = len(hs) - 1
-    coeffs = [h * d ** (deg - i) for i, h in enumerate(hs)][::-1]
+    coeffs, dk = [hs[-1]], 1  # coeffs[j] = hs[deg-j] d^j, the Horner order
+    for h in reversed(hs[:-1]):
+        dk *= d
+        coeffs.append(h * dk)
     acc = 0
     for c, step in jumps:
         v = 0
         for k in coeffs:
             v = v * c + k
         acc += v * step
-    den = scale * d**deg
+    den = scale * dk
     return den * top - acc, den * xd
 
 

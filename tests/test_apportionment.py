@@ -236,6 +236,13 @@ class TestBlockRule:
         with pytest.raises(DomainError, match=f"^block order must be >= 2, got {order}$"):
             Block(order, ((0, F(1, 8)),))
 
+    @pytest.mark.parametrize("order", [3.0, 2.0, F(3), "3"])
+    def test_orders_that_are_not_ints_are_refused(self, order):
+        with pytest.raises(DomainError, match="^block order must be an integer, got "):
+            Block(order, ((0, 1), (1, -1)))
+        with pytest.raises(DomainError, match="^block order must be an integer, got "):
+            make_block(order, 1)
+
 
 ODD_DENOMINATORS = (1, 3, 5, 7, 9, 15, 21, 27)
 

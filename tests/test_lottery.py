@@ -373,6 +373,16 @@ class TestParseEquivalence:
         assert [Fraction(a, xd) for a in xs] == list(lot.outcomes)
         assert [Fraction(p, pd) for p in ps] == list(lot.probabilities)
 
+    @given(lottery_texts())
+    @example("2/4 2/4\n6/4 1/2\n")
+    @example("0/6 3/3\n")
+    def test_unreduced_literals_give_the_reduced_form(self, text):
+        try:
+            lot = parse_lottery_text(text)
+        except Exception:
+            return
+        assert lot._ints == Lottery(lot.states)._ints
+
 
 # ---------------------------------------------------------------------------
 # one stored form: whichever constructor built a lottery, it keeps only its

@@ -50,6 +50,7 @@ from oracles import (
     dual_moment_survival,
     dual_moment_weights,
     eu_value_reference,
+    primal_moment as primal_moment_reference,
 )
 
 F = Fraction
@@ -450,6 +451,21 @@ class TestPrimalMoments:
         for k in (2, 3, 4):
             direct = sum(p * (x - mu) ** k for x, p in lottery_b.states)
             assert primal_moment(lottery_b, k) == direct
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "states",
+        [
+            [(F(1, 3), F(1, 3)), (F(5, 2), F(2, 3))],
+            [(F(1, 2), F(1, 8)), (F(7, 3), F(3, 8)), (F(9, 4), F(1, 2))],
+            [(F(2, 5), F(1, 6)), (F(3, 4), F(1, 2)), (F(9, 2), F(1, 3))],
+        ],
+    )
+    def test_both_denominators_above_one(self, states, k):
+        lot = make_lottery(states)
+        _, xd, _, pd = lot._ints
+        assert xd > 1 and pd > 1 and xd != pd
+        assert primal_moment(lot, k) == primal_moment_reference(lot, k)
 
     def test_raw_moments(self, lottery_a):
         assert raw_moment(lottery_a, 1) == F(5, 2)
