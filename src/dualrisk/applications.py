@@ -33,7 +33,7 @@ from .errors import (
     NegativeOutcome,
 )
 from .lottery import EqualProbLottery, Lottery, make_lottery, mean
-from .rationals import _exact_text, format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
+from .rationals import _exact_text, _quoted, format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
 from .valuation import dt_value
 from .weighting import (
     WeightingSpec,
@@ -793,7 +793,7 @@ def parse_problem_config(text: str, source: str = "<config>"):
             continue
         key, eq, value = line.partition("=")
         if not eq:
-            raise FormatError(f"expected key = value, got {raw.strip()!r}", line=line_no, source=source)
+            raise FormatError(f"expected key = value, got {_quoted(raw.strip())}", line=line_no, source=source)
         pairs.append((key.strip().lower(), value.strip(), line_no))
     fields = read_fields(pairs, _PROBLEM_KEYS, _PROBLEM_KEYS, source=source)
     try:

@@ -36,7 +36,7 @@ from math import lcm
 
 from .errors import DomainError
 from .lottery import Lottery, _jumps, _support
-from .piecewise import global_coeffs, spline_pieces
+from .piecewise import spline_pieces
 from .polyops import bernstein_nonneg, nonneg_on_interval
 from .valuation import _survival_power, raw_moment
 
@@ -93,19 +93,20 @@ def _pointwise_leq(knots, jumps, end: int, big_l: int, m: int):
     over L, a difference g - f, stays >= 0 on [0, end / L]; (ok, witness).
 
     A piece that bernstein_nonneg accepts is non-negative; every other one
-    goes to the Sturm certificate in the global variable.
+    goes to the Sturm certificate in its local variable x on [0, b - a].
+    t = (a + x) / L is increasing and affine in x, so the witness maps
+    back to the one a certificate in t gives.
     """
     grid, pieces = spline_pieces(knots, jumps, end, m)
     for i, (a, b, piece) in enumerate(zip(grid, grid[1:], pieces)):
         if bernstein_nonneg(piece, b - a):
             continue
-        lo = Fraction(a, big_l)
-        ok, witness = nonneg_on_interval(global_coeffs(piece, a, big_l), lo, Fraction(b, big_l))
+        ok, x = nonneg_on_interval(piece, Fraction(0), Fraction(b - a))
         if not ok:
             # the difference takes its left piece's (certified) value at an
             # interior breakpoint; only a step piece can be negative there,
             # and then it is negative on all of (a, b]
-            return False, Fraction(b, big_l) if (i and witness == lo) else witness
+            return False, Fraction(b, big_l) if (i and x == 0) else (a + x) / big_l
     return True, None
 
 

@@ -26,9 +26,10 @@ on the grid 1/G, and read both the certificate and the witness from that
 list. The witness search walks the divisors n of G in ascending order,
 then the window starts j/n, reading each 1/n window as every (G/n)-th
 grid value, until a violating pair is exhibited, so the pair has the
-fewest states any aligned window allows; the pair's value gap is checked
-exactly against the window and against the same window of hbar,
-evaluated afresh, and its sign is the reported direction.
+fewest states any aligned window allows; its moved-state gap must equal
+(-1)^(m+1) times the window over 2^(m+1), and its sign is the reported
+direction. That this gap is the full valuation's, and the window the
+reflected one of hbar, is held by tests, not re-derived per draw.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .weighting import (
     difference_sign,
     dual_power_mixture,
     format_weighting,
-    hbar_finite_difference,
     unit_differences,
 )
 
@@ -281,9 +281,11 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
     """One converse probe: Mixed certificate must yield a violating pair.
 
     h is evaluated once on the grid 1/G; the certificate and the witness
-    window both come from that list. Returns a replay record with status
-    "vacuous" (certificate not Mixed), "violation" (pair found, gap
-    identity verified), or a failure status ("no-window" / "mismatch").
+    window both come from that list, and the pair's gap from its moved
+    states. Returns a replay record with status "vacuous" (certificate
+    not Mixed), "violation" (negative gap equal to (-1)^(m+1) window /
+    2^(m+1)), or a failure status ("no-window", or "mismatch" with the
+    predicted gap).
     """
     values = difference_grid(w, m, grid_count)
     cert = difference_sign(values, m)
@@ -298,9 +300,8 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
     n, j, window = found
     big_m = 2 ** (m + 1)
     pair = make_parsimonious_pair(tuple(range(1, n + 1)), j, m, big_m)
-    gap = dt_value(pair.d, w) - dt_value(pair.c, w)
+    gap = moved_state_gap(pair, w)
     predicted = Fraction((-1) ** (m + 1), big_m) * window
-    survival_form = hbar_finite_difference(w, m, Fraction(n - j - m, n), Fraction(1, n)) / big_m
     record.update(
         {
             "n": n,
@@ -310,7 +311,7 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
             "pair": pair._payload(),
         }
     )
-    if gap < 0 and gap == predicted and gap == survival_form:
+    if gap < 0 and gap == predicted:
         record["status"] = "violation"
     else:
         record["status"] = "mismatch"

@@ -42,7 +42,7 @@ from .errors import (
     NonUnitMass,
     RankViolation,
 )
-from .rationals import _common_denominator, format_exact, rat
+from .rationals import _common_denominator, _quoted, format_exact, rat
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
@@ -265,7 +265,7 @@ def parse_lottery_text(text: str, source: str | None = None) -> Lottery:
         fields = line.split()
         if len(fields) != 2:
             raise FormatError(
-                f"expected '<outcome> <probability>', got {raw.strip()!r}",
+                f"expected '<outcome> <probability>', got {_quoted(raw.strip())}",
                 line=lineno,
                 source=source,
             )

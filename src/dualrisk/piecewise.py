@@ -42,8 +42,3 @@ def spline_pieces(knots, jumps, end: int, m: int) -> tuple[list[int], list[list[
         pieces.append(acc)
         prev = u
     return grid, pieces
-
-
-def global_coeffs(piece: list[int], a: int, big_l: int) -> list[int]:
-    """The coefficients in t = w / L of a piece given in w - a."""
-    return [c * big_l**k for k, c in enumerate(pshift(piece, -a))]

@@ -47,6 +47,18 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise FormatError(f"cannot interpret {value!r} as a rational")
 
 
+_QUOTE_LIMIT = 80  # characters of an input that an error message repeats
+
+
+def _quoted(text: str, show=repr) -> str:
+    """show(text) for a message; past _QUOTE_LIMIT characters, the repr of
+    the first _QUOTE_LIMIT and the total length instead, so a message about
+    an over-long input stays short."""
+    if len(text) <= _QUOTE_LIMIT:
+        return show(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer, or decimal text into an exact Fraction."""
     s = text.strip()
@@ -55,7 +67,12 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational literal {text!r}: {exc}") from None
+        reason = str(exc)
+        if len(text) > _QUOTE_LIMIT and not reason.startswith("Exceeds the limit"):
+            # Fraction's own message repeats the literal or its numerator;
+            # the int digit-limit message gives only counts, so it stays
+            reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else "not a rational literal"
+        raise FormatError(f"bad rational literal {_quoted(text)}: {reason}") from None
 
 
 def _common_denominator(xs) -> tuple[list[int], int]:
@@ -130,7 +147,7 @@ def parse_float_range(text: str) -> Fraction:
     try:
         float(value)
     except OverflowError:
-        raise FormatError(f"{text.strip()} is too large for a float") from None
+        raise FormatError(f"{_quoted(text.strip(), str)} is too large for a float") from None
     return value
 
 
@@ -152,9 +169,9 @@ def read_fields(pairs, parsers: dict, required, noun: str = "key", source: str |
     values = {}
     for key, text, line in pairs:
         if key not in parsers:
-            raise FormatError(f"unknown {noun} {key!r}", line=line, source=source)
+            raise FormatError(f"unknown {noun} {_quoted(key)}", line=line, source=source)
         if key in values:
-            raise FormatError(f"duplicate {noun} {key!r}", line=line, source=source)
+            raise FormatError(f"duplicate {noun} {_quoted(key)}", line=line, source=source)
         try:
             values[key] = parsers[key](text)
         except ValueError as exc:  # every InputValidationError is one
@@ -176,7 +193,7 @@ def parse_spec(text: str, table: dict, kind: str):
     name = name.strip().lower()
     try:
         if name not in table:
-            raise FormatError(f"unknown {kind} {name!r}")
+            raise FormatError(f"unknown {kind} {_quoted(name)}")
         cls, fields = table[name]
         pairs = []
         for chunk in argtext.split(",") if argtext else ():
@@ -186,12 +203,12 @@ def parse_spec(text: str, table: dict, kind: str):
             elif pairs:
                 pairs[-1][1] += "," + chunk.strip()
             else:
-                raise FormatError(f"expected key=value, got {chunk!r}")
+                raise FormatError(f"expected key=value, got {_quoted(chunk)}")
         parsers = {key: parse for key, (parse, _) in fields.items()}
         required = (f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING)
         return cls(**read_fields(pairs, parsers, required, "parameter"))
     except ValueError as exc:
-        raise FormatError(f"bad {kind} spec {text!r}: {exc}") from None
+        raise FormatError(f"bad {kind} spec {_quoted(text)}: {exc}") from None
 
 
 def format_spec(obj, table: dict) -> str:

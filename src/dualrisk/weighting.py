@@ -511,7 +511,7 @@ def hbar_finite_difference(w: WeightingSpec, m: int, p, s):
     """One m-th forward difference of hbar at start p with step s."""
     if s < 0 or p < 0 or p + m * s > 1:
         raise DomainError(f"difference window [{p}, {p + m * s}] leaves [0, 1]")
-    return sum((-1) ** (m - k) * math.comb(m, k) * eval_hbar(w, p + k * s) for k in range(m + 1))
+    return next(unit_differences([eval_hbar(w, p + k * s) for k in range(m + 1)], m))[1]
 
 
 def analytic_derivative_sign(w: WeightingSpec, m: int) -> SignCertificate:

@@ -100,8 +100,9 @@ from dualrisk import (
     make_block,
     rat,
 )
-from dualrisk.piecewise import global_coeffs, spline_pieces
-from dualrisk.polyops import Poly, nonneg_on_interval, pderiv, peval, ptrim
+from dualrisk.piecewise import spline_pieces
+from dualrisk.polyops import Poly, nonneg_on_interval, pderiv, peval, pshift, ptrim
+from dualrisk.rationals import _quoted
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def parse_lottery_fraction(text: str, source: str | None = None) -> Lottery:
         fields = line.split()
         if len(fields) != 2:
             raise FormatError(
-                f"expected '<outcome> <probability>', got {raw.strip()!r}", line=lineno, source=source
+                f"expected '<outcome> <probability>', got {_quoted(raw.strip())}", line=lineno, source=source
             )
         try:
             x, p = rat(fields[0]), rat(fields[1])
@@ -333,6 +334,11 @@ def degree(f: PiecewisePoly) -> int:
 # ---------------------------------------------------------------------------
 # The library's integer splines (piecewise.spline_pieces) as PiecewisePoly
 # over Fractions, so tests can compare them with the antiderivative chain
+
+
+def global_coeffs(piece: list[int], a: int, big_l: int) -> list[int]:
+    """The coefficients in t = w / L of a spline piece given in w - a."""
+    return [c * big_l**k for k, c in enumerate(pshift(piece, -a))]
 
 
 def spline(knots, jumps, end: int, big_l: int, big_d: int, m: int) -> PiecewisePoly:

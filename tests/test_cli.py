@@ -558,6 +558,36 @@ class TestSelfProtect:
 
 
 class TestParsing:
+    @pytest.mark.parametrize(
+        "text, length",
+        [("x" * 20_000 + " 1\n", 20_000), ("1" * 5_000 + " 1\n", 5_000), (" ".join(["1"] * 10_000) + "\n", 19_999)],
+        ids=["word", "digits", "fields"],
+    )
+    def test_long_lottery_inputs_are_shortened_in_messages(self, tmp_path, capsys, text, length):
+        lot = tmp_path / "long.lot"
+        lot.write_text(text)
+        assert main(["eval", str(lot)]) == 2
+        err = capsys.readouterr().err
+        prefix = f"error: {lot}:1: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert len(err) - len(prefix) < 300
+        assert f"({length} characters)" in err
+
+    def test_a_long_config_line_is_shortened_in_its_message(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("x" * 20_000 + "\n")
+        assert main(["selfprotect", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:1: expected key = value, got '{'x' * 80}'... (20000 characters)\n"
+
+    @pytest.mark.parametrize("spec", ["f" * 20_000, "dualpower:" + "k" * 20_000 + "=1", "tk:gamma=" + "9" * 400])
+    def test_a_long_weighting_spec_is_shortened_in_its_message(self, lottery_files, capsys, spec):
+        a, _ = lottery_files
+        assert main(["eval", a, "--weighting", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad weighting spec {spec[:80]!r}... ({len(spec)} characters): ")
+        assert err.count("\n") == 1 and len(err) < 300
+
     def test_unknown_flag(self, capsys):
         assert main(["eval", "x.txt", "--frobnicate"]) == 2
 

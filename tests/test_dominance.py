@@ -25,7 +25,7 @@ from dualrisk import (
 )
 from dualrisk.dominance import MAX_DEGREE
 from dualrisk.lottery import _jumps
-from dualrisk.piecewise import global_coeffs, spline_pieces
+from dualrisk.piecewise import spline_pieces
 from dualrisk.polyops import bernstein_nonneg, nonneg_on_interval
 
 from conftest import lotteries, tied_lotteries
@@ -35,6 +35,7 @@ from oracles import (
     difference,
     dual_gates_reference,
     dual_sd_rebuild,
+    global_coeffs,
     good_and_bad,
     iterated_cdf,
     iterated_cdf_per_point,
@@ -487,16 +488,17 @@ class TestPreAccept:
     @settings(max_examples=200, deadline=None)
     def test_every_declined_piece_reaches_sturm(self, pair, m, kind):
         a, b = pair
-        grid, pieces, big_l = _gap_pieces(a, b, m, kind)
+        grid, pieces, _ = _gap_pieces(a, b, m, kind)
+        # each piece is certified in its local variable, on [0, hi - lo]
         declined = [
-            (F(lo, big_l), F(hi, big_l))
+            (piece, F(0), F(hi - lo))
             for lo, hi, piece in zip(grid, grid[1:], pieces)
             if not bernstein_nonneg(piece, hi - lo)
         ]
         seen = []
 
         def sturm(c, lo, hi):
-            seen.append((lo, hi))
+            seen.append((c, lo, hi))
             return nonneg_on_interval(c, lo, hi)
 
         with pytest.MonkeyPatch.context() as mp:

@@ -27,6 +27,7 @@ from dualrisk import (
     finite_difference_sign,
     format_lottery_text,
     format_weighting,
+    hbar_finite_difference,
     make_block,
     make_pair,
     make_parsimonious_pair,
@@ -325,7 +326,7 @@ class TestOneGrid:
         w = random_mixed_tabulated(random.Random(300 + m), m)
         monkeypatch.setattr(weighting, "eval_h", counted)
         assert converse_check(w, m)["status"] == "violation"
-        assert len(calls) == 257 + m + 1  # the grid, then the survival-form window
+        assert len(calls) == 257  # the grid alone: the witness gap reads no h
         calls.clear()
         assert converse_check(DualPower(m), m)["status"] == "vacuous"
         assert len(calls) == 257
@@ -465,6 +466,55 @@ class TestIdentityFailure:
         assert record["relation"] == "identity"
         assert record["trial"] == 0
         assert {"gap", "moved_state_gap", "pair", "weighting"} <= set(record)
+
+
+class TestConverseGapIdentities:
+    """converse_check takes its witness gap from the moved-state kernel;
+    the identities it no longer re-derives per draw hold here: the gap is
+    the full dt_value gap, and the window over M is the reflected window
+    of hbar."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+    def test_violation_gap_is_the_full_valuation_and_the_hbar_window(self, m):
+        rng = random.Random(500 + m)
+        for _ in range(8 if m <= 5 else 4):
+            w = random_mixed_tabulated(rng, m)
+            record = converse_check(w, m)
+            assert record["status"] == "violation", record
+            n, j, big_m = record["n"], record["j"], 2 ** (m + 1)
+            pair = ApportionmentPair.from_json(json.dumps(record["pair"]))
+            gap = F(record["gap"])
+            assert gap == dt_value(pair.d, w) - dt_value(pair.c, w)
+            assert gap == hbar_finite_difference(w, m, F(n - j - m, n), F(1, n)) / big_m
+            assert gap < 0 and record["direction"] == -1
+
+    def test_converse_check_values_no_member_in_full(self, monkeypatch):
+        # dt_value stays in harness for direct_check's probe alone
+        calls = []
+        monkeypatch.setattr(harness_module, "dt_value", lambda *args: calls.append(args))
+        for m in (2, 3, 4, 5):
+            assert converse_check(random_mixed_tabulated(random.Random(600 + m), m), m)["status"] == "violation"
+        assert calls == []
+
+    def test_a_forced_mismatch_is_a_mismatch_record(self, monkeypatch):
+        _broken_identity(monkeypatch)
+        w = random_mixed_tabulated(random.Random(5), 3)
+        record = converse_check(w, 3)
+        assert record["status"] == "mismatch"
+        assert F(record["gap"]) == F(record["predicted"]) + F(1, 7)
+        pair = ApportionmentPair.from_json(json.dumps(record["pair"]))
+        assert F(record["predicted"]) == dt_value(pair.d, w) - dt_value(pair.c, w)
+
+    def test_verify_exits_1_and_writes_the_mismatch_record(self, monkeypatch, tmp_path, capsys):
+        _broken_identity(monkeypatch)
+        code = cli_main(["verify", "--theorem", "2", "--trials", "1", "--seed", "0", "--outdir", str(tmp_path)])
+        assert code == 1
+        assert "failures=1 FAIL" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "theorem2_failures.json").read_text())
+        (record,) = payload["reports"][0]["failures"]
+        assert record["status"] == "mismatch"
+        assert record["trial"] == 0
+        assert {"gap", "predicted", "pair", "weighting", "n", "j"} <= set(record)
 
 
 class TestRunTheorem:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dualrisk import FormatError, format_exact, parse_rational, rat
-from dualrisk.rationals import _decimal
+from dualrisk.rationals import _QUOTE_LIMIT, _decimal, parse_float_range
 from oracles import decimal_sig
 
 F = Fraction
@@ -27,6 +27,42 @@ def test_parse_decimal_is_exact():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(FormatError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("abc", "bad rational literal 'abc': Invalid literal for Fraction: 'abc'"),
+        ("1/0", "bad rational literal '1/0': Fraction(1, 0)"),
+        ("7" * _QUOTE_LIMIT + "x", f"bad rational literal '{'7' * _QUOTE_LIMIT}'... (81 characters): not a rational literal"),
+        ("1" * 100 + "/0", f"bad rational literal '{'1' * _QUOTE_LIMIT}'... (102 characters): zero denominator"),
+    ],
+)
+def test_bad_literal_messages(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_rational(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["a" * 20_000, "1" * 5_000, "1" * 4_000 + "/0", " " * 100 + "x" * 300])
+def test_long_literals_are_shortened(text):
+    # past the limit, a message quotes a fixed prefix and the length, and
+    # no part of it repeats the literal in full
+    with pytest.raises(FormatError) as info:
+        parse_rational(text)
+    message = str(info.value)
+    assert f"({len(text)} characters)" in message
+    assert len(message) < 300
+    assert text.strip()[: _QUOTE_LIMIT + 1] not in message
+
+
+def test_too_large_for_a_float_message():
+    with pytest.raises(FormatError, match=r"^1e400 is too large for a float$"):
+        parse_float_range(" 1e400 ")
+    text = "1" * 400
+    with pytest.raises(FormatError) as info:
+        parse_float_range(text)
+    assert str(info.value) == f"'{'1' * _QUOTE_LIMIT}'... (400 characters) is too large for a float"
 
 
 def test_format_exact_plain():
