@@ -124,12 +124,9 @@ def cmd_eval(args) -> int:
     mu = lottery.mean(lot)
     decimal = rationals._decimal
     rows: list[tuple] = [("value", _cell(value), decimal(value)), ("mean", _cell(mu), decimal(mu))]
-    for m in range(1, 5):
-        dm = valuation.dual_moment(lot, m)
-        rows.append((f"dual_moment_{m}", _cell(dm), decimal(dm)))
-    for k in range(2, 5):
-        cm = valuation.primal_moment(lot, k)
-        rows.append((f"central_moment_{k}", _cell(cm), decimal(cm)))
+    duals, centrals = valuation._moment_rows(lot)
+    rows += [(f"dual_moment_{m}", _cell(v), decimal(v)) for m, v in enumerate(duals, 1)]
+    rows += [(f"central_moment_{k}", _cell(v), decimal(v)) for k, v in enumerate(centrals, 2)]
     _emit_rows(("quantity", "exact", "decimal"), rows, args.format)
     return 0
 

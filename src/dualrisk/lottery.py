@@ -13,11 +13,13 @@ outcomes and probabilities are Fractions read off it when first asked
 for; equality and hash read the form itself. make_lottery and
 parse_lottery_text build it while they check the states, through one
 integer tail (_ranked), so the unit-mass check and the stable sort by
-outcome run in ints; the parser reads plain ASCII literals p and p/q
-straight into ints and makes no Fraction for them. _jumps reads
-the survival step function off it, the one form every dual quantity
-reads, and _support the merged support off that, for
-canonical_distribution and the primal CDF.
+outcome run in ints, and outcomes that already rise are not sorted. The
+parser reads each line once, in one loop: it strips comments only from
+a text that holds a '#', and reads plain ASCII literals p and p/q
+straight into ints inline, with no call and no Fraction per literal.
+_jumps reads the survival step function off the form, the one form
+every dual quantity reads, and _support the merged support off that,
+for canonical_distribution and the primal CDF.
 
 An EqualProbLottery is a Lottery of n equally likely states, the carrier
 of the block operations, which build their members from ints alone
@@ -149,17 +151,20 @@ def _ranked(states: list[tuple[int, int, int, int]]) -> Lottery:
     Each column goes over the lcm of its denominators and is reduced once,
     by the gcd of that lcm and its numerators: the form _common_denominator
     gives for the reduced Fractions. The unit-mass check and the stable
-    sort by outcome then run in ints.
+    sort by outcome then run in ints; outcomes that already rise skip the
+    sort, which would keep their order.
     """
     if not states:
         raise NonUnitMass("a lottery needs at least one state")
     xs, xds, ps, pds = zip(*states)
     xd, pd = lcm(*xds), lcm(*pds)
-    xs, xd = _reduced([x * (xd // q) for x, q in zip(xs, xds)] if xd > 1 else xs, xd)
-    ps, pd = _reduced([p * (pd // q) for p, q in zip(ps, pds)] if pd > 1 else ps, pd)
+    xs, xd = _reduced([x * (xd // q) for x, q in zip(xs, xds)] if xd > 1 else list(xs), xd)
+    ps, pd = _reduced([p * (pd // q) for p, q in zip(ps, pds)] if pd > 1 else list(ps), pd)
     total = sum(ps)
     if total != pd:
         raise NonUnitMass(f"probabilities sum to {Fraction(total, pd)}, not 1")
+    if all(map(le, xs, xs[1:])):
+        return Lottery._trusted((xs, xd, ps, pd))
     order = sorted(range(len(xs)), key=xs.__getitem__)
     return Lottery._trusted(([xs[i] for i in order], xd, [ps[i] for i in order], pd))
 
@@ -233,51 +238,50 @@ def mean(lot: Lottery) -> Fraction:
     return Fraction(sum(map(mul, xs, ps)), pd * xd)
 
 
-def _literal(token: str) -> tuple[int, int]:
-    """(num, den), den > 0 and not always reduced, with num/den = rat(token).
-    Plain ASCII digit literals p and p/q (q != 0) are read straight into
-    ints; every other spelling goes through rat."""
-    num, slash, den = token.partition("/")
-    try:
-        if num.isascii() and num.isdigit():
-            if not slash:
-                return int(num), 1
-            if den.isascii() and den.isdigit() and (q := int(den)):
-                return int(num), q
-    except ValueError:  # past the int string-conversion limit: rat decides
-        pass
-    value = rat(token)
-    return value.numerator, value.denominator
-
-
 def parse_lottery_text(text: str, source: str | None = None) -> Lottery:
     """Parse the one-state-per-line lottery format.
 
     Each non-blank line is "<outcome> <probability>"; both entries are
     rational literals ("5/12", "0.25", "3"). Anything after '#' is a
     comment. Errors carry the 1-based line number.
+
+    A plain ASCII literal p or p/q (q != 0) is read straight into ints;
+    every other spelling (decimals, exponents, signs, underscores,
+    non-ASCII digits, p/0, literals past the int digit limit) goes
+    through rat.
     """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    ascii = text.isascii()
     states = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if len(fields) != 2:
-            raise FormatError(
-                f"expected '<outcome> <probability>', got {_quoted(raw.strip())}",
-                line=lineno,
-                source=source,
-            )
-        try:
-            (x, xd), (p, pd) = _literal(fields[0]), _literal(fields[1])
-        except FormatError as exc:
-            raise FormatError(str(exc), line=lineno, source=source) from None
+            if not fields:
+                continue
+            raw = text.splitlines()[lineno - 1].strip()
+            raise FormatError(f"expected '<outcome> <probability>', got {_quoted(raw)}", line=lineno, source=source)
+        state = []
+        for token in fields:
+            num, slash, den = token.partition("/")
+            try:
+                if num.isdigit() and (ascii or token.isascii()) and (not slash or den.isdigit() and (q := int(den))):
+                    state += int(num), q if slash else 1
+                    continue
+            except ValueError:  # past the int digit limit: rat decides
+                pass
+            try:
+                value = rat(token)
+            except FormatError as exc:
+                raise FormatError(str(exc), line=lineno, source=source) from None
+            state += value.numerator, value.denominator
+        x, xd, p, pd = state
         if x < 0:
             raise FormatError(f"outcome {Fraction(x, xd)} is negative", line=lineno, source=source)
         if p <= 0:
             raise FormatError(f"probability {Fraction(p, pd)} is not positive", line=lineno, source=source)
-        states.append((x, xd, p, pd))
+        states.append(state)
     if not states:
         raise FormatError("no states found", source=source)
     return _ranked(states)

@@ -68,9 +68,14 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         reason = str(exc)
-        if len(text) > _QUOTE_LIMIT and not reason.startswith("Exceeds the limit"):
-            # Fraction's own message repeats the literal or its numerator;
-            # the int digit-limit message gives only counts, so it stays
+        if reason.startswith("Exceeds the limit"):
+            # the int digit-limit message advises a call no CLI user can make
+            reason = (
+                f"more than {sys.get_int_max_str_digits()} digits in one integer, "
+                "the most the interpreter reads from text"
+            )
+        elif len(text) > _QUOTE_LIMIT:
+            # Fraction's own message repeats the literal or its numerator
             reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else "not a rational literal"
         raise FormatError(f"bad rational literal {_quoted(text)}: {reason}") from None
 

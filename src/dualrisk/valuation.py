@@ -41,6 +41,10 @@ correctly rounded floats of the rationals; an outcome beyond the float
 range is a DomainError. The raw and central moments are single integer
 sums over the lottery's integer form.
 
+_moment_rows gives the eval command's dual moments 1-4 and central
+moments 2-4, each set from one sweep of running powers instead of one
+sweep per order; they equal dual_moment and primal_moment at each order.
+
 Expected utility reads the same integer form: the mean for
 LinearUtility, mean - c E[X^2] as integer sums for QuadraticUtility,
 and for TabulatedUtility the same piecewise-linear sweep, over the
@@ -300,3 +304,36 @@ def dual_moment(lot: Lottery, m: int) -> Fraction:
         raise DomainError(f"dual moment order must be >= 1, got {m}")
     jumps, d, xd, _ = _jumps(lot)
     return Fraction(*_survival_power(jumps, m, d, xd))
+
+
+def _moment_rows(lot: Lottery) -> tuple[list[Fraction], list[Fraction]]:
+    """[dual_moment(lot, m) for m = 1..4] and [primal_moment(lot, k) for
+    k = 2..4], each list from one sweep: running powers of the survival
+    count d - c times the step over the jump list, and of pd x_i - S1
+    times p_i over the states. The size bound is checked once, at order 4:
+    m * bitlength(d) passes it for some m <= 4 exactly when it does at 4.
+    """
+    jumps, d, xd, _ = _jumps(lot)
+    _check_power(4, d.bit_length())
+    a1 = a2 = a3 = a4 = 0
+    for c, t in jumps:
+        s = d - c
+        t *= s
+        a1 += t
+        t *= s
+        a2 += t
+        t *= s
+        a3 += t
+        a4 += t * s
+    xs, _, ps, pd = lot._ints
+    s1 = sum(map(mul, xs, ps))
+    b2 = b3 = b4 = 0
+    for x, t in zip(xs, ps):
+        e = pd * x - s1
+        t *= e * e
+        b2 += t
+        t *= e
+        b3 += t
+        b4 += t * e
+    duals = [Fraction(a, d**m * xd) for m, a in enumerate((a1, a2, a3, a4), 1)]
+    return duals, [Fraction(b, pd * (pd * xd) ** k) for k, b in enumerate((b2, b3, b4), 2)]

@@ -509,6 +509,8 @@ def finite_difference_sign(w: WeightingSpec, m: int, grid_count: int = 256) -> S
 
 def hbar_finite_difference(w: WeightingSpec, m: int, p, s):
     """One m-th forward difference of hbar at start p with step s."""
+    if m < 1:
+        raise DomainError(f"difference order must be >= 1, got {m}")
     if s < 0 or p < 0 or p + m * s > 1:
         raise DomainError(f"difference window [{p}, {p + m * s}] leaves [0, 1]")
     return next(unit_differences([eval_hbar(w, p + k * s) for k in range(m + 1)], m))[1]

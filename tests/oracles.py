@@ -13,7 +13,10 @@ library reads the merged support off the jump list), the mean, raw and
 central moments and the expected utility are Fraction sums over the
 states (where the library sums the lottery's integer form), the lottery
 parser reads every literal with rat and checks mass, signs and order in
-Fractions, the iterated quantile and CDF
+Fractions, or, in its per-line form, strips and splits each line, reads
+each literal by its own call and always sorts, where the library reads
+plain literals inline and skips the sort when the outcomes already
+rise, the iterated quantile and CDF
 are chains of Fraction antiderivatives of step functions built from one
 quantile() or cdf() call per piece (where the library sums truncated
 powers in ints), the dominance checks certify every piece of the
@@ -199,6 +202,59 @@ def parse_lottery_fraction(text: str, source: str | None = None) -> Lottery:
         raise NonUnitMass(f"probabilities sum to {total}, not 1")
     states.sort(key=lambda s: s[0])
     return Lottery(tuple(states))
+
+
+def _per_line_literal(token: str) -> tuple[int, int]:
+    """(num, den) with num/den = rat(token), den > 0: a plain ASCII p or
+    p/q (q != 0) read with int, every other spelling through rat."""
+    num, slash, den = token.partition("/")
+    try:
+        if num.isascii() and num.isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isascii() and den.isdigit() and (q := int(den)):
+                return int(num), q
+    except ValueError:  # past the int digit limit: rat decides
+        pass
+    value = rat(token)
+    return value.numerator, value.denominator
+
+
+def parse_lottery_per_line(text: str, source: str | None = None) -> Lottery:
+    """parse_lottery_text in its per-line form: each line split off its
+    comment and stripped, each literal read by its own call, and the
+    states sorted by outcome whether or not they already rise."""
+    states = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise FormatError(
+                f"expected '<outcome> <probability>', got {_quoted(raw.strip())}", line=lineno, source=source
+            )
+        try:
+            (x, xd), (p, pd) = _per_line_literal(fields[0]), _per_line_literal(fields[1])
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno, source=source) from None
+        if x < 0:
+            raise FormatError(f"outcome {Fraction(x, xd)} is negative", line=lineno, source=source)
+        if p <= 0:
+            raise FormatError(f"probability {Fraction(p, pd)} is not positive", line=lineno, source=source)
+        states.append((x, xd, p, pd))
+    if not states:
+        raise FormatError("no states found", source=source)
+    xs, xds, ps, pds = zip(*states)
+    xd, pd = math.lcm(*xds), math.lcm(*pds)
+    xs = [x * (xd // q) for x, q in zip(xs, xds)]
+    ps = [p * (pd // q) for p, q in zip(ps, pds)]
+    gx, gp = math.gcd(xd, *xs), math.gcd(pd, *ps)
+    xs, xd, ps, pd = [x // gx for x in xs], xd // gx, [p // gp for p in ps], pd // gp
+    if sum(ps) != pd:
+        raise NonUnitMass(f"probabilities sum to {Fraction(sum(ps), pd)}, not 1")
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    return Lottery._trusted(([xs[i] for i in order], xd, [ps[i] for i in order], pd))
 
 
 def decimal_sig(value: Fraction, sig: int) -> str:

@@ -573,6 +573,23 @@ class TestParsing:
         assert len(err) - len(prefix) < 300
         assert f"({length} characters)" in err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int-to-text digit limit in this interpreter",
+    )
+    def test_a_literal_past_the_digit_limit_names_the_limit(self, tmp_path, capsys):
+        lot = tmp_path / "digits.lot"
+        lot.write_text("1 1/2\n" + "1" * 5_000 + " 1/2\n")
+        assert main(["eval", str(lot)]) == 2
+        captured = capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {lot}:2: bad rational literal {'1' * 80!r}... (5000 characters): "
+            f"more than {limit} digits in one integer, the most the interpreter reads from text\n"
+        )
+        assert "set_int_max_str_digits" not in captured.err
+
     def test_a_long_config_line_is_shortened_in_its_message(self, tmp_path, capsys):
         cfg = tmp_path / "long.cfg"
         cfg.write_text("x" * 20_000 + "\n")

@@ -385,6 +385,82 @@ class TestParseEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# parse_lottery_text against its per-line form (oracles.parse_lottery_per_line):
+# the same integer form, or the same error type, message and line
+
+
+def _read(parse, text):
+    try:
+        return "ok", parse(text, source="in.txt")._ints
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+_LATIN1 = "1 1/2\n2 1/2 # caf\xe9\n".encode("latin-1")
+READER_CORPUS = {
+    "comments": "# header\n1 1/4  # first\n\n5/2 1/4#second\n7 1/2 ## twice\n# trailer",
+    "crlf": "1 1/4\r\n5/2 1/4\r\n7 1/2\r\n",
+    "cr and other line breaks": "1 1/4\r5/2 1/4\x0b7 1/2 ",
+    "blank lines": "\n\n  \n1 1/4\n\t\n5/2 1/4\n\n7 1/2\n\n",
+    "unsorted": "7 1/2\n5/2 1/4\n1 1/4\n",
+    "ties unsorted": "3 1/6\n1 1/3\n3 1/3\n0 1/6\n",
+    "decimals": "0.25 0.25\n2.5 0.25\n7.0 0.5\n",
+    "exponents": "25e-2 1/4\n2.5E0 1/4\n7 5e-1\n",
+    "signs": "+1 1/4\n+5/2 +1/4\n7 1/2\n",
+    "negative outcome": "-1 1/2\n2 1/2\n",
+    "negative zero": "-0 1/2\n2 1/2\n",
+    "negative probability": "1 -1/2\n2 1/2\n",
+    "zero denominator": "1/0 1\n",
+    "zero probability denominator": "1 1/0\n",
+    "empty denominator": "5/ 1\n",
+    "two slashes": "1/2/3 1\n",
+    "leading slash": "/5 1\n",
+    "non-ascii digits": "١ 1/2\n٢/٣ 1/2\n",
+    "non-ascii comment": "1 1/2 # caf\xe9\n2 1/2\n",
+    "fullwidth digit": "１ 1\n",
+    "superscript digit": "² 1\n",
+    "zero probability": "1 1/2\n2 0\n3 1/2\n",
+    "zero probability over q": "1 1/2\n2 0/7\n3 1/2\n",
+    "zero-padded": "007 02/4\n010 0.5\n",
+    "underscores": "1_000 1\n",
+    "unreduced": "2/4 2/4\n6/4 1/2\n",
+    "mass below one": "1 1/2\n2 1/3\n",
+    "three fields": "1 1/2\n2 1/2 7\n",
+    "one field": "1\n",
+    "no states": "# nothing\n\n",
+    "empty": "",
+    "5000-digit outcome": "1" * 5000 + " 1\n",
+    "5000-digit denominator": "1/" + "3" * 5000 + " 1\n",
+    "5000-digit probability after a good line": "1 1/2\n2 " + "1" * 5000 + "\n",
+    "non-utf-8 as latin-1": _LATIN1.decode("latin-1"),
+    "non-utf-8 as escaped bytes": _LATIN1.decode("utf-8", "surrogateescape"),
+    "non-utf-8 literal": b"1\xe9 1\n".decode("latin-1"),
+}
+
+
+class TestReaderAgainstPerLineForm:
+    @pytest.mark.parametrize("text", READER_CORPUS.values(), ids=READER_CORPUS.keys())
+    def test_corpus(self, text):
+        assert _read(parse_lottery_text, text) == _read(oracles.parse_lottery_per_line, text)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_decorated_texts(self, data):
+        """A lottery text with its states shuffled, CR, CRLF or LF endings,
+        comments, blank lines and padding gives what the per-line form gives."""
+        lines = data.draw(lottery_texts()).splitlines()
+        lines = data.draw(st.permutations(lines))
+        comment = st.sampled_from(("", "", " # c", "# é", "#", " ## 1 1"))
+        pad = st.sampled_from(("", " ", "\t", "  "))
+        body = [data.draw(pad) + line + data.draw(pad) + data.draw(comment) for line in lines]
+        for _ in range(data.draw(st.integers(0, 3))):
+            body.insert(data.draw(st.integers(0, len(body))), data.draw(st.sampled_from(("", " ", "# only"))))
+        end = data.draw(st.sampled_from(("\n", "\r\n", "\r")))
+        text = end.join(body) + data.draw(st.sampled_from(("", end)))
+        assert _read(parse_lottery_text, text) == _read(oracles.parse_lottery_per_line, text)
+
+
+# ---------------------------------------------------------------------------
 # one stored form: whichever constructor built a lottery, it keeps only its
 # integer form, and its views, equality and hash are those of its states
 

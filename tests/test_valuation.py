@@ -41,6 +41,7 @@ from dualrisk import (
     primal_moment,
     raw_moment,
 )
+from dualrisk.valuation import _moment_rows
 
 from conftest import equal_prob_lotteries, lotteries, rational, tied_lotteries
 from oracles import (
@@ -526,6 +527,32 @@ class TestDualMoments:
             assert dual_moment(lot, m) == sum(
                 w * x for w, x in zip(weights, base4.outcomes)
             )
+
+
+class TestMomentRows:
+    """eval's moment rows, each set from one sweep of running powers,
+    against the per-order functions."""
+
+    @given(st.one_of(tied_lotteries(), lotteries(), equal_prob_lotteries(min_states=1)))
+    @example(make_lottery([(0, 1)]))
+    @example(make_lottery([(F(7, 3), 1)]))
+    @example(make_lottery([(0, F(1, 3)), (F(5, 4), F(1, 6)), (F(5, 4), F(1, 4)), (F(2, 7), F(1, 4))]))
+    @settings(max_examples=200)
+    def test_rows_equal_the_per_order_moments(self, lot):
+        duals, centrals = _moment_rows(lot)
+        assert duals == [dual_moment(lot, m) for m in range(1, 5)]
+        assert centrals == [primal_moment(lot, k) for k in range(2, 5)]
+
+    def test_size_bound_is_the_order_four_bound(self):
+        # d of 300,000 bits: orders 1-3 stay under the bound, order 4 passes it
+        tiny = F(1, 2**300_000)
+        lot = make_lottery([(1, tiny), (2, 1 - tiny)])
+        dual_moment(lot, 3)
+        with pytest.raises(DomainError) as per_order:
+            dual_moment(lot, 4)
+        with pytest.raises(DomainError) as rows:
+            _moment_rows(lot)
+        assert str(rows.value) == str(per_order.value)
 
 
 class TestMcOracle:

@@ -223,6 +223,12 @@ class TestFiniteDifferenceSign:
             rhs = (-1) ** (m + 1) * finite_difference(w, m, 1 - p - m * s, s)
             assert lhs == rhs
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_hbar_difference_order_below_one_is_refused(self, m):
+        # difference_grid's refusal, though the window [p, p + m s] stays in [0, 1]
+        with pytest.raises(DomainError, match=rf"^difference order must be >= 1, got {m}$"):
+            hbar_finite_difference(Identity(), m, F(0), F(1, 4))
+
 
 @st.composite
 def tabulated_weightings(draw):
