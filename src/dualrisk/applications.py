@@ -33,11 +33,10 @@ from .errors import (
     NegativeOutcome,
 )
 from .lottery import EqualProbLottery, Lottery, make_lottery, mean
-from .rationals import _exact_text, _quoted, format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
+from .rationals import _check_power, _exact_text, _quoted, format_exact, format_spec, parse_float_range, parse_spec, rat, read_fields
 from .valuation import dt_value
 from .weighting import (
     WeightingSpec,
-    _check_power,
     eval_h,
     eval_h_prime,
     float_form,

@@ -14,18 +14,28 @@ J (t - c)_+^(m-1) / (m-1)! to the (m-1)-fold integral. Both read the
 lottery's jump list (lottery._jumps), as dt_value does: the quantile
 spline as it is (CDF counts as knots, outcome steps as jumps), the CDF
 spline its support (lottery._support: outcomes as knots, probability
-counts as jumps). The dual gates are its survival power sums, each an
-integer ratio with a positive denominator, compared by cross-multiplying.
-Two lotteries meet over one knot denominator L and one jump denominator
-D by integer multiplication, and the difference spline is built from the
-joined list, one integer polynomial per piece of the union of both
-grids (piecewise.spline_pieces). A piece is accepted when its Taylor or
-Bernstein coefficients are all >= 0 (polyops.bernstein_nonneg); every
-other piece is certified by Sturm root isolation, and failures come with
-a rational witness point. The pre-check only accepts pieces that are
-non-negative, so results and witnesses are the ones Sturm alone gives.
-The endpoint conditions are one integer sum each at the top outcome. All
-comparisons are exact, and degrees past MAX_DEGREE are refused.
+counts as jumps). Two lotteries meet over one knot denominator L and one
+jump denominator D by integer multiplication, and the difference spline
+is built from the joined list, one integer polynomial per piece of the
+union of both grids (piecewise.spline_pieces). A piece is accepted when
+its Taylor or Bernstein coefficients are all >= 0
+(polyops.bernstein_nonneg); every other piece is certified by Sturm root
+isolation, and failures come with a rational witness point. The
+pre-check only accepts pieces that are non-negative, so results and
+witnesses are the ones Sturm alone gives.
+
+Every gate is one integer sum over that joined list at its end,
+sum_i v_i (end - u_i)^j (_end_sum), read before any spline is built: the
+order-(j+1) spline there, times D L^j j!. The dual mean and dual moment
+k take j = k at end = L (the k-th dual moment is k! times the order-(k+1)
+iterated quantile at 1) and fail below 0; the primal endpoint condition
+of order k takes j = k - 1 at the top outcome and fails below 0; the
+Ekern raw moment k takes j = k at the top outcome and fails when
+nonzero, since (top - x)^k expands into the raw moments 0..k and the
+first nonzero sum is at the first raw moment that differs. A dual gate
+of order k is refused, as dual_moment is, when k times the bit length
+of the larger probability denominator passes 2^20. All comparisons are
+exact, and degrees past MAX_DEGREE are refused.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from .errors import DomainError
 from .lottery import Lottery, _jumps, _support
 from .piecewise import spline_pieces
 from .polyops import bernstein_nonneg, nonneg_on_interval
-from .valuation import _survival_power, raw_moment
+from .rationals import _check_power
 
 # Past this degree a check is refused. A piece's coefficients grow with
 # the degree's power of the knot numerators: on two 128-state lotteries
@@ -81,7 +91,15 @@ def _gap(f, g):
     return knots, jumps, big_l, big_d
 
 
+def _end_sum(knots, jumps, end: int, j: int) -> int:
+    """sum_i v_i (end - u_i)^j over a gap list: its order-(j+1) spline at
+    end / L, times D L^j j!; the one form of every gate."""
+    return sum(v * (end - u) ** j for u, v in zip(knots, jumps))
+
+
 def _check_degree(m: int) -> None:
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise DomainError(f"dominance degree must be an integer, got {m!r}")
     if m < 1:
         raise DomainError(f"dominance degree must be >= 1, got {m}")
     if m > MAX_DEGREE:
@@ -122,11 +140,11 @@ def dual_sd_check(a: Lottery, b: Lottery, m: int) -> DominanceReport:
     """
     _check_degree(m)
     (ja, da, xa, _), (jb, db, xb, _) = _jumps(a), _jumps(b)
-    for k in range(1, m):  # each sum is (num, den) with den > 0: cross-multiply
-        (sa, ea), (sb, eb) = _survival_power(ja, k, da, xa), _survival_power(jb, k, db, xb)
-        if sa * eb > sb * ea:
-            return DominanceReport("dual", m, "mean" if k == 1 else f"dual_moment_{k}")
     knots, jumps, big_l, _ = _gap((ja, da, xa), (jb, db, xb))
+    for k in range(1, m):  # D L^k times b's k-th dual moment minus a's
+        _check_power(k, max(da, db).bit_length())
+        if _end_sum(knots, jumps, big_l, k) < 0:
+            return DominanceReport("dual", m, "mean" if k == 1 else f"dual_moment_{k}")
     ok, witness = _pointwise_leq(knots, jumps, big_l, big_l, m)
     if not ok:
         return DominanceReport("dual", m, "iterated_quantile", witness)
@@ -144,19 +162,15 @@ def primal_sd_check(a: Lottery, b: Lottery, m: int, ekern: bool = False) -> Domi
     """
     _check_degree(m)
     kind = "primal-ekern" if ekern else "primal"
-    if ekern:
-        for k in range(1, m):
-            if raw_moment(a, k) != raw_moment(b, k):
-                return DominanceReport(kind, m, f"raw_moment_{k}")
     knots, jumps, big_l, _ = _gap(_cdf_steps(b), _cdf_steps(a))
     top = max(knots)
-    if top == 0:
-        return DominanceReport(kind, m)
-    if not ekern:
-        # the order-k integral of F_a - F_b at the top outcome, times
-        # D L^(k-1) (k-1)!; a jump at the top adds nothing for k >= 2
+    if ekern:  # (top - x)^k expands into a's raw moments 1..k minus b's
+        for k in range(1, m):
+            if _end_sum(knots, jumps, top, k):
+                return DominanceReport(kind, m, f"raw_moment_{k}")
+    else:  # the order-k integral of F_a - F_b at the top outcome
         for k in range(2, m):
-            if sum(v * (top - u) ** (k - 1) for u, v in zip(knots, jumps)) < 0:
+            if _end_sum(knots, jumps, top, k - 1) < 0:
                 return DominanceReport(kind, m, f"endpoint_{k}")
     ok, witness = _pointwise_leq(knots, jumps, top, big_l, m)
     if not ok:

@@ -8,7 +8,9 @@ renderings of exact values outside the normal float range are rounded
 from the rational itself, so they never overflow or underflow.
 
 Weighting specs, effort specs and problem files share one key=value
-grammar, read and written here from per-kind field tables.
+grammar, read and written here from per-kind field tables. The size
+bound on exact powers (_check_power) lives here too, so every layer
+that raises an exact power shares it.
 """
 
 from __future__ import annotations
@@ -84,6 +86,21 @@ def _common_denominator(xs) -> tuple[list[int], int]:
     """Numerators of the Fractions xs over their lcm denominator, and that denominator."""
     d = lcm(*(x.denominator for x in xs))
     return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+# Bound on order * bits for an exact power: the order-th power of a
+# bits-bit number has about that many bits, and the gcd that reduces an
+# exact result takes time quadratic in it (about 2 s at this bound).
+_MAX_POWER_BITS = 1 << 20
+
+
+def _check_power(order, bits: int) -> None:
+    """DomainError when order * bits passes _MAX_POWER_BITS."""
+    if order * bits > _MAX_POWER_BITS:
+        raise DomainError(
+            f"order too large for an exact value: its powers would need more than "
+            f"{_MAX_POWER_BITS} bits"
+        )
 
 
 _FLOAT_MIN = Fraction(sys.float_info.min)  # the smallest normal float

@@ -19,10 +19,11 @@ dt_value and dual_moment are one sweep over the lottery's jump list
 (lottery._jumps, read off its integer form): at each distinct outcome
 the integer CDF count c below it (so F = c/d and S = (d - c)/d) and the
 integer step to it, over the outcome denominator xd. Every family reads
-those counts, and so do the dominance gates and the pair gaps of the
-apportionment module. DualPower(m) and the dual moments sum
-(d - c)^m per step; the other exact families use V = x_max -
-sum_i h(F_i) (x_i - x_{i-1}): integer Power sums c^k, Identity, Quadratic
+those counts, and so do the pair gaps of the apportionment module; the
+dominance checks read the same list but none of these sums.
+DualPower(m) and the dual moments sum (d - c)^m per step; the other
+exact families use V = x_max - sum_i h(F_i) (x_i - x_{i-1}): integer
+Power sums c^k, Identity, Quadratic
 and Polynomial run Horner on the numerators of h's coefficients over
 their common denominator, and Tabulated runs the one piecewise-linear
 sweep (_pl_sweep): a segment pointer that walks forward as c rises, over
@@ -31,11 +32,11 @@ kernels build no Fraction: the one integer-ratio kernel (_ratio) returns
 each exact family's value as (num, den) with den > 0. The Fraction is
 built only at the three public boundaries, dt_value, dual_moment and
 apportionment.moved_state_gap; a sign is read off num alone
-(apportionment.preference_direction, the pair check), and the dominance
-gates compare two ratios by cross-multiplying. An exact order m with
-m * bitlength(d) above 2^20, about the size of its powers, is a
-DomainError. The float families (TverskyKahneman, Prelec, fractional
-Power) read the same counts through the weighting's float form, with
+(apportionment.preference_direction, the pair check). An exact order m
+with m * bitlength(d) above 2^20, about the size of its powers, is a
+DomainError (rationals._check_power). The float families
+(TverskyKahneman, Prelec, fractional Power) read the same counts
+through the weighting's float form, with
 the level c/d and the step as int true divisions, which are the
 correctly rounded floats of the rationals; an outcome beyond the float
 range is a DomainError. The raw and central moments are single integer
@@ -60,7 +61,7 @@ from operator import mul, sub
 
 from .errors import DomainError, NonMonotoneUtility, UnsupportedFamily
 from .lottery import Lottery, _jumps, mean
-from .rationals import _common_denominator, rat
+from .rationals import _check_power, _common_denominator, rat
 from .weighting import (
     DualPower,
     Identity,
@@ -71,7 +72,6 @@ from .weighting import (
     Tabulated,
     TverskyKahneman,
     WeightingSpec,
-    _check_power,
     float_form,
 )
 

@@ -46,6 +46,7 @@ from operator import itemgetter
 from . import polyops
 from .errors import DomainError, NonMonotoneUtility, UnsupportedFamily
 from .rationals import (
+    _check_power,
     _common_denominator,
     format_exact,
     format_float,
@@ -105,8 +106,17 @@ class DualPower:
 
 
 def _check_dual_order(m) -> None:
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise DomainError(f"dual power order must be an integer >= 1, got {m}")
+
+
+def _check_order(m, what: str) -> None:
+    """DomainError unless the difference or derivative order m is an int
+    >= 1; a bool is no order."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise DomainError(f"{what} order must be an integer, got {m!r}")
+    if m < 1:
+        raise DomainError(f"{what} order must be >= 1, got {m}")
 
 
 @dataclass(frozen=True)
@@ -209,21 +219,6 @@ def is_exact(w: WeightingSpec) -> bool:
 def _check_unit(p) -> None:
     if p < 0 or p > 1:
         raise DomainError(f"weighting argument must lie in [0, 1], got {p}")
-
-
-# Bound on order * bits for an exact power: the order-th power of a
-# bits-bit number has about that many bits, and the gcd that reduces an
-# exact result takes time quadratic in it (about 2 s at this bound).
-_MAX_POWER_BITS = 1 << 20
-
-
-def _check_power(order, bits: int) -> None:
-    """DomainError when order * bits passes _MAX_POWER_BITS."""
-    if order * bits > _MAX_POWER_BITS:
-        raise DomainError(
-            f"order too large for an exact value: its powers would need more than "
-            f"{_MAX_POWER_BITS} bits"
-        )
 
 
 def eval_h(w: WeightingSpec, p):
@@ -456,10 +451,10 @@ def difference_grid(w: WeightingSpec, m: int, grid_count: int) -> list:
     """h at i/G for i = 0..G, the values an order-m difference scan reads.
 
     Exact families give Fractions, transcendental ones floats. An order
-    below 1 or above G is a DomainError, raised before h is evaluated.
+    that is not an int >= 1, or is above G, is a DomainError, raised
+    before h is evaluated.
     """
-    if m < 1:
-        raise DomainError(f"difference order must be >= 1, got {m}")
+    _check_order(m, "difference")
     if grid_count < m:
         raise DomainError(f"grid_count must be at least m, got {grid_count} < {m}")
     if is_exact(w):
@@ -509,8 +504,7 @@ def finite_difference_sign(w: WeightingSpec, m: int, grid_count: int = 256) -> S
 
 def hbar_finite_difference(w: WeightingSpec, m: int, p, s):
     """One m-th forward difference of hbar at start p with step s."""
-    if m < 1:
-        raise DomainError(f"difference order must be >= 1, got {m}")
+    _check_order(m, "difference")
     if s < 0 or p < 0 or p + m * s > 1:
         raise DomainError(f"difference window [{p}, {p + m * s}] leaves [0, 1]")
     return next(unit_differences([eval_hbar(w, p + k * s) for k in range(m + 1)], m))[1]
@@ -522,8 +516,7 @@ def analytic_derivative_sign(w: WeightingSpec, m: int) -> SignCertificate:
     Identity, Quadratic, DualPower, integer Power, and Polynomial are
     supported; other families raise UnsupportedFamily.
     """
-    if m < 1:
-        raise DomainError(f"derivative order must be >= 1, got {m}")
+    _check_order(m, "derivative")
     d = _h_coeffs(w)
     if d is None:
         raise UnsupportedFamily(

@@ -688,3 +688,21 @@ print(json.dumps(executed()))
     assert "dualrisk.valuation" in after_eval
     unused = {f"dualrisk.{m}" for m in ("applications", "harness", "apportionment", "dominance")}
     assert unused.isdisjoint(after_eval)
+
+
+def test_dominance_runs_no_valuation_or_weighting(tmp_path):
+    a, b = tmp_path / "a.lot", tmp_path / "b.lot"
+    a.write_text("1 1/3\n5/2 2/3\n", encoding="utf-8")
+    b.write_text("1 1/2\n2 1/2\n", encoding="utf-8")
+    code = EXECUTED + f"""
+import contextlib, io
+import dualrisk.cli
+for kind in (["--kind", "dual"], ["--kind", "primal"], ["--kind", "primal", "--ekern"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dualrisk.cli.main(["dominance", {str(a)!r}, {str(b)!r}, "--degree", "3", *kind]) == 0
+print(json.dumps(executed()))
+"""
+    after = json.loads(_fresh(code))
+    assert "dualrisk.dominance" in after
+    unused = {f"dualrisk.{m}" for m in ("valuation", "weighting", "apportionment", "harness", "applications")}
+    assert unused.isdisjoint(after), after

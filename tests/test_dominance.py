@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from dualrisk import (
     parse_lottery_text,
     primal_sd_check,
     random_pair,
+    raw_moment,
     squeeze,
 )
 from dualrisk.dominance import MAX_DEGREE
@@ -30,6 +32,7 @@ from dualrisk.polyops import bernstein_nonneg, nonneg_on_interval
 
 from conftest import lotteries, tied_lotteries
 from oracles import (
+    antiderivative,
     cdf_steps,
     degree,
     difference,
@@ -127,33 +130,73 @@ class TestDualCheck:
 
 @st.composite
 def gate_pairs(draw):
-    """(a, b) whose dual moments agree up to some order or differ from the
-    first: the members of a random order-2..8 pair (moments 1..m-1 equal,
-    over one denominator), a lottery and the point mass at its mean (equal
-    means over different denominators), or two unrelated lotteries."""
-    kind = draw(st.sampled_from(("pair", "point mass", "unrelated")))
+    """(a, b) whose moments agree up to some order or differ from the
+    first: the members of a random order-2..8 pair (dual moments 1..m-1
+    equal, over one denominator), a lottery and the point mass at its mean
+    (equal means over different denominators), two unrelated lotteries,
+    or a lottery and a copy with one state split in two at its outcome (the
+    same distribution, so every gate ties)."""
+    kind = draw(st.sampled_from(("pair", "point mass", "unrelated", "split")))
     if kind == "pair":
         pair = random_pair(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(2, 8)))
         return pair.c, pair.d
     a = draw(any_lottery)
+    if kind == "split":
+        states = list(a.states)
+        i = draw(st.integers(0, len(states) - 1))
+        x, p = states[i]
+        q = p * F(draw(st.integers(1, 7)), 8)
+        states[i : i + 1] = [(x, q), (x, p - q)]
+        return a, make_lottery(draw(st.permutations(states)))
     return (a, make_lottery([(mean(a), 1)])) if kind == "point mass" else (a, draw(any_lottery))
 
 
-class TestDualGates:
-    """The mean and dual-moment gates cross-multiply two integer survival
-    sums; the oracle compares the two moments as Fractions."""
+def reference_gates(a, b) -> dict:
+    """The first gate that b fails against a in each family, up to
+    MAX_DEGREE, or None: dual from the Fraction moments
+    (dual_gates_reference), Ekern at the first order whose raw moments
+    differ, primal at the first order-k endpoint where b's per-point
+    iterated CDF is above a's."""
+    ekern = next((f"raw_moment_{k}" for k in range(1, MAX_DEGREE) if raw_moment(a, k) != raw_moment(b, k)), None)
+    hi, primal = max(max(a.outcomes), max(b.outcomes)), None
+    if hi:
+        fa, fb = iterated_cdf_per_point(a, 1, hi), iterated_cdf_per_point(b, 1, hi)
+        for k in range(2, MAX_DEGREE):
+            fa, fb = antiderivative(fa), antiderivative(fb)
+            if fb(hi) > fa(hi):
+                primal = f"endpoint_{k}"
+                break
+    return {
+        "dual": dual_gates_reference(a, b, MAX_DEGREE),
+        "primal": primal,
+        "primal-ekern": ekern,
+    }
 
-    @given(gate_pairs(), st.integers(1, 9))
+
+def _gate_order(gate: str) -> int:
+    """k of "mean" (1), "dual_moment_k", "endpoint_k" or "raw_moment_k"."""
+    return 1 if gate == "mean" else int(gate.rsplit("_", 1)[1])
+
+
+class TestGates:
+    """Every gate is one integer sum over the gap list at its end; the
+    references read the dual and raw moments as Fractions and the
+    endpoints off the per-point iterated CDFs."""
+
+    @given(gate_pairs())
     @settings(max_examples=300, deadline=None)
-    def test_failed_gate_matches_the_fraction_comparison(self, pair, m):
+    def test_each_family_fails_its_first_failed_gate_at_every_degree(self, pair):
         a, b = pair
         for x, y in ((a, b), (b, a)):
-            report = dual_sd_check(x, y, m)
-            gate = dual_gates_reference(x, y, m)
-            if gate is None:
-                assert report.failed_condition in (None, "iterated_quantile")
-            else:
-                assert (report.failed_condition, report.witness) == (gate, None)
+            gates = reference_gates(x, y)
+            for m in range(1, MAX_DEGREE + 1):
+                for report in (dual_sd_check(x, y, m), primal_sd_check(x, y, m), primal_sd_check(x, y, m, ekern=True)):
+                    gate = gates[report.kind]
+                    if gate is not None and _gate_order(gate) < m:
+                        assert (report.failed_condition, report.witness) == (gate, None)
+                    else:
+                        pointwise = "iterated_quantile" if report.kind == "dual" else "iterated_cdf"
+                        assert report.failed_condition in (None, pointwise)
 
 
 class TestPrimalCheck:
@@ -536,3 +579,21 @@ class TestDegreeBound:
         for ekern in (False, True):
             with pytest.raises(DomainError, match=f"must be <= {MAX_DEGREE}"):
                 primal_sd_check(lottery_a, lottery_b, m, ekern=ekern)
+
+    @pytest.mark.parametrize("m", [2.0, True, F(2), "2"], ids=["float", "bool", "Fraction", "str"])
+    def test_a_degree_that_is_not_an_int_is_refused(self, lottery_a, lottery_b, m):
+        with pytest.raises(DomainError, match=rf"^dominance degree must be an integer, got {re.escape(repr(m))}$"):
+            dual_sd_check(lottery_a, lottery_b, m)
+        for ekern in (False, True):
+            with pytest.raises(DomainError, match="^dominance degree must be an integer"):
+                primal_sd_check(lottery_a, lottery_b, m, ekern=ekern)
+
+    def test_a_dual_gate_past_the_power_bound_is_refused(self):
+        # 80001-bit probability denominators: gates 1..13 stay within 2^20
+        # bits, gate 14 passes it, so degree 15 is refused once 1..13 pass
+        pd = 2**80000 + 1
+        a = make_lottery([(1, F(1, pd)), (2, F(pd - 1, pd))])
+        b = make_lottery([(2, F(1, pd)), (3, F(pd - 1, pd))])
+        with pytest.raises(DomainError, match="^order too large for an exact value"):
+            dual_sd_check(a, b, 15)
+        assert dual_sd_check(b, a, 15).failed_condition == "mean"

@@ -38,7 +38,7 @@ from dualrisk import (
     parse_weighting,
 )
 
-from dualrisk.weighting import _dual_power_ints, float_form
+from dualrisk.weighting import _dual_power_ints, difference_grid, float_form
 
 from oracles import (
     dual_power_mixture_reference,
@@ -228,6 +228,25 @@ class TestFiniteDifferenceSign:
         # difference_grid's refusal, though the window [p, p + m s] stays in [0, 1]
         with pytest.raises(DomainError, match=rf"^difference order must be >= 1, got {m}$"):
             hbar_finite_difference(Identity(), m, F(0), F(1, 4))
+
+    @pytest.mark.parametrize("m", [0, -2, 2.0, True, F(2)], ids=["0", "-2", "float", "bool", "Fraction"])
+    @pytest.mark.parametrize(
+        "what, call",
+        [
+            ("difference", lambda m: difference_grid(Identity(), m, 8)),
+            ("difference", lambda m: finite_difference_sign(Identity(), m, 8)),
+            ("difference", lambda m: hbar_finite_difference(Identity(), m, F(0), F(1, 4))),
+            ("derivative", lambda m: analytic_derivative_sign(Identity(), m)),
+        ],
+        ids=["grid", "sign", "hbar", "analytic"],
+    )
+    def test_every_order_taker_refuses_an_order_that_is_no_int_from_one(self, what, call, m):
+        if isinstance(m, int) and not isinstance(m, bool):
+            message = rf"^{what} order must be >= 1, got {m}$"
+        else:
+            message = rf"^{what} order must be an integer, got {re.escape(repr(m))}$"
+        with pytest.raises(DomainError, match=message):
+            call(m)
 
 
 @st.composite
@@ -512,6 +531,15 @@ class TestConstruction:
     def test_float_family_parameters_must_be_finite(self, make, message, bad):
         with pytest.raises(DomainError, match=message):
             make(bad)
+
+    @pytest.mark.parametrize("m", [True, False, 2.0, F(2)], ids=["True", "False", "float", "Fraction"])
+    def test_dual_power_order_is_a_plain_int(self, m):
+        with pytest.raises(DomainError, match=rf"^dual power order must be an integer >= 1, got {m}$"):
+            DualPower(m)
+
+    def test_dual_power_order_one_reads_back(self):
+        assert format_weighting(DualPower(1)) == "dualpower:m=1"
+        assert parse_weighting(format_weighting(DualPower(1))) == DualPower(1)
 
     def test_dual_power_mixture(self):
         w = dual_power_mixture({2: F(1, 2), 4: F(1, 2)})
