@@ -186,6 +186,8 @@ def build_menu(order: int, stock_prices: EqualProbLottery, strikes: tuple | None
     the plain stock at the stated order; anything else (including
     ill-chosen custom strikes) raises DominanceCheckFailed.
     """
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise DomainError(f"menu order must be an integer, got {order!r}")
     if stock_prices.n < 2:
         raise DomainError("the stock support needs at least two states")
     if order not in _MENU_STRIKES:

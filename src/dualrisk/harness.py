@@ -14,16 +14,17 @@ trials make, and a report's kind is read from the same table.
 Direct runs fuzz random bases, block amplitudes, gap specs, and
 positions, then sweep a battery of right-sign, flipped-sign, and
 zero-derivative weighting functions, one of them a DualPower mixture
-drawn from the run's rng. Each member ranks the pair from the few states
-where C and D differ (apportionment.moved_state_gap), never valuing
-either member in full. The mixture is valued in full once per pair as
-well: its dt_value gap must equal its moved-state gap exactly, and a
-mismatch is a failure record with relation "identity" that carries both
-gaps and the pair's construction record, which ApportionmentPair.from_json
-reads back into the pair. Converse runs generate piecewise linear
-weighting functions with certified mixed differences, evaluate h once
-on the grid 1/G, and read both the certificate and the witness from that
-list. The witness search walks the divisors n of G in ascending order,
+drawn from the run's rng: two orders k with int weights r_k, read as
+r_k / sum r and summed in integers (weighting._int_mixture). Each
+member ranks the pair from the few states where C and D differ
+(apportionment.moved_state_gap), never valuing either member in full.
+The mixture is valued in full once per pair as well: its dt_value gap
+must equal its moved-state gap exactly, and a mismatch is a failure
+record with relation "identity" that carries both gaps and the pair's
+construction record, which ApportionmentPair.from_json reads back into
+the pair. Converse runs generate piecewise linear weighting functions
+with certified mixed differences, evaluate h once on the grid 1/G, and
+read both the certificate and the witness from that list. The witness search walks the divisors n of G in ascending order,
 then the window starts j/n, reading each 1/n window as every (G/n)-th
 grid value, until a violating pair is exhibited, so the pair has the
 fewest states any aligned window allows; its moved-state gap must equal
@@ -58,9 +59,9 @@ from .weighting import (
     SignClass,
     Tabulated,
     WeightingSpec,
+    _int_mixture,
     difference_grid,
     difference_sign,
-    dual_power_mixture,
     format_weighting,
     unit_differences,
 )
@@ -92,6 +93,22 @@ class HarnessReport:
         return not self.failures
 
 
+def _check_statement(theorem) -> tuple[str, tuple[int, ...]]:
+    """THEOREMS[theorem], or a DomainError for an unknown statement number."""
+    if theorem not in THEOREMS:
+        raise DomainError(f"statements are numbered 1..6, got {theorem}")
+    return THEOREMS[theorem]
+
+
+def _check_statement_order(m) -> None:
+    """DomainError unless m is an int >= 2; a bool is no order. Every draw
+    and run takes it before the rng moves."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise DomainError(f"statement order must be an integer, got {m!r}")
+    if m < 2:
+        raise DomainError(f"statements start at order 2, got {m}")
+
+
 def _monomial(k: int) -> Polynomial:
     return Polynomial((Fraction(0),) * k + (Fraction(1),))
 
@@ -116,14 +133,13 @@ def direct_battery(m: int, rng: random.Random):
 
 
 def _battery(m: int, rng: random.Random):
-    """(direct_battery(m, rng), probe): the probe is the drawn mixture."""
-    if m < 2:
-        raise DomainError(f"statements start at order 2, got {m}")
+    """(direct_battery(m, rng), probe): the probe is the drawn mixture, whose
+    weights are drawn as ints r_k in 1..4 and read as r_k / sum r."""
+    _check_statement_order(m)
     head, tail = _fixed_battery(m)
     ks = rng.sample(range(m, max(9, m + 2)), 2)
-    raw = {k: Fraction(rng.randint(1, 4)) for k in ks}
-    total = sum(raw.values())
-    mixture = dual_power_mixture({k: v / total for k, v in raw.items()})
+    rs = {k: rng.randint(1, 4) for k in ks}
+    mixture = _int_mixture(rs, sum(rs.values()))
     return [*head, (mixture, "ge"), *tail], mixture
 
 
@@ -171,6 +187,7 @@ def random_pair(rng: random.Random, m: int) -> ApportionmentPair:
     gaps >= 1, but block coefficients reach 20 at order 8, so from order 7
     on two blocks can reverse neighbouring states: such a draw is redrawn.
     """
+    _check_statement_order(m)
     for _ in range(128):
         base = random_base(rng, m)
         good_delta, good_gaps = Fraction(rng.randint(1, 4), 128), _random_gaps(rng, m)
@@ -240,6 +257,7 @@ def random_mixed_tabulated(rng: random.Random, m: int) -> Tabulated:
     Mixed, that is until the aligned step-1/K windows show both signs;
     h at i/K is the i-th knot value, so the certificate reads those.
     """
+    _check_statement_order(m)
     for _ in range(_MIXED_TRIES):
         k = rng.choice((8, 16, 32))
         knots = [(Fraction(0), Fraction(0))]
@@ -322,7 +340,8 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
 def run_trials(theorem: int, m: int, trials: int, seed: int) -> HarnessReport:
     """trials draws of statement theorem at order m from one seeded rng, each
     drawn and checked as THEOREMS says; failure records carry their trial."""
-    direct = THEOREMS[theorem][0] == "direct"
+    direct = _check_statement(theorem)[0] == "direct"
+    _check_statement_order(m)
     rng = random.Random(seed * 1000003 + m)
     failures: list[dict] = []
     for trial in range(trials):
@@ -339,6 +358,4 @@ def run_trials(theorem: int, m: int, trials: int, seed: int) -> HarnessReport:
 
 def run_theorem(theorem: int, trials: int, seed: int) -> list[HarnessReport]:
     """Run one numbered statement across its orders; one report per order."""
-    if theorem not in THEOREMS:
-        raise DomainError(f"statements are numbered 1..6, got {theorem}")
-    return [run_trials(theorem, m, trials, seed) for m in THEOREMS[theorem][1]]
+    return [run_trials(theorem, m, trials, seed) for m in _check_statement(theorem)[1]]

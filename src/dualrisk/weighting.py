@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from operator import itemgetter
 
 from . import polyops
@@ -553,10 +552,20 @@ def _h_coeffs(w: WeightingSpec) -> list[Fraction] | None:
 
 
 def _dual_power_ints(m: int) -> list[int]:
-    """1 - (1 - p)^m expanded, lowest degree first: 0, then (-1)^(i+1) C(m, i),
-    with C(m, i) = C(m, i - 1) (m - i + 1) / i, an exact division."""
-    cs = accumulate(range(1, m + 1), lambda c, i: c * (m - i + 1) // i, initial=1)
-    return [0] + [c if i % 2 else -c for i, c in enumerate(cs) if i]
+    """1 - (1 - p)^m expanded, lowest degree first: 0, then (-1)^(i+1) C(m, i)."""
+    acc = [0] * (m + 1)
+    _add_dual_power(acc, m, 1)
+    return acc
+
+
+def _add_dual_power(acc: list[int], m: int, r: int) -> None:
+    """Add r times the coefficients of 1 - (1 - p)^m to acc, lowest degree
+    first: (-1)^(i+1) r C(m, i) at p^i, with r C(m, i) = r C(m, i - 1)
+    (m - i + 1) / i, an exact division."""
+    c = r
+    for i in range(1, m + 1):
+        c = c * (m - i + 1) // i
+        acc[i] += c if i % 2 else -c
 
 
 def dual_power_mixture(weights: dict[int, Fraction]) -> Polynomial:
@@ -564,25 +573,29 @@ def dual_power_mixture(weights: dict[int, Fraction]) -> Polynomial:
 
     Inherits every alternating derivative sign satisfied by all mixture
     components, which makes it the workhorse for random admissible
-    weighting functions in the test harnesses. Built in integers: with
-    the weights over one denominator d, order k with weight r_k / d adds
-    (-1)^(i+1) C(k, i) r_k to the numerator of p^i, and each coefficient
-    becomes one Fraction over d at the end. Trailing zero coefficients,
-    which zero weights leave, are dropped.
+    weighting functions in the test harnesses. The weights are put over
+    one denominator d and summed in integers by _int_mixture.
     """
     total = sum(weights.values())
     if total != 1 or any(v < 0 for v in weights.values()):
         raise DomainError("mixture weights must be non-negative and sum to 1")
-    orders, lams = [], []
+    lams = []
     for m, lam in weights.items():
         _check_dual_order(m)
-        orders.append(m)
         lams.append(rat(lam))
     rs, d = _common_denominator(lams)
-    acc = [0] * (max(orders) + 1)
-    for m, r in zip(orders, rs):
-        for i, c in enumerate(_dual_power_ints(m)):
-            acc[i] += c * r
+    return _int_mixture(dict(zip(weights, rs)), d)
+
+
+def _int_mixture(rs: dict[int, int], d: int) -> Polynomial:
+    """The mixture of DualPower(k) with weights r_k / d, for orders k >= 1 and
+    ints r_k >= 0 summing to d: order k adds (-1)^(i+1) C(k, i) r_k to the
+    numerator of p^i, and each coefficient becomes one Fraction over d at
+    the end. Trailing zero coefficients, which zero weights leave, are
+    dropped. The Polynomial constructor certifies h' as for any other."""
+    acc = [0] * (max(rs) + 1)
+    for m, r in rs.items():
+        _add_dual_power(acc, m, r)
     while len(acc) > 1 and acc[-1] == 0:
         acc.pop()
     return Polynomial(tuple(Fraction(a, d) for a in acc))

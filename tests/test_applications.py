@@ -144,6 +144,23 @@ class TestBuildMenu:
         with pytest.raises(DomainError):
             build_menu(order, STOCK3)
 
+    @pytest.mark.parametrize(
+        "order,message",
+        [
+            (2.0, "menu order must be an integer, got 2.0"),
+            ("2", "menu order must be an integer, got '2'"),
+            (True, "menu order must be an integer, got True"),
+            (F(2), "menu order must be an integer, got Fraction(2, 1)"),
+        ],
+        ids=["float", "str", "bool", "fraction"],
+    )
+    def test_non_int_orders(self, order, message):
+        # refused before the support check, so even a one-state stock names the order
+        for stock in (STOCK3, EqualProbLottery((F(2),))):
+            with pytest.raises(DomainError) as exc:
+                build_menu(order, stock)
+            assert str(exc.value) == message
+
     def test_tiny_support_rejected(self):
         with pytest.raises(DomainError):
             build_menu(2, EqualProbLottery((F(2),)))

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrisk import (
     ApportionmentPair,
@@ -45,6 +47,7 @@ from dualrisk import apportionment as apportionment_module
 from dualrisk import harness as harness_module
 from dualrisk import valuation as valuation_module
 from dualrisk.cli import main as cli_main
+from dualrisk.harness import run_trials
 from dualrisk.weighting import difference_grid
 
 from oracles import (
@@ -111,6 +114,20 @@ class TestBattery:
             assert [(format_weighting(w), rel) for w, rel in battery] == [
                 (format_weighting(w), rel) for w, rel in rebuilt
             ]
+
+    @given(st.integers(0, 2**64), st.integers(2, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_any_seed_matches_a_fresh_build(self, seed, m):
+        # the mixture's int weights take the draws the Fraction build took,
+        # so both rngs end in the same state
+        rng, twin = random.Random(seed), random.Random(seed)
+        battery = direct_battery(m, rng)
+        rebuilt = direct_battery_rebuild(m, twin)
+        assert battery == rebuilt
+        assert [(format_weighting(w), rel) for w, rel in battery] == [
+            (format_weighting(w), rel) for w, rel in rebuilt
+        ]
+        assert rng.getstate() == twin.getstate()
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
     def test_battery_is_honest_on_a_known_pair(self, m):
@@ -542,3 +559,56 @@ class TestRunTheorem:
     def test_unknown_statement_number(self):
         with pytest.raises(DomainError):
             run_theorem(7, trials=1, seed=0)
+
+    @pytest.mark.parametrize("theorem", [0, 7, 9])
+    def test_run_trials_refuses_an_unknown_statement_number(self, theorem):
+        with pytest.raises(DomainError) as exc:
+            run_trials(theorem, 3, 1, 7)
+        assert str(exc.value) == f"statements are numbered 1..6, got {theorem}"
+
+
+class TestStatementOrder:
+    """Every draw and run refuses a bad order with a DomainError before the
+    rng moves."""
+
+    DRAWS = {
+        "direct_battery": lambda rng, m: direct_battery(m, rng),
+        "random_pair": random_pair,
+        "random_mixed_tabulated": random_mixed_tabulated,
+    }
+
+    @pytest.mark.parametrize("name", sorted(DRAWS))
+    @pytest.mark.parametrize(
+        "m,message",
+        [
+            (3.0, "statement order must be an integer, got 3.0"),
+            (True, "statement order must be an integer, got True"),
+            ("3", "statement order must be an integer, got '3'"),
+            (F(3), "statement order must be an integer, got Fraction(3, 1)"),
+            (1, "statements start at order 2, got 1"),
+            (-4, "statements start at order 2, got -4"),
+        ],
+        ids=["float", "bool", "str", "fraction", "one", "negative"],
+    )
+    def test_draws(self, name, m, message):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(DomainError) as exc:
+            self.DRAWS[name](rng, m)
+        assert str(exc.value) == message
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "m,message",
+        [
+            (3.0, "statement order must be an integer, got 3.0"),
+            (False, "statement order must be an integer, got False"),
+            (1, "statements start at order 2, got 1"),
+        ],
+        ids=["float", "bool", "one"],
+    )
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_run_trials(self, theorem, m, message):
+        with pytest.raises(DomainError) as exc:
+            run_trials(theorem, m, 1, 7)
+        assert str(exc.value) == message

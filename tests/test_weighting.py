@@ -38,7 +38,7 @@ from dualrisk import (
     parse_weighting,
 )
 
-from dualrisk.weighting import _dual_power_ints, difference_grid, float_form
+from dualrisk.weighting import _dual_power_ints, _int_mixture, difference_grid, float_form
 
 from oracles import (
     dual_power_mixture_reference,
@@ -567,6 +567,16 @@ class TestDualPowerMixture:
         coeffs = dual_power_mixture(weights).coeffs
         assert coeffs == dual_power_mixture_reference(weights)
         assert all(type(c) is Fraction for c in coeffs)
+
+    @given(mixture_weights)
+    @settings(max_examples=300, deadline=None)
+    def test_int_weights_build_the_same_mixture(self, raw):
+        # the harness hands its drawn ints r_k and their sum to _int_mixture
+        total = sum(raw.values())
+        w, expected = _int_mixture(raw, total), dual_power_mixture({k: F(r, total) for k, r in raw.items()})
+        assert w == expected
+        assert format_weighting(w) == format_weighting(expected)
+        assert all(type(c) is Fraction for c in w.coeffs)
 
     def test_binomial_row_by_recurrence_equals_comb(self):
         for m in (*range(1, 65), 1050):
