@@ -213,8 +213,6 @@ def cmd_pairgen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise DomainError(f"trials must be >= 1, got {args.trials}")
     reports = harness.run_theorem(args.theorem, args.trials, args.seed)
     failed = False
     all_failures = []

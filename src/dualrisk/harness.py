@@ -15,9 +15,11 @@ Direct runs fuzz random bases, block amplitudes, gap specs, and
 positions, then sweep a battery of right-sign, flipped-sign, and
 zero-derivative weighting functions, one of them a DualPower mixture
 drawn from the run's rng: two orders k with int weights r_k, read as
-r_k / sum r and summed in integers (weighting._int_mixture). Each
-member ranks the pair from the few states where C and D differ
-(apportionment.moved_state_gap), never valuing either member in full.
+r_k / sum r and summed in integers (weighting._int_mixture). The whole
+battery is ranked from the few states where C and D differ, in one sweep
+over the pair's gap jump list: the power sums S_j = sum c^j step give
+every member's sign from its integer row (valuation._poly_signs), the
+sign apportionment.preference_direction gives a single weighting.
 The mixture is valued in full once per pair as well: its dt_value gap
 must equal its moved-state gap exactly, and a mismatch is a failure
 record with relation "identity" that carries both gaps and the pair's
@@ -46,12 +48,11 @@ from .apportionment import (
     make_pair,
     make_parsimonious_pair,
     moved_state_gap,
-    preference_direction,
 )
 from .errors import DomainError, DualRiskError, RankViolation
 from .lottery import EqualProbLottery, _equal_prob
 from .rationals import format_exact
-from .valuation import dt_value
+from .valuation import _poly_signs, dt_value
 from .weighting import (
     DualPower,
     Identity,
@@ -60,6 +61,7 @@ from .weighting import (
     Tabulated,
     WeightingSpec,
     _int_mixture,
+    _integer_coeffs,
     difference_grid,
     difference_sign,
     format_weighting,
@@ -94,9 +96,10 @@ class HarnessReport:
 
 
 def _check_statement(theorem) -> tuple[str, tuple[int, ...]]:
-    """THEOREMS[theorem], or a DomainError for an unknown statement number."""
-    if theorem not in THEOREMS:
-        raise DomainError(f"statements are numbered 1..6, got {theorem}")
+    """THEOREMS[theorem], or a DomainError for an unknown statement number;
+    a bool or a float is none, though True and 1.0 are keys of THEOREMS."""
+    if isinstance(theorem, bool) or not isinstance(theorem, int) or theorem not in THEOREMS:
+        raise DomainError(f"statements are numbered 1..6, got {theorem!r}")
     return THEOREMS[theorem]
 
 
@@ -129,25 +132,28 @@ def direct_battery(m: int, rng: random.Random):
     A mixture of two DualPowers of orders m..8 (m and m + 1 from order 8
     on), drawn from rng, follows the DualPower entries.
     """
-    return _battery(m, rng)[0]
+    return [(w, relation) for w, relation, _ in _battery(m, rng)[0]]
 
 
 def _battery(m: int, rng: random.Random):
-    """(direct_battery(m, rng), probe): the probe is the drawn mixture, whose
-    weights are drawn as ints r_k in 1..4 and read as r_k / sum r."""
+    """(battery, probe): the battery as (w, relation, row) triples, row the
+    integer coefficients (hs, scale) of w that valuation._poly_signs reads;
+    the probe is the drawn mixture, whose weights are drawn as ints r_k in
+    1..4 and read as r_k / sum r."""
     _check_statement_order(m)
     head, tail = _fixed_battery(m)
     ks = rng.sample(range(m, max(9, m + 2)), 2)
     rs = {k: rng.randint(1, 4) for k in ks}
     mixture = _int_mixture(rs, sum(rs.values()))
-    return [*head, (mixture, "ge"), *tail], mixture
+    return [*head, (mixture, "ge", mixture._ints), *tail], mixture
 
 
 @lru_cache(maxsize=None)
 def _fixed_battery(m: int):
-    # The unseeded entries, certified once per order; they are frozen
-    # dataclasses, so every battery may share them.
-    head = tuple((DualPower(j), "ge") for j in range(m, 7))
+    # The unseeded entries with their integer rows, certified and expanded
+    # once per order; the members are frozen dataclasses and no reader
+    # writes to a row, so every battery may share them.
+    head = [(DualPower(j), "ge") for j in range(m, 7)]
     tail: list[tuple[WeightingSpec, str]] = []
     if m % 2 == 0:
         tail.append((_monomial(m), "le"))
@@ -160,7 +166,7 @@ def _fixed_battery(m: int):
         tail.append((DualPower(j), "eq"))
     for k in range(2, m):
         tail.append((_monomial(k), "eq"))
-    return head, tuple(tail)
+    return tuple(tuple((w, rel, _integer_coeffs(w)) for w, rel in part) for part in (head, tail))
 
 
 def random_base(rng: random.Random, m: int, n: int | None = None) -> EqualProbLottery:
@@ -210,16 +216,18 @@ def direct_check(pair: ApportionmentPair, rng: random.Random) -> tuple[dict, ...
     """Sweep the order-m battery over one pair; return replay records of
     violations as a tuple, () when the pair passes (as HarnessReport.failures).
 
-    The battery's exact members are ranked from the pair's moved states
-    (apportionment.moved_state_gap). One member, the mixture drawn from
-    rng, is also valued in full: its dt_value gap must equal its
-    moved-state gap, and a mismatch is an "identity" record carrying both
-    gaps.
+    The whole battery is ranked from one sweep of power sums over the
+    pair's gap jump list (valuation._poly_signs), the signs
+    preference_direction gives member by member. One member, the mixture
+    drawn from rng, is also valued in full: its dt_value gap must equal
+    its moved-state gap, and a mismatch is an "identity" record carrying
+    both gaps.
     """
     battery, probe = _battery(pair.order, rng)
+    jumps, d, _, top = pair._gap_jumps
+    signs = _poly_signs([row for _, _, row in battery], jumps, d, top)
     failures = []
-    for w, relation in battery:
-        got = preference_direction(pair, w)
+    for (w, relation, _), got in zip(battery, signs):
         ok = got >= 0 if relation == "ge" else got <= 0 if relation == "le" else got == 0
         if not ok:
             failures.append(
@@ -246,6 +254,7 @@ def direct_check(pair: ApportionmentPair, rng: random.Random) -> tuple[dict, ...
 
 
 _MIXED_TRIES = 500  # draws random_mixed_tabulated makes before it gives up
+_KNOT_COUNTS = (8, 16, 32)  # knot intervals K a mixed tabulated draw picks from
 
 
 def random_mixed_tabulated(rng: random.Random, m: int) -> Tabulated:
@@ -255,17 +264,25 @@ def random_mixed_tabulated(rng: random.Random, m: int) -> Tabulated:
     bounded by 1/(8K), which keeps the knots strictly increasing; draws
     are rejected until the order-m certificate on the knot grid 1/K is
     Mixed, that is until the aligned step-1/K windows show both signs;
-    h at i/K is the i-th knot value, so the certificate reads those.
+    h at i/K is the i-th knot value, so the certificate reads those. The
+    K + 1 knots give K + 1 - m windows, and both signs need two, so an
+    order m >= K is never Mixed on that grid: an order at or past the
+    largest K is a DomainError before the rng moves.
     """
     _check_statement_order(m)
+    largest = _KNOT_COUNTS[-1]
+    if m >= largest:
+        raise DomainError(
+            f"mixed tabulated draws reach order {largest - 1}, below the largest knot count {largest}, got {m}"
+        )
     for _ in range(_MIXED_TRIES):
-        k = rng.choice((8, 16, 32))
+        k = rng.choice(_KNOT_COUNTS)
         knots = [(Fraction(0), Fraction(0))]
         for i in range(1, k):
             eta = Fraction(rng.randint(-4, 4), 32 * k)
             knots.append((Fraction(i, k), Fraction(i, k) + eta))
         knots.append((Fraction(1), Fraction(1)))
-        if m <= k and difference_sign([v for _, v in knots], m).kind is SignClass.MIXED:
+        if m < k and difference_sign([v for _, v in knots], m).kind is SignClass.MIXED:
             return Tabulated(tuple(knots))
     raise DualRiskError(f"no mixed-difference tabulated weighting found in {_MIXED_TRIES} draws")
 
@@ -339,9 +356,15 @@ def converse_check(w: WeightingSpec, m: int, grid_count: int = 256) -> dict:
 
 def run_trials(theorem: int, m: int, trials: int, seed: int) -> HarnessReport:
     """trials draws of statement theorem at order m from one seeded rng, each
-    drawn and checked as THEOREMS says; failure records carry their trial."""
+    drawn and checked as THEOREMS says; failure records carry their trial.
+    The statement, the order and the trial count (an int >= 1; a bool is
+    none) are checked before any draw."""
     direct = _check_statement(theorem)[0] == "direct"
     _check_statement_order(m)
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise DomainError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed * 1000003 + m)
     failures: list[dict] = []
     for trial in range(trials):

@@ -32,7 +32,9 @@ kernels build no Fraction: the one integer-ratio kernel (_ratio) returns
 each exact family's value as (num, den) with den > 0. The Fraction is
 built only at the three public boundaries, dt_value, dual_moment and
 apportionment.moved_state_gap; a sign is read off num alone
-(apportionment.preference_direction, the pair check). An exact order m
+(apportionment.preference_direction, the pair check). _poly_signs signs
+a battery of polynomial h at once from the power sums sum_i c^j step_i
+of one sweep (harness.direct_check). An exact order m
 with m * bitlength(d) above 2^20, about the size of its powers, is a
 DomainError (rationals._check_power). The float families
 (TverskyKahneman, Prelec, fractional Power) read the same counts
@@ -249,6 +251,33 @@ def _cdf_poly(jumps, hs: list[int], scale: int, d: int, xd: int, top: int) -> tu
         acc += v * step
     den = scale * dk
     return den * top - acc, den * xd
+
+
+def _poly_signs(rows, jumps, d: int, top: int) -> list[int]:
+    """The sign of _cdf_poly's numerator for each row (hs, scale), that
+    is of x_max - sum_i h(F_i) step_i for h = sum_j hs_j p^j / scale, from
+    one sweep of the power sums S_j = sum_i c_i^j step_i.
+
+    scale d^deg top - sum_j hs_j d^(deg-j) S_j is that numerator over the
+    positive scale d^deg xd, so the denominator is never built. For one h
+    Horner per count (_cdf_poly) is faster; a battery of rows shares the
+    sums. The size bound is checked once, at the largest degree.
+    """
+    deg = max(len(hs) for hs, _ in rows) - 1
+    _check_power(deg, d.bit_length())
+    sums = [0] * (deg + 1)
+    for c, step in jumps:
+        for j in range(deg + 1):
+            sums[j] += step
+            step *= c
+    signs = []
+    for hs, scale in rows:
+        v = 0  # sum_j hs_j S_j d^(k-j) by Horner in d, k = len(hs) - 1
+        for h, s in zip(hs, sums):
+            v = v * d + h * s
+        num = scale * d ** (len(hs) - 1) * top - v
+        signs.append((num > 0) - (num < 0))
+    return signs
 
 
 def _float_sweep(jumps, w: WeightingSpec, d: int, xd: int) -> float:

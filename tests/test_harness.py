@@ -23,6 +23,7 @@ from dualrisk import (
     converse_check,
     converse_witness_search,
     direct_battery,
+    dual_power_mixture,
     direct_check,
     dt_value,
     eval_h,
@@ -48,7 +49,7 @@ from dualrisk import harness as harness_module
 from dualrisk import valuation as valuation_module
 from dualrisk.cli import main as cli_main
 from dualrisk.harness import run_trials
-from dualrisk.weighting import difference_grid
+from dualrisk.weighting import _integer_coeffs, difference_grid, difference_sign
 
 from oracles import (
     aligned_windows_mixed,
@@ -59,6 +60,12 @@ from oracles import (
 )
 
 F = Fraction
+
+
+def _kernel_signs(pair, rows) -> list[int]:
+    """The battery kernel's sign for each integer row (hs, scale) on pair."""
+    jumps, d, _, top = pair._gap_jumps
+    return valuation_module._poly_signs(rows, jumps, d, top)
 
 
 def _reference_window(knots, m: int, j: int, n: int) -> Fraction:
@@ -136,6 +143,52 @@ class TestBattery:
         rng = random.Random(m)
         pair = random_pair(rng, m)
         assert direct_check(pair, rng) == ()
+
+
+class TestBatteryKernel:
+    """direct_check ranks its whole battery from one power-sum sweep per
+    pair (valuation._poly_signs); each sign is the one preference_direction
+    reads off that member alone."""
+
+    EXTRA = (
+        Identity(),
+        Quadratic(F(1, 3)),
+        Power(4),
+        *(DualPower(j) for j in (1, 2, 7, 12)),
+        Polynomial((F(0), F(5, 3), F(-2, 3))),
+        dual_power_mixture({2: F(1, 3), 9: F(2, 3)}),
+    )
+
+    @given(st.integers(0, 2**64), st.integers(2, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_every_member_and_extra_row_matches_preference_direction(self, seed, m):
+        rng = random.Random(seed)
+        pair = random_pair(rng, m)
+        battery, _ = harness_module._battery(m, rng)
+        members = [(w, row) for w, _, row in battery] + [(w, _integer_coeffs(w)) for w in self.EXTRA]
+        assert _kernel_signs(pair, [row for _, row in members]) == [
+            preference_direction(pair, w) for w, _ in members
+        ]
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_monomials_nest_at_the_pair_order(self, m):
+        # the pair keeps every gap under p^j, j < m, at 0 and ranks D strictly
+        # by the sign (-1)^(m-1) of the m-th derivative of p^m
+        rng = random.Random(900 + m)
+        rows = [([0] * j + [1], 1) for j in range(1, m + 1)]
+        want = [0] * (m - 1) + [(-1) ** (m - 1)]
+        for _ in range(30):
+            pair = random_pair(rng, m)
+            assert _kernel_signs(pair, rows) == want
+            assert [preference_direction(pair, Power(j)) for j in range(1, m + 1)] == want
+
+    def test_direct_check_makes_no_per_member_ranking(self, monkeypatch):
+        calls = []
+        real = valuation_module._ratio
+        monkeypatch.setattr(apportionment_module, "_ratio", lambda *args: calls.append(args) or real(*args))
+        rng = random.Random(3)
+        assert direct_check(random_pair(rng, 3), rng) == ()
+        assert calls == []  # preference_direction's kernel call, made for no member
 
 
 class TestRandomSources:
@@ -217,7 +270,8 @@ class TestRandomSources:
             twin.setstate(rng.getstate())
             battery, probe = harness_module._battery(m, twin)
             assert direct_check(pair, rng) == ()
-            directions = [preference_direction(pair, w) for w, _ in battery]
+            directions = [preference_direction(pair, w) for w, _, _ in battery]
+            assert _kernel_signs(pair, [row for _, _, row in battery]) == directions
             gap = apportionment_module.moved_state_gap(pair, probe)
             digest.update(f"{directions} {gap}\n".encode())
         assert digest.hexdigest() == self.DIRECTION_DIGESTS[m]
@@ -566,6 +620,35 @@ class TestRunTheorem:
             run_trials(theorem, 3, 1, 7)
         assert str(exc.value) == f"statements are numbered 1..6, got {theorem}"
 
+    @pytest.mark.parametrize("theorem,shown", [(True, "True"), (False, "False"), (1.0, "1.0"), ("1", "'1'")])
+    def test_a_bool_or_a_float_is_no_statement_number(self, theorem, shown):
+        # True == 1 and 1.0 == 1 are keys of THEOREMS, yet name no statement
+        for run in (lambda: run_theorem(theorem, 1, 7), lambda: run_trials(theorem, 3, 1, 7)):
+            with pytest.raises(DomainError) as exc:
+                run()
+            assert str(exc.value) == f"statements are numbered 1..6, got {shown}"
+
+    @pytest.mark.parametrize(
+        "trials,message",
+        [
+            (2.0, "trials must be an integer, got 2.0"),
+            (True, "trials must be an integer, got True"),
+            ("3", "trials must be an integer, got '3'"),
+            (0, "trials must be >= 1, got 0"),
+            (-1, "trials must be >= 1, got -1"),
+        ],
+        ids=["float", "bool", "str", "zero", "negative"],
+    )
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_run_trials_refuses_a_bad_trial_count_before_any_draw(self, theorem, trials, message, monkeypatch):
+        draws = []
+        for name in ("random_pair", "random_mixed_tabulated"):
+            monkeypatch.setattr(harness_module, name, lambda *args: draws.append(args))
+        with pytest.raises(DomainError) as exc:
+            run_trials(theorem, 3, trials, 7)
+        assert str(exc.value) == message
+        assert draws == []
+
 
 class TestStatementOrder:
     """Every draw and run refuses a bad order with a DomainError before the
@@ -612,3 +695,22 @@ class TestStatementOrder:
         with pytest.raises(DomainError) as exc:
             run_trials(theorem, m, 1, 7)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("m", [32, 33, 100])
+    def test_a_mixed_tabulated_draw_stops_below_the_largest_knot_count(self, m):
+        # 33 knots give 33 - m windows of order m, and a Mixed sign needs two
+        message = f"mixed tabulated draws reach order 31, below the largest knot count 32, got {m}"
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(DomainError) as exc:
+            random_mixed_tabulated(rng, m)
+        assert str(exc.value) == message
+        assert rng.getstate() == state
+        with pytest.raises(DomainError) as exc:
+            run_trials(2, m, 1, 7)
+        assert str(exc.value) == message
+
+    def test_the_largest_mixed_order_is_drawn(self):
+        w = random_mixed_tabulated(random.Random(5), 31)
+        assert len(w.knots) == 33
+        assert difference_sign([v for _, v in w.knots], 31).kind is SignClass.MIXED

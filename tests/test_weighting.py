@@ -666,7 +666,7 @@ class TestPolynomialCertification:
         with self._counting_sturm() as calls:
             for m in range(2, 10):
                 head, tail = _fixed_battery.__wrapped__(m)
-                assert any(isinstance(w, Polynomial) for w, _ in tail)
+                assert any(isinstance(w, Polynomial) for w, _, _ in tail)
         assert calls.call_count == 0
 
 
